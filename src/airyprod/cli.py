@@ -70,7 +70,7 @@ from .products import (
 
 _DOMAIN_ERRORS = (NegativeShift, EnvelopeExceeded, NonFiniteInput, ZeroField,
                   CoincidentPoints, DegenerateGeometry, InvalidKindForSector,
-                  SectorDispatchError, NonFiniteInput, ValueError)
+                  SectorDispatchError, ValueError)
 _QUAD_ERRORS = (ToleranceNotMet, EndpointSingularity)
 
 _ROT_NAMES = {"0": Rotation.NONE, "+": Rotation.PLUS, "-": Rotation.MINUS}

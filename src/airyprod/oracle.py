@@ -17,6 +17,15 @@ below 1e-13 out to the crossover radius |z| = 9.  Beyond the crossover
 the asymptotic expansion truncated at its smallest term is itself
 accurate to better than 1e-13.
 
+The series is written as Ai = A(z^3) - z B(z^3), Ai' = z^2 C(z^3) - D(z^3):
+Ai(0), -Ai'(0) and the integer divisors are folded into four tables of
+double-double coefficients, built exactly in rationals at import, so the
+four sums share the powers (z^3)^k and each term costs one complex
+double-double multiply and four multiply-adds.  The kernel uses plain
+arithmetic operators only: ``airy_batch`` runs it on float arrays, and a
+scalar ``airy`` call inside the crossover radius runs the same code on
+python floats, with bit-identical results.
+
 For arguments outside |arg z| <= 2*pi/3 the expansion is applied to the
 rotated points exp(+-2i*pi/3) z and recombined through the standard
 connection identity
@@ -31,6 +40,7 @@ evaluating in the upper half plane only, so it holds exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 import cmath
 import math
 
@@ -78,7 +88,8 @@ class AiryValue:
 
 
 # ----------------------------------------------------------------------
-# double-double primitives, vectorized over numpy arrays
+# double-double primitives from plain operators: they run unchanged on
+# python floats and on numpy float arrays
 # ----------------------------------------------------------------------
 
 def _two_sum(a, b):
@@ -119,21 +130,7 @@ def _dd_mul(ah, al, bh, bl):
     return _fast_two_sum(ph, pl)
 
 
-def _dd_div_exact(ah, al, d):
-    # divisor d is an exactly representable python float (small integer)
-    q1 = ah / d
-    ph, pl = _two_prod(q1, d)
-    rh, rl = _two_sum(ah, -ph)
-    q2 = (rh + (rl - pl) + al) / d
-    return _fast_two_sum(q1, q2)
-
-
 # complex double-double: 4-tuple (re_hi, re_lo, im_hi, im_lo)
-
-def _cdd_from_complex(z):
-    zero = np.zeros_like(z.real)
-    return (z.real.copy(), zero.copy(), z.imag.copy(), zero.copy())
-
 
 def _cdd_add(a, b):
     rh, rl = _dd_add(a[0], a[1], b[0], b[1])
@@ -151,87 +148,104 @@ def _cdd_mul(a, b):
     return (rh, rl, ih, il)
 
 
-def _cdd_div_exact(a, d):
-    rh, rl = _dd_div_exact(a[0], a[1], d)
-    ih, il = _dd_div_exact(a[2], a[3], d)
-    return (rh, rl, ih, il)
-
-
-def _cdd_scale_dd(a, ch, cl):
-    # multiply by a real double-double scalar constant
-    rh, rl = _dd_mul(a[0], a[1], ch, cl)
-    ih, il = _dd_mul(a[2], a[3], ch, cl)
-    return (rh, rl, ih, il)
-
-
 def _cdd_collapse(a):
     return (a[0] + a[1]) + 1j * (a[2] + a[3])
-
-
-def _cdd_abs_hi(a):
-    return np.hypot(a[0], a[2])
 
 
 # ----------------------------------------------------------------------
 # Maclaurin series branch (|z| <= CROSSOVER_RADIUS)
 # ----------------------------------------------------------------------
 
-def _series_batch(z):
-    """Ai, Ai' by the Maclaurin series in double-double arithmetic.
+def _series_tables(count):
+    """Double-double coefficients (A_k, B_k, C_k, D_k) for k < count.
 
-    Ai(z) = c1 f(z) - c2 g(z) with f, g the standard Airy-equation power
-    series in z^3; their derivatives use the term-ratio recurrences
-        f:  t *= z^3 / ((3k+2)(3k+3))      g:  t *= z^3 / ((3k+3)(3k+4))
-        f': t *= z^3 / ((3k)(3k+2))        g': t *= z^3 / ((3k+1)(3k+3))
+    With f = sum a_k z^(3k) and g = sum b_k z^(3k+1) the Airy-equation
+    power series (a_0 = b_0 = 1, a_{k+1} = a_k / ((3k+2)(3k+3)),
+    b_{k+1} = b_k / ((3k+3)(3k+4))) and Ai = c1 f - c2 g,
+
+        A_k = c1 a_k              B_k = c2 b_k
+        C_k = c1 3(k+1) a_{k+1}   D_k = c2 (3k+1) b_k
+
+    so that Ai = A(z^3) - z B(z^3) and Ai' = z^2 C(z^3) - D(z^3).  Each
+    product is formed exactly in rationals and rounded once.
     """
-    z = np.asarray(z, dtype=complex)
-    zdd = _cdd_from_complex(z)
-    z2 = _cdd_mul(zdd, zdd)
-    z3 = _cdd_mul(z2, zdd)
+    c1 = Fraction(_C1_HI) + Fraction(_C1_LO)
+    c2 = Fraction(_C2_HI) + Fraction(_C2_LO)
 
-    t_f = _cdd_from_complex(np.ones_like(z))
-    t_g = _cdd_from_complex(z)
-    t_fp = _cdd_div_exact(z2, 2.0)          # first f' term, z^2/2
-    t_gp = _cdd_from_complex(np.ones_like(z))
+    def dd(x):
+        hi = float(x)
+        return hi, float(x - Fraction(hi))
 
-    s_f, s_g, s_fp, s_gp = t_f, t_g, t_fp, t_gp
+    rows, a, b = [], Fraction(1), Fraction(1)
+    for k in range(count):
+        a_next = a / ((3 * k + 2) * (3 * k + 3))
+        rows.append((dd(c1 * a), dd(c2 * b), dd(c1 * 3 * (k + 1) * a_next),
+                     dd(c2 * (3 * k + 1) * b)))
+        a, b = a_next, b / ((3 * k + 3) * (3 * k + 4))
+    return tuple(rows)
 
-    k_used = 0
-    for k in range(250):
-        t_f = _cdd_div_exact(_cdd_mul(t_f, z3), float((3 * k + 2) * (3 * k + 3)))
-        t_g = _cdd_div_exact(_cdd_mul(t_g, z3), float((3 * k + 3) * (3 * k + 4)))
-        j = k + 1
-        t_fp = _cdd_div_exact(_cdd_mul(t_fp, z3), float((3 * j) * (3 * j + 2)))
-        t_gp = _cdd_div_exact(_cdd_mul(t_gp, z3), float((3 * k + 1) * (3 * k + 3)))
 
-        s_f = _cdd_add(s_f, t_f)
-        s_g = _cdd_add(s_g, t_g)
-        s_fp = _cdd_add(s_fp, t_fp)
-        s_gp = _cdd_add(s_gp, t_gp)
-        k_used = k + 1
+# 64 powers: |z| = 9 needs 48 and |z| = 12 needs 59 (see _series_terms)
+_SERIES = _series_tables(64)
 
-        tmax = max(
-            np.max(_cdd_abs_hi(t_f)), np.max(_cdd_abs_hi(t_g)),
-            np.max(_cdd_abs_hi(t_fp)), np.max(_cdd_abs_hi(t_gp)),
-        )
-        smax = max(np.max(_cdd_abs_hi(s_f)), np.max(_cdd_abs_hi(s_g)), 1.0)
-        if tmax < 1e-35 * smax:
-            break
 
-    f1 = _cdd_scale_dd(s_f, _C1_HI, _C1_LO)
-    g2 = _cdd_scale_dd(s_g, _C2_HI, _C2_LO)
-    ai = _cdd_collapse(_cdd_add(f1, (-g2[0], -g2[1], -g2[2], -g2[3])))
+def _series_terms(r):
+    """Last power of z^3 the series needs for |z| <= r.
 
-    fp1 = _cdd_scale_dd(s_fp, _C1_HI, _C1_LO)
-    gp2 = _cdd_scale_dd(s_gp, _C2_HI, _C2_LO)
-    aip = _cdd_collapse(_cdd_add(fp1, (-gp2[0], -gp2[1], -gp2[2], -gp2[3])))
+    Term magnitudes depend on |z| only; the sum stops at the first power
+    whose four terms all fall below 1e-35 of the larger of 1 and the
+    largest term, well under the double-double rounding of that term.
+    """
+    r3, power, peak = r * r * r, 1.0, 1.0
+    for k, (a, b, c, d) in enumerate(_SERIES):
+        term = power * max(a[0], b[0] * r, c[0] * r * r, d[0])
+        peak = max(peak, term)
+        if k and term < 1e-35 * peak:
+            return k
+        power *= r3
+    return len(_SERIES) - 1
 
-    # a-priori bound: rounding at double-double precision amplified by the
-    # cancellation condition number exp(2 max(Re zeta, 0))
+
+def _series_core(x, y, n):
+    """Ai, Ai' at z = x + iy from the Maclaurin series through (z^3)^n.
+
+    The four sums A, B, C, D (see ``_series_tables``) share the powers
+    P_k = (z^3)^k, so each term costs one complex double-double multiply
+    and four real-by-complex multiply-adds.  Plain operators only: x, y
+    are python floats or float arrays alike, with bit-identical results.
+    """
+    z = (x, 0.0, y, 0.0)
+    z2 = _cdd_mul(z, z)
+    z3 = _cdd_mul(z2, z)
+    sums = [(ch, cl, 0.0, 0.0) for ch, cl in _SERIES[0]]
+    p = z3
+    for k in range(1, n + 1):
+        for j, (ch, cl) in enumerate(_SERIES[k]):
+            term = _dd_mul(p[0], p[1], ch, cl) + _dd_mul(p[2], p[3], ch, cl)
+            sums[j] = _cdd_add(sums[j], term)
+        if k < n:
+            p = _cdd_mul(p, z3)
+    a, b, c, d = sums
+    zb = _cdd_mul(z, b)
+    ai = _cdd_add(a, (-zb[0], -zb[1], -zb[2], -zb[3]))
+    aip = _cdd_add(_cdd_mul(z2, c), (-d[0], -d[1], -d[2], -d[3]))
+    return _cdd_collapse(ai), _cdd_collapse(aip)
+
+
+def _series_err(z, n):
+    """A-priori bound: rounding at double-double precision amplified by
+    the cancellation condition number exp(2 max(Re zeta, 0))."""
     zeta_re = np.real((2.0 / 3.0) * z * np.sqrt(z))
     cond = np.exp(2.0 * np.maximum(zeta_re, 0.0))
-    est = 20.0 * k_used * _EPS_DD * cond + 5e-16
-    return ai, aip, est
+    return 20.0 * n * _EPS_DD * cond + 5e-16
+
+
+def _series_batch(z):
+    """Ai, Ai', est_rel_err arrays by ``_series_core`` on the array z."""
+    z = np.asarray(z, dtype=complex)
+    n = _series_terms(float(np.max(np.abs(z), initial=0.0)))
+    ai, aip = _series_core(z.real, z.imag, n)
+    return ai, aip, _series_err(z, n)
 
 
 # ----------------------------------------------------------------------
@@ -355,15 +369,19 @@ def _airy_raw_batch(z):
     return ai, aip, est
 
 
-def airy_batch(z):
-    """Vectorized ``airy``: returns (ai, ai_prime, est_rel_err) arrays."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(z)):
+def _check_envelope(finite, radius):
+    if not finite:
         raise NonFiniteInput("airy: argument must be finite")
-    if np.any(np.abs(z) > ENVELOPE_RADIUS):
+    if radius > ENVELOPE_RADIUS:
         raise EnvelopeExceeded(
             f"airy: |z| exceeds the supported envelope {ENVELOPE_RADIUS}"
         )
+
+
+def airy_batch(z):
+    """Vectorized ``airy``: returns (ai, ai_prime, est_rel_err) arrays."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    _check_envelope(np.all(np.isfinite(z)), np.max(np.abs(z), initial=0.0))
     return _airy_raw_batch(z)
 
 
@@ -378,8 +396,20 @@ def airy(z: complex) -> AiryValue:
         if |z| > 50 (the documented accuracy envelope).
     """
     z = complex(z)
-    ai, aip, est = airy_batch(np.array([z]))
-    return AiryValue(complex(ai[0]), complex(aip[0]), float(est[0]))
+    r = abs(z)
+    _check_envelope(cmath.isfinite(z), r)
+    if r > CROSSOVER_RADIUS:
+        ai, aip, est = _airy_raw_batch(np.array([z]))
+        return AiryValue(complex(ai[0]), complex(aip[0]), float(est[0]))
+    # the series kernel on python floats, in the upper half plane like
+    # _airy_raw_batch, so both entry points agree bit for bit
+    flip = z.imag < 0.0
+    zz = z.conjugate() if flip else z
+    n = _series_terms(r)
+    ai, aip = _series_core(zz.real, zz.imag, n)
+    if flip:
+        ai, aip = ai.conjugate(), aip.conjugate()
+    return AiryValue(ai, aip, float(_series_err(np.array([zz]), n)[0]))
 
 
 def airy_ode_residual(z: complex, h: float = 1e-3) -> float:

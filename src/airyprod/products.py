@@ -52,7 +52,7 @@ from .contours import (
 )
 import numpy as np
 
-from .errors import NegativeShift, SectorDispatchError, ToleranceNotMet
+from .errors import NegativeShift, ToleranceNotMet
 from .oracle import airy, airy_batch
 
 __all__ = [
@@ -175,8 +175,6 @@ def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
         loop = _contour_value(ContourKind.O, args, tol, config, strict)
         val = val + sign * loop.value
         err = err + loop.abs_err_est
-    elif args.z0_sector not in (Sector.INNER, Sector.ZERO, Sector.BOUNDARY):
-        raise SectorDispatchError(f"unclassifiable shift sector for z0 = {z0}")
     return ProductValue(pref * val, route, abs(pref) * err)
 
 
@@ -318,12 +316,31 @@ def _factor_derivatives(zz: complex, rot: complex):
     is 1), so higher derivatives reduce to p and p'.
     """
     a = airy(rot * zz)
-    p = a.ai
-    dp = rot * a.ai_prime
-    d2 = zz * p
-    d3 = p + zz * dp
-    d4 = 2.0 * dp + zz * zz * p
-    return (p, dp, d2, d3, d4), a.est_rel_err
+    return _derivatives(zz, rot, a.ai, a.ai_prime)
+
+
+def _derivative_stack(args, rot: complex):
+    """Vectorized ``_factor_derivatives``: one ``airy_batch`` call."""
+    ai, aip, _ = airy_batch(rot * args)
+    return _derivatives(args, rot, ai, aip)
+
+
+def _derivatives(zz, rot: complex, ai, aip):
+    """(p, ..., p'''') at zz from ai = Ai(rot zz), aip = Ai'(rot zz); the
+    arguments are scalars or arrays alike."""
+    dp = rot * aip
+    return ai, dp, zz * ai, ai + zz * dp, 2.0 * dp + zz * zz * ai
+
+
+def _leibniz_terms(p, q):
+    """w, w', ..., w'''' of w = p q from the derivatives of p and q."""
+    w0 = p[0] * q[0]
+    w1 = p[1] * q[0] + p[0] * q[1]
+    w2 = p[2] * q[0] + 2.0 * p[1] * q[1] + p[0] * q[2]
+    w3 = p[3] * q[0] + 3.0 * p[2] * q[1] + 3.0 * p[1] * q[2] + p[0] * q[3]
+    w4 = (p[4] * q[0] + 4.0 * p[3] * q[1] + 6.0 * p[2] * q[2]
+          + 4.0 * p[1] * q[3] + p[0] * q[4])
+    return w0, w1, w2, w3, w4
 
 
 def ode_residual_w(z: complex, z0: complex,
@@ -343,41 +360,13 @@ def ode_residual_w(z: complex, z0: complex,
     """
     rot1, rot2 = Rotation(rot1), Rotation(rot2)
     z, z0 = complex(z), complex(z0)
-    p, _ = _factor_derivatives(z + z0, rot1.factor)
-    q, _ = _factor_derivatives(z, rot2.factor)
-
-    w0 = p[0] * q[0]
-    w1 = p[1] * q[0] + p[0] * q[1]
-    w2 = p[2] * q[0] + 2.0 * p[1] * q[1] + p[0] * q[2]
-    w3 = p[3] * q[0] + 3.0 * p[2] * q[1] + 3.0 * p[1] * q[2] + p[0] * q[3]
-    w4 = (p[4] * q[0] + 4.0 * p[3] * q[1] + 6.0 * p[2] * q[2]
-          + 4.0 * p[1] * q[3] + p[0] * q[4])
-
+    p = _factor_derivatives(z + z0, rot1.factor)
+    q = _factor_derivatives(z, rot2.factor)
+    w0, w1, w2, _, w4 = _leibniz_terms(p, q)
     terms = (w4, (4.0 * z + 2.0 * z0) * w2, 6.0 * w1, z0 * z0 * w0)
     resid = terms[0] - terms[1] - terms[2] + terms[3]
     scale = max(1.0, *(abs(t) for t in terms))
     return abs(resid) / scale
-
-
-def _derivative_stack(args, rot: complex):
-    """Vectorized (p, p', p'', p''', p'''') arrays for p = Ai(rot .)."""
-    ai, aip, _ = airy_batch(rot * args)
-    p0 = ai
-    p1 = rot * aip
-    p2 = args * p0
-    p3 = p0 + args * p1
-    p4 = 2.0 * p1 + args * args * p0
-    return p0, p1, p2, p3, p4
-
-
-def _leibniz_terms(p, q):
-    w0 = p[0] * q[0]
-    w1 = p[1] * q[0] + p[0] * q[1]
-    w2 = p[2] * q[0] + 2.0 * p[1] * q[1] + p[0] * q[2]
-    w3 = p[3] * q[0] + 3.0 * p[2] * q[1] + 3.0 * p[1] * q[2] + p[0] * q[3]
-    w4 = (p[4] * q[0] + 4.0 * p[3] * q[1] + 6.0 * p[2] * q[2]
-          + 4.0 * p[1] * q[3] + p[0] * q[4])
-    return w0, w1, w2, w3, w4
 
 
 def ode_residual_w_batch(z, z0):
@@ -434,11 +423,9 @@ def ode_residual_reduced(z: complex,
     """
     rot1, rot2 = Rotation(rot1), Rotation(rot2)
     z = complex(z)
-    p, _ = _factor_derivatives(z, rot1.factor)
-    q, _ = _factor_derivatives(z, rot2.factor)
-    w0 = p[0] * q[0]
-    w1 = p[1] * q[0] + p[0] * q[1]
-    w3 = p[3] * q[0] + 3.0 * p[2] * q[1] + 3.0 * p[1] * q[2] + p[0] * q[3]
+    p = _factor_derivatives(z, rot1.factor)
+    q = _factor_derivatives(z, rot2.factor)
+    w0, w1, _, w3, _ = _leibniz_terms(p, q)
     terms = (w3, 4.0 * z * w1, 2.0 * w0)
     resid = terms[0] - terms[1] - terms[2]
     scale = max(1.0, *(abs(t) for t in terms))

@@ -151,3 +151,63 @@ def test_ode_residual_step_validation():
 def test_connection_identity_property(z):
     res = _connection_residuals(np.array([z]))
     assert res[0] <= 1e-11
+
+
+def _branch_points():
+    # seeded points on every branch of the evaluator, both half planes
+    rng = np.random.default_rng(29)
+    th = rng.uniform(-np.pi, np.pi, 60)
+    series = CROSSOVER_RADIUS * np.sqrt(rng.uniform(0, 1, 60)) * np.exp(1j * th)
+    rim = CROSSOVER_RADIUS * np.exp(1j * np.linspace(-np.pi, np.pi, 13))
+    pos_axis = np.linspace(0.0, 8.99, 12)
+    far = rng.uniform(CROSSOVER_RADIUS, 40.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    neg_axis = -rng.uniform(CROSSOVER_RADIUS, 40.0, 6)
+    pts = np.concatenate([series, rim, [9.0, -9.0, 9j, -9j], pos_axis, -pos_axis,
+                          far, neg_axis])
+    arg = np.abs(np.angle(pts))
+    big = np.abs(pts) > CROSSOVER_RADIUS
+    # asym, conn and the negative real axis are all present
+    assert np.any(big & (arg <= 2 * np.pi / 3))
+    assert np.any(big & (arg > 2 * np.pi / 3) & (pts.imag != 0.0))
+    assert np.any(big & (pts.imag == 0.0) & (pts.real < 0.0))
+    return pts
+
+
+def test_scalar_matches_batch_bitwise():
+    for z in _branch_points():
+        v = airy(complex(z))
+        ai, aip, _ = airy_batch(np.array([z]))
+        assert v.ai == ai[0] and v.ai_prime == aip[0], z
+
+
+def test_scalar_series_reflection_and_real_axis():
+    rng = np.random.default_rng(31)
+    z = CROSSOVER_RADIUS * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(
+        1j * rng.uniform(0, np.pi, 40))
+    for zz in z:
+        v, vc = airy(complex(zz)), airy(complex(zz).conjugate())
+        assert vc.ai == v.ai.conjugate()
+        assert vc.ai_prime == v.ai_prime.conjugate()
+    for x in rng.uniform(-CROSSOVER_RADIUS, CROSSOVER_RADIUS, 20):
+        v = airy(float(x))
+        assert v.ai.imag == 0.0 and v.ai_prime.imag == 0.0
+
+
+def test_series_dense_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    rng = np.random.default_rng(37)
+    disk = CROSSOVER_RADIUS * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, 200))
+    # the recessive sector |arg z| < pi/3, where the series cancels most
+    recessive = rng.uniform(4.0, CROSSOVER_RADIUS, 100) * np.exp(
+        1j * rng.uniform(-np.pi / 3, np.pi / 3, 100))
+    z = np.concatenate([disk, recessive, [CROSSOVER_RADIUS, 8.99]])
+    ai, aip, est = airy_batch(z)
+    for zz, a, ap, e in zip(z, ai, aip, est):
+        ra = complex(mp.airyai(complex(zz)))
+        rp = complex(mp.airyai(complex(zz), derivative=1))
+        scale = max(abs(ra), abs(rp) / (1.0 + abs(zz) ** 0.5), 1e-300)
+        assert abs(a - ra) <= 60.0 * max(e, 1e-16) * scale + 1e-250, zz
+        scale_p = max(abs(rp), abs(ra) * (1.0 + abs(zz) ** 0.5), 1e-300)
+        assert abs(ap - rp) <= 60.0 * max(e, 1e-16) * scale_p + 1e-250, zz
