@@ -1,8 +1,9 @@
 """Anatomy of the integration contours and the five-integral relation.
 
-Builds all five contours for one (z, z0), prints their leg structure
-(the continuously tracked angles are the branch lift of k^(1/2)), and
-verifies the linear relation
+Builds all five contours for one (z, z0), prints the four exact saddles
+k = +-i(sqrt(z+z0) +- sqrt(z)) of the exponent that place them, each
+contour's leg structure and turn radius (the continuously tracked angles
+are the branch lift of k^(1/2)), and verifies the linear relation
 
     I_O = I_R- + I_L- - I_L+ - I_R+
 
@@ -17,7 +18,7 @@ from airyprod import (
     ShiftedArgs,
     build_contour,
     laplace_integral,
-    saddle_hint,
+    saddles,
 )
 
 
@@ -38,6 +39,8 @@ def main():
     z, z0 = 1 + 0.3j, 0.7
     args = ShiftedArgs.make(z, z0)
     print(f"z = {z}, z0 = {z0}  (sector: {args.z0_sector.value})")
+    print("saddles of the exponent: "
+          + ", ".join(f"{k:.4g}" for k in saddles(args)))
 
     vals, err = {}, 0.0
     for kind in ContourKind:
@@ -45,13 +48,12 @@ def main():
         res = laplace_integral(path, args, 1e-11)
         vals[kind] = res.value
         err += res.abs_err_est
-        hint = saddle_hint(kind, args)
         print(f"\n{kind.value:3s} cut at {path.cut_angle:.3f} rad, "
+              f"turn radius {path.endpoint_scale:.3g}, "
               f"truncated at |k| = {path.truncation_radius:.2f}, "
               f"{res.nodes} nodes")
         print("    ", describe(path))
-        print(f"     I = {res.value:.12g}"
-              + (f"   (saddle hint {hint:.3g})" if hint is not None else ""))
+        print(f"     I = {res.value:.12g}")
 
     lhs = vals[ContourKind.O]
     rhs = (vals[ContourKind.R_MINUS] + vals[ContourKind.L_MINUS]

@@ -28,7 +28,7 @@ from .contours import (
     build_contour,
     classify_sector,
     laplace_integral,
-    saddle_hint,
+    saddles,
 )
 from .errors import (
     AiryprodError,
@@ -73,7 +73,7 @@ from .quadrature import QuadResult
 __all__ = [
     "AiryValue", "airy", "airy_batch", "airy_ode_residual",
     "Sector", "ContourKind", "ShiftedArgs", "ContourConfig", "ContourPath",
-    "classify_sector", "build_contour", "laplace_integral", "saddle_hint",
+    "classify_sector", "build_contour", "laplace_integral", "saddles",
     "QuadResult",
     "Route", "Rotation", "ProductValue",
     "u_pm", "w_pm", "product", "difference_identity",

@@ -8,7 +8,6 @@ with ``#`` are ignored.  Recognized keys:
     tail_tol            contour truncation level
     max_nodes           quadrature evaluation ceiling
     truncation_ceiling  largest allowed contour radius
-    saddle_hint         on/off  (terrain-probed turn placement)
     seed                integer seed for pseudo-random verification grids
     format              csv | json
 """

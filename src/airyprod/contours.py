@@ -30,6 +30,14 @@ lifted to the side of the cut each contour starts on), which makes the
 endpoint integrand decay purely exponentially with no oscillation and
 keeps the construction uniformly accurate up to |arg z0| = pi/2, where
 the near-cut region of the internal valley degenerates.
+
+The geometry is closed-form.  With beta = z + z0/2 the exponent
+E(k) = i(beta k - z0^2/(4k) + k^3/12) has the four saddles
+k = +-i(sqrt(z+z0) +- sqrt(z)) (``saddles``).  Each valley's tail angle
+minimizes the exact crest of Re E along its ray (the z0 term dropped),
+the truncation radius is the positive root of a cubic, and each turn
+radius is a saddle modulus or a fixed floor, whichever keeps the crest
+of Re E along the arc lowest.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ __all__ = [
     "classify_sector",
     "build_contour",
     "laplace_integral",
-    "saddle_hint",
+    "saddles",
     "VALLEY_SECTORS",
 ]
 
@@ -67,7 +75,6 @@ _PI = math.pi
 
 #: Asymptotic valleys of e^{i k^3/12} in continued arg-k coordinates.
 VALLEY_SECTORS = ((0.0, _PI / 3.0), (-2.0 * _PI / 3.0, -_PI / 3.0), (-4.0 * _PI / 3.0, -_PI))
-_B1, _B2, _B3 = _PI / 6.0, -_PI / 2.0, -7.0 * _PI / 6.0  # valley bisectors
 
 _ZERO_SHIFT = 1e-300
 _BOUNDARY_TOL = 1e-12
@@ -131,7 +138,6 @@ class ContourConfig:
     tail_tol: float = 1e-13          # integrand bound at truncation
     max_nodes: int = 600_000         # evaluation ceiling per integral
     truncation_ceiling: float = 80.0
-    saddle_hint: bool = True         # route turns through saddle radii
     turn_radius_factor: float = 1.0  # perturbation knob for verification
     tail_angle_shift: float = 0.0    # ditto, radians, clipped to pi/14
 
@@ -143,9 +149,6 @@ class ContourConfig:
                 kwargs[f] = float(data[f])
         if "max_nodes" in data:
             kwargs["max_nodes"] = int(data["max_nodes"])
-        if "saddle_hint" in data:
-            v = data["saddle_hint"]
-            kwargs["saddle_hint"] = v if isinstance(v, bool) else str(v).lower() in ("1", "true", "yes", "on")
         return cls(**kwargs)
 
 
@@ -179,80 +182,99 @@ def _effective_shift_angle(args: ShiftedArgs) -> float:
 
 
 def _truncation_radius(beta_abs: float, config: ContourConfig, tail_decay: float) -> float:
-    """Radius R with (R^3/12) * tail_decay >= -log(tail_tol) + |beta| R."""
-    lam = -math.log(config.tail_tol)
+    """Radius R with (R^3/12) * d = lambda + |beta| R, d = tail_decay.
 
-    def short(r):
-        return (r ** 3 / 12.0) * tail_decay - beta_abs * r - lam
-
-    hi = 4.0
-    while short(hi) < 0.0:
-        hi *= 1.5
-        if hi > config.truncation_ceiling:
-            raise DegenerateGeometry(
-                "truncation radius would exceed the configured ceiling "
-                f"{config.truncation_ceiling} (|z + z0/2| = {beta_abs:.3g})"
-            )
-    lo = 0.0
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if short(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def saddle_hint(kind: ContourKind, args: ShiftedArgs):
-    """Leading-order contributing saddle of the exponent for L+- / R+-.
-
-    Returns None for the O contour and for |z| < 1 where the leading
-    formula is unreliable.  For R contours the two lifts of the returned
-    point differ by the side of the cut the contour starts on; the
-    complex value is the same.
+    With lambda = -log(tail_tol), the depressed cubic R^3 + pR + q = 0
+    (p = -12|beta|/d <= 0, q = -12 lambda/d < 0) has exactly one positive
+    root: Cardano's formula gives it when the discriminant is
+    non-negative, the trigonometric form (its largest real root) when it
+    is negative.
     """
-    if kind is ContourKind.O:
-        return None
-    if abs(args.z) < 1.0:
-        return None
-    sqz = math.sqrt(abs(args.z))
-    if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS):
-        sgn = -1.0 if kind is ContourKind.L_PLUS else 1.0
-        return 2.0 * sqz * cmath.exp(1j * (-_PI / 2.0 + sgn * _PI / 3.0))
-    sgn = -1.0 if kind is ContourKind.R_PLUS else 1.0
-    return 0.5 * cmath.exp(1j * (-_PI / 2.0 + sgn * _PI)) * args.z0 / sqz
+    lam = -math.log(config.tail_tol)
+    p = -12.0 * beta_abs / tail_decay
+    q = -12.0 * lam / tail_decay
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc >= 0.0:
+        u = math.cbrt(-0.5 * q + math.sqrt(disc))
+        r = u - p / (3.0 * u)
+    else:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        r = m * math.cos(math.acos(min(3.0 * q / (p * m), 1.0)) / 3.0)
+    if r > config.truncation_ceiling:
+        raise DegenerateGeometry(
+            "truncation radius would exceed the configured ceiling "
+            f"{config.truncation_ceiling} (|z + z0/2| = {beta_abs:.3g})"
+        )
+    return r
+
+
+def saddles(args: ShiftedArgs) -> tuple:
+    """The four roots k = +-i(sqrt(z+z0) +- sqrt(z)) of k^4 + 4 beta k^2 + z0^2.
+
+    That quartic is 4k^2 E'(k)/i for the exponent
+    E(k) = i(beta k - z0^2/(4k) + k^3/12), beta = z + z0/2, so its
+    nonzero roots are the saddles of the integrand.  At z0 = 0 the pair
+    i(sqrt(z+z0) - sqrt(z)) collapses onto k = 0, which is then no saddle.
+    Order: i(s+ + s), i(s+ - s), -i(s+ + s), -i(s+ - s), where s+ and s are
+    the principal square roots of z + z0 and z.
+    """
+    s_shift, s = cmath.sqrt(args.z + args.z0), cmath.sqrt(args.z)
+    outer, inner = 1j * (s_shift + s), 1j * (s_shift - s)
+    return outer, inner, -outer, -inner
 
 
 def _clip(x, lo, hi):
     return max(lo, min(hi, x))
 
 
-def _ray_crest(exponent, theta, r_lo, r_hi):
-    """Largest Re E along a radial ray (coarse probe)."""
-    r = np.geomspace(max(r_lo, 1e-6), r_hi, 48)
-    return float(np.max(np.real(exponent(r * cmath.exp(1j * theta)))))
-
-
-def _pick_tail(exponent, valley, beta_abs, config, shift):
-    """Tail angle within a valley minimizing the crest of its outgoing ray.
-
-    The truncation radius is recomputed for each candidate from its own
-    cubic decay rate, so slow near-edge angles pay their real price.
-    """
+def _tail_candidates(valley):
+    """Seven interior angles of a valley as (theta, cos theta, sin theta)."""
     lo, hi = valley
     margin = (hi - lo) / 7.0
-    cands = np.linspace(lo + margin, hi - margin, 7)
-    best = None
-    for th in cands:
-        decay = abs(math.sin(3.0 * th))
-        r_tr = _truncation_radius(beta_abs, config, decay)
-        crest = _ray_crest(exponent, th, 0.2, r_tr)
-        score = crest + 0.02 * r_tr
-        if best is None or score < best[0]:
-            best = (score, th, r_tr)
-    _, th, r_tr = best
-    th = _clip(th + shift, lo + 0.25 * margin, hi - 0.25 * margin)
-    return th, _truncation_radius(beta_abs, config, abs(math.sin(3.0 * th)))
+    step = (hi - lo - 2.0 * margin) / 6.0
+    return tuple((th, math.cos(th), math.sin(th))
+                 for th in (lo + margin + j * step for j in range(7)))
+
+
+_TAIL_CANDIDATES = tuple(_tail_candidates(v) for v in VALLEY_SECTORS)
+# the cubic decay rate sin(3 theta) at the j-th candidate is the same in
+# every valley, and so is the truncation radius it implies
+_TAIL_DECAYS = tuple(math.sin(3.0 * th) for th, _, _ in _TAIL_CANDIDATES[0])
+_ARC_SWEEP = np.linspace(0.0, 1.0, 65)
+
+
+def _tails(beta: complex, config: ContourConfig, shift: float):
+    """Tail angle and truncation radius in each valley.
+
+    Without the z0 term, Re E along k = r e^{i theta} is -A r - B r^3 with
+    A = |beta| sin(theta + arg beta) and B = sin(3 theta)/12 > 0 inside
+    a valley, so the crest of the outgoing ray lies at 0 when A >= 0 and
+    at r* = sqrt(-A/3B), clipped to [0.2, R(theta)], otherwise.  Of seven
+    interior angles per valley the lowest crest + 0.02 R(theta) wins: the
+    truncation radius comes from each angle's own cubic decay rate, so
+    slow near-edge angles pay their real price.
+    """
+    beta_abs = abs(beta)
+    radii = [_truncation_radius(beta_abs, config, d) for d in _TAIL_DECAYS]
+    out = []
+    for (lo, hi), cands in zip(VALLEY_SECTORS, _TAIL_CANDIDATES):
+        best = None
+        for (th, cos_th, sin_th), d, r_tr in zip(cands, _TAIL_DECAYS, radii):
+            a = beta.real * sin_th + beta.imag * cos_th
+            crest = 0.0
+            if a < 0.0:
+                r = _clip(math.sqrt(-4.0 * a / d), 0.2, r_tr)
+                crest = -r * (a + d * r * r / 12.0)
+            score = crest + 0.02 * r_tr
+            if best is None or score < best[0]:
+                best = (score, th, r_tr)
+        _, th, r_tr = best
+        if shift:
+            margin = (hi - lo) / 7.0
+            th = _clip(th + shift, lo + 0.25 * margin, hi - 0.25 * margin)
+            r_tr = _truncation_radius(beta_abs, config, math.sin(3.0 * th))
+        out.append((th, r_tr))
+    return out
 
 
 def _pick_arc_radius(exponent, th_a, th_b, candidates):
@@ -262,39 +284,10 @@ def _pick_arc_radius(exponent, th_a, th_b, candidates):
     wins: needlessly small arcs push the k^(-1/2) slope onto linearly
     panelized rays, which adaptive bisection resolves slowly.
     """
-    thetas = np.linspace(th_a, th_b, 65)
-    phases = np.exp(1j * thetas)
-    crests = [float(np.max(np.real(exponent(r * phases)))) for r in candidates]
+    phases = np.exp(_ARC_SWEEP * (1j * (th_b - th_a)) + 1j * th_a)
+    crests = exponent(np.multiply.outer(candidates, phases)).real.max(axis=1).tolist()
     lowest = min(crests)
     return max(r for r, m in zip(candidates, crests) if m <= lowest + 1.0)
-
-
-_TAIL_CACHE: dict = {}
-
-
-def _tails_cached(z, z0, shift, config):
-    """Tail angles and truncation radii for all three valleys, memoized.
-
-    Several contour kinds are usually built for the same (z, z0); the
-    valley probing is identical across them.
-    """
-    key = (z, z0, shift, config.saddle_hint, config.tail_tol, config.truncation_ceiling)
-    hit = _TAIL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    beta_abs = abs(z + 0.5 * z0)
-    if config.saddle_hint:
-        exponent = _exponent_factory(ShiftedArgs.make(z, z0))
-        out = tuple(_pick_tail(exponent, v, beta_abs, config, shift) for v in VALLEY_SECTORS)
-    else:
-        ths = (_B1 + shift, _B2 + shift, _B3 + shift)
-        r = _truncation_radius(beta_abs, config,
-                               min(abs(math.sin(3.0 * t)) for t in ths))
-        out = tuple((t, r) for t in ths)
-    if len(_TAIL_CACHE) > 4096:
-        _TAIL_CACHE.clear()
-    _TAIL_CACHE[key] = out
-    return out
 
 
 def build_contour(kind: ContourKind, args: ShiftedArgs,
@@ -302,12 +295,13 @@ def build_contour(kind: ContourKind, args: ShiftedArgs,
     """Construct the requested contour for the given (z, z0).
 
     All five kinds are defined in every shift sector (Outer uses the cut
-    and origin contours of -z0).  Tail angles and turn radii are chosen
-    by a coarse probe of Re E over a small candidate family, which keeps
-    the integrand maximum near the scale of the contributing saddle
-    without tracing true steepest-descent paths.  Raises
-    DegenerateGeometry when the required truncation radius exceeds the
-    configured ceiling.
+    and origin contours of -z0).  The geometry is closed-form: in each
+    valley the tail angle minimizes the exact crest of Re E without the
+    z0 term along its ray, the truncation radius is the positive root of
+    a cubic, and the turn radius is one of the two saddle moduli
+    |sqrt(z+z0) +- sqrt(z)| or a fixed floor, whichever keeps the crest
+    of Re E along the arc lowest.  Raises DegenerateGeometry when the
+    required truncation radius exceeds the configured ceiling.
     """
     if not isinstance(kind, ContourKind):
         raise InvalidKindForSector(f"unknown contour kind: {kind!r}")
@@ -315,21 +309,20 @@ def build_contour(kind: ContourKind, args: ShiftedArgs,
     a = _effective_shift_angle(args)
     cut = _PI / 2.0 + a
     beta = args.z + 0.5 * args.z0
-    beta_abs = abs(beta)
     rho = abs(args.z0) ** 2
     lam = -math.log(config.tail_tol)
     exponent = _exponent_factory(args)
 
     shift = _clip(config.tail_angle_shift, -_PI / 14.0, _PI / 14.0)
-
-    (th1, rt1), (th2, rt2), (th3, rt3) = _tails_cached(
-        args.z, args.z0, shift, config)
+    (th1, rt1), (th2, rt2), (th3, rt3) = _tails(beta, config, shift)
     r_trunc = max(rt1, rt2, rt3)
 
-    cand = list(np.geomspace(2e-3, max(0.85 * r_trunc, 0.01), 20))
-    cand.append(_clip(2.0 * math.sqrt(max(beta_abs, 0.25)), 2e-3, 0.85 * r_trunc))
-    cand.append(_clip(math.sqrt(rho / (4.0 * max(beta_abs, 0.25))), 2e-3, 0.85 * r_trunc))
-    cand = [c * config.turn_radius_factor for c in cand]
+    # candidate turn radii: the saddle moduli and the floor of the path
+    # family; the floor keeps a usable arc when both saddles sit at k ~ 0
+    outer, inner = saddles(args)[:2]
+    floor = 1.0 if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS) else 0.5
+    cand = [_clip(r, 2e-3, 0.85 * r_trunc) * config.turn_radius_factor
+            for r in (abs(outer), abs(inner), floor)]
 
     theta_up = 2.0 * a + _PI / 2.0       # steepest descent, start side of R-
     theta_low = theta_up - 2.0 * _PI     # same ray on the other side of the cut
@@ -350,14 +343,12 @@ def build_contour(kind: ContourKind, args: ShiftedArgs,
 
     if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS):
         th_in, r_in = (th3, rt3) if kind is ContourKind.L_PLUS else (th1, rt1)
-        r_arc = _pick_arc_radius(exponent, th_in, th2, cand_ray) if config.saddle_hint \
-            else _clip(1.0 * config.turn_radius_factor, 2e-3, 0.85 * r_trunc)
+        r_arc = _pick_arc_radius(exponent, th_in, th2, cand_ray)
         legs = (
             RayLeg(th_in, r_in, r_arc),
             ArcLeg(r_arc, th_in, th2),
             RayLeg(th2, r_arc, rt2),
         )
-        scale = r_arc
     elif kind in (ContourKind.R_MINUS, ContourKind.R_PLUS):
         if kind is ContourKind.R_MINUS:
             th_start, th_tail, r_tail = theta_up, th1, rt1
@@ -366,27 +357,23 @@ def build_contour(kind: ContourKind, args: ShiftedArgs,
         # origin contours cross near the essential/linear balance radius,
         # never far out; large radii only stretch the endpoint leg
         cand_r = [c for c in cand_ray if c <= 3.0] or [min(cand_ray)]
-        r_arc = _pick_arc_radius(exponent, th_start, th_tail, cand_r) if config.saddle_hint \
-            else _clip(0.5 * config.turn_radius_factor, 2e-3, 0.85 * r_trunc)
+        r_arc = _pick_arc_radius(exponent, th_start, th_tail, cand_r)
         legs = (
             DecayLeg(th_start, r_arc, s_max_for(r_arc), outward=True),
             ArcLeg(r_arc, th_start, th_tail),
             RayLeg(th_tail, r_arc, r_tail),
         )
-        scale = r_arc
     else:  # O
         cand_r = [c for c in cand if c <= 3.0] or [min(cand)]
-        r_arc = _pick_arc_radius(exponent, theta_up, theta_low, cand_r) if config.saddle_hint \
-            else _clip(0.5 * config.turn_radius_factor, 2e-3, 0.85 * r_trunc)
+        r_arc = _pick_arc_radius(exponent, theta_up, theta_low, cand_r)
         s_max = s_max_for(r_arc)
         legs = (
             DecayLeg(theta_up, r_arc, s_max, outward=True),
             ArcLeg(r_arc, theta_up, theta_low),
             DecayLeg(theta_low, r_arc, s_max, outward=False),
         )
-        scale = r_arc
 
-    return ContourPath(kind, cut, legs, r_trunc, scale)
+    return ContourPath(kind, cut, legs, r_trunc, r_arc)
 
 
 def _exponent_factory(args: ShiftedArgs):

@@ -289,7 +289,8 @@ def integrate_legs(legs, integrand, tol, max_nodes, integrand_exponent=None):
         for i in split_idx:
             by_leg.setdefault(panels[i][0], []).append(i)
 
-        new_panels = [p for i, p in enumerate(panels) if i not in set(split_idx)]
+        split = set(split_idx)
+        new_panels = [p for i, p in enumerate(panels) if i not in split]
         for leg_idx, idxs in by_leg.items():
             bounds = []
             for i in idxs:

@@ -12,15 +12,25 @@ from airyprod import (
     EndpointSingularity,
     InvalidKindForSector,
     NonFiniteInput,
+    Route,
     Sector,
     ShiftedArgs,
     ToleranceNotMet,
+    airy_batch,
     build_contour,
     classify_sector,
     laplace_integral,
-    saddle_hint,
+    saddles,
+    u_pm,
+    w_pm,
 )
-from airyprod.contours import VALLEY_SECTORS, ContourPath, _effective_shift_angle
+from airyprod.contours import (
+    VALLEY_SECTORS,
+    ContourPath,
+    _effective_shift_angle,
+    _truncation_radius,
+)
+from airyprod.grids import shifted_grid
 from airyprod.quadrature import DecayLeg, RayLeg, path_is_connected
 
 PI = math.pi
@@ -234,27 +244,66 @@ def test_laplace_tol_validation():
 
 
 # ----------------------------------------------------------------------
-# saddle hints
+# closed-form geometry
 # ----------------------------------------------------------------------
 
-def test_saddle_hint_valley_contours():
-    got = saddle_hint(ContourKind.L_PLUS, ShiftedArgs.make(100.0, 0.0))
-    expect = 2.0 * cmath.exp(1j * (-PI / 2 - PI / 3)) * 10.0
-    assert abs(got - expect) <= 1e-12 * abs(expect)
-    got = saddle_hint(ContourKind.L_MINUS, ShiftedArgs.make(100.0, 0.0))
-    expect = 2.0 * cmath.exp(1j * (-PI / 2 + PI / 3)) * 10.0
-    assert abs(got - expect) <= 1e-12 * abs(expect)
+def _exponent_slope(k, z, z0):
+    beta = z + 0.5 * z0
+    return 1j * (beta + z0 * z0 / (4.0 * k * k) + k * k / 4.0)
 
 
-def test_saddle_hint_origin_contours():
-    got = saddle_hint(ContourKind.R_PLUS, ShiftedArgs.make(100.0, 2.0))
-    expect = 0.1 * cmath.exp(-1.5j * PI)
-    assert abs(got - expect) <= 1e-12 * abs(expect)
-    got = saddle_hint(ContourKind.R_MINUS, ShiftedArgs.make(100.0, 2.0))
-    expect = 0.1 * cmath.exp(0.5j * PI)
-    assert abs(got - expect) <= 1e-12 * abs(expect)
+@pytest.mark.parametrize("z,z0", [
+    (1.3 - 0.4j, 0.0),
+    (2.0 + 1.0j, 0.9 - 0.3j),
+    (-0.7 + 0.2j, 1.6j),
+    (0.5 - 2.5j, -1.1 + 0.4j),
+], ids=["zero", "inner", "boundary", "outer"])
+def test_saddles_are_stationary_points(z, z0):
+    ks = saddles(ShiftedArgs.make(z, z0))
+    assert len(ks) == 4
+    beta = z + 0.5 * z0
+    scale = abs(z) + abs(z0) + 1.0
+    for k in ks:
+        assert abs(k ** 4 + 4.0 * beta * k * k + z0 * z0) <= 1e-13 * scale ** 2
+        if k != 0.0:
+            assert abs(_exponent_slope(k, z, z0)) <= 1e-13 * scale
+    if z0 == 0.0:
+        assert sorted(abs(k) for k in ks)[:2] == [0.0, 0.0]
 
 
-def test_saddle_hint_none_cases():
-    assert saddle_hint(ContourKind.O, ShiftedArgs.make(100.0, 1.0)) is None
-    assert saddle_hint(ContourKind.L_PLUS, ShiftedArgs.make(0.5, 1.0)) is None
+def test_saddles_large_argument_zero_shift():
+    ks = saddles(ShiftedArgs.make(100.0, 0.0))
+    nonzero = sorted((k for k in ks if k != 0.0), key=lambda k: k.imag)
+    assert nonzero == [-20j, 20j]
+
+
+def test_truncation_radius_solves_its_cubic():
+    cfg = ContourConfig(truncation_ceiling=1e6)
+    lam = -math.log(cfg.tail_tol)
+    for beta_abs in (0.0, 1e-6, 0.3, 1.0, 4.0, 12.5, 60.0, 400.0):
+        for d in (0.05, 0.2, 0.43, 0.78, 1.0):
+            r = _truncation_radius(beta_abs, cfg, d)
+            assert r > 0.0
+            terms = (d / 12.0) * r ** 3 + beta_abs * r + lam
+            resid = (d / 12.0) * r ** 3 - beta_abs * r - lam
+            assert abs(resid) <= 1e-12 * terms
+
+
+def test_wide_domain_contours_converge_and_match_oracle():
+    z, z0 = shifted_grid(200, 12, z_radius=12.0, z0_radius=6.0)
+    zs, z0s = z.tolist(), z0.tolist()
+    for zz, zz0 in zip(zs, z0s):
+        args = ShiftedArgs.make(zz, zz0)
+        for kind in ContourKind:
+            laplace_integral(build_contour(kind, args), args, 1e-8)
+
+    ai_z = {s: airy_batch(cmath.exp(s * 2j * PI / 3) * z)[0] for s in (+1, -1)}
+    ai_shift = airy_batch(z + z0)[0]
+    ai_shift_rot = {s: airy_batch(cmath.exp(s * 2j * PI / 3) * (z + z0))[0] for s in (+1, -1)}
+    for i, (zz, zz0) in enumerate(zip(zs, z0s)):
+        for s in (+1, -1):
+            for got, ref in ((u_pm(s, zz, zz0, Route.CONTOUR, 1e-8).value,
+                              ai_shift_rot[s][i] * ai_z[s][i]),
+                             (w_pm(s, zz, zz0, Route.CONTOUR, 1e-8).value,
+                              ai_shift[i] * ai_z[s][i])):
+                assert abs(got - ref) <= 1e-7 * max(1.0, abs(ref)), (zz, zz0, s)
