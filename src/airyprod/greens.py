@@ -302,12 +302,13 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
 
     def integrand(k, theta):
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(exponent(k)) * np.abs(k) ** (-power) * np.exp(-1j * power * theta)
+            return np.exp(exponent(k) - 1j * power * theta) * np.abs(k) ** (-power)
 
     res = integrate_legs(legs, integrand, tol, 400_000, integrand_exponent=exponent)
     if not res.converged:
         raise ToleranceNotMet(
-            f"greens_time_integral: error {res.abs_err_est:.3g} above target",
+            f"greens_time_integral: error {res.abs_err_est:.3g} above target "
+            f"(stop: {res.stop})",
             result=res)
     pref = cmath.exp(-1j * math.pi / 4.0) / (2.0 * math.pi) ** 1.5
     return pref * res.value

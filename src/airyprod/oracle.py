@@ -70,6 +70,7 @@ _C2_HI, _C2_LO = 0.2588194037928068, -2.522243111610832e-17
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitter
 _EPS_DD = 2.0 ** -104
+_EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,8 @@ def _asym_core(w):
 
     Truncates each expansion at its smallest term; the returned relative
     error estimate is the smallest-term magnitude with a sector safety
-    factor.
+    factor, plus the float64 rounding of zeta, which exp(-zeta) turns
+    into a relative error of a few |zeta| eps.
     """
     sq = np.sqrt(w)
     zeta = (2.0 / 3.0) * w * sq
@@ -289,7 +291,7 @@ def _asym_core(w):
         if not active.any():
             break
     est[np.isnan(est)] = prev_mag[np.isnan(est)]
-    est = 3.0 * np.sqrt(60.0) * est + 5e-16
+    est = 3.0 * np.sqrt(60.0) * est + 5e-16 + 4.0 * _EPS * np.abs(zeta)
 
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     ai = pref * A / w4

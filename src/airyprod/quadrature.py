@@ -12,13 +12,15 @@ embedded 7-point Gauss value provides the error estimate.  Panels are
 seeded from the local phase and magnitude variation of the integrand
 (so oscillatory stretches start out resolved to roughly half a period
 per panel) and are then bisected in rounds, splitting every panel whose
-error exceeds its share of the global budget.  All node evaluations in
-a round are batched through numpy.
+error exceeds its share of the global budget.  The panels of all legs
+are held together as arrays in path order, and every round, the seed
+pass included, makes one integrand call over the nodes of all legs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import cmath
 import math
 
 import numpy as np
@@ -174,25 +176,41 @@ class SegmentLeg:
 
 @dataclass
 class QuadResult:
-    """Integral value with an absolute error estimate and node count."""
+    """Integral value with an absolute error estimate, node count and the
+    reason the adaptive loop stopped.
+
+    ``stop`` is one of ``"converged"`` (the target was met),
+    ``"node_ceiling"`` (``max_nodes`` was reached first), ``"plateau"``
+    (bisection stopped reducing the error estimate: the float64 floor of
+    the path) or ``"non_finite"`` (a panel value or error is not finite).
+    """
 
     value: complex
     abs_err_est: float
     nodes: int
-    converged: bool = True
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
-def _eval_panels(leg, bounds, integrand):
-    """GK15 on a batch of [t0, t1] panels of one leg.
+def _eval_panels(legs, leg, t0, t1, integrand):
+    """GK15 on a batch of [t0, t1] panels; ``leg`` holds each panel's leg
+    index in ascending order.
 
-    The error estimate is the QUADPACK rescaling of |K15 - G7|, which
-    credits the Kronrod value with its actual convergence rate instead
-    of the pessimistic raw difference.
+    Each leg maps its own block of nodes and the integrand runs once on
+    all of them.  The error estimate is the QUADPACK rescaling of
+    |K15 - G7|, which credits the Kronrod value with its actual
+    convergence rate instead of the pessimistic raw difference.
     """
-    mid = 0.5 * (bounds[:, 0] + bounds[:, 1])
-    hw = 0.5 * (bounds[:, 1] - bounds[:, 0])
+    mid = 0.5 * (t0 + t1)
+    hw = 0.5 * (t1 - t0)
     ts = mid[:, None] + hw[:, None] * _XGK[None, :]
-    k, dkdt, theta = leg.map(ts.ravel())
+    edges = np.searchsorted(leg, np.arange(len(legs) + 1))
+    maps = [legs[j].map(ts[lo:hi].ravel())
+            for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
+    k, dkdt, theta = (np.concatenate(part) for part in zip(*maps))
     f = (integrand(k, theta) * dkdt).reshape(ts.shape)
     resk = (f * _WGK).sum(axis=1)
     resg = (f * _WG).sum(axis=1)
@@ -207,26 +225,29 @@ def _eval_panels(leg, bounds, integrand):
     return kron, err
 
 
-def _seed_count(leg, integrand_exponent, n_probe=33, max_panels=1200):
-    """Initial panel count from phase and magnitude variation.
+_PROBE = np.linspace(0.0, 1.0, 33)
+
+
+def _seed_counts(legs, integrand_exponent, max_panels=1200):
+    """Initial panel count of every leg from phase and magnitude variation.
 
     ``integrand_exponent`` maps k to the complex exponent E(k) of the
-    dominant factor e^{E(k)}; panels are allocated so each initial panel
-    spans roughly half a period of the oscillation and a bounded change
-    of log-magnitude.
+    dominant factor e^{E(k)}; it runs once on the 33 ``_PROBE`` points of
+    every leg.  Panels are allocated so each initial panel spans roughly
+    half a period of the oscillation and a bounded change of
+    log-magnitude.
     """
-    ts = np.linspace(0.0, 1.0, n_probe)
-    k, dkdt, _ = leg.map(ts)
-    ex = integrand_exponent(k)
+    k = np.concatenate([leg.map(_PROBE)[0] for leg in legs])
+    ex = integrand_exponent(k).reshape(len(legs), len(_PROBE))
     # variation more than ~45 e-folds below the leg maximum cannot affect
     # the result; clip so deep decay tails do not inflate the count
-    re = np.maximum(ex.real, np.max(ex.real) - 45.0)
-    alive = re > (np.max(re) - 44.0)
-    seg = alive[:-1] & alive[1:]
-    phase = np.sum(np.abs(np.diff(ex.imag)) * seg)
-    mag = np.sum(np.abs(np.diff(re)))
-    n = int(phase / 2.5 + mag / 4.0) + 2
-    return min(max(n, 2), max_panels)
+    re = np.maximum(ex.real, ex.real.max(axis=1, keepdims=True) - 45.0)
+    alive = re > re.max(axis=1, keepdims=True) - 44.0
+    seg = alive[:, :-1] & alive[:, 1:]
+    phase = (np.abs(np.diff(ex.imag, axis=1)) * seg).sum(axis=1)
+    mag = np.abs(np.diff(re, axis=1)).sum(axis=1)
+    n = (phase / 2.5 + mag / 4.0).astype(int) + 2
+    return np.clip(n, 2, max_panels)
 
 
 def integrate_legs(legs, integrand, tol, max_nodes, integrand_exponent=None):
@@ -244,66 +265,65 @@ def integrate_legs(legs, integrand, tol, max_nodes, integrand_exponent=None):
 
     Returns
     -------
-    QuadResult with ``converged=False`` if the node ceiling was reached
-    before the target (callers decide whether that is an error).
+    QuadResult whose ``stop`` says why the loop ended; ``converged`` is
+    False unless the target was met (callers decide whether that is an
+    error).
     """
-    panels = []  # (leg_idx, t0, t1, value, err)
-    nodes = 0
-    for idx, leg in enumerate(legs):
-        n0 = _seed_count(leg, integrand_exponent) if integrand_exponent else 8
-        edges = np.linspace(0.0, 1.0, n0 + 1)
-        bounds = np.column_stack([edges[:-1], edges[1:]])
-        vals, errs = _eval_panels(leg, bounds, integrand)
-        nodes += 15 * len(bounds)
-        for b, v, e in zip(bounds, vals, errs):
-            panels.append([idx, b[0], b[1], v, e])
+    n_legs = len(legs)
+    if integrand_exponent is None:
+        counts = np.full(n_legs, 8)
+    else:
+        counts = _seed_counts(legs, integrand_exponent)
+    # panels live in path order, as arrays: leg index, [t0, t1], GK15
+    # value and error; the seed edges are those of np.linspace(0, 1, n + 1)
+    ends = np.cumsum(counts)
+    leg = np.repeat(np.arange(n_legs), counts)
+    pos = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    step = (1.0 / counts)[leg]
+    t0 = pos * step
+    t1 = (pos + 1) * step
+    t1[ends - 1] = 1.0
+    vals, errs = _eval_panels(legs, leg, t0, t1, integrand)
+    nodes = 15 * len(leg)
 
     stall = 0
     prev_err = math.inf
     while True:
-        total = sum(p[3] for p in panels)
-        err_tot = sum(p[4] for p in panels)
-        if not np.isfinite(err_tot) or not np.isfinite(total):
-            return QuadResult(total, math.inf, nodes, converged=False)
+        total = complex(vals.sum())
+        err_tot = float(errs.sum())
+        if not (math.isfinite(err_tot) and cmath.isfinite(total)):
+            return QuadResult(total, math.inf, nodes, "non_finite")
         goal = tol * max(1.0, abs(total))
         if err_tot <= goal:
-            return QuadResult(total, err_tot, nodes, converged=True)
+            return QuadResult(total, err_tot, nodes, "converged")
         if nodes >= max_nodes:
-            return QuadResult(total, err_tot, nodes, converged=False)
+            return QuadResult(total, err_tot, nodes, "node_ceiling")
         # rounding plateau: bisection no longer reduces the estimate, the
         # remaining error is the float64 floor of this path geometry
         if err_tot > 0.7 * prev_err:
             stall += 1
             if stall >= 4:
-                return QuadResult(total, err_tot, nodes, converged=False)
+                return QuadResult(total, err_tot, nodes, "plateau")
         else:
             stall = 0
         prev_err = err_tot
 
-        share = goal / (2.0 * len(panels))
-        split_idx = [i for i, p in enumerate(panels) if p[4] > share]
-        if not split_idx:
-            split_idx = [max(range(len(panels)), key=lambda i: panels[i][4])]
-
-        by_leg = {}
-        for i in split_idx:
-            by_leg.setdefault(panels[i][0], []).append(i)
-
-        split = set(split_idx)
-        new_panels = [p for i, p in enumerate(panels) if i not in split]
-        for leg_idx, idxs in by_leg.items():
-            bounds = []
-            for i in idxs:
-                _, t0, t1, _, _ = panels[i]
-                tm = 0.5 * (t0 + t1)
-                bounds.append([t0, tm])
-                bounds.append([tm, t1])
-            bounds = np.asarray(bounds)
-            vals, errs = _eval_panels(legs[leg_idx], bounds, integrand)
-            nodes += 15 * len(bounds)
-            for b, v, e in zip(bounds, vals, errs):
-                new_panels.append([leg_idx, b[0], b[1], v, e])
-        panels = new_panels
+        split = errs > goal / (2.0 * len(errs))
+        if not split.any():
+            split[np.argmax(errs)] = True
+        # each split panel becomes its two halves in place, so the arrays
+        # stay in path order and every leg's panels stay contiguous
+        reps = 1 + split
+        sel = np.flatnonzero(split)
+        tm = 0.5 * (t0[sel] + t1[sel])
+        first = (np.cumsum(reps) - reps)[sel]
+        leg, t0, t1, vals, errs = (np.repeat(a, reps) for a in (leg, t0, t1, vals, errs))
+        t1[first] = tm
+        t0[first + 1] = tm
+        child = np.column_stack([first, first + 1]).ravel()
+        vals[child], errs[child] = _eval_panels(
+            legs, leg[child], t0[child], t1[child], integrand)
+        nodes += 15 * len(child)
 
 
 def path_is_connected(legs, rtol=1e-9):

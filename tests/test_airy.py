@@ -115,6 +115,24 @@ def test_against_mpmath_sample():
         assert abs(ap - rp) <= 60.0 * max(e, 1e-16) * scale_p + 1e-250
 
 
+@pytest.mark.parametrize("radius", [9.5, 20.0, 35.0, 49.0])
+def test_asymptotic_error_estimate_bounds_mpmath(radius):
+    # est_rel_err itself, with no safety factor, bounds the error of both
+    # Ai and Ai' beyond the crossover, in every direction of the plane
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    rng = np.random.default_rng(int(radius * 10))
+    z = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, 60))
+    ai, aip, est = airy_batch(z)
+    for zz, a, ap, e in zip(z, ai, aip, est):
+        ra = complex(mp.airyai(complex(zz)))
+        rp = complex(mp.airyai(complex(zz), derivative=1))
+        scale = max(abs(ra), abs(rp) / (1.0 + abs(zz) ** 0.5))
+        assert abs(a - ra) <= e * scale, zz
+        scale_p = max(abs(rp), abs(ra) * (1.0 + abs(zz) ** 0.5))
+        assert abs(ap - rp) <= e * scale_p, zz
+
+
 def test_branch_overlap_annulus():
     # both internal branches stay accurate on a 0.5-wide annulus around
     # the crossover, bounding the advertised est_rel_err there

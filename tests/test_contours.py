@@ -215,6 +215,8 @@ def test_tolerance_not_met_carries_result():
     assert exc.value.result is not None
     assert exc.value.result.nodes >= 200
     assert not exc.value.result.converged
+    assert exc.value.result.stop == "node_ceiling"
+    assert "node_ceiling" in str(exc.value)
 
 
 def test_endpoint_singularity_detected():

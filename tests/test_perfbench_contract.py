@@ -1,0 +1,49 @@
+"""The library names the traced benchmark run depends on.
+
+``perfbench/tracing.py`` rebinds module-level names of the library when
+it traces a run (``REBIND``); its import fails if one of them is gone,
+and a caller that stops calling through the module-level name silently
+drops out of the trace.  This test reads ``perfbench/`` and changes
+nothing in it.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from airyprod import greens, products
+from airyprod.greens import GreensParams
+from airyprod.products import Route
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tracing(monkeypatch):
+    # no bytecode cache is written into perfbench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing")
+
+
+def test_rebound_names_exist_and_are_restored(monkeypatch):
+    tracing = _tracing(monkeypatch)
+    for mod, attr, _, _ in tracing.REBIND:
+        assert callable(getattr(mod, attr)), f"{mod.__name__}.{attr}"
+    assert tracing.all_restored()
+
+
+def test_every_rebound_name_is_called_through(monkeypatch):
+    tracing = _tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    params = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
+    with tracing.rebound(tracer):
+        products.u_pm(+1, 1.0, 0.5)
+        products.u_pm(+1, 1.0, 0.5, route=Route.CONTOUR, tol=1e-8)
+        products.ode_residual_w_batch(np.array([0.5 + 0.5j]), np.array([0.3]))
+        greens.greens_closed(params)
+        greens.greens_time_integral(params, 1e-8)
+    assert tracing.all_restored()
+    seen = {span[0] for span in tracer.spans}
+    assert seen == {name for _, _, name, _ in tracing.REBIND}
