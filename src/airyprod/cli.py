@@ -33,19 +33,7 @@ from .contours import (
     classify_sector,
     laplace_integral,
 )
-from .errors import (
-    AiryprodError,
-    CoincidentPoints,
-    DegenerateGeometry,
-    EndpointSingularity,
-    EnvelopeExceeded,
-    InvalidKindForSector,
-    NegativeShift,
-    NonFiniteInput,
-    SectorDispatchError,
-    ToleranceNotMet,
-    ZeroField,
-)
+from .errors import AiryprodError, EndpointSingularity, ToleranceNotMet
 from .greens import (
     GreensParams,
     greens_closed,
@@ -68,10 +56,8 @@ from .products import (
     w_pm_real,
 )
 
-_DOMAIN_ERRORS = (NegativeShift, EnvelopeExceeded, NonFiniteInput, ZeroField,
-                  CoincidentPoints, DegenerateGeometry, InvalidKindForSector,
-                  SectorDispatchError, ValueError)
 _QUAD_ERRORS = (ToleranceNotMet, EndpointSingularity)
+_DOMAIN_ERRORS = (AiryprodError, ValueError)  # checked after _QUAD_ERRORS
 
 _ROT_NAMES = {"0": Rotation.NONE, "+": Rotation.PLUS, "-": Rotation.MINUS}
 
@@ -472,9 +458,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except AiryprodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -133,18 +133,20 @@ class ShiftedArgs:
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Tunables shared by the contour builder and the quadrature."""
+    """Tunables shared by the contour builder and the quadrature.
+
+    The geometry itself has no knobs: tail angles and turn radii follow
+    from (z, z0) alone.  ``from_mapping`` ignores keys it does not know.
+    """
 
     tail_tol: float = 1e-13          # integrand bound at truncation
     max_nodes: int = 600_000         # evaluation ceiling per integral
     truncation_ceiling: float = 80.0
-    turn_radius_factor: float = 1.0  # perturbation knob for verification
-    tail_angle_shift: float = 0.0    # ditto, radians, clipped to pi/14
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ContourConfig":
         kwargs = {}
-        for f in ("tail_tol", "truncation_ceiling", "turn_radius_factor", "tail_angle_shift"):
+        for f in ("tail_tol", "truncation_ceiling"):
             if f in data:
                 kwargs[f] = float(data[f])
         if "max_nodes" in data:
@@ -244,7 +246,7 @@ _ARC_SWEEP = np.linspace(0.0, 1.0, 65)
 _DECAY_CHECK = np.linspace(0.0, 1.0, 17)  # endpoint-decay check, fraction of s_max
 
 
-def _tails(beta: complex, config: ContourConfig, shift: float):
+def _tails(beta: complex, config: ContourConfig):
     """Tail angle and truncation radius in each valley.
 
     Without the z0 term, Re E along k = r e^{i theta} is -A r - B r^3 with
@@ -258,7 +260,7 @@ def _tails(beta: complex, config: ContourConfig, shift: float):
     beta_abs = abs(beta)
     radii = [_truncation_radius(beta_abs, config, d) for d in _TAIL_DECAYS]
     out = []
-    for (lo, hi), cands in zip(VALLEY_SECTORS, _TAIL_CANDIDATES):
+    for cands in _TAIL_CANDIDATES:
         best = None
         for (th, cos_th, sin_th), d, r_tr in zip(cands, _TAIL_DECAYS, radii):
             a = beta.real * sin_th + beta.imag * cos_th
@@ -269,12 +271,7 @@ def _tails(beta: complex, config: ContourConfig, shift: float):
             score = crest + 0.02 * r_tr
             if best is None or score < best[0]:
                 best = (score, th, r_tr)
-        _, th, r_tr = best
-        if shift:
-            margin = (hi - lo) / 7.0
-            th = _clip(th + shift, lo + 0.25 * margin, hi - 0.25 * margin)
-            r_tr = _truncation_radius(beta_abs, config, math.sin(3.0 * th))
-        out.append((th, r_tr))
+        out.append(best[1:])
     return out
 
 
@@ -314,16 +311,14 @@ def build_contour(kind: ContourKind, args: ShiftedArgs,
     lam = -math.log(config.tail_tol)
     exponent = _exponent_factory(args)
 
-    shift = _clip(config.tail_angle_shift, -_PI / 14.0, _PI / 14.0)
-    (th1, rt1), (th2, rt2), (th3, rt3) = _tails(beta, config, shift)
+    (th1, rt1), (th2, rt2), (th3, rt3) = _tails(beta, config)
     r_trunc = max(rt1, rt2, rt3)
 
     # candidate turn radii: the saddle moduli and the floor of the path
     # family; the floor keeps a usable arc when both saddles sit at k ~ 0
     outer, inner = saddles(args)[:2]
     floor = 1.0 if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS) else 0.5
-    cand = [_clip(r, 2e-3, 0.85 * r_trunc) * config.turn_radius_factor
-            for r in (abs(outer), abs(inner), floor)]
+    cand = [_clip(r, 2e-3, 0.85 * r_trunc) for r in (abs(outer), abs(inner), floor)]
 
     theta_up = 2.0 * a + _PI / 2.0       # steepest descent, start side of R-
     theta_low = theta_up - 2.0 * _PI     # same ray on the other side of the cut

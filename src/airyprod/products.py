@@ -36,8 +36,9 @@ proportional to the origin-loop integral I_O alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 import cmath
 import math
 
@@ -103,10 +104,6 @@ class ProductValue:
     abs_err_est: float
 
 
-def _rot(sign: int) -> complex:
-    return _OMEGA if sign > 0 else _OMEGA.conjugate()
-
-
 def _check_sign(sign: int) -> int:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -138,7 +135,7 @@ def u_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
     _check_sign(sign)
     z, z0 = complex(z), complex(z0)
     if route is Route.DIRECT:
-        w = _rot(sign)
+        w = Rotation(sign).factor
         v, est = _direct_product(w * (z + z0), w * z)
         return ProductValue(v, route, est)
     if route is not Route.CONTOUR:
@@ -162,7 +159,7 @@ def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
     _check_sign(sign)
     z, z0 = complex(z), complex(z0)
     if route is Route.DIRECT:
-        v, est = _direct_product(z + z0, _rot(sign) * z)
+        v, est = _direct_product(z + z0, Rotation(sign).factor * z)
         return ProductValue(v, route, est)
     if route is not Route.CONTOUR:
         raise ValueError("w_pm supports DIRECT and CONTOUR routes")
@@ -251,7 +248,7 @@ def difference_identity(sign: int, z: complex, z0: complex,
     _check_sign(sign)
     z, z0 = complex(z), complex(z0)
     if route is Route.DIRECT:
-        w = _rot(sign)
+        w = Rotation(sign).factor
         a, ea = _direct_product(w * (z + z0), z)
         b, eb = _direct_product(z + z0, w * z)
         return ProductValue(a - b, route, ea + eb)
@@ -282,11 +279,9 @@ def w_pm_real(sign: int, x: float, x0: float, tol: float = _DEFAULT_TOL,
     x, x0 = float(x), float(x0)
     if x0 < 0.0:
         raise NegativeShift("w_pm_real requires x0 >= 0; use aiai_real or w_pm instead")
-    args = ShiftedArgs.make(x, x0)
-    kind = ContourKind.R_PLUS if sign > 0 else ContourKind.R_MINUS
-    pref = cmath.exp(1j * (math.pi / 4.0 + sign * math.pi / 3.0)) / _PREF_NORM
-    res = _contour_value(kind, args, tol, config, strict)
-    return ProductValue(pref * res.value, Route.REAL_AXIS, abs(pref) * res.abs_err_est)
+    # x0 >= 0 never lies in the outer sector, so this is the single R+- integral
+    pv = w_pm(sign, x, x0, Route.CONTOUR, tol, config, strict)
+    return replace(pv, route=Route.REAL_AXIS)
 
 
 def aiai_real(x: float, x0: float, tol: float = _DEFAULT_TOL,
@@ -343,6 +338,24 @@ def _leibniz_terms(p, q):
     return w0, w1, w2, w3, w4
 
 
+def _residual_w(z, z0, p, q):
+    """Residual of w'''' - (4z + 2 z0) w'' - 6 w' + z0^2 w for w = p q,
+    over the largest magnitude among its four terms (floored at 1); the
+    arguments are scalars or arrays alike."""
+    w0, w1, w2, _, w4 = _leibniz_terms(p, q)
+    terms = (w4, (4.0 * z + 2.0 * z0) * w2, 6.0 * w1, z0 * z0 * w0)
+    resid = terms[0] - terms[1] - terms[2] + terms[3]
+    return abs(resid) / reduce(np.maximum, map(abs, terms), 1.0)
+
+
+def _residual_reduced(z, p, q):
+    """Residual of w''' - 4z w' - 2w for w = p q, scaled as ``_residual_w``."""
+    w0, w1, _, w3, _ = _leibniz_terms(p, q)
+    terms = (w3, 4.0 * z * w1, 2.0 * w0)
+    resid = terms[0] - terms[1] - terms[2]
+    return abs(resid) / reduce(np.maximum, map(abs, terms), 1.0)
+
+
 def ode_residual_w(z: complex, z0: complex,
                    rot1: Rotation = Rotation.NONE,
                    rot2: Rotation = Rotation.NONE) -> float:
@@ -362,11 +375,7 @@ def ode_residual_w(z: complex, z0: complex,
     z, z0 = complex(z), complex(z0)
     p = _factor_derivatives(z + z0, rot1.factor)
     q = _factor_derivatives(z, rot2.factor)
-    w0, w1, w2, _, w4 = _leibniz_terms(p, q)
-    terms = (w4, (4.0 * z + 2.0 * z0) * w2, 6.0 * w1, z0 * z0 * w0)
-    resid = terms[0] - terms[1] - terms[2] + terms[3]
-    scale = max(1.0, *(abs(t) for t in terms))
-    return abs(resid) / scale
+    return float(_residual_w(z, z0, p, q))
 
 
 def ode_residual_w_batch(z, z0):
@@ -377,40 +386,16 @@ def ode_residual_w_batch(z, z0):
     """
     z = np.atleast_1d(np.asarray(z, complex))
     z0 = np.atleast_1d(np.asarray(z0, complex))
-    rots = [r.factor for r in Rotation]
-    ps = [_derivative_stack(z + z0, r) for r in rots]
-    qs = [_derivative_stack(z, r) for r in rots]
-    worst = np.zeros(z.shape)
-    for p in ps:
-        for q in qs:
-            w0, w1, w2, w3, w4 = _leibniz_terms(p, q)
-            t1 = (4.0 * z + 2.0 * z0) * w2
-            t2 = 6.0 * w1
-            t3 = z0 * z0 * w0
-            resid = np.abs(w4 - t1 - t2 + t3)
-            scale = np.maximum.reduce(
-                [np.abs(w4), np.abs(t1), np.abs(t2), np.abs(t3),
-                 np.ones_like(worst)])
-            worst = np.maximum(worst, resid / scale)
-    return worst
+    ps = [_derivative_stack(z + z0, r.factor) for r in Rotation]
+    qs = [_derivative_stack(z, r.factor) for r in Rotation]
+    return reduce(np.maximum, (_residual_w(z, z0, p, q) for p in ps for q in qs))
 
 
 def ode_residual_reduced_batch(z):
     """Vectorized ``ode_residual_reduced``: per-point max over nine products."""
     z = np.atleast_1d(np.asarray(z, complex))
-    rots = [r.factor for r in Rotation]
-    stacks = [_derivative_stack(z, r) for r in rots]
-    worst = np.zeros(z.shape)
-    for p in stacks:
-        for q in stacks:
-            w0, w1, _, w3, _ = _leibniz_terms(p, q)
-            t1 = 4.0 * z * w1
-            t2 = 2.0 * w0
-            resid = np.abs(w3 - t1 - t2)
-            scale = np.maximum.reduce(
-                [np.abs(w3), np.abs(t1), np.abs(t2), np.ones_like(worst)])
-            worst = np.maximum(worst, resid / scale)
-    return worst
+    stacks = [_derivative_stack(z, r.factor) for r in Rotation]
+    return reduce(np.maximum, (_residual_reduced(z, p, q) for p in stacks for q in stacks))
 
 
 def ode_residual_reduced(z: complex,
@@ -425,8 +410,4 @@ def ode_residual_reduced(z: complex,
     z = complex(z)
     p = _factor_derivatives(z, rot1.factor)
     q = _factor_derivatives(z, rot2.factor)
-    w0, w1, _, w3, _ = _leibniz_terms(p, q)
-    terms = (w3, 4.0 * z * w1, 2.0 * w0)
-    resid = terms[0] - terms[1] - terms[2]
-    scale = max(1.0, *(abs(t) for t in terms))
-    return abs(resid) / scale
+    return float(_residual_reduced(z, p, q))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from airyprod import airy
+from airyprod import ContourConfig, airy, cli, errors
 from airyprod.cli import main
 from airyprod.config import RunConfig, parse_complex
 
@@ -52,6 +52,24 @@ def test_eval_negative_shift_exit_code(capsys):
 def test_eval_requires_arguments(capsys):
     rc, _ = _run(capsys, ["eval", "u+"])
     assert rc == 2
+
+
+_QUAD_FAILURES = (errors.ToleranceNotMet, errors.EndpointSingularity)
+_ERROR_EXITS = [(cls, 3 if cls in _QUAD_FAILURES else 2)
+                for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, errors.AiryprodError)]
+_ERROR_EXITS += [(ValueError, 2), (OSError, 4)]
+_STDERR_PREFIX = {2: "error: ", 3: "quadrature failure: ", 4: "i/o error: "}
+
+
+@pytest.mark.parametrize("exc,code", _ERROR_EXITS, ids=lambda v: getattr(v, "__name__", str(v)))
+def test_error_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(ns):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "_cmd_eval", fail)
+    assert main(["eval", "u+", "--z", "0", "--z0", "0"]) == code
+    assert capsys.readouterr().err == _STDERR_PREFIX[code] + "boom\n"
 
 
 def test_eval_product_rotations(capsys):
@@ -155,14 +173,17 @@ def test_greens_coincident_points_exit(capsys):
 
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
+    # saddle_hint, turn_radius_factor and tail_angle_shift were settings of
+    # earlier versions; files that still carry them keep loading
     cfg.write_text("# comment\nquad_tol = 1e-9\nseed = 4\nsaddle_hint = on\n"
+                   "turn_radius_factor = 1.1\ntail_angle_shift = 0.05\n"
                    "max_nodes = 50000\ntail_tol = 1e-12\n")
     rc, out = _run(capsys, ["verify", "ode", "--config", str(cfg), "--count", "3"])
     assert rc == 0
     parsed = RunConfig.from_file(str(cfg))
     assert parsed.quad_tol == 1e-9
     assert parsed.seed == 4
-    assert parsed.contour.max_nodes == 50000
+    assert parsed.contour == ContourConfig(tail_tol=1e-12, max_nodes=50000)
 
 
 def test_config_validation_exit(tmp_path, capsys):

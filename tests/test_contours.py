@@ -1,6 +1,7 @@
 """Contour geometry, branch lifts, and the Laplace-integral engine."""
 
 import cmath
+from dataclasses import replace
 import math
 
 import pytest
@@ -184,13 +185,45 @@ def test_loop_vanishes_at_zero_shift(z):
     assert abs(res.value) <= 1e-10
 
 
+def _perturbed(path, args, factor, shift):
+    """``path`` with its turn radius scaled by ``factor`` and, when its last
+    leg is a ray, that ray turned by ``shift`` radians and cut at its own
+    truncation radius."""
+    first, arc, last = path.segments
+    r = factor * arc.radius
+    if isinstance(first, DecayLeg):
+        first = replace(first, r_outer=r)
+    else:
+        first = replace(first, r_end=r)
+    arc = replace(arc, radius=r, theta_end=arc.theta_end + shift)
+    if isinstance(last, DecayLeg):
+        last = replace(last, r_outer=r)
+    else:
+        theta = last.theta + shift
+        r_end = _truncation_radius(abs(args.z + 0.5 * args.z0), ContourConfig(),
+                                   math.sin(3.0 * theta))
+        last = replace(last, theta=theta, r_start=r, r_end=r_end)
+    return replace(path, segments=(first, arc, last))
+
+
 def test_path_independence_under_perturbation():
+    # every leg layout: ray-arc-ray (L+), decay-arc-ray (R-), decay-arc-decay (O)
     tol = 1e-10
-    base = _integral(ContourKind.R_MINUS, 0.9, 0.8 + 0.4j, tol=tol).value
-    for factor, shift in [(1.1, 0.0), (0.9, 0.0), (1.0, 0.05), (1.0, -0.05), (1.05, 0.03)]:
-        cfg = ContourConfig(turn_radius_factor=factor, tail_angle_shift=shift)
-        pert = _integral(ContourKind.R_MINUS, 0.9, 0.8 + 0.4j, tol=tol, config=cfg).value
-        assert abs(pert - base) <= 10.0 * tol * max(1.0, abs(base))
+    perturbations = {
+        ContourKind.R_MINUS: [(1.1, 0.0), (0.9, 0.0), (1.0, 0.05), (1.0, -0.05), (1.05, 0.03)],
+        ContourKind.L_PLUS: [(1.1, 0.0), (0.9, 0.0)],
+        ContourKind.O: [(1.1, 0.0), (0.9, 0.0)],
+    }
+    for z, z0 in [(0.9, 0.8 + 0.4j), (1.2 - 0.8j, -0.9), (-2 + 1j, 0.5j)]:  # inner, outer, boundary
+        args = ShiftedArgs.make(z, z0)
+        for kind, cases in perturbations.items():
+            path = build_contour(kind, args)
+            base = laplace_integral(path, args, tol).value
+            for factor, shift in cases:
+                pert = _perturbed(path, args, factor, shift)
+                assert path_is_connected(pert.segments)
+                value = laplace_integral(pert, args, tol).value
+                assert abs(value - base) <= 10.0 * tol * max(1.0, abs(base))
 
 
 def test_boundary_continuity():

@@ -30,9 +30,12 @@ def test_reference_point_matches_direct():
 @pytest.mark.parametrize("x0", [0.0, 0.5, 2.0, 4.0])
 def test_half_line_grid(x, x0):
     for sign in (+1, -1):
-        got = w_pm_real(sign, x, x0).value
+        got = w_pm_real(sign, x, x0)
         ref = w_pm(sign, x, x0).value
-        assert _scaled(got, ref) <= 1e-8
+        assert _scaled(got.value, ref) <= 1e-8
+        # x0 >= 0 is the inner or zero sector: the same single R+- integral
+        contour = w_pm(sign, x, x0, Route.CONTOUR)
+        assert (got.value, got.abs_err_est) == (contour.value, contour.abs_err_est)
 
 
 def test_negative_shift_rejected():
