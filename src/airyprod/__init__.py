@@ -39,7 +39,6 @@ from .errors import (
     InvalidKindForSector,
     NegativeShift,
     NonFiniteInput,
-    SectorDispatchError,
     ToleranceNotMet,
     ZeroField,
 )
@@ -83,6 +82,6 @@ __all__ = [
     "greens_closed", "greens_time_integral", "greens_free", "operator_residual",
     "AiryprodError", "NonFiniteInput", "EnvelopeExceeded",
     "InvalidKindForSector", "DegenerateGeometry", "ToleranceNotMet",
-    "EndpointSingularity", "SectorDispatchError", "NegativeShift",
+    "EndpointSingularity", "NegativeShift",
     "ZeroField", "CoincidentPoints",
 ]

@@ -20,6 +20,7 @@ import cmath
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -444,9 +445,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMPLEX_OPTIONS = ("--z", "--z0")
+_NEGATIVE_LITERAL = re.compile(r"-[0-9.ijIJ]")
+
+
+def _attach_complex_values(argv):
+    """Write ``--z0 -1.1+0.3i`` as ``--z0=-1.1+0.3i``.
+
+    argparse reads a separate value that starts with '-' as an option
+    unless it is a plain negative number, so a negative complex literal
+    would leave its option without a value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _COMPLEX_OPTIONS and _NEGATIVE_LITERAL.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = parser.parse_args(_attach_complex_values(argv))
     try:
         return ns.func(ns)
     except _QUAD_ERRORS as exc:

@@ -39,10 +39,6 @@ class EndpointSingularity(AiryprodError):
     """
 
 
-class SectorDispatchError(AiryprodError):
-    """Shift argument could not be classified into a sector."""
-
-
 class NegativeShift(AiryprodError):
     """Real-axis half-line formula requested for a negative shift."""
 

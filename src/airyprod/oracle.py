@@ -21,10 +21,14 @@ The series is written as Ai = A(z^3) - z B(z^3), Ai' = z^2 C(z^3) - D(z^3):
 Ai(0), -Ai'(0) and the integer divisors are folded into four tables of
 double-double coefficients, built exactly in rationals at import, so the
 four sums share the powers (z^3)^k and each term costs one complex
-double-double multiply and four multiply-adds.  The kernel uses plain
-arithmetic operators only: ``airy_batch`` runs it on float arrays, and a
-scalar ``airy`` call inside the crossover radius runs the same code on
-python floats, with bit-identical results.
+double-double multiply and four multiply-adds.  The step is fused: the
+Dekker halves of every coefficient are split at import, those of z^3
+once per call and those of each power once per term, and the multiply-
+adds are written out in the loop body, in exactly the operations and
+order of the double-double primitives.  The kernel uses plain arithmetic
+operators only: ``airy_batch`` runs it on float arrays, and a scalar
+``airy`` call inside the crossover radius runs the same code on python
+floats, with bit-identical results.
 
 For arguments outside |arg z| <= 2*pi/3 the expansion is applied to the
 rotated points exp(+-2i*pi/3) z and recombined through the standard
@@ -32,7 +36,15 @@ connection identity
 
     Ai(z) + w Ai(w z) + w" Ai(w" z) = 0,      w = exp(2i*pi/3), w" = 1/w,
 
-which keeps every expansion inside its well-conditioned sector.
+which keeps every expansion inside its well-conditioned sector.  The
+asymptotic branch is written in real arithmetic too: real and imaginary
+parts with plain operators, and one numpy call each for the complex
+square roots and the exponential.  So a scalar call beyond the crossover
+also runs on python floats, bit-identical to ``airy_batch``; and since
+numpy may fuse a complex multiply into FMA instructions on hosts that
+have them while real +, -, * and / are always single IEEE roundings, the
+values of both branches do not depend on the host's FMA support.
+
 Conjugate symmetry Ai(conj z) = conj(Ai(z)) is enforced structurally by
 evaluating in the upper half plane only, so it holds exactly.
 """
@@ -41,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import bisect
 import cmath
 import math
 
@@ -59,9 +72,9 @@ ENVELOPE_RADIUS = 50.0
 #: asymptotic error crosses 1e-13 near |z| = 8.
 CROSSOVER_RADIUS = 9.0
 
-_TWO_PI_3 = 2.0 * math.pi / 3.0
-_OMEGA = cmath.exp(2j * math.pi / 3.0)  # e^{2i pi/3}
-_OMEGA_C = _OMEGA.conjugate()
+_SQRT3 = math.sqrt(3.0)
+_SQRT3_2 = 0.5 * _SQRT3  # Im e^{2i pi/3}; its real part is -1/2
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 # Ai(0) = 3^(-2/3)/Gamma(2/3) and -Ai'(0) = 3^(-1/3)/Gamma(1/3) as
 # double-double (hi, lo) pairs; lo parts precomputed at 50 digits.
@@ -107,16 +120,11 @@ def _fast_two_sum(a, b):
     return s, err
 
 
-def _two_prod(a, b):
-    p = a * b
+def _split(a):
+    """Dekker halves (hi, lo) of a, with hi + lo == a exactly."""
     ca = _SPLIT * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLIT * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
+    hi = ca - (ca - a)
+    return hi, a - hi
 
 
 def _dd_add(ah, al, bh, bl):
@@ -125,10 +133,15 @@ def _dd_add(ah, al, bh, bl):
     return _fast_two_sum(sh, sl)
 
 
+def _dd_mul_split(ah, al, a0, a1, bh, bl, b0, b1):
+    """(ah, al) * (bh, bl), given the halves a0, a1 of ah and b0, b1 of bh."""
+    p = ah * bh
+    err = ((a0 * b0 - p) + a0 * b1 + a1 * b0) + a1 * b1
+    return _fast_two_sum(p, err + (ah * bl + al * bh))
+
+
 def _dd_mul(ah, al, bh, bl):
-    ph, pl = _two_prod(ah, bh)
-    pl = pl + (ah * bl + al * bh)
-    return _fast_two_sum(ph, pl)
+    return _dd_mul_split(ah, al, *_split(ah), bh, bl, *_split(bh))
 
 
 # complex double-double: 4-tuple (re_hi, re_lo, im_hi, im_lo)
@@ -160,6 +173,10 @@ def _cdd_collapse(a):
 def _series_tables(count):
     """Double-double coefficients (A_k, B_k, C_k, D_k) for k < count.
 
+    Each coefficient is a 4-tuple (hi, lo, hi0, hi1): the double-double
+    pair and the Dekker halves of hi, so that the series step never
+    splits a coefficient.
+
     With f = sum a_k z^(3k) and g = sum b_k z^(3k+1) the Airy-equation
     power series (a_0 = b_0 = 1, a_{k+1} = a_k / ((3k+2)(3k+3)),
     b_{k+1} = b_k / ((3k+3)(3k+4))) and Ai = c1 f - c2 g,
@@ -175,7 +192,7 @@ def _series_tables(count):
 
     def dd(x):
         hi = float(x)
-        return hi, float(x - Fraction(hi))
+        return (hi, float(x - Fraction(hi))) + _split(hi)
 
     rows, a, b = [], Fraction(1), Fraction(1)
     for k in range(count):
@@ -212,20 +229,60 @@ def _series_core(x, y, n):
 
     The four sums A, B, C, D (see ``_series_tables``) share the powers
     P_k = (z^3)^k, so each term costs one complex double-double multiply
-    and four real-by-complex multiply-adds.  Plain operators only: x, y
-    are python floats or float arrays alike, with bit-identical results.
+    and four real-by-complex multiply-adds.  The step is fused: the
+    Dekker halves of the coefficients are split at import, those of z^3
+    once per call and those of P_k once per term, and each multiply-add
+    is written out in the loop body, with exactly the operations of
+    ``_dd_mul`` and ``_cdd_add`` in their order.  Plain operators only:
+    x, y are python floats or float arrays alike, with bit-identical
+    results.
     """
     z = (x, 0.0, y, 0.0)
     z2 = _cdd_mul(z, z)
     z3 = _cdd_mul(z2, z)
-    sums = [(ch, cl, 0.0, 0.0) for ch, cl in _SERIES[0]]
-    p = z3
+    zrh, zrl, zih, zil = z3
+    zr0, zr1 = _split(zrh)
+    zi0, zi1 = _split(zih)
+    sums = [(ch, cl, 0.0, 0.0) for ch, cl, _, _ in _SERIES[0]]
+    prh, prl, pih, pil = z3
     for k in range(1, n + 1):
-        for j, (ch, cl) in enumerate(_SERIES[k]):
-            term = _dd_mul(p[0], p[1], ch, cl) + _dd_mul(p[2], p[3], ch, cl)
-            sums[j] = _cdd_add(sums[j], term)
+        pr0, pr1 = _split(prh)
+        pi0, pi1 = _split(pih)
+        for j, (ch, cl, c0, c1) in enumerate(_SERIES[k]):
+            # (rh, rl), (ih, il) = _dd_mul(P_re, c), _dd_mul(P_im, c)
+            rh = prh * ch
+            rl = (((pr0 * c0 - rh) + pr0 * c1 + pr1 * c0) + pr1 * c1
+                  + (prh * cl + prl * ch))
+            t = rh + rl
+            rl = rl - (t - rh)
+            rh = t
+            ih = pih * ch
+            il = (((pi0 * c0 - ih) + pi0 * c1 + pi1 * c0) + pi1 * c1
+                  + (pih * cl + pil * ch))
+            t = ih + il
+            il = il - (t - ih)
+            ih = t
+            # sums[j] = _cdd_add(sums[j], (rh, rl, ih, il))
+            sh, sl, sih, sil = sums[j]
+            s = sh + rh
+            bb = s - sh
+            e = ((sh - (s - bb)) + (rh - bb)) + (sl + rl)
+            sh = s + e
+            sl = e - (sh - s)
+            s = sih + ih
+            bb = s - sih
+            e = ((sih - (s - bb)) + (ih - bb)) + (sil + il)
+            sih = s + e
+            sil = e - (sih - s)
+            sums[j] = (sh, sl, sih, sil)
         if k < n:
-            p = _cdd_mul(p, z3)
+            # P_{k+1} = _cdd_mul(P_k, z^3)
+            p1h, p1l = _dd_mul_split(prh, prl, pr0, pr1, zrh, zrl, zr0, zr1)
+            p2h, p2l = _dd_mul_split(pih, pil, pi0, pi1, zih, zil, zi0, zi1)
+            q1h, q1l = _dd_mul_split(prh, prl, pr0, pr1, zih, zil, zi0, zi1)
+            q2h, q2l = _dd_mul_split(pih, pil, pi0, pi1, zrh, zrl, zr0, zr1)
+            prh, prl = _dd_add(p1h, p1l, -p2h, -p2l)
+            pih, pil = _dd_add(q1h, q1l, q2h, q2l)
     a, b, c, d = sums
     zb = _cdd_mul(z, b)
     ai = _cdd_add(a, (-zb[0], -zb[1], -zb[2], -zb[3]))
@@ -253,89 +310,172 @@ def _series_batch(z):
 # asymptotic branch (|z| > CROSSOVER_RADIUS)
 # ----------------------------------------------------------------------
 
-def _asym_core(w):
-    """One-series asymptotics of Ai, Ai' for |arg w| <= 2*pi/3.
+def _asym_table(count):
+    """(-r_k, r_k^2, v_k) for k = 1..count: the expansion's term ratio
+    T_k / T_{k-1} = -r_k / zeta, and the factor v_k that turns the k-th
+    term of Ai's series into that of Ai' (DLMF 9.7.5-6)."""
+    rows = []
+    for k in range(1, count + 1):
+        r = (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
+        rows.append((-r, r * r, (6 * k + 1) / (1.0 - 6 * k)))
+    return tuple(rows)
 
-    Truncates each expansion at its smallest term; the returned relative
-    error estimate is the smallest-term magnitude with a sector safety
-    factor, plus the float64 rounding of zeta, which exp(-zeta) turns
-    into a relative error of a few |zeta| eps.
-    """
-    sq = np.sqrt(w)
-    zeta = (2.0 / 3.0) * w * sq
-    w4 = np.sqrt(sq)
-    izeta = 1.0 / zeta
 
-    A = np.ones_like(w)
-    B = np.ones_like(w)
-    T = np.ones_like(w)
-    active = np.ones(w.shape, dtype=bool)
-    prev_mag = np.ones(w.shape)
-    est = np.full(w.shape, np.nan)
+_ASYM = _asym_table(60)
+_ASYM_R2 = tuple(r2 for _, r2, _ in _ASYM)
+# |zeta|^2 at |z| = 9.5: below it the terms start to grow before they
+# fall under 1e-18, above it the reverse (see _asym_terms)
+_ASYM_SPLIT = 4.0 / 9.0 * 9.5 ** 3
 
-    for k in range(1, 61):
-        ratio = (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        T = T * (-ratio) * izeta
-        mag = np.abs(T)
-        # stop before adding once terms grow (divergent tail)
-        grown = active & (mag >= prev_mag)
-        est[grown] = prev_mag[grown]
-        active &= ~grown
-        vfac = (6 * k + 1) / (1.0 - 6 * k)
-        A = np.where(active, A + T, A)
-        B = np.where(active, B + T * vfac, B)
-        tiny = active & (mag < 1e-18)
-        est[tiny] = mag[tiny]
-        active &= ~tiny
-        prev_mag = mag
-        if not active.any():
+
+def _grow_count(rho2):
+    """Terms a point at |zeta|^2 = rho2 sums before the first that grows,
+    r_k^2 >= rho2; it rises with rho2."""
+    return bisect.bisect_left(_ASYM_R2, rho2)
+
+
+def _tiny_count(rho2):
+    """Index of the first term whose modulus, by the kernel's own
+    recurrence for |T_k|^2, falls below 1e-18 (the table length if none
+    does before the terms grow); it falls with rho2."""
+    m2 = 1.0
+    for k, r2 in enumerate(_ASYM_R2, 1):
+        if r2 >= rho2:
             break
-    est[np.isnan(est)] = prev_mag[np.isnan(est)]
-    est = 3.0 * np.sqrt(60.0) * est + 5e-16 + 4.0 * _EPS * np.abs(zeta)
-
-    pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    ai = pref * A / w4
-    aip = -pref * B * w4
-    return ai, aip, est
+        m2 = m2 * (r2 / rho2)
+        if m2 < 1e-36:
+            return k
+    return len(_ASYM_R2)
 
 
-def _asym_batch(w):
-    """Asymptotic evaluation for any argument, imag(w) >= 0 assumed."""
-    ai = np.empty_like(w)
-    aip = np.empty_like(w)
-    est = np.empty(w.shape)
+def _asym_terms(rho2):
+    """Terms ``_asym_core`` sums at most for |zeta|^2 = rho2, an array or
+    a single value.
 
-    arg = np.angle(w)
-    direct = arg <= _TWO_PI_3
-    realneg = (w.imag == 0.0) & (w.real < 0.0)
-    direct &= ~realneg
-    conn = ~(direct | realneg)
+    A point sums min(_grow_count, _tiny_count) terms.  So no point sums
+    more than _grow_count(hi) or _tiny_count(lo), where lo and hi are the
+    extremes of rho2, and for any split s in [lo, hi], none more than the
+    larger of the two counts at s.  For a single point the bound is its
+    exact count.
+    """
+    rho2 = np.asarray(rho2)
+    lo, hi = float(rho2.min()), float(rho2.max())
+    s = min(max(_ASYM_SPLIT, lo), hi)
+    return min(_grow_count(hi), _tiny_count(lo),
+               max(_grow_count(s), _tiny_count(s)))
 
-    if direct.any():
-        a, ap, e = _asym_core(w[direct])
-        ai[direct], aip[direct], est[direct] = a, ap, e
 
-    if realneg.any():
-        # build from a single rotated evaluation so the result is real by
-        # construction (the mirror term is the exact conjugate)
-        am, apm, e = _asym_core(w[realneg] * _OMEGA_C)
-        ai[realneg] = -2.0 * np.real(_OMEGA_C * am) + 0.0j
-        aip[realneg] = -2.0 * np.real(_OMEGA * apm) + 0.0j
-        est[realneg] = 2.0 * e
+def _parts(c):
+    """Real and imaginary parts of a numpy complex result: arrays for an
+    array, python floats for a scalar, so scalar work stays on floats."""
+    if isinstance(c, np.ndarray):
+        return c.real, c.imag
+    c = complex(c)
+    return c.real, c.imag
 
-    if conn.any():
-        wc = w[conn]
-        ap_, app, ep = _asym_core(wc * _OMEGA)
-        am_, apm, em = _asym_core(wc * _OMEGA_C)
-        val = -_OMEGA * ap_ - _OMEGA_C * am_
-        dval = -_OMEGA_C * app - _OMEGA * apm
-        ai[conn] = val
-        aip[conn] = dval
-        scale = 0.5 * (np.abs(ap_) + np.abs(am_))
-        est[conn] = (np.abs(ap_) * ep + np.abs(am_) * em) / np.maximum(
-            np.abs(val), np.maximum(scale, 1e-300)
-        )
-    return ai, aip, est
+
+def _asym_core(x, y):
+    """One-series asymptotics of Ai, Ai' at z = x + iy, |arg z| <= 2*pi/3.
+
+    Returns (Re Ai, Im Ai, Re Ai', Im Ai', est).  Each expansion is
+    truncated at its smallest term; the relative error estimate is that
+    term's modulus with a sector safety factor, plus the float64 rounding
+    of zeta, which exp(-zeta) turns into a relative error of a few
+    |zeta| eps.  Real plain operators throughout, except one numpy call
+    each for the complex square roots and exponential, so x, y may be
+    python floats or float arrays, with bit-identical results.
+    """
+    sr, si = _parts(np.sqrt(x + 1j * y))
+    qr, qi = _parts(np.sqrt(sr + 1j * si))  # z^(1/4)
+    wr, wi = (2.0 / 3.0) * x, (2.0 / 3.0) * y
+    zr, zi = wr * sr - wi * si, wr * si + wi * sr  # zeta
+    rho2 = zr * zr + zi * zi
+    ir, ii = zr / rho2, -zi / rho2  # 1/zeta
+    n = _asym_terms(rho2)
+
+    # A, B: the sums for Ai and Ai'; T: the current term, set to zero for
+    # good once the point stops; m2: |last term added|^2, from the ratios
+    ar, ai, br, bi, tr, ti = 1.0, 0.0, 1.0, 0.0, 1.0, 0.0
+    m2 = 1.0
+    for c, r2, v in _ASYM[:n]:
+        # stop before a term that grows or after one below 1e-18
+        keep = (r2 < rho2) & (m2 >= 1e-36)
+        ck = c * keep
+        tr, ti = (tr * ir - ti * ii) * ck, (tr * ii + ti * ir) * ck
+        ar += tr
+        ai += ti
+        br += v * tr
+        bi += v * ti
+        m2 = m2 * (r2 / rho2 * keep + (1.0 - keep))
+    est = 3.0 * math.sqrt(60.0) * np.sqrt(m2) + 5e-16 + 4.0 * _EPS * np.sqrt(rho2)
+
+    # exp(-zeta) / (2 sqrt(pi)) times A / z^(1/4) and -B z^(1/4)
+    er, ei = _parts(np.exp(-zr - 1j * zi))
+    er, ei = er / _TWO_SQRT_PI, ei / _TWO_SQRT_PI
+    nr, ni = er * ar - ei * ai, er * ai + ei * ar
+    q2 = qr * qr + qi * qi
+    dr, di = er * br - ei * bi, er * bi + ei * br
+    # 0 - (...) keeps the zero imaginary part on the real axis positive
+    return ((nr * qr + ni * qi) / q2, (ni * qr - nr * qi) / q2,
+            di * qi - dr * qr, 0.0 - (dr * qi + di * qr), est)
+
+
+def _rotations(x, y):
+    """Real and imaginary parts of w z and w" z, z = x + iy."""
+    hx, hy, sx, sy = 0.5 * x, 0.5 * y, _SQRT3_2 * x, _SQRT3_2 * y
+    return (-hx - sy, sx - hy), (sy - hx, -sx - hy)
+
+
+def _connect(p, m):
+    """Ai, Ai' at z, 2*pi/3 < arg z <= pi, from the expansions ``p`` at
+    w z and ``m`` at w" z, by the connection identity
+    Ai(z) = -w Ai(w z) - w" Ai(w" z) and its derivative
+    Ai'(z) = -w" Ai'(w z) - w Ai'(w" z) (w = e^{2i pi/3}, w" = 1/w).  On
+    the negative axis the two expansions are exact conjugates (the kernel
+    is conjugate-symmetric operation by operation), so the result is real
+    by construction."""
+    ar1, ai1, dr1, di1, est1 = p
+    ar2, ai2, dr2, di2, est2 = m
+    ar = 0.5 * (ar1 + ar2) + _SQRT3_2 * (ai1 - ai2)
+    ai = 0.5 * (ai1 + ai2) - _SQRT3_2 * (ar1 - ar2)
+    dr = 0.5 * (dr1 + dr2) - _SQRT3_2 * (di1 - di2)
+    di = 0.5 * (di1 + di2) + _SQRT3_2 * (dr1 - dr2)
+    m1, m2 = np.hypot(ar1, ai1), np.hypot(ar2, ai2)
+    scale = np.maximum(np.hypot(ar, ai), np.maximum(0.5 * (m1 + m2), 1e-300))
+    return ar, ai, dr, di, (m1 * est1 + m2 * est2) / scale
+
+
+def _asym(x, y):
+    """Asymptotics at one point z = x + iy, y >= 0, on python floats: the
+    expansion itself for arg z <= 2*pi/3, the connection identity beyond."""
+    if y + _SQRT3 * x >= 0.0:
+        return _asym_core(x, y)
+    p, m = _rotations(x, y)
+    return _connect(_asym_core(*p), _asym_core(*m))
+
+
+def _asym_batch(z):
+    """``_asym`` for an array z, imag(z) >= 0, in one ``_asym_core`` call
+    on the points of the direct sector and both rotations of the rest."""
+    x, y = z.real, z.imag
+    direct = y + _SQRT3 * x >= 0.0
+    conn = ~direct
+    (px, py), (mx, my) = _rotations(x[conn], y[conn])
+    core = _asym_core(np.concatenate([x[direct], px, mx]),
+                      np.concatenate([y[direct], py, my]))
+    nd, nc = len(z) - len(px), len(px)
+    out = np.empty((5,) + z.shape)
+    parts = _connect([c[nd:nd + nc] for c in core], [c[nd + nc:] for c in core])
+    for row, c, part in zip(out, core, parts):
+        row[direct], row[conn] = c[:nd], part
+    return _complex(out[0], out[1]), _complex(out[2], out[3]), out[4]
+
+
+def _complex(re, im):
+    """Complex array with these parts exactly, signed zeros included."""
+    c = np.empty(re.shape, dtype=complex)
+    c.real, c.imag = re, im
+    return c
 
 
 # ----------------------------------------------------------------------
@@ -400,18 +540,21 @@ def airy(z: complex) -> AiryValue:
     z = complex(z)
     r = abs(z)
     _check_envelope(cmath.isfinite(z), r)
-    if r > CROSSOVER_RADIUS:
-        ai, aip, est = _airy_raw_batch(np.array([z]))
-        return AiryValue(complex(ai[0]), complex(aip[0]), float(est[0]))
-    # the series kernel on python floats, in the upper half plane like
+    # python floats on both branches, in the upper half plane like
     # _airy_raw_batch, so both entry points agree bit for bit
     flip = z.imag < 0.0
     zz = z.conjugate() if flip else z
-    n = _series_terms(r)
-    ai, aip = _series_core(zz.real, zz.imag, n)
+    x, y = zz.real, zz.imag
+    if r > CROSSOVER_RADIUS:
+        ar, ai, dr, di, est = _asym(x, y)
+        ai, aip = complex(ar, ai), complex(dr, di)
+    else:
+        n = _series_terms(r)
+        ai, aip = _series_core(x, y, n)
+        est = _series_err(np.array([zz]), n)[0]
     if flip:
         ai, aip = ai.conjugate(), aip.conjugate()
-    return AiryValue(ai, aip, float(_series_err(np.array([zz]), n)[0]))
+    return AiryValue(ai, aip, float(est))
 
 
 def airy_ode_residual(z: complex, h: float = 1e-3) -> float:

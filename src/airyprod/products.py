@@ -75,6 +75,7 @@ __all__ = [
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
 _PREF_NORM = 4.0 * math.pi ** 1.5
 _DEFAULT_TOL = 1e-10
+_EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 class Route(Enum):
@@ -111,10 +112,16 @@ def _check_sign(sign: int) -> int:
 
 
 def _direct_product(f1: complex, f2: complex) -> tuple[complex, float]:
+    """Ai(f1) Ai(f2) and its error bound: both evaluator bounds, the final
+    rounding, and the rounding of the arguments themselves.  Forming f
+    from z, z0 and a rotation errs by up to about 2 eps relative, and a
+    relative change d of f moves Ai(f) by f Ai'(f) d."""
     a1 = airy(f1)
     a2 = airy(f2)
     v = a1.ai * a2.ai
-    return v, (a1.est_rel_err + a2.est_rel_err + 4e-16) * max(abs(v), 1e-300)
+    args = abs(f1 * a1.ai_prime * a2.ai) + abs(f2 * a2.ai_prime * a1.ai)
+    return v, ((a1.est_rel_err + a2.est_rel_err + 4e-16) * max(abs(v), 1e-300)
+               + 2.0 * _EPS * args)
 
 
 def _contour_value(kind: ContourKind, args: ShiftedArgs, tol, config, strict=True):

@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from airyprod import ContourConfig, airy, cli, errors
+from airyprod import ContourConfig, __version__, airy, cli, errors
 from airyprod.cli import main
 from airyprod.config import RunConfig, parse_complex
 
@@ -52,6 +55,28 @@ def test_eval_negative_shift_exit_code(capsys):
 def test_eval_requires_arguments(capsys):
     rc, _ = _run(capsys, ["eval", "u+"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("z,z0", [("0.7-0.4i", "-1.1+0.3i"), ("-0.7-0.4i", "-2"),
+                                  ("-i", "-.5i")])
+def test_eval_negative_complex_literals(capsys, z, z0):
+    # a separate value with a leading minus reads as the option's value,
+    # exactly as the attached --z=... form does
+    rc, out = _run(capsys, ["eval", "w+", "--z", z, "--z0", z0])
+    assert rc == 0
+    rc_eq, out_eq = _run(capsys, ["eval", "w+", f"--z={z}", f"--z0={z0}"])
+    assert rc_eq == 0 and out == out_eq
+    rec = _fields(out.strip())
+    assert complex(rec["z0"].replace("i", "j")) == parse_complex(z0)
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "airyprod", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == __version__
 
 
 _QUAD_FAILURES = (errors.ToleranceNotMet, errors.EndpointSingularity)

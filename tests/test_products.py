@@ -13,6 +13,7 @@ from airyprod import (
     airy,
     aiai_real,
     difference_identity,
+    grids,
     ode_residual_reduced,
     ode_residual_w,
     product,
@@ -179,3 +180,22 @@ def test_closure_property(z, z0):
     lhs = product(Rotation.NONE, Rotation.NONE, z, z0).value
     rhs = w_pm(+1, z, z0).value / THIRD + THIRD * w_pm(-1, z, z0).value
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def test_direct_error_estimate_bounds_mpmath():
+    # abs_err_est itself, with no safety factor, bounds the distance to
+    # the exact product at the exact arguments e^{+-2i pi/3}(z+z0) and
+    # e^{+-2i pi/3} z, so it must cover the rounding of those arguments
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    z, z0 = grids.shifted_grid(40, 13)
+    zw, z0w = grids.shifted_grid(20, 14, z_radius=10.0, z0_radius=5.0)
+    for zz, zz0 in zip([*z, *zw], [*z0, *z0w]):
+        mz = mp.mpc(complex(zz))
+        ms = mz + mp.mpc(complex(zz0))
+        for sign in (+1, -1):
+            w = mp.exp(sign * 2j * mp.pi / 3)
+            for pv, exact in ((u_pm(sign, zz, zz0), (w * ms, w * mz)),
+                              (w_pm(sign, zz, zz0), (ms, w * mz))):
+                ref = complex(mp.airyai(exact[0]) * mp.airyai(exact[1]))
+                assert abs(pv.value - ref) <= pv.abs_err_est, (zz, zz0, sign)
