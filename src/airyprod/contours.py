@@ -183,25 +183,41 @@ def _effective_shift_angle(args: ShiftedArgs) -> float:
     return cmath.phase(args.z0)
 
 
+def _cubic_roots(p: float, q: float) -> tuple:
+    """Real roots of r^3 + p r + q = 0 in ascending order (one or three).
+
+    For q > 0 they are the roots for (p, -q), negated.  With q <= 0,
+    Cardano's formula gives the one real root when the discriminant
+    q^2/4 + p^3/27 is non-negative; for p > 0 its two terms u and
+    p/(3u) nearly cancel, so the root comes from r (u^2 - uv + v^2) =
+    u^3 + v^3 = -q, v = -p/(3u), instead.  A negative discriminant gives
+    three roots: the outer two by the trigonometric form, the middle one
+    from the product of all three, -q.
+    """
+    if q > 0.0:
+        return tuple(-r for r in reversed(_cubic_roots(p, -q)))
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc >= 0.0:
+        u = math.cbrt(-0.5 * q + math.sqrt(disc))
+        if p > 0.0:
+            w = p / (3.0 * u)
+            return (-q / (u * u + u * w + w * w),)
+        return (u - p / (3.0 * u) if u else 0.0,)
+    m = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(min(3.0 * q / (p * m), 1.0)) / 3.0
+    lo, hi = m * math.cos(phi + 2.0 * _PI / 3.0), m * math.cos(phi)
+    return lo, -q / (lo * hi), hi
+
+
 def _truncation_radius(beta_abs: float, config: ContourConfig, tail_decay: float) -> float:
     """Radius R with (R^3/12) * d = lambda + |beta| R, d = tail_decay.
 
     With lambda = -log(tail_tol), the depressed cubic R^3 + pR + q = 0
     (p = -12|beta|/d <= 0, q = -12 lambda/d < 0) has exactly one positive
-    root: Cardano's formula gives it when the discriminant is
-    non-negative, the trigonometric form (its largest real root) when it
-    is negative.
+    root, its largest.
     """
     lam = -math.log(config.tail_tol)
-    p = -12.0 * beta_abs / tail_decay
-    q = -12.0 * lam / tail_decay
-    disc = 0.25 * q * q + p * p * p / 27.0
-    if disc >= 0.0:
-        u = math.cbrt(-0.5 * q + math.sqrt(disc))
-        r = u - p / (3.0 * u)
-    else:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        r = m * math.cos(math.acos(min(3.0 * q / (p * m), 1.0)) / 3.0)
+    r = _cubic_roots(-12.0 * beta_abs / tail_decay, -12.0 * lam / tail_decay)[-1]
     if r > config.truncation_ceiling:
         raise DegenerateGeometry(
             "truncation radius would exceed the configured ceiling "

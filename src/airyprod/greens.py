@@ -45,6 +45,7 @@ import math
 
 import numpy as np
 
+from .contours import _cubic_roots
 from .errors import CoincidentPoints, ToleranceNotMet, ZeroField
 from .oracle import _airy_raw_batch
 from .quadrature import ArcLeg, DecayLeg, RayLeg, SegmentLeg, integrate_legs
@@ -147,21 +148,22 @@ def greens_free(p: GreensParams) -> complex:
     return cmath.exp(1j * k * d) / (2.0 * math.pi * d)
 
 
-def _tail_radius_cubic(c3: float, grow: float, lam: float) -> float:
-    """R with c3 R^3 >= lam + grow * R (bisection)."""
-    hi = 4.0
-    while c3 * hi ** 3 < lam + grow * hi:
-        hi *= 1.5
-        if hi > 1e8:
-            raise ToleranceNotMet("time-integral tail radius diverged")
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if c3 * mid ** 3 < lam + grow * mid:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+_CUT_CAP = 1e8  # largest tail radius or chord length of the time integral
+
+
+def _cut_length(a: float, b: float, c: float, lam: float) -> float:
+    """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0, c <= 0).
+
+    The left side is below lam short of that root and above it beyond,
+    so the cap is checked before the cubic is solved, which also keeps
+    its depressed coefficients finite.  Shifting x = y - b/(3a) removes
+    the quadratic term.
+    """
+    cap = _CUT_CAP
+    if (a * cap + b) * cap * cap + c * cap < lam:
+        raise ToleranceNotMet("time-integral tail radius diverged")
+    s = b / (3.0 * a)
+    return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - lam / a)[-1] - s
 
 
 def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
@@ -217,23 +219,12 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             # cubic ridge would block this ray before the saddle.)
             r_min = dd / (2.0 * lam)
             s_max = max(math.log(max(t_sad / r_min, 2.0)), 6.0)
-            target = lam
-
-            def depth(r):
-                return -eprime * r - c3 * r ** 3
-
-            if depth(r_crest) <= target:
-                r_x = r_crest
-            else:
-                lo, hi = t_sad, r_crest
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if depth(mid) < target:
-                        lo = mid
-                    else:
-                        hi = mid
-                r_x = hi
-            r_t = _tail_radius_cubic(c3, abs(eprime), lam)
+            r_t = _cut_length(c3, 0.0, -abs(eprime), lam)
+            # the ray's depth -E'r - c3 r^3 climbs to lam at the middle
+            # root of c3 r^3 + E'r + lam = 0; without three real roots
+            # its crest r_crest stays below lam
+            roots = _cubic_roots(eprime / c3, lam / c3)
+            r_x = max(t_sad, roots[1]) if len(roots) == 3 else r_crest
             legs = [
                 DecayLeg(-math.pi / 2.0, t_sad, s_max, outward=True),
                 RayLeg(-math.pi / 2.0, t_sad, r_x),
@@ -254,19 +245,18 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             if t_saddle > 1.5 * r_j:
                 legs.append(ArcLeg(r_j, -_ROT, 0.0))
                 legs.append(RayLeg(0.0, r_j, t_saddle))
-                # descend from the stationary point; probe the chord
-                # length until the integrand is below the tail tolerance
-                direction = cmath.exp(-1j * _ROT)
-                length = max(t_saddle, 1.0)
-                for _ in range(200):
-                    end = t_saddle + length * direction
-                    if exponent(end).real <= -lam:
-                        break
-                    length *= 1.6
-                legs.append(SegmentLeg(complex(t_saddle), t_saddle + length * direction))
+                # descend from the stationary point along t_s + L e^{-i rho}:
+                # there E' = 3 c3 t_s^2 cancels the linear terms, so Re E
+                # is -c3 (sin 3rho L^3 + 3 t_s sin 2rho L^2) plus the
+                # i dd/(2t) term, which only lowers it; cutting where the
+                # cubic reaches -lam is therefore conservative
+                length = _cut_length(c3 * math.sin(3.0 * _ROT),
+                                     3.0 * c3 * t_saddle * math.sin(2.0 * _ROT), 0.0, lam)
+                legs.append(SegmentLeg(complex(t_saddle),
+                                       t_saddle + length * cmath.exp(-1j * _ROT)))
             else:
-                r_t = _tail_radius_cubic(c3 * math.sin(3.0 * _ROT),
-                                         abs(eprime) * sin_rot, lam)
+                r_t = _cut_length(c3 * math.sin(3.0 * _ROT), 0.0,
+                                  -abs(eprime) * sin_rot, lam)
                 legs.append(RayLeg(-_ROT, r_j, max(r_t, 2.0 * r_j)))
     else:
         # u = 1/t: exponent iE'/u + i dd u/2, weight u^{-1/2}
