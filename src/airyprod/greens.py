@@ -152,15 +152,17 @@ _CUT_CAP = 1e8  # largest tail radius or chord length of the time integral
 
 
 def _cut_length(a: float, b: float, c: float, lam: float) -> float:
-    """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0, c <= 0).
+    """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0).
 
     The left side is below lam short of that root and above it beyond,
-    so the cap is checked before the cubic is solved, which also keeps
-    its depressed coefficients finite.  Shifting x = y - b/(3a) removes
-    the quadratic term.
+    so the cap is checked before the cubic is solved.  The check leaves
+    out a decaying linear term (c > 0): the cubic and quadratic terms
+    must reach lam inside the cap on their own, which also keeps the
+    depressed coefficients finite for the weakest fields.  Shifting
+    x = y - b/(3a) removes the quadratic term.
     """
     cap = _CUT_CAP
-    if (a * cap + b) * cap * cap + c * cap < lam:
+    if (a * cap + b) * cap * cap + min(c, 0.0) * cap < lam:
         raise ToleranceNotMet("time-integral tail radius diverged")
     s = b / (3.0 * a)
     return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - lam / a)[-1] - s
@@ -255,8 +257,10 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
                 legs.append(SegmentLeg(complex(t_saddle),
                                        t_saddle + length * cmath.exp(-1j * _ROT)))
             else:
+                # along -pi/8 the term iE't decays for E' < 0 and grows
+                # for E' > 0, so it enters the tail with its sign
                 r_t = _cut_length(c3 * math.sin(3.0 * _ROT), 0.0,
-                                  -abs(eprime) * sin_rot, lam)
+                                  -eprime * sin_rot, lam)
                 legs.append(RayLeg(-_ROT, r_j, max(r_t, 2.0 * r_j)))
     else:
         # u = 1/t: exponent iE'/u + i dd u/2, weight u^{-1/2}

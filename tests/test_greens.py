@@ -162,3 +162,15 @@ def test_mutual_consistency_parameter_sweep():
         gc = greens_closed(p)
         gi = greens_time_integral(p, 1e-8)
         assert abs(gc - gi) <= 1e-6 * max(abs(gc), 1e-300)
+
+
+@pytest.mark.parametrize("e, f, d", [(-0.02, 1e-8, 1.0), (-0.3, 1e-6, 5.0),
+                                     (-0.1, 1e-5, 3.0), (-0.05, 1e-7, 2.0),
+                                     (-0.5, 1e-6, 2.0)])
+def test_weak_field_time_integral_matches_free(e, f, d):
+    # r is perpendicular to F, so E' = E: below it the term iE't decays
+    # along the rotated tail and must shorten it, not lengthen it
+    p = GreensParams.make(e, (0, 0, f), (d, 0, 0), (0, 0, 0))
+    gi = greens_time_integral(p, 1e-8)
+    gf = greens_free(p)
+    assert abs(gi - gf) <= 1e-6 * abs(gf)
