@@ -184,25 +184,20 @@ def _effective_shift_angle(args: ShiftedArgs) -> float:
 
 
 def _cubic_roots(p: float, q: float) -> tuple:
-    """Real roots of r^3 + p r + q = 0 in ascending order (one or three).
-
-    For q > 0 they are the roots for (p, -q), negated.  With q <= 0,
-    Cardano's formula gives the one real root when the discriminant
-    q^2/4 + p^3/27 is non-negative; for p > 0 its two terms u and
-    p/(3u) nearly cancel, so the root comes from r (u^2 - uv + v^2) =
-    u^3 + v^3 = -q, v = -p/(3u), instead.  A negative discriminant gives
-    three roots: the outer two by the trigonometric form, the middle one
-    from the product of all three, -q.
-    """
-    if q > 0.0:
+    """Real roots of r^3 + p r + q = 0 in ascending order (one or three)."""
+    if q > 0.0:  # the roots for (p, -q), negated
         return tuple(-r for r in reversed(_cubic_roots(p, -q)))
     disc = 0.25 * q * q + p * p * p / 27.0
-    if disc >= 0.0:
+    if disc >= 0.0:  # Cardano: the one real root is u + v, v = -p/(3u)
         u = math.cbrt(-0.5 * q + math.sqrt(disc))
         if p > 0.0:
+            # u and v nearly cancel when p^3 >> q^2, but not in
+            # (u + v)(u^2 - uv + v^2) = u^3 + v^3 = -q
             w = p / (3.0 * u)
             return (-q / (u * u + u * w + w * w),)
-        return (u - p / (3.0 * u) if u else 0.0,)
+        return (u - p / (3.0 * u),)
+    # trigonometric form for the outer roots; the middle one follows from
+    # the product of all three, -q, without cancellation
     m = 2.0 * math.sqrt(-p / 3.0)
     phi = math.acos(min(3.0 * q / (p * m), 1.0)) / 3.0
     lo, hi = m * math.cos(phi + 2.0 * _PI / 3.0), m * math.cos(phi)

@@ -30,7 +30,9 @@ provided:
     rotation is enough at the intended tolerances) where the essential
     factor decays, the tail rotated into a decay direction of the cubic
     term, and, when E - F.(r+r')/2 > 0, the path routed through the
-    stationary point t = sqrt(8E')/F on the real axis first.
+    stationary point t = sqrt(8E')/F on the real axis first.  Every
+    radius along the way (each tail cut, the chord from the stationary
+    point, the tunnelling depth) is a root of a cubic in closed form.
 
 The two share no code beyond the panel integrator, so their agreement is
 a genuine cross-check.  The weak-field limit is the free outgoing wave
@@ -46,7 +48,7 @@ import math
 import numpy as np
 
 from .contours import _cubic_roots
-from .errors import CoincidentPoints, ToleranceNotMet, ZeroField
+from .errors import CoincidentPoints, NonFiniteInput, ToleranceNotMet, ZeroField
 from .oracle import _airy_raw_batch
 from .quadrature import ArcLeg, DecayLeg, RayLeg, SegmentLeg, integrate_legs
 
@@ -96,6 +98,8 @@ class ScaledVars:
 
 
 def _check_separation(p: GreensParams) -> float:
+    if not all(map(math.isfinite, (p.energy_E, *p.field_F, *p.r, *p.r_prime))):
+        raise NonFiniteInput("Green's function inputs must be finite")
     d = p.separation
     if d == 0.0:
         raise CoincidentPoints("r and r' coincide; the kernel has a 1/|r-r'| pole")
@@ -148,23 +152,18 @@ def greens_free(p: GreensParams) -> complex:
     return cmath.exp(1j * k * d) / (2.0 * math.pi * d)
 
 
-_CUT_CAP = 1e8  # largest tail radius or chord length of the time integral
-
-
 def _cut_length(a: float, b: float, c: float, lam: float) -> float:
     """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0).
 
-    The left side is below lam short of that root and above it beyond,
-    so the cap is checked before the cubic is solved.  The check leaves
-    out a decaying linear term (c > 0): the cubic and quadratic terms
-    must reach lam inside the cap on their own, which also keeps the
-    depressed coefficients finite for the weakest fields.  Shifting
-    x = y - b/(3a) removes the quadratic term.
+    ToleranceNotMet when x would exceed 1e8.  The cubic and quadratic
+    terms must reach lam inside that cap on their own, without a decaying
+    linear term (c > 0); this keeps the solved cubic finite.
     """
-    cap = _CUT_CAP
+    cap = 1e8
+    # the left side stays below lam short of the root and above it beyond
     if (a * cap + b) * cap * cap + min(c, 0.0) * cap < lam:
         raise ToleranceNotMet("time-integral tail radius diverged")
-    s = b / (3.0 * a)
+    s = b / (3.0 * a)  # x = y - s removes the quadratic term
     return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - lam / a)[-1] - s
 
 
@@ -314,9 +313,11 @@ def operator_residual(p: GreensParams, h: float = 1e-3) -> float:
     Uses the closed form at the six displaced points; the result is
     normalized by |G| / |r - r'|^2, the natural curvature scale of the
     kernel away from its pole.  Meaningful only off the singularity
-    (|r - r'| comfortably larger than h).
+    (|r - r'| comfortably larger than h); h must lie in (0, |r - r'|).
     """
     d = _check_separation(p)
+    if not 0.0 < h < d:
+        raise ValueError("operator_residual: h must lie in (0, |r - r'|)")
     g0 = greens_closed(p)
     lap = 0.0 + 0.0j
     for axis in range(3):

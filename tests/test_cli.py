@@ -196,6 +196,12 @@ def test_greens_coincident_points_exit(capsys):
     assert rc == 2
 
 
+def test_greens_non_finite_energy_exit(capsys):
+    rc, out = _run(capsys, ["greens", "--energy", "nan", "--field", "0,0,0.1",
+                            "--r", "1,0,0", "--r-prime", "0,0,0", "--method", "free"])
+    assert rc == 2 and out == ""
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     # saddle_hint, turn_radius_factor and tail_angle_shift were settings of

@@ -4,6 +4,7 @@ import cmath
 from dataclasses import replace
 import math
 
+import numpy as np
 import pytest
 
 from airyprod import (
@@ -28,6 +29,7 @@ from airyprod import (
 from airyprod.contours import (
     VALLEY_SECTORS,
     ContourPath,
+    _cubic_roots,
     _effective_shift_angle,
     _truncation_radius,
 )
@@ -322,6 +324,22 @@ def test_truncation_radius_solves_its_cubic():
             terms = (d / 12.0) * r ** 3 + beta_abs * r + lam
             resid = (d / 12.0) * r ** 3 - beta_abs * r - lam
             assert abs(resid) <= 1e-12 * terms
+
+
+def test_cubic_roots():
+    rng = np.random.default_rng(23)
+    counts = {1: 0, 3: 0}
+    for _ in range(4000):
+        p = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0))
+        q = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0))
+        roots = _cubic_roots(p, q)
+        counts[len(roots)] += 1
+        assert len(roots) == (3 if 0.25 * q * q + p * p * p / 27.0 < 0.0 else 1)
+        assert list(roots) == sorted(roots)
+        for r in roots:
+            scale = abs(r) ** 3 + abs(p * r) + abs(q)
+            assert abs(r ** 3 + p * r + q) <= 1e-12 * scale, (p, q, r)
+    assert min(counts.values()) > 500  # both signs of the discriminant
 
 
 def test_wide_domain_contours_converge_and_match_oracle():

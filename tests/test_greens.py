@@ -9,6 +9,8 @@ import pytest
 from airyprod import (
     CoincidentPoints,
     GreensParams,
+    NonFiniteInput,
+    ToleranceNotMet,
     ZeroField,
     airy,
     greens_closed,
@@ -174,3 +176,33 @@ def test_weak_field_time_integral_matches_free(e, f, d):
     gi = greens_time_integral(p, 1e-8)
     gf = greens_free(p)
     assert abs(gi - gf) <= 1e-6 * abs(gf)
+
+
+@pytest.mark.parametrize("e, f, r", [(0.02, 1e-9, (1, 0, 0)), (-0.5, 1e-9, (6, 0, 0)),
+                                     (0.02, 1e-12, (1, 0, 0))])
+def test_time_integral_tail_guard(e, f, r):
+    # the tail radius would exceed 1e8: a typed failure, never a value
+    with pytest.raises(ToleranceNotMet):
+        greens_time_integral(GreensParams.make(e, (0, 0, f), r, (0, 0, 0)), 1e-8)
+
+
+_NON_FINITE = {
+    "nan-energy": (math.nan, (0, 0, 0.1), (1, 0, 0)),
+    "inf-field": (0.5, (0, math.inf, 0.1), (1, 0, 0)),
+    "nan-r": (0.5, (0, 0, 0.1), (1, math.nan, 0)),
+}
+
+
+@pytest.mark.parametrize("fn", [greens_closed, greens_free, greens_time_integral])
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_inputs_typed(fn, case):
+    e, f, r = _NON_FINITE[case]
+    with pytest.raises(NonFiniteInput):
+        fn(GreensParams.make(e, f, r, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, "separation"])
+def test_operator_residual_rejects_bad_step(h):
+    p = GreensParams.make(0.4, (0, 0, 0.3), (2.0, 0.5, 0.1), (0, 0, -0.5))
+    with pytest.raises(ValueError):
+        operator_residual(p, p.separation if h == "separation" else h)

@@ -202,3 +202,18 @@ def test_panel_schedule_pinned(monkeypatch):
     for config in _GREENS_CONFIGS:
         greens.greens_time_integral(GreensParams.make(*config), 1e-8)
     assert [r.nodes for r in results] == _GREENS_NODES
+
+
+def test_greens_legs_connected(monkeypatch):
+    legs = []
+    real = greens.integrate_legs
+
+    def recording(path, *args, **kwargs):
+        legs.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(greens, "integrate_legs", recording)
+    for config in _GREENS_CONFIGS:
+        greens.greens_time_integral(GreensParams.make(*config), 1e-8)
+    assert len(legs) == len(_GREENS_CONFIGS)
+    assert all(path_is_connected(path) for path in legs)
