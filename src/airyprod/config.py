@@ -81,23 +81,13 @@ def parse_complex(text: str) -> complex:
     """Parse 'RE', 'IMi', or 'RE+IMi' literals (e.g. '1.5-0.25i').
 
     The trailing-i form avoids the shell-quoting problems of
-    parenthesized complex literals.
+    parenthesized complex literals; Python's own 'j' form is accepted
+    too.  Spaces are ignored.
     """
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    if s.endswith(("i", "I", "j", "J")):
-        body = s[:-1]
-        # split into real and imaginary parts at the last +/- that is not
-        # an exponent sign
-        for pos in range(len(body) - 1, 0, -1):
-            c = body[pos]
-            if c in "+-" and body[pos - 1] not in "eE":
-                re_part, im_part = body[:pos], body[pos:]
-                if im_part in ("+", "-"):
-                    im_part += "1"
-                return complex(float(re_part), float(im_part))
-        if body in ("", "+", "-"):
-            body += "1"
-        return complex(0.0, float(body))
-    return complex(float(s), 0.0)
+    s = text.replace(" ", "")
+    if s.endswith(("i", "I")):
+        s = s[:-1] + "j"
+    try:
+        return complex(s)
+    except ValueError:
+        raise ValueError(f"not a complex literal: {text!r}") from None

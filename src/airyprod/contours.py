@@ -254,7 +254,7 @@ _TAIL_CANDIDATES = tuple(_tail_candidates(v) for v in VALLEY_SECTORS)
 # every valley, and so is the truncation radius it implies
 _TAIL_DECAYS = tuple(math.sin(3.0 * th) for th, _, _ in _TAIL_CANDIDATES[0])
 _ARC_SWEEP = np.linspace(0.0, 1.0, 65)
-_DECAY_CHECK = np.linspace(0.0, 1.0, 17)  # endpoint-decay check, fraction of s_max
+_DECAY_CHECK = np.linspace(0.0, 1.0, 17)  # leg parameters of the endpoint-decay check
 
 
 def _tails(beta: complex, config: ContourConfig):
@@ -422,21 +422,18 @@ def laplace_integral(path: ContourPath, args: ShiftedArgs, tol: float = 1e-10,
 
     decay = [leg for leg in path.segments if isinstance(leg, DecayLeg)]
     if decay:
-        s_max, r_outer, theta = np.array([(leg.s_max, leg.r_outer, leg.theta)
-                                          for leg in decay]).T
-        s = np.multiply.outer(s_max, _DECAY_CHECK)
-        pts = r_outer[:, None] * np.exp(-s) * np.exp(1j * theta)[:, None]
-        # compare in the s parametrization, where dk/ds ~ k supplies
-        # the decaying sqrt-measure; the inner end must sit far below
-        # the leg maximum or the substitution did not regularize
-        vals = np.abs(integrand(pts, theta[:, None])) * np.abs(pts)
-        inner = vals[:, -1]
+        k, dkdt, theta = (np.array(a) for a in zip(*(leg.map(_DECAY_CHECK) for leg in decay)))
+        # compare |f dk/dt|, where dk/dt ~ k supplies the decaying
+        # sqrt-measure; the inner end must sit far below the leg maximum
+        # or the substitution did not regularize
+        vals = np.abs(integrand(k, theta)) * np.abs(dkdt)
+        inner = np.where([leg.outward for leg in decay], vals[:, 0], vals[:, -1])
         peak = np.maximum(vals.max(axis=1), 1e-280)
         bad = ~np.isfinite(inner) | (inner > peak * 1e-2)
         if bad.any():
             raise EndpointSingularity(
                 "endpoint substitution does not decay toward k = 0 "
-                f"(leg angle {theta[bad.argmax()]:.6f}); path points outside the internal valley"
+                f"(leg angle {decay[bad.argmax()].theta:.6f}); path points outside the internal valley"
             )
 
     result = integrate_legs(path.segments, integrand, tol, config.max_nodes,

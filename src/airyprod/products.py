@@ -12,26 +12,33 @@ are nine products; a convenient independent basis is
     W+-(z; z0) = Ai(z+z0) Ai(e^{+-2i pi/3} z)
 
 and every product is one of these or a fixed linear combination.  Each
-basis function is computable two ways:
+value is computable two ways:
 
-* route ``DIRECT``   -- two evaluations of the Airy reference evaluator
+* route ``DIRECT``   -- evaluations of the Airy reference evaluator
                         multiplied together (the default; fast, and the
                         ground truth the contour route is tested against);
-* route ``CONTOUR``  -- the half-line Laplace integral representations
+* route ``CONTOUR``  -- a fixed combination of the half-line Laplace
+                        integrals I_C of ``contours``,
 
-      U+- = e^{i pi/4 -+ i pi/3} / (4 pi^{3/2}) * I_{L+-}
-      W+- = e^{i pi/4 +- i pi/3} / (4 pi^{3/2}) * I_{R+-}          (|arg z0| <= pi/2)
-      W+- = e^{i pi/4 +- i pi/3} / (4 pi^{3/2}) * [I_{R+-} +- I_O] (|arg z0| >  pi/2)
+      e^{i pi/4 + i m pi/3} / (4 pi^{3/2}) * sum_C c_C I_C,   c_C = +-1,
 
-  where the sector dispatch between the two W forms lives here, not in
-  the contour engine, because the formula choice is a property of the
-  representation rather than of path geometry.
+  where some signs change when |arg z0| > pi/2, because the cut and the
+  origin loop O of that sector are those of -z0.  The basis rows are
 
-The real-axis specializations ``w_pm_real`` (shift >= 0 only) and
-``aiai_real`` (any real shift) evaluate the corresponding half-line
-formulas through the same regularized contours, and the antisymmetric
-combination of mixed products is exposed as ``difference_identity``,
-proportional to the origin-loop integral I_O alone.
+      U+- :  m = -+1,  I_{L+-}
+      W+- :  m = +-1,  I_{R+-}            (|arg z0| <= pi/2)
+                       I_{R+-} +- I_O     (|arg z0| >  pi/2)
+
+Both routes read one table, one row per value: ``_DIRECT`` lists the
+evaluator products to add or subtract and ``_CONTOUR`` the prefactor and
+signed integrals above, for U+-, W+-, the nine products, the
+antisymmetric ``difference_identity`` (I_O alone) and the real-axis
+cosine form ``aiai_real``.  The sector dispatch lives in the table, not
+in the contour engine, because the formula choice is a property of the
+representation rather than of path geometry.
+
+``w_pm_real`` (shift >= 0 only) is the W+- row on real arguments, where
+it is the half-line formula of the real axis.
 """
 
 from __future__ import annotations
@@ -105,6 +112,65 @@ class ProductValue:
     abs_err_est: float
 
 
+def _pref(m: int) -> complex:
+    """e^{i pi/4 + i m pi/3} / (4 pi^{3/2}), the prefactor of a contour row."""
+    return cmath.exp(1j * (math.pi / 4.0 + m * math.pi / 3.0)) / _PREF_NORM
+
+
+_L = {+1: ContourKind.L_PLUS, -1: ContourKind.L_MINUS}
+_R = {+1: ContourKind.R_PLUS, -1: ContourKind.R_MINUS}
+_O = ContourKind.O
+
+
+def _rows(s: int):
+    """The rows of the values that come in +- pairs, for the sign s.
+
+    ``_DIRECT`` terms are (c, f1, f2) for c Ai(f1 (z+z0)) Ai(f2 z), where
+    f = None takes the argument as it is.  ``_CONTOUR`` rows are a
+    prefactor and terms (kind, c, c_outer) for c I_kind, with c_outer
+    used when |arg z0| > pi/2 and c = 0 leaving the integral out.  The
+    mixed products are the combinations
+
+        Ai(e^{+-}(z+z0)) Ai(z)         = U-+ + e^{-+i pi/3} (U+- - W-+)
+        Ai(e^{+-}(z+z0)) Ai(e^{-+} z)  = e^{-+i pi/3} U-+ + e^{+-i pi/3} W-+
+
+    written out in the integrals; e^{-2i pi/3} = -e^{+i pi/3} leaves one
+    prefactor per row.
+    """
+    rot = Rotation(s)
+    w = rot.factor
+    u_row = (_pref(-s), ((_L[s], 1, 1),))
+    w_row = (_pref(s), ((_R[s], 1, 1), (_O, 0, s)))
+    direct = {("u", s): ((1, w, w),),
+              ("w", s): ((1, None, w),),
+              ("diff", s): ((1, w, None), (-1, None, w))}
+    contour = {("u", s): u_row,
+               ("w", s): w_row,
+               ("diff", s): (_pref(s), ((_O, s, -s),)),
+               (rot, rot): u_row,
+               (Rotation.NONE, rot): w_row,
+               (rot, Rotation.NONE): (_pref(s), ((_L[-s], 1, 1), (_L[s], -1, -1),
+                                                 (_R[-s], 1, 1), (_O, 0, -s))),
+               (rot, Rotation(-s)): (_pref(0), ((_L[-s], 1, 1), (_R[-s], 1, 1),
+                                                (_O, 0, -s)))}
+    return direct, contour
+
+
+_DIRECT = {(r1, r2): ((1, r1.factor, r2.factor),) for r1 in Rotation for r2 in Rotation}
+_CONTOUR = {
+    # the I_O terms of e^{-i pi/3} W+ + e^{+i pi/3} W- cancel in every sector
+    (Rotation.NONE, Rotation.NONE): (_pref(0), ((_R[+1], 1, 1), (_R[-1], 1, 1))),
+    # the row above on the real axis, where its two terms are complex
+    # conjugates: twice the real part of the R- term
+    "aiai": (2.0 * _pref(0), ((_R[-1], 1, 1),)),
+}
+for _s in (+1, -1):
+    _d, _c = _rows(_s)
+    _DIRECT.update(_d)
+    _CONTOUR.update(_c)
+del _s, _d, _c
+
+
 def _check_sign(sign: int) -> int:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -125,33 +191,61 @@ def _direct_product(f1: complex, f2: complex) -> tuple[complex, float]:
 
 
 def _contour_value(kind: ContourKind, args: ShiftedArgs, tol, config, strict=True):
+    """I_kind and its error estimate."""
     path = build_contour(kind, args, config)
     try:
-        return laplace_integral(path, args, tol, config)
+        res = laplace_integral(path, args, tol, config)
     except ToleranceNotMet as exc:
         if strict:
             raise
         # keep the flagged best estimate; abs_err_est stays honest
-        return exc.result
+        res = exc.result
+    return res.value, res.abs_err_est
+
+
+def _signed_sum(terms) -> tuple[complex, float]:
+    """Sum of c v and of e over (c, (v, e)) terms with c = +-1.
+
+    v itself is added or subtracted, so a single term with c = 1 comes
+    back unchanged, signed zeros included.
+    """
+    (c, (val, err)), *rest = terms
+    if c < 0:
+        val = -val
+    for c, (v, e) in rest:
+        val = val + v if c > 0 else val - v
+        err = err + e
+    return val, err
+
+
+def _evaluate(key, z, z0, route: Route, tol, config, strict) -> ProductValue:
+    """The value of one table row along ``route``.
+
+    The contour route evaluates each integral of the row once, and
+    bounds the error by |prefactor| times the sum of their estimates.
+    """
+    z, z0 = complex(z), complex(z0)
+    if route is Route.DIRECT:
+        zs = z + z0
+        val, err = _signed_sum(
+            (c, _direct_product(zs if f1 is None else f1 * zs, z if f2 is None else f2 * z))
+            for c, f1, f2 in _DIRECT[key])
+        return ProductValue(val, route, err)
+    if route is not Route.CONTOUR:
+        raise ValueError(f"products support the DIRECT and CONTOUR routes, not {route}")
+    args = ShiftedArgs.make(z, z0)
+    col = 2 if args.z0_sector is Sector.OUTER else 1
+    pref, row = _CONTOUR[key]
+    val, err = _signed_sum((term[col], _contour_value(term[0], args, tol, config, strict))
+                           for term in row if term[col])
+    return ProductValue(pref * val, route, abs(pref) * err)
 
 
 def u_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
          tol: float = _DEFAULT_TOL, config: ContourConfig = DEFAULT_CONFIG,
          strict: bool = True) -> ProductValue:
     """U+-(z; z0) = Ai(e^{+-2i pi/3}(z+z0)) Ai(e^{+-2i pi/3} z)."""
-    _check_sign(sign)
-    z, z0 = complex(z), complex(z0)
-    if route is Route.DIRECT:
-        w = Rotation(sign).factor
-        v, est = _direct_product(w * (z + z0), w * z)
-        return ProductValue(v, route, est)
-    if route is not Route.CONTOUR:
-        raise ValueError("u_pm supports DIRECT and CONTOUR routes")
-    args = ShiftedArgs.make(z, z0)
-    kind = ContourKind.L_PLUS if sign > 0 else ContourKind.L_MINUS
-    pref = cmath.exp(1j * (math.pi / 4.0 - sign * math.pi / 3.0)) / _PREF_NORM
-    res = _contour_value(kind, args, tol, config, strict)
-    return ProductValue(pref * res.value, route, abs(pref) * res.abs_err_est)
+    return _evaluate(("u", _check_sign(sign)), z, z0, route, tol, config, strict)
 
 
 def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
@@ -159,27 +253,11 @@ def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
          strict: bool = True) -> ProductValue:
     """W+-(z; z0) = Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
-    The contour route dispatches on the shift sector: for
-    |arg z0| <= pi/2 (and z0 = 0) the single integral over R+- suffices;
-    beyond, the origin-loop correction +-I_O is added.
+    On the contour route the single integral over R+- suffices for
+    |arg z0| <= pi/2 (and z0 = 0); beyond, the origin-loop correction
+    +-I_O is added.
     """
-    _check_sign(sign)
-    z, z0 = complex(z), complex(z0)
-    if route is Route.DIRECT:
-        v, est = _direct_product(z + z0, Rotation(sign).factor * z)
-        return ProductValue(v, route, est)
-    if route is not Route.CONTOUR:
-        raise ValueError("w_pm supports DIRECT and CONTOUR routes")
-    args = ShiftedArgs.make(z, z0)
-    kind = ContourKind.R_PLUS if sign > 0 else ContourKind.R_MINUS
-    pref = cmath.exp(1j * (math.pi / 4.0 + sign * math.pi / 3.0)) / _PREF_NORM
-    res = _contour_value(kind, args, tol, config, strict)
-    val, err = res.value, res.abs_err_est
-    if args.z0_sector is Sector.OUTER:
-        loop = _contour_value(ContourKind.O, args, tol, config, strict)
-        val = val + sign * loop.value
-        err = err + loop.abs_err_est
-    return ProductValue(pref * val, route, abs(pref) * err)
+    return _evaluate(("w", _check_sign(sign)), z, z0, route, tol, config, strict)
 
 
 def product(rot1: Rotation, rot2: Rotation, z: complex, z0: complex,
@@ -189,51 +267,15 @@ def product(rot1: Rotation, rot2: Rotation, z: complex, z0: complex,
 
     ``rot1``/``rot2`` select the solutions: v(z) = Ai(e^{r 2i pi/3} z).
     The direct route multiplies two evaluator calls; the contour route
-    reduces to the U/W basis through the fixed linear combinations
+    sums the Laplace integrals of the U/W basis combinations
 
         Ai(z+z0) Ai(z)                   = e^{-i pi/3} W+ + e^{+i pi/3} W-
         Ai(e^{+-}(z+z0)) Ai(z)           = U-+ + e^{-+i pi/3} (U+- - W-+)
         Ai(e^{+-}(z+z0)) Ai(e^{-+} z)    = e^{-+i pi/3} U-+ + e^{+-i pi/3} W-+
+
+    evaluating each integral once.
     """
-    rot1, rot2 = Rotation(rot1), Rotation(rot2)
-    z, z0 = complex(z), complex(z0)
-    if route is Route.DIRECT:
-        v, est = _direct_product(rot1.factor * (z + z0), rot2.factor * z)
-        return ProductValue(v, route, est)
-    if route is not Route.CONTOUR:
-        raise ValueError("product supports DIRECT and CONTOUR routes")
-
-    r1, r2 = rot1.value, rot2.value
-    if (r1, r2) == (1, 1):
-        return u_pm(+1, z, z0, route, tol, config, strict)
-    if (r1, r2) == (-1, -1):
-        return u_pm(-1, z, z0, route, tol, config, strict)
-    if (r1, r2) == (0, 1):
-        return w_pm(+1, z, z0, route, tol, config, strict)
-    if (r1, r2) == (0, -1):
-        return w_pm(-1, z, z0, route, tol, config, strict)
-
-    third = cmath.exp(1j * math.pi / 3.0)
-    if (r1, r2) == (0, 0):
-        wp = w_pm(+1, z, z0, route, tol, config, strict)
-        wm = w_pm(-1, z, z0, route, tol, config, strict)
-        val = wp.value / third + third * wm.value
-        return ProductValue(val, route, wp.abs_err_est + wm.abs_err_est)
-    if r2 == 0:  # (+-, 0)
-        s = r1
-        um = u_pm(-s, z, z0, route, tol, config, strict)
-        up = u_pm(s, z, z0, route, tol, config, strict)
-        wm = w_pm(-s, z, z0, route, tol, config, strict)
-        coef = third ** (-s)
-        val = um.value + coef * (up.value - wm.value)
-        return ProductValue(val, route,
-                            um.abs_err_est + up.abs_err_est + wm.abs_err_est)
-    # (+-, -+)
-    s = r1
-    um = u_pm(-s, z, z0, route, tol, config, strict)
-    wm = w_pm(-s, z, z0, route, tol, config, strict)
-    val = third ** (-s) * um.value + third ** s * wm.value
-    return ProductValue(val, route, um.abs_err_est + wm.abs_err_est)
+    return _evaluate((Rotation(rot1), Rotation(rot2)), z, z0, route, tol, config, strict)
 
 
 def difference_identity(sign: int, z: complex, z0: complex,
@@ -252,20 +294,7 @@ def difference_identity(sign: int, z: complex, z0: complex,
     integral (the quantity this operation exists to expose); the direct
     route forms the same difference from the reference evaluator.
     """
-    _check_sign(sign)
-    z, z0 = complex(z), complex(z0)
-    if route is Route.DIRECT:
-        w = Rotation(sign).factor
-        a, ea = _direct_product(w * (z + z0), z)
-        b, eb = _direct_product(z + z0, w * z)
-        return ProductValue(a - b, route, ea + eb)
-    if route is not Route.CONTOUR:
-        raise ValueError("difference_identity supports DIRECT and CONTOUR routes")
-    args = ShiftedArgs.make(z, z0)
-    orientation = sign if args.z0_sector is not Sector.OUTER else -sign
-    pref = orientation * cmath.exp(1j * (math.pi / 4.0 + sign * math.pi / 3.0)) / _PREF_NORM
-    loop = _contour_value(ContourKind.O, args, tol, config, strict)
-    return ProductValue(pref * loop.value, route, abs(pref) * loop.abs_err_est)
+    return _evaluate(("diff", _check_sign(sign)), z, z0, route, tol, config, strict)
 
 
 def w_pm_real(sign: int, x: float, x0: float, tol: float = _DEFAULT_TOL,
@@ -303,12 +332,8 @@ def aiai_real(x: float, x0: float, tol: float = _DEFAULT_TOL,
     underlying W terms cancel in this symmetric combination); the result
     carries zero imaginary part by construction.
     """
-    x, x0 = float(x), float(x0)
-    args = ShiftedArgs.make(x, x0)
-    res = _contour_value(ContourKind.R_MINUS, args, tol, config, strict)
-    pref = cmath.exp(1j * math.pi / 4.0) / (2.0 * math.pi ** 1.5)
-    val = complex((pref * res.value).real, 0.0)
-    return ProductValue(val, Route.REAL_AXIS, abs(pref) * res.abs_err_est)
+    pv = _evaluate("aiai", float(x), float(x0), Route.CONTOUR, tol, config, strict)
+    return ProductValue(complex(pv.value.real, 0.0), Route.REAL_AXIS, pv.abs_err_est)
 
 
 def _factor_derivatives(zz: complex, rot: complex):

@@ -84,12 +84,6 @@ class RayLeg:
         dkdt = np.full_like(k, (self.r_end - self.r_start) * phase)
         return k, dkdt, np.full_like(r, self.theta)
 
-    @property
-    def endpoints(self):
-        a = self.r_start * complex(math.cos(self.theta), math.sin(self.theta))
-        b = self.r_end * complex(math.cos(self.theta), math.sin(self.theta))
-        return (a, self.theta), (b, self.theta)
-
 
 @dataclass(frozen=True)
 class ArcLeg:
@@ -105,12 +99,6 @@ class ArcLeg:
         k = self.radius * np.exp(1j * th)
         dkdt = 1j * (self.theta_end - self.theta_start) * k
         return k, dkdt, th
-
-    @property
-    def endpoints(self):
-        a = self.radius * complex(math.cos(self.theta_start), math.sin(self.theta_start))
-        b = self.radius * complex(math.cos(self.theta_end), math.sin(self.theta_end))
-        return (a, self.theta_start), (b, self.theta_end)
 
 
 @dataclass(frozen=True)
@@ -142,13 +130,6 @@ class DecayLeg:
     def r_inner(self):
         return self.r_outer * math.exp(-self.s_max)
 
-    @property
-    def endpoints(self):
-        phase = complex(math.cos(self.theta), math.sin(self.theta))
-        inner = (self.r_inner * phase, self.theta)
-        outer = (self.r_outer * phase, self.theta)
-        return (inner, outer) if self.outward else (outer, inner)
-
 
 @dataclass(frozen=True)
 class SegmentLeg:
@@ -167,11 +148,6 @@ class SegmentLeg:
         k = self.k_start + (self.k_end - self.k_start) * t
         dkdt = np.full_like(k, self.k_end - self.k_start)
         return k, dkdt, np.angle(k)
-
-    @property
-    def endpoints(self):
-        return ((self.k_start, math.atan2(self.k_start.imag, self.k_start.real)),
-                (self.k_end, math.atan2(self.k_end.imag, self.k_end.real)))
 
 
 @dataclass
@@ -308,9 +284,9 @@ def integrate_legs(legs, integrand, tol, max_nodes, integrand_exponent=None):
             stall = 0
         prev_err = err_tot
 
+        # err_tot > goal puts the largest error above goal / n, so at
+        # least one panel splits
         split = errs > goal / (2.0 * len(errs))
-        if not split.any():
-            split[np.argmax(errs)] = True
         # each split panel becomes its two halves in place, so the arrays
         # stay in path order and every leg's panels stay contiguous
         reps = 1 + split
@@ -328,12 +304,12 @@ def integrate_legs(legs, integrand, tol, max_nodes, integrand_exponent=None):
 
 def path_is_connected(legs, rtol=1e-9):
     """Check junction continuity of both position and tracked angle."""
-    for prev, nxt in zip(legs[:-1], legs[1:]):
-        (_, _), (k_end, th_end) = prev.endpoints
-        (k_start, th_start), (_, _) = nxt.endpoints
+    ends = [leg.map([0.0, 1.0]) for leg in legs]
+    for (k_prev, _, th_prev), (k_next, _, th_next) in zip(ends[:-1], ends[1:]):
+        k_end, k_start = k_prev[1], k_next[0]
         scale = max(abs(k_end), abs(k_start), 1e-30)
         if abs(k_end - k_start) > rtol * scale:
             return False
-        if abs(th_end - th_start) > 1e-12:
+        if abs(th_prev[1] - th_next[0]) > 1e-12:
             return False
     return True

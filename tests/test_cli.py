@@ -1,5 +1,6 @@
 """Command-line interface: records, exit codes, tables, config files."""
 
+import cmath
 import json
 import math
 import os
@@ -106,7 +107,7 @@ def test_eval_product_rotations(capsys):
     assert abs(float(rec["abs_err"])) < 1e-8
 
 
-@pytest.mark.parametrize("suite", ["identities", "contour-relation"])
+@pytest.mark.parametrize("suite", ["identities", "contour-relation", "routes", "greens"])
 def test_verify_suites_pass(capsys, suite):
     rc, out = _run(capsys, ["verify", suite, "--count", "6", "--seed", "3"])
     assert rc == 0
@@ -235,13 +236,27 @@ def test_config_validation_exit(tmp_path, capsys):
     ("-1e2-3i", -100 - 3j),
     ("i", 1j),
     ("-i", -1j),
+    ("-0-0i", complex(-0.0, -0.0)),
+    ("1e+5i", 1e5j),
+    ("nani", complex(0.0, math.nan)),
+    ("(1+2j)", 1 + 2j),
 ])
 def test_parse_complex(text, expected):
-    assert parse_complex(text) == expected
+    got = parse_complex(text)
+    if cmath.isnan(expected):
+        assert repr(got) == repr(expected)
+    else:
+        assert got == expected
+
+
+def test_parse_complex_keeps_signed_zeros():
+    got = parse_complex("-0-0i")
+    assert math.copysign(1.0, got.real) == math.copysign(1.0, got.imag) == -1.0
 
 
 def test_parse_complex_rejects_garbage():
     with pytest.raises(ValueError):
         parse_complex("")
-    with pytest.raises(ValueError):
-        parse_complex("1+2")
+    for text in ("1+2", "1-", "+-1i"):
+        with pytest.raises(ValueError):
+            parse_complex(text)

@@ -1,13 +1,17 @@
 """Basis products: route equivalence, linear closures, product-ODE residuals."""
 
 import cmath
+import inspect
 import math
+from collections import Counter
 
+import airyprod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airyprod import (
+    ContourKind,
     Rotation,
     Route,
     airy,
@@ -17,6 +21,7 @@ from airyprod import (
     ode_residual_reduced,
     ode_residual_w,
     product,
+    products,
     u_pm,
     w_pm,
 )
@@ -74,6 +79,47 @@ def test_mixed_product_contour_route():
     assert _scaled_diff(c, d) <= 1e-8
 
 
+def test_all_nine_products_contour_route():
+    # every sector of the narrow domain, each product against the direct route
+    z, z0 = grids.shifted_grid(20, 29)
+    for zz, zz0 in zip(z, z0):
+        for r1 in Rotation:
+            for r2 in Rotation:
+                d = product(r1, r2, zz, zz0)
+                c = product(r1, r2, zz, zz0, Route.CONTOUR, 1e-10)
+                gap = abs(c.value - d.value)
+                assert gap <= c.abs_err_est + d.abs_err_est, (zz, zz0, r1, r2)
+                assert gap <= 1e-8 * max(1.0, abs(d.value)), (zz, zz0, r1, r2)
+
+
+@pytest.mark.parametrize("z0", [0.7, -0.8 + 0.3j, 0.0])
+def test_contour_route_evaluates_each_integral_once(monkeypatch, z0):
+    calls = []
+    real = products._contour_value
+
+    def spy(kind, *args, **kwargs):
+        calls.append(kind)
+        return real(kind, *args, **kwargs)
+
+    monkeypatch.setattr(products, "_contour_value", spy)
+    route = Route.CONTOUR
+    evaluations = [lambda: aiai_real(0.4, z0.real)]
+    for s in (+1, -1):
+        evaluations += [lambda s=s: u_pm(s, 0.4, z0, route),
+                        lambda s=s: w_pm(s, 0.4, z0, route),
+                        lambda s=s: difference_identity(s, 0.4, z0, route)]
+    evaluations += [lambda r1=r1, r2=r2: product(r1, r2, 0.4, z0, route)
+                    for r1 in Rotation for r2 in Rotation]
+    for evaluate in evaluations:
+        calls.clear()
+        evaluate()
+        assert calls and max(Counter(calls).values()) == 1, calls
+    # the origin loops of the two W terms cancel in Ai(z+z0) Ai(z)
+    calls.clear()
+    product(Rotation.NONE, Rotation.NONE, 0.4, z0, route)
+    assert ContourKind.O not in calls
+
+
 @pytest.mark.parametrize("z,z0", [(0.7, 1.3), (0.2 - 0.8j, -1.1 + 0.4j),
                                   (1.5, 2.0), (-0.4 + 1j, 0.9j)])
 def test_linear_closures_direct(z, z0):
@@ -123,6 +169,36 @@ def test_difference_identity_matches_direct(z, z0, sign):
     d = difference_identity(sign, z, z0, Route.DIRECT).value
     c = difference_identity(sign, z, z0).value
     assert abs(c - d) <= 1e-8 * max(1.0, abs(d))
+
+
+def test_public_surface():
+    assert airyprod.__all__ == [
+        "AiryValue", "airy", "airy_batch", "airy_ode_residual",
+        "Sector", "ContourKind", "ShiftedArgs", "ContourConfig", "ContourPath",
+        "classify_sector", "build_contour", "laplace_integral", "saddles",
+        "QuadResult",
+        "Route", "Rotation", "ProductValue",
+        "u_pm", "w_pm", "product", "difference_identity",
+        "w_pm_real", "aiai_real", "ode_residual_w", "ode_residual_reduced",
+        "ode_residual_w_batch", "ode_residual_reduced_batch",
+        "GreensParams", "ScaledVars", "scaled_vars",
+        "greens_closed", "greens_time_integral", "greens_free", "operator_residual",
+        "AiryprodError", "NonFiniteInput", "EnvelopeExceeded",
+        "InvalidKindForSector", "DegenerateGeometry", "ToleranceNotMet",
+        "EndpointSingularity", "NegativeShift",
+        "ZeroField", "CoincidentPoints",
+    ]
+    tail = ["route", "tol", "config", "strict"]
+    params = {
+        u_pm: ["sign", "z", "z0", *tail],
+        w_pm: ["sign", "z", "z0", *tail],
+        product: ["rot1", "rot2", "z", "z0", *tail],
+        difference_identity: ["sign", "z", "z0", *tail],
+        airyprod.w_pm_real: ["sign", "x", "x0", "tol", "config", "strict"],
+        aiai_real: ["x", "x0", "tol", "config", "strict"],
+    }
+    for fn, names in params.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
 
 
 def test_route_argument_validation():
