@@ -20,7 +20,6 @@ suite and the `airyprod verify` command exercise.
 __version__ = "0.1.0"
 
 from .contours import (
-    ContourConfig,
     ContourKind,
     ContourPath,
     Sector,
@@ -71,7 +70,7 @@ from .quadrature import QuadResult
 
 __all__ = [
     "AiryValue", "airy", "airy_batch", "airy_ode_residual",
-    "Sector", "ContourKind", "ShiftedArgs", "ContourConfig", "ContourPath",
+    "Sector", "ContourKind", "ShiftedArgs", "ContourPath",
     "classify_sector", "build_contour", "laplace_integral", "saddles",
     "QuadResult",
     "Route", "Rotation", "ProductValue",

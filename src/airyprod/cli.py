@@ -102,16 +102,16 @@ def _cmd_eval(ns) -> int:
     cfg = _load_run_config(ns)
     name = ns.name
     route = Route(ns.route)
-    tol, ccfg = cfg.quad_tol, cfg.contour
+    tol = cfg.quad_tol
 
     if name in ("aiai-real", "w-real+", "w-real-"):
         if ns.x is None or ns.x0 is None:
             raise ValueError(f"{name} requires --x and --x0")
         x, x0 = ns.x, ns.x0
         if name == "aiai-real":
-            pv = aiai_real(x, x0, tol, ccfg)
+            pv = aiai_real(x, x0, tol)
         else:
-            pv = w_pm_real(+1 if name.endswith("+") else -1, x, x0, tol, ccfg)
+            pv = w_pm_real(+1 if name.endswith("+") else -1, x, x0, tol)
         _emit([("name", name), ("x", _g(x)), ("x0", _g(x0)),
                ("sector", classify_sector(complex(x0)).value),
                ("route", pv.route.value),
@@ -123,14 +123,13 @@ def _cmd_eval(ns) -> int:
         raise ValueError(f"{name} requires --z and --z0")
     z, z0 = parse_complex(ns.z), parse_complex(ns.z0)
     if name == "product":
-        pv = product(_ROT_NAMES[ns.rot1], _ROT_NAMES[ns.rot2], z, z0, route, tol, ccfg)
+        pv = product(_ROT_NAMES[ns.rot1], _ROT_NAMES[ns.rot2], z, z0, route, tol)
     elif name in ("u+", "u-"):
-        pv = u_pm(+1 if name == "u+" else -1, z, z0, route, tol, ccfg)
+        pv = u_pm(+1 if name == "u+" else -1, z, z0, route, tol)
     elif name in ("w+", "w-"):
-        pv = w_pm(+1 if name == "w+" else -1, z, z0, route, tol, ccfg)
+        pv = w_pm(+1 if name == "w+" else -1, z, z0, route, tol)
     else:  # diff+-
-        pv = difference_identity(+1 if name == "diff+" else -1, z, z0,
-                                 route, tol, ccfg)
+        pv = difference_identity(+1 if name == "diff+" else -1, z, z0, route, tol)
     _emit([("name", name),
            ("z", f"{_g(z.real)}{z.imag:+.17g}i"),
            ("z0", f"{_g(z0.real)}{z0.imag:+.17g}i"),
@@ -158,16 +157,16 @@ def _suite_ode(cfg: RunConfig, count: int):
 
 def _suite_routes(cfg: RunConfig, count: int):
     z, z0 = shifted_grid(count, cfg.seed)
-    tol = cfg.route_tol
+    tol = 1e-7
     cases = []
     for zz, zz0 in zip(z, z0):
         worst = 0.0
         for sign in (+1, -1):
             d = u_pm(sign, zz, zz0, Route.DIRECT)
-            c = u_pm(sign, zz, zz0, Route.CONTOUR, cfg.quad_tol, cfg.contour)
+            c = u_pm(sign, zz, zz0, Route.CONTOUR, cfg.quad_tol)
             worst = max(worst, abs(c.value - d.value) / max(1.0, abs(d.value)))
             d = w_pm(sign, zz, zz0, Route.DIRECT)
-            c = w_pm(sign, zz, zz0, Route.CONTOUR, cfg.quad_tol, cfg.contour)
+            c = w_pm(sign, zz, zz0, Route.CONTOUR, cfg.quad_tol)
             worst = max(worst, abs(c.value - d.value) / max(1.0, abs(d.value)))
         cases.append((f"z={zz:.6g} z0={zz0:.6g}", worst, worst <= tol))
     return cases, tol
@@ -217,8 +216,7 @@ def _suite_contour_relation(cfg: RunConfig, count: int):
         args = ShiftedArgs.make(zz, zz0)
         vals, errs = {}, {}
         for kind in ContourKind:
-            res = laplace_integral(build_contour(kind, args, cfg.contour),
-                                   args, cfg.quad_tol, cfg.contour)
+            res = laplace_integral(build_contour(kind, args), args, cfg.quad_tol)
             vals[kind], errs[kind] = res.value, res.abs_err_est
         lhs = vals[ContourKind.O]
         rhs = (vals[ContourKind.R_MINUS] + vals[ContourKind.L_MINUS]
@@ -229,8 +227,7 @@ def _suite_contour_relation(cfg: RunConfig, count: int):
     rng = np.random.default_rng(cfg.seed + 1)
     for zz in rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5):
         args = ShiftedArgs.make(zz, 0.0)
-        res = laplace_integral(build_contour(ContourKind.O, args, cfg.contour),
-                               args, cfg.quad_tol, cfg.contour)
+        res = laplace_integral(build_contour(ContourKind.O, args), args, cfg.quad_tol)
         cases.append((f"z={zz:.6g} loop-at-zero-shift", abs(res.value),
                       abs(res.value) <= tol_abs))
     return cases, tol_abs
@@ -323,7 +320,7 @@ def _cmd_table(ns) -> int:
         header = ["x", "x0", "re", "im", "abs_err"]
         rows = []
         for x, x0 in zip(xs, x0s):
-            pv = product(rot1, rot2, x, x0, route, cfg.quad_tol, cfg.contour)
+            pv = product(rot1, rot2, x, x0, route, cfg.quad_tol)
             rows.append([x, x0, pv.value.real, pv.value.imag, pv.abs_err_est])
     else:  # greens
         field = ns.field

@@ -62,7 +62,6 @@ __all__ = [
     "Sector",
     "ContourKind",
     "ShiftedArgs",
-    "ContourConfig",
     "ContourPath",
     "classify_sector",
     "build_contour",
@@ -78,6 +77,13 @@ VALLEY_SECTORS = ((0.0, _PI / 3.0), (-2.0 * _PI / 3.0, -_PI / 3.0), (-4.0 * _PI 
 
 _ZERO_SHIFT = 1e-300
 _BOUNDARY_TOL = 1e-12
+
+# contour numerics: the integrand is cut where it falls below e^{-lambda}
+# = 1e-13, each integral may take up to 600 000 nodes, and no contour
+# reaches beyond radius 80
+_TAIL_LAMBDA = -math.log(1e-13)
+_MAX_NODES = 600_000
+_TRUNCATION_CEILING = 80.0
 
 
 class Sector(Enum):
@@ -132,32 +138,6 @@ class ShiftedArgs:
 
 
 @dataclass(frozen=True)
-class ContourConfig:
-    """Tunables shared by the contour builder and the quadrature.
-
-    The geometry itself has no knobs: tail angles and turn radii follow
-    from (z, z0) alone.  ``from_mapping`` ignores keys it does not know.
-    """
-
-    tail_tol: float = 1e-13          # integrand bound at truncation
-    max_nodes: int = 600_000         # evaluation ceiling per integral
-    truncation_ceiling: float = 80.0
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "ContourConfig":
-        kwargs = {}
-        for f in ("tail_tol", "truncation_ceiling"):
-            if f in data:
-                kwargs[f] = float(data[f])
-        if "max_nodes" in data:
-            kwargs["max_nodes"] = int(data["max_nodes"])
-        return cls(**kwargs)
-
-
-DEFAULT_CONFIG = ContourConfig()
-
-
-@dataclass(frozen=True)
 class ContourPath:
     """An immutable, fully built integration path.
 
@@ -204,19 +184,17 @@ def _cubic_roots(p: float, q: float) -> tuple:
     return lo, -q / (lo * hi), hi
 
 
-def _truncation_radius(beta_abs: float, config: ContourConfig, tail_decay: float) -> float:
+def _truncation_radius(beta_abs: float, tail_decay: float) -> float:
     """Radius R with (R^3/12) * d = lambda + |beta| R, d = tail_decay.
 
-    With lambda = -log(tail_tol), the depressed cubic R^3 + pR + q = 0
-    (p = -12|beta|/d <= 0, q = -12 lambda/d < 0) has exactly one positive
-    root, its largest.
+    The depressed cubic R^3 + pR + q = 0 (p = -12|beta|/d <= 0,
+    q = -12 lambda/d < 0) has exactly one positive root, its largest.
     """
-    lam = -math.log(config.tail_tol)
-    r = _cubic_roots(-12.0 * beta_abs / tail_decay, -12.0 * lam / tail_decay)[-1]
-    if r > config.truncation_ceiling:
+    r = _cubic_roots(-12.0 * beta_abs / tail_decay, -12.0 * _TAIL_LAMBDA / tail_decay)[-1]
+    if r > _TRUNCATION_CEILING:
         raise DegenerateGeometry(
-            "truncation radius would exceed the configured ceiling "
-            f"{config.truncation_ceiling} (|z + z0/2| = {beta_abs:.3g})"
+            f"truncation radius would exceed the ceiling {_TRUNCATION_CEILING} "
+            f"(|z + z0/2| = {beta_abs:.3g})"
         )
     return r
 
@@ -257,7 +235,7 @@ _ARC_SWEEP = np.linspace(0.0, 1.0, 65)
 _DECAY_CHECK = np.linspace(0.0, 1.0, 17)  # leg parameters of the endpoint-decay check
 
 
-def _tails(beta: complex, config: ContourConfig):
+def _tails(beta: complex):
     """Tail angle and truncation radius in each valley.
 
     Without the z0 term, Re E along k = r e^{i theta} is -A r - B r^3 with
@@ -269,7 +247,7 @@ def _tails(beta: complex, config: ContourConfig):
     slow near-edge angles pay their real price.
     """
     beta_abs = abs(beta)
-    radii = [_truncation_radius(beta_abs, config, d) for d in _TAIL_DECAYS]
+    radii = [_truncation_radius(beta_abs, d) for d in _TAIL_DECAYS]
     out = []
     for cands in _TAIL_CANDIDATES:
         best = None
@@ -299,8 +277,7 @@ def _pick_arc_radius(exponent, th_a, th_b, candidates):
     return max(r for r, m in zip(candidates, crests) if m <= lowest + 1.0)
 
 
-def build_contour(kind: ContourKind, args: ShiftedArgs,
-                  config: ContourConfig = DEFAULT_CONFIG) -> ContourPath:
+def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
     """Construct the requested contour for the given (z, z0).
 
     All five kinds are defined in every shift sector (Outer uses the cut
@@ -310,7 +287,8 @@ def build_contour(kind: ContourKind, args: ShiftedArgs,
     a cubic, and the turn radius is one of the two saddle moduli
     |sqrt(z+z0) +- sqrt(z)| or a fixed floor, whichever keeps the crest
     of Re E along the arc lowest.  Raises DegenerateGeometry when the
-    required truncation radius exceeds the configured ceiling.
+    required truncation radius exceeds the ceiling of 80, which happens
+    beyond |z + z0/2| = 231.03.
     """
     if not isinstance(kind, ContourKind):
         raise InvalidKindForSector(f"unknown contour kind: {kind!r}")
@@ -319,10 +297,9 @@ def build_contour(kind: ContourKind, args: ShiftedArgs,
     cut = _PI / 2.0 + a
     beta = args.z + 0.5 * args.z0
     rho = abs(args.z0) ** 2
-    lam = -math.log(config.tail_tol)
     exponent = _exponent_factory(args)
 
-    (th1, rt1), (th2, rt2), (th3, rt3) = _tails(beta, config)
+    (th1, rt1), (th2, rt2), (th3, rt3) = _tails(beta)
     r_trunc = max(rt1, rt2, rt3)
 
     # candidate turn radii: the saddle moduli and the floor of the path
@@ -336,13 +313,13 @@ def build_contour(kind: ContourKind, args: ShiftedArgs,
 
     def s_max_for(r_outer):
         # run the endpoint leg until the essential factor falls below
-        # tail_tol along the steepest ray (|z0^2/(4k)| >= lam); the
+        # e^{-lambda} along the steepest ray (|z0^2/(4k)| >= lambda); the
         # sqrt-measure criterion alone caps the stub when z0 ~ 0.
         if rho > 0.0:
-            s_ess = math.log(max(4.0 * lam * r_outer / rho, 1.0))
+            s_ess = math.log(max(4.0 * _TAIL_LAMBDA * r_outer / rho, 1.0))
         else:
             s_ess = math.inf
-        return max(min(s_ess, 2.0 * lam + 4.0), 6.0)
+        return max(min(s_ess, 2.0 * _TAIL_LAMBDA + 4.0), 6.0)
 
     # legs that continue into linearly panelized rays must not start in
     # the sqrt-singular region; pure endpoint loops may go smaller
@@ -395,8 +372,7 @@ def _exponent_factory(args: ShiftedArgs):
     return exponent
 
 
-def laplace_integral(path: ContourPath, args: ShiftedArgs, tol: float = 1e-10,
-                     config: ContourConfig = DEFAULT_CONFIG) -> QuadResult:
+def laplace_integral(path: ContourPath, args: ShiftedArgs, tol: float = 1e-10) -> QuadResult:
     """Evaluate I_C(z; z0) along a built path by adaptive quadrature.
 
     On success the result satisfies abs_err_est <= tol * max(1, |value|).
@@ -436,7 +412,7 @@ def laplace_integral(path: ContourPath, args: ShiftedArgs, tol: float = 1e-10,
                 f"(leg angle {decay[bad.argmax()].theta:.6f}); path points outside the internal valley"
             )
 
-    result = integrate_legs(path.segments, integrand, tol, config.max_nodes,
+    result = integrate_legs(path.segments, integrand, tol, _MAX_NODES,
                             integrand_exponent=exponent)
     if not result.converged:
         raise ToleranceNotMet(

@@ -18,7 +18,7 @@ class InvalidKindForSector(AiryprodError):
 
 
 class DegenerateGeometry(AiryprodError):
-    """Contour truncation radius would exceed the configured ceiling."""
+    """Contour truncation radius would exceed its ceiling (|z + z0/2| > 231.03)."""
 
 
 class ToleranceNotMet(AiryprodError):

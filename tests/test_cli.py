@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from airyprod import ContourConfig, __version__, airy, cli, errors
+from airyprod import __version__, airy, cli, errors
 from airyprod.cli import main
 from airyprod.config import RunConfig, parse_complex
 
@@ -51,6 +51,12 @@ def test_eval_difference_vanishes_at_zero_shift(capsys):
 def test_eval_negative_shift_exit_code(capsys):
     rc, _ = _run(capsys, ["eval", "w-real+", "--x", "0", "--x0", "-1"])
     assert rc == 2
+
+
+def test_eval_contour_beyond_geometry_edge_exit(capsys):
+    # |z + z0/2| = 232 lies past the contour geometry's edge at 231.03
+    rc, out = _run(capsys, ["eval", "u+", "--z", "232", "--z0", "0", "--route", "contour"])
+    assert rc == 2 and out == ""
 
 
 def test_eval_requires_arguments(capsys):
@@ -215,7 +221,6 @@ def test_config_file_round_trip(tmp_path, capsys):
     parsed = RunConfig.from_file(str(cfg))
     assert parsed.quad_tol == 1e-9
     assert parsed.seed == 4
-    assert parsed.contour == ContourConfig(tail_tol=1e-12, max_nodes=50000)
 
 
 def test_config_validation_exit(tmp_path, capsys):
@@ -223,6 +228,15 @@ def test_config_validation_exit(tmp_path, capsys):
     cfg.write_text("quad_tol = 1.0\n")
     rc, _ = _run(capsys, ["verify", "ode", "--config", str(cfg), "--count", "3"])
     assert rc == 2
+
+
+def test_config_unknown_key_exit(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("seed = 3\nquad_tl = 1e-4\n")
+    rc = main(["verify", "ode", "--config", str(cfg), "--count", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"{cfg}:2: unknown key 'quad_tl'" in captured.err
 
 
 @pytest.mark.parametrize("text,expected", [

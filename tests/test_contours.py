@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from airyprod import (
-    ContourConfig,
     ContourKind,
     DegenerateGeometry,
     EndpointSingularity,
@@ -39,9 +38,9 @@ from airyprod.quadrature import DecayLeg, RayLeg, path_is_connected
 PI = math.pi
 
 
-def _integral(kind, z, z0, tol=1e-11, config=ContourConfig()):
+def _integral(kind, z, z0, tol=1e-11):
     args = ShiftedArgs.make(z, z0)
-    return laplace_integral(build_contour(kind, args, config), args, tol, config)
+    return laplace_integral(build_contour(kind, args), args, tol)
 
 
 # ----------------------------------------------------------------------
@@ -138,10 +137,24 @@ def test_invalid_kind_rejected():
 
 
 def test_degenerate_geometry_ceiling():
-    cfg = ContourConfig(truncation_ceiling=6.0)
-    args = ShiftedArgs.make(40.0, 0.0)
+    args = ShiftedArgs.make(300.0, 0.0)
     with pytest.raises(DegenerateGeometry):
-        build_contour(ContourKind.L_PLUS, args, cfg)
+        build_contour(ContourKind.L_PLUS, args)
+
+
+@pytest.mark.parametrize("z0", [0.0, 100j, -100.0])
+def test_geometry_domain_edge(z0):
+    # the truncation radius of the edge-most tail angle, d = sin(pi/7),
+    # reaches the ceiling 80 at |z + z0/2| = 231.03
+    for beta, builds in ((231.0, True), (231.1, False)):
+        args = ShiftedArgs.make(beta - 0.5 * z0, z0)
+        assert abs(args.z + 0.5 * args.z0) == pytest.approx(beta, abs=1e-12)
+        for kind in ContourKind:
+            if builds:
+                build_contour(kind, args)
+            else:
+                with pytest.raises(DegenerateGeometry):
+                    build_contour(kind, args)
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +215,7 @@ def _perturbed(path, args, factor, shift):
         last = replace(last, r_outer=r)
     else:
         theta = last.theta + shift
-        r_end = _truncation_radius(abs(args.z + 0.5 * args.z0), ContourConfig(),
-                                   math.sin(3.0 * theta))
+        r_end = _truncation_radius(abs(args.z + 0.5 * args.z0), math.sin(3.0 * theta))
         last = replace(last, theta=theta, r_start=r, r_end=r_end)
     return replace(path, segments=(first, arc, last))
 
@@ -241,17 +253,16 @@ def test_boundary_continuity():
 
 
 def test_tolerance_not_met_carries_result():
-    # an unreachable target under a tiny node ceiling must flag, not loop
-    cfg = ContourConfig(max_nodes=200)
-    args = ShiftedArgs.make(1 + 0.3j, 0.7)
-    path = build_contour(ContourKind.L_PLUS, args, cfg)
+    # an unreachable target must flag, not loop: at 1e-14 the error
+    # estimate of this oscillatory integral stops falling
+    args = ShiftedArgs.make(-10 + 0.5j, 0.0)
+    path = build_contour(ContourKind.L_PLUS, args)
     with pytest.raises(ToleranceNotMet) as exc:
-        laplace_integral(path, args, 1e-14, cfg)
+        laplace_integral(path, args, 1e-14)
     assert exc.value.result is not None
-    assert exc.value.result.nodes >= 200
     assert not exc.value.result.converged
-    assert exc.value.result.stop == "node_ceiling"
-    assert "node_ceiling" in str(exc.value)
+    assert exc.value.result.stop == "plateau"
+    assert "(stop: plateau)" in str(exc.value)
 
 
 def test_endpoint_singularity_detected():
@@ -315,12 +326,18 @@ def test_saddles_large_argument_zero_shift():
 
 
 def test_truncation_radius_solves_its_cubic():
-    cfg = ContourConfig(truncation_ceiling=1e6)
-    lam = -math.log(cfg.tail_tol)
+    lam = -math.log(1e-13)
     for beta_abs in (0.0, 1e-6, 0.3, 1.0, 4.0, 12.5, 60.0, 400.0):
         for d in (0.05, 0.2, 0.43, 0.78, 1.0):
-            r = _truncation_radius(beta_abs, cfg, d)
-            assert r > 0.0
+            # (d/12) r^3 - |beta| r - lam is negative below its one
+            # positive root, so the root lies beyond the ceiling 80
+            # exactly when the cubic is still negative there
+            if (d / 12.0) * 80.0 ** 3 - beta_abs * 80.0 - lam < 0.0:
+                with pytest.raises(DegenerateGeometry):
+                    _truncation_radius(beta_abs, d)
+                continue
+            r = _truncation_radius(beta_abs, d)
+            assert 0.0 < r <= 80.0
             terms = (d / 12.0) * r ** 3 + beta_abs * r + lam
             resid = (d / 12.0) * r ** 3 - beta_abs * r - lam
             assert abs(resid) <= 1e-12 * terms

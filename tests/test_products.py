@@ -174,7 +174,7 @@ def test_difference_identity_matches_direct(z, z0, sign):
 def test_public_surface():
     assert airyprod.__all__ == [
         "AiryValue", "airy", "airy_batch", "airy_ode_residual",
-        "Sector", "ContourKind", "ShiftedArgs", "ContourConfig", "ContourPath",
+        "Sector", "ContourKind", "ShiftedArgs", "ContourPath",
         "classify_sector", "build_contour", "laplace_integral", "saddles",
         "QuadResult",
         "Route", "Rotation", "ProductValue",
@@ -188,14 +188,14 @@ def test_public_surface():
         "EndpointSingularity", "NegativeShift",
         "ZeroField", "CoincidentPoints",
     ]
-    tail = ["route", "tol", "config", "strict"]
+    tail = ["route", "tol", "strict"]
     params = {
         u_pm: ["sign", "z", "z0", *tail],
         w_pm: ["sign", "z", "z0", *tail],
         product: ["rot1", "rot2", "z", "z0", *tail],
         difference_identity: ["sign", "z", "z0", *tail],
-        airyprod.w_pm_real: ["sign", "x", "x0", "tol", "config", "strict"],
-        aiai_real: ["x", "x0", "tol", "config", "strict"],
+        airyprod.w_pm_real: ["sign", "x", "x0", "tol", "strict"],
+        aiai_real: ["x", "x0", "tol", "strict"],
     }
     for fn, names in params.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
