@@ -306,6 +306,8 @@ def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
     # family; the floor keeps a usable arc when both saddles sit at k ~ 0
     outer, inner = saddles(args)[:2]
     floor = 1.0 if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS) else 0.5
+    # r_trunc >= (12 lambda)^(1/3) ~ 7.1, so the clip keeps the floor, and
+    # the floor passes both filters below: no candidate list is ever empty
     cand = [_clip(r, 2e-3, 0.85 * r_trunc) for r in (abs(outer), abs(inner), floor)]
 
     theta_up = 2.0 * a + _PI / 2.0       # steepest descent, start side of R-
@@ -323,7 +325,7 @@ def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
 
     # legs that continue into linearly panelized rays must not start in
     # the sqrt-singular region; pure endpoint loops may go smaller
-    cand_ray = [c for c in cand if c >= 0.05] or [max(cand)]
+    cand_ray = [c for c in cand if c >= 0.05]
 
     if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS):
         th_in, r_in = (th3, rt3) if kind is ContourKind.L_PLUS else (th1, rt1)
@@ -340,7 +342,7 @@ def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
             th_start, th_tail, r_tail = theta_low, th3, rt3
         # origin contours cross near the essential/linear balance radius,
         # never far out; large radii only stretch the endpoint leg
-        cand_r = [c for c in cand_ray if c <= 3.0] or [min(cand_ray)]
+        cand_r = [c for c in cand_ray if c <= 3.0]
         r_arc = _pick_arc_radius(exponent, th_start, th_tail, cand_r)
         legs = (
             DecayLeg(th_start, r_arc, s_max_for(r_arc), outward=True),
@@ -348,7 +350,7 @@ def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
             RayLeg(th_tail, r_arc, r_tail),
         )
     else:  # O
-        cand_r = [c for c in cand if c <= 3.0] or [min(cand)]
+        cand_r = [c for c in cand if c <= 3.0]
         r_arc = _pick_arc_radius(exponent, theta_up, theta_low, cand_r)
         s_max = s_max_for(r_arc)
         legs = (

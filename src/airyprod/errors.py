@@ -14,7 +14,11 @@ class EnvelopeExceeded(AiryprodError):
 
 
 class InvalidKindForSector(AiryprodError):
-    """Requested contour kind is not defined for the given shift sector."""
+    """Requested contour kind is not a ``ContourKind``.
+
+    Every kind is defined in every shift sector, so only an unknown kind
+    raises this.
+    """
 
 
 class DegenerateGeometry(AiryprodError):
@@ -22,9 +26,13 @@ class DegenerateGeometry(AiryprodError):
 
 
 class ToleranceNotMet(AiryprodError):
-    """Adaptive quadrature stopped at the node ceiling above tolerance.
+    """Adaptive quadrature stopped above its tolerance.
 
-    The best available estimate is attached as the ``result`` attribute.
+    It stops at the node ceiling, on a rounding plateau or on a
+    non-finite value (the result's ``stop`` says which); the time
+    integral of the Green's function also raises this when its tail
+    radius diverges.  The best available estimate, if any, is attached
+    as the ``result`` attribute.
     """
 
     def __init__(self, message, result=None):

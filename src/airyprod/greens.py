@@ -174,7 +174,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     valid for F = 0 as well (where it reproduces the free form).
     Tolerances below 1e-10 are outside the supported range.
     """
-    if tol < 1e-10:
+    if not tol >= 1e-10:
         raise ValueError("greens_time_integral: tol must be >= 1e-10")
     d = _check_separation(p)
     dd = d * d

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import bisect
 import cmath
 import math
 
@@ -322,47 +321,6 @@ def _asym_table(count):
 
 
 _ASYM = _asym_table(60)
-_ASYM_R2 = tuple(r2 for _, r2, _ in _ASYM)
-# |zeta|^2 at |z| = 9.5: below it the terms start to grow before they
-# fall under 1e-18, above it the reverse (see _asym_terms)
-_ASYM_SPLIT = 4.0 / 9.0 * 9.5 ** 3
-
-
-def _grow_count(rho2):
-    """Terms a point at |zeta|^2 = rho2 sums before the first that grows,
-    r_k^2 >= rho2; it rises with rho2."""
-    return bisect.bisect_left(_ASYM_R2, rho2)
-
-
-def _tiny_count(rho2):
-    """Index of the first term whose modulus, by the kernel's own
-    recurrence for |T_k|^2, falls below 1e-18 (the table length if none
-    does before the terms grow); it falls with rho2."""
-    m2 = 1.0
-    for k, r2 in enumerate(_ASYM_R2, 1):
-        if r2 >= rho2:
-            break
-        m2 = m2 * (r2 / rho2)
-        if m2 < 1e-36:
-            return k
-    return len(_ASYM_R2)
-
-
-def _asym_terms(rho2):
-    """Terms ``_asym_core`` sums at most for |zeta|^2 = rho2, an array or
-    a single value.
-
-    A point sums min(_grow_count, _tiny_count) terms.  So no point sums
-    more than _grow_count(hi) or _tiny_count(lo), where lo and hi are the
-    extremes of rho2, and for any split s in [lo, hi], none more than the
-    larger of the two counts at s.  For a single point the bound is its
-    exact count.
-    """
-    rho2 = np.asarray(rho2)
-    lo, hi = float(rho2.min()), float(rho2.max())
-    s = min(max(_ASYM_SPLIT, lo), hi)
-    return min(_grow_count(hi), _tiny_count(lo),
-               max(_grow_count(s), _tiny_count(s)))
 
 
 def _parts(c):
@@ -391,15 +349,17 @@ def _asym_core(x, y):
     zr, zi = wr * sr - wi * si, wr * si + wi * sr  # zeta
     rho2 = zr * zr + zi * zi
     ir, ii = zr / rho2, -zi / rho2  # 1/zeta
-    n = _asym_terms(rho2)
 
     # A, B: the sums for Ai and Ai'; T: the current term, set to zero for
     # good once the point stops; m2: |last term added|^2, from the ratios
     ar, ai, br, bi, tr, ti = 1.0, 0.0, 1.0, 0.0, 1.0, 0.0
     m2 = 1.0
-    for c, r2, v in _ASYM[:n]:
-        # stop before a term that grows or after one below 1e-18
+    for c, r2, v in _ASYM:
+        # stop before a term that grows or after one below 1e-18; the
+        # sum ends when every point has stopped
         keep = (r2 < rho2) & (m2 >= 1e-36)
+        if not (keep.any() if isinstance(keep, np.ndarray) else keep):
+            break
         ck = c * keep
         tr, ti = (tr * ir - ti * ii) * ck, (tr * ii + ti * ir) * ck
         ar += tr

@@ -58,7 +58,7 @@ from .contours import (
 )
 import numpy as np
 
-from .errors import NegativeShift, ToleranceNotMet
+from .errors import NegativeShift
 from .oracle import airy, airy_batch
 
 __all__ = [
@@ -188,16 +188,9 @@ def _direct_product(f1: complex, f2: complex) -> tuple[complex, float]:
                + 2.0 * _EPS * args)
 
 
-def _contour_value(kind: ContourKind, args: ShiftedArgs, tol, strict=True):
+def _contour_value(kind: ContourKind, args: ShiftedArgs, tol):
     """I_kind and its error estimate."""
-    path = build_contour(kind, args)
-    try:
-        res = laplace_integral(path, args, tol)
-    except ToleranceNotMet as exc:
-        if strict:
-            raise
-        # keep the flagged best estimate; abs_err_est stays honest
-        res = exc.result
+    res = laplace_integral(build_contour(kind, args), args, tol)
     return res.value, res.abs_err_est
 
 
@@ -216,7 +209,7 @@ def _signed_sum(terms) -> tuple[complex, float]:
     return val, err
 
 
-def _evaluate(key, z, z0, route: Route, tol, strict) -> ProductValue:
+def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
     """The value of one table row along ``route``.
 
     The contour route evaluates each integral of the row once, and
@@ -234,31 +227,30 @@ def _evaluate(key, z, z0, route: Route, tol, strict) -> ProductValue:
     args = ShiftedArgs.make(z, z0)
     col = 2 if args.z0_sector is Sector.OUTER else 1
     pref, row = _CONTOUR[key]
-    val, err = _signed_sum((term[col], _contour_value(term[0], args, tol, strict))
+    val, err = _signed_sum((term[col], _contour_value(term[0], args, tol))
                            for term in row if term[col])
     return ProductValue(pref * val, route, abs(pref) * err)
 
 
 def u_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
-         tol: float = _DEFAULT_TOL, strict: bool = True) -> ProductValue:
+         tol: float = _DEFAULT_TOL) -> ProductValue:
     """U+-(z; z0) = Ai(e^{+-2i pi/3}(z+z0)) Ai(e^{+-2i pi/3} z)."""
-    return _evaluate(("u", _check_sign(sign)), z, z0, route, tol, strict)
+    return _evaluate(("u", _check_sign(sign)), z, z0, route, tol)
 
 
 def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
-         tol: float = _DEFAULT_TOL, strict: bool = True) -> ProductValue:
+         tol: float = _DEFAULT_TOL) -> ProductValue:
     """W+-(z; z0) = Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
     On the contour route the single integral over R+- suffices for
     |arg z0| <= pi/2 (and z0 = 0); beyond, the origin-loop correction
     +-I_O is added.
     """
-    return _evaluate(("w", _check_sign(sign)), z, z0, route, tol, strict)
+    return _evaluate(("w", _check_sign(sign)), z, z0, route, tol)
 
 
 def product(rot1: Rotation, rot2: Rotation, z: complex, z0: complex,
-            route: Route = Route.DIRECT, tol: float = _DEFAULT_TOL,
-            strict: bool = True) -> ProductValue:
+            route: Route = Route.DIRECT, tol: float = _DEFAULT_TOL) -> ProductValue:
     """Any of the nine products v1(z+z0) v2(z).
 
     ``rot1``/``rot2`` select the solutions: v(z) = Ai(e^{r 2i pi/3} z).
@@ -271,12 +263,11 @@ def product(rot1: Rotation, rot2: Rotation, z: complex, z0: complex,
 
     evaluating each integral once.
     """
-    return _evaluate((Rotation(rot1), Rotation(rot2)), z, z0, route, tol, strict)
+    return _evaluate((Rotation(rot1), Rotation(rot2)), z, z0, route, tol)
 
 
 def difference_identity(sign: int, z: complex, z0: complex,
-                        route: Route = Route.CONTOUR, tol: float = _DEFAULT_TOL,
-                        strict: bool = True) -> ProductValue:
+                        route: Route = Route.CONTOUR, tol: float = _DEFAULT_TOL) -> ProductValue:
     """Ai(e^{+-2i pi/3}(z+z0)) Ai(z) - Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
     This antisymmetric combination is proportional to the origin-loop
@@ -289,11 +280,10 @@ def difference_identity(sign: int, z: complex, z0: complex,
     integral (the quantity this operation exists to expose); the direct
     route forms the same difference from the reference evaluator.
     """
-    return _evaluate(("diff", _check_sign(sign)), z, z0, route, tol, strict)
+    return _evaluate(("diff", _check_sign(sign)), z, z0, route, tol)
 
 
-def w_pm_real(sign: int, x: float, x0: float, tol: float = _DEFAULT_TOL,
-              strict: bool = True) -> ProductValue:
+def w_pm_real(sign: int, x: float, x0: float, tol: float = _DEFAULT_TOL) -> ProductValue:
     """W+-(x; x0) for real x and real shift x0 >= 0 via the half-line form
 
         e^{+-i pi/12}/(4 pi^{3/2}) *
@@ -310,12 +300,11 @@ def w_pm_real(sign: int, x: float, x0: float, tol: float = _DEFAULT_TOL,
     if x0 < 0.0:
         raise NegativeShift("w_pm_real requires x0 >= 0; use aiai_real or w_pm instead")
     # x0 >= 0 never lies in the outer sector, so this is the single R+- integral
-    pv = w_pm(sign, x, x0, Route.CONTOUR, tol, strict)
+    pv = w_pm(sign, x, x0, Route.CONTOUR, tol)
     return replace(pv, route=Route.REAL_AXIS)
 
 
-def aiai_real(x: float, x0: float, tol: float = _DEFAULT_TOL,
-              strict: bool = True) -> ProductValue:
+def aiai_real(x: float, x0: float, tol: float = _DEFAULT_TOL) -> ProductValue:
     """Ai(x+x0) Ai(x) for any real x, x0 via the cosine half-line form
 
         (1/(2 pi^{3/2})) *
@@ -325,7 +314,7 @@ def aiai_real(x: float, x0: float, tol: float = _DEFAULT_TOL,
     underlying W terms cancel in this symmetric combination); the result
     carries zero imaginary part by construction.
     """
-    pv = _evaluate("aiai", float(x), float(x0), Route.CONTOUR, tol, strict)
+    pv = _evaluate("aiai", float(x), float(x0), Route.CONTOUR, tol)
     return ProductValue(complex(pv.value.real, 0.0), Route.REAL_AXIS, pv.abs_err_est)
 
 

@@ -202,9 +202,10 @@ def _eval_panels(legs, leg, t0, t1, integrand):
 
 
 _PROBE = np.linspace(0.0, 1.0, 33)
+_MAX_SEED_PANELS = 1200
 
 
-def _seed_counts(legs, integrand_exponent, max_panels=1200):
+def _seed_counts(legs, integrand_exponent):
     """Initial panel count of every leg from phase and magnitude variation.
 
     ``integrand_exponent`` maps k to the complex exponent E(k) of the
@@ -223,7 +224,7 @@ def _seed_counts(legs, integrand_exponent, max_panels=1200):
     phase = (np.abs(np.diff(ex.imag, axis=1)) * seg).sum(axis=1)
     mag = np.abs(np.diff(re, axis=1)).sum(axis=1)
     n = (phase / 2.5 + mag / 4.0).astype(int) + 2
-    return np.clip(n, 2, max_panels)
+    return np.clip(n, 2, _MAX_SEED_PANELS)
 
 
 def integrate_legs(legs, integrand, tol, max_nodes, integrand_exponent=None):

@@ -85,9 +85,9 @@ def test_criterion_2_route_equivalence():
     worst_u = worst_w = 0.0
     for i, (zz, zz0) in enumerate(zip(z, z0)):
         for sign in (+1, -1):
-            c = u_pm(sign, zz, zz0, Route.CONTOUR, 1e-8, strict=False).value
+            c = u_pm(sign, zz, zz0, Route.CONTOUR, 1e-8).value
             worst_u = max(worst_u, _scaled(c, direct_u[sign][i]))
-            c = w_pm(sign, zz, zz0, Route.CONTOUR, 1e-8, strict=False).value
+            c = w_pm(sign, zz, zz0, Route.CONTOUR, 1e-8).value
             worst_w = max(worst_w, _scaled(c, direct_w[sign][i]))
     elapsed = time.perf_counter() - t0
     ok = worst_u <= tol and worst_w <= tol and elapsed < 300.0

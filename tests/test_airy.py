@@ -199,6 +199,21 @@ def test_scalar_matches_batch_bitwise():
         assert v.ai == ai[0] and v.ai_prime == aip[0], z
 
 
+def test_mixed_radius_batch_matches_scalar():
+    # one array across the whole asymptotic range, whose points stop
+    # summing at different terms: each must equal its own scalar call
+    rng = np.random.default_rng(47)
+    r = rng.uniform(9.01, 49.9, 120)
+    z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, 120))
+    edges = [-9.01, -49.9, -25.0, -30.0 + 1e-3j, 20.0 * OMEGA, 12.0 * OMEGA.conjugate()]
+    z = np.concatenate([z, edges])
+    ai, aip, err = airy_batch(z)
+    for zz, a, ap, e in zip(z, ai, aip, err):
+        v = airy(complex(zz))
+        got = (complex(v.ai), complex(v.ai_prime), float(v.est_rel_err))
+        assert repr(got) == repr((complex(a), complex(ap), float(e))), zz
+
+
 def test_scalar_series_reflection_and_real_axis():
     rng = np.random.default_rng(31)
     z = CROSSOVER_RADIUS * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(

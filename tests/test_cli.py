@@ -59,6 +59,16 @@ def test_eval_contour_beyond_geometry_edge_exit(capsys):
     assert rc == 2 and out == ""
 
 
+def test_eval_contour_miss_exit(capsys):
+    # a real quadrature miss, not a patched one: exit 3 and no data
+    rc = main(["eval", "u+", "--z=-10+0.5i", "--z0", "0", "--route", "contour",
+               "--tol", "1e-14"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("quadrature failure:")
+    assert "(stop: plateau)" in captured.err
+
+
 def test_eval_requires_arguments(capsys):
     rc, _ = _run(capsys, ["eval", "u+"])
     assert rc == 2

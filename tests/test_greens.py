@@ -133,6 +133,13 @@ def test_domain_errors():
             GreensParams.make(0.5, (0, 0, 1), (1, 0, 0), (0, 0, 0)), tol=1e-12)
 
 
+def test_time_integral_rejects_nan_tol():
+    # NaN fails every comparison, so the range check must be written to reject it
+    p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="tol must be"):
+        greens_time_integral(p, math.nan)
+
+
 def test_deep_tunneling_regime():
     # strongly classically forbidden configuration: the value is
     # ~e^{-sqrt(2|E'|) d} ~ 1e-20 and requires the saddle-adapted path
