@@ -51,7 +51,6 @@ import numpy as np
 
 from .errors import (
     DegenerateGeometry,
-    EndpointSingularity,
     InvalidKindForSector,
     NonFiniteInput,
     ToleranceNotMet,
@@ -232,7 +231,6 @@ _TAIL_CANDIDATES = tuple(_tail_candidates(v) for v in VALLEY_SECTORS)
 # every valley, and so is the truncation radius it implies
 _TAIL_DECAYS = tuple(math.sin(3.0 * th) for th, _, _ in _TAIL_CANDIDATES[0])
 _ARC_SWEEP = np.linspace(0.0, 1.0, 65)
-_DECAY_CHECK = np.linspace(0.0, 1.0, 17)  # leg parameters of the endpoint-decay check
 
 
 def _tails(beta: complex):
@@ -392,30 +390,7 @@ def laplace_integral(path: ContourPath, args: ShiftedArgs, tol: float = 1e-10) -
     """
     if not (1e-14 <= tol <= 1e-4):
         raise ValueError("laplace_integral: tol must lie in [1e-14, 1e-4]")
-    exponent = _exponent_factory(args)
-
-    def integrand(k, theta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(exponent(k) - 0.5j * theta) / np.sqrt(np.abs(k))
-
-    decay = [leg for leg in path.segments if isinstance(leg, DecayLeg)]
-    if decay:
-        k, dkdt, theta = (np.array(a) for a in zip(*(leg.map(_DECAY_CHECK) for leg in decay)))
-        # compare |f dk/dt|, where dk/dt ~ k supplies the decaying
-        # sqrt-measure; the inner end must sit far below the leg maximum
-        # or the substitution did not regularize
-        vals = np.abs(integrand(k, theta)) * np.abs(dkdt)
-        inner = np.where([leg.outward for leg in decay], vals[:, 0], vals[:, -1])
-        peak = np.maximum(vals.max(axis=1), 1e-280)
-        bad = ~np.isfinite(inner) | (inner > peak * 1e-2)
-        if bad.any():
-            raise EndpointSingularity(
-                "endpoint substitution does not decay toward k = 0 "
-                f"(leg angle {decay[bad.argmax()].theta:.6f}); path points outside the internal valley"
-            )
-
-    result = integrate_legs(path.segments, integrand, tol, _MAX_NODES,
-                            integrand_exponent=exponent)
+    result = integrate_legs(path.segments, _exponent_factory(args), 0.5, tol, _MAX_NODES)
     if not result.converged:
         raise ToleranceNotMet(
             f"laplace_integral: error {result.abs_err_est:.3g} above target after "

@@ -43,7 +43,8 @@ class ToleranceNotMet(AiryprodError):
 class EndpointSingularity(AiryprodError):
     """The k -> 0 endpoint substitution failed to regularize the integrand.
 
-    Signals a path whose inner leg points out of the internal valley.
+    Raised for a decay leg, of I_C or of the Green's-function time
+    integral, that points out of the sector where the integrand decays.
     """
 
 

@@ -128,8 +128,11 @@ def greens_closed(p: GreensParams) -> complex:
 
     with w = e^{2i pi/3}.  In the weak-field regime |xi| grows like
     F^{-2/3}, so the Airy factors are evaluated through the internal
-    large-argument machinery (both arguments lie on oscillatory rays
-    where nothing overflows) rather than the enveloped public entry.
+    large-argument machinery rather than the enveloped public entry.
+    Below the effective energy (xi > 0) one factor decays and the other
+    grows; past |argument| ~ 103 one alone leaves float64 although G is
+    finite, and EnvelopeExceeded is raised (e.g. E = -0.3, F = 1e-4 z^,
+    r = x^, r' = 0: xi = 175).
     """
     sv = scaled_vars(p)
     d = p.separation
@@ -171,11 +174,13 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     """G(r, r') by direct quadrature of the half-line time integral.
 
     Serves as the independent numerical check on ``greens_closed``;
-    valid for F = 0 as well (where it reproduces the free form).
-    Tolerances below 1e-10 are outside the supported range.
+    valid for F = 0 as well (where it reproduces the free form).  ``tol``
+    must lie in [1e-10, 1e-4].  Raises ToleranceNotMet on a quadrature
+    miss or a diverging tail, EndpointSingularity on a non-decaying
+    endpoint leg.
     """
-    if not tol >= 1e-10:
-        raise ValueError("greens_time_integral: tol must be >= 1e-10")
+    if not (1e-10 <= tol <= 1e-4):
+        raise ValueError("greens_time_integral: tol must be in [1e-10, 1e-4]")
     d = _check_separation(p)
     dd = d * d
     f = p.field_strength
@@ -293,11 +298,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
                 legs.append(ArcLeg(r_j, start_angle, _ROT))
             legs.append(RayLeg(_ROT, r_j, r_t))
 
-    def integrand(k, theta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(exponent(k) - 1j * power * theta) * np.abs(k) ** (-power)
-
-    res = integrate_legs(legs, integrand, tol, 400_000, integrand_exponent=exponent)
+    res = integrate_legs(legs, exponent, power, tol, 400_000)
     if not res.converged:
         raise ToleranceNotMet(
             f"greens_time_integral: error {res.abs_err_est:.3g} above target "

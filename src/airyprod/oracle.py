@@ -165,6 +165,15 @@ def _cdd_collapse(a):
     return (a[0] + a[1]) + 1j * (a[2] + a[3])
 
 
+def _parts(c):
+    """Real and imaginary parts of a numpy complex result: arrays for an
+    array, python floats for a scalar, so scalar work stays on floats."""
+    if isinstance(c, np.ndarray):
+        return c.real, c.imag
+    c = complex(c)
+    return c.real, c.imag
+
+
 # ----------------------------------------------------------------------
 # Maclaurin series branch (|z| <= CROSSOVER_RADIUS)
 # ----------------------------------------------------------------------
@@ -289,10 +298,12 @@ def _series_core(x, y, n):
     return _cdd_collapse(ai), _cdd_collapse(aip)
 
 
-def _series_err(z, n):
-    """A-priori bound: rounding at double-double precision amplified by
+def _series_err(x, y, n):
+    """A-priori bound at z = x + iy, for python floats or float arrays as
+    in ``_asym_core``: rounding at double-double precision amplified by
     the cancellation condition number exp(2 max(Re zeta, 0))."""
-    zeta_re = np.real((2.0 / 3.0) * z * np.sqrt(z))
+    sr, si = _parts(np.sqrt(x + 1j * y))
+    zeta_re = (2.0 / 3.0) * x * sr - (2.0 / 3.0) * y * si
     cond = np.exp(2.0 * np.maximum(zeta_re, 0.0))
     return 20.0 * n * _EPS_DD * cond + 5e-16
 
@@ -302,7 +313,7 @@ def _series_batch(z):
     z = np.asarray(z, dtype=complex)
     n = _series_terms(float(np.max(np.abs(z), initial=0.0)))
     ai, aip = _series_core(z.real, z.imag, n)
-    return ai, aip, _series_err(z, n)
+    return ai, aip, _series_err(z.real, z.imag, n)
 
 
 # ----------------------------------------------------------------------
@@ -321,15 +332,6 @@ def _asym_table(count):
 
 
 _ASYM = _asym_table(60)
-
-
-def _parts(c):
-    """Real and imaginary parts of a numpy complex result: arrays for an
-    array, python floats for a scalar, so scalar work stays on floats."""
-    if isinstance(c, np.ndarray):
-        return c.real, c.imag
-    c = complex(c)
-    return c.real, c.imag
 
 
 def _asym_core(x, y):
@@ -511,7 +513,7 @@ def airy(z: complex) -> AiryValue:
     else:
         n = _series_terms(r)
         ai, aip = _series_core(x, y, n)
-        est = _series_err(np.array([zz]), n)[0]
+        est = _series_err(x, y, n)
     if flip:
         ai, aip = ai.conjugate(), aip.conjugate()
     return AiryValue(ai, aip, float(est))

@@ -1,20 +1,21 @@
-"""Adaptive complex-path quadrature over piecewise parametric legs.
+"""Adaptive complex-path quadrature of e^{E(k)} k^{-p} over parametric legs.
 
-The integration paths used in this package are chains of three leg
-shapes: straight radial rays, circular arcs, and exponentially clustered
-"decay" rays that resolve an integrable endpoint at k = 0.  Every leg
-carries the continuously tracked angle of its points so that fractional
-powers of k can be evaluated on the correct branch sheet without ever
-consulting a principal-value argument.
+Both integrals of this package, the contour integrals I_C and the
+Green's-function time integral, have this integrand; callers pass E and
+p.  Paths are chains of straight radial rays, circular arcs, and
+exponentially clustered "decay" rays that resolve an integrable
+endpoint at k = 0.  Every leg carries the continuously tracked angle
+theta of its points, so k^{-p} = |k|^{-p} e^{-i p theta} is taken on
+the correct branch sheet without consulting a principal argument.
 
 Each panel is integrated with the 15-point Gauss-Kronrod rule; the
-embedded 7-point Gauss value provides the error estimate.  Panels are
-seeded from the local phase and magnitude variation of the integrand
-(so oscillatory stretches start out resolved to roughly half a period
-per panel) and are then bisected in rounds, splitting every panel whose
-error exceeds its share of the global budget.  The panels of all legs
-are held together as arrays in path order, and every round, the seed
-pass included, makes one integrand call over the nodes of all legs.
+embedded 7-point Gauss value provides the error estimate.  A seed pass
+allots panels from the phase and magnitude variation of e^{E} on 33
+probe points per leg (about half a period per panel) and checks that
+every decay leg's integrand decays toward its inner end.  Rounds of
+bisection then split every panel whose error exceeds its share of the
+budget.  The panels of all legs are held as arrays in path order, and
+each round makes one call of E over all their nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import cmath
 import math
 
 import numpy as np
+
+from .errors import EndpointSingularity
 
 __all__ = ["RayLeg", "ArcLeg", "DecayLeg", "SegmentLeg", "QuadResult", "integrate_legs"]
 
@@ -171,11 +174,18 @@ class QuadResult:
         return self.stop == "converged"
 
 
-def _eval_panels(legs, leg, t0, t1, integrand):
+def _path_values(ex, k, dkdt, theta, power):
+    """f dk/dt = e^{E - i p theta} |k|^{-p} dk/dt from ``ex`` = E(k); overflow
+    and NaN stay in the values, and a panel holding them stops the loop."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(ex - 1j * power * theta) / np.abs(k) ** power * dkdt
+
+
+def _eval_panels(legs, exponent, power, leg, t0, t1):
     """GK15 on a batch of [t0, t1] panels; ``leg`` holds each panel's leg
     index in ascending order.
 
-    Each leg maps its own block of nodes and the integrand runs once on
+    Each leg maps its own block of nodes and the exponent runs once on
     all of them.  The error estimate is the QUADPACK rescaling of
     |K15 - G7|, which credits the Kronrod value with its actual
     convergence rate instead of the pessimistic raw difference.
@@ -187,7 +197,7 @@ def _eval_panels(legs, leg, t0, t1, integrand):
     maps = [legs[j].map(ts[lo:hi].ravel())
             for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
     k, dkdt, theta = (np.concatenate(part) for part in zip(*maps))
-    f = (integrand(k, theta) * dkdt).reshape(ts.shape)
+    f = _path_values(exponent(k), k, dkdt, theta, power).reshape(ts.shape)
     resk = (f * _WGK).sum(axis=1)
     resg = (f * _WG).sum(axis=1)
     kron = resk * hw
@@ -205,17 +215,26 @@ _PROBE = np.linspace(0.0, 1.0, 33)
 _MAX_SEED_PANELS = 1200
 
 
-def _seed_counts(legs, integrand_exponent):
-    """Initial panel count of every leg from phase and magnitude variation.
+def _seed_counts(legs, exponent, power):
+    """Initial panel count of every leg from E on its 33 ``_PROBE`` points.
 
-    ``integrand_exponent`` maps k to the complex exponent E(k) of the
-    dominant factor e^{E(k)}; it runs once on the 33 ``_PROBE`` points of
-    every leg.  Panels are allocated so each initial panel spans roughly
-    half a period of the oscillation and a bounded change of
-    log-magnitude.
+    Each initial panel spans about half a period of e^{E} and a bounded
+    change of log-magnitude.  On a ``DecayLeg``, |f dk/dt| at the inner
+    end must sit far below the leg maximum over t = j/16 (every other
+    probe), or EndpointSingularity is raised.
     """
-    k = np.concatenate([leg.map(_PROBE)[0] for leg in legs])
-    ex = integrand_exponent(k).reshape(len(legs), len(_PROBE))
+    k, dkdt, theta = (np.concatenate(part).reshape(len(legs), -1)
+                      for part in zip(*(leg.map(_PROBE) for leg in legs)))
+    ex = exponent(k.ravel()).reshape(k.shape)
+    decay = [j for j, leg in enumerate(legs) if isinstance(leg, DecayLeg)]
+    if decay:
+        vals = np.abs(_path_values(*(a[decay, ::2] for a in (ex, k, dkdt, theta)), power))
+        inner = np.where([legs[j].outward for j in decay], vals[:, 0], vals[:, -1])
+        peak = np.maximum(vals.max(axis=1), 1e-280)
+        bad = ~np.isfinite(inner) | (inner > peak * 1e-2)
+        if bad.any():
+            raise EndpointSingularity("integrand does not decay toward the inner end of "
+                                      f"the leg at angle {legs[decay[bad.argmax()]].theta:.6f}")
     # variation more than ~45 e-folds below the leg maximum cannot affect
     # the result; clip so deep decay tails do not inflate the count
     re = np.maximum(ex.real, ex.real.max(axis=1, keepdims=True) - 45.0)
@@ -227,40 +246,36 @@ def _seed_counts(legs, integrand_exponent):
     return np.clip(n, 2, _MAX_SEED_PANELS)
 
 
-def integrate_legs(legs, integrand, tol, max_nodes, integrand_exponent=None):
-    """Adaptively integrate ``integrand`` over a chain of legs.
+def integrate_legs(legs, exponent, power, tol, max_nodes):
+    """Adaptively integrate e^{E(k)} k^{-p} dk over a chain of legs.
 
     Parameters
     ----------
     legs : sequence of leg objects
-    integrand : callable (k, theta) -> complex ndarray, excluding dk/dt
+    exponent : callable k -> complex ndarray, the exponent E(k)
+    power : real p; k^{-p} takes the branch of each leg's tracked angle
     tol : relative tolerance; the target is
         abs_err <= tol * max(1, |value|)
     max_nodes : ceiling on total integrand evaluations
-    integrand_exponent : optional callable k -> complex exponent used for
-        oscillation-aware panel seeding
 
     Returns
     -------
     QuadResult whose ``stop`` says why the loop ended; ``converged`` is
     False unless the target was met (callers decide whether that is an
-    error).
+    error).  Raises EndpointSingularity if the integrand of a
+    ``DecayLeg`` does not decay toward its inner end.
     """
-    n_legs = len(legs)
-    if integrand_exponent is None:
-        counts = np.full(n_legs, 8)
-    else:
-        counts = _seed_counts(legs, integrand_exponent)
+    counts = _seed_counts(legs, exponent, power)
     # panels live in path order, as arrays: leg index, [t0, t1], GK15
     # value and error; the seed edges are those of np.linspace(0, 1, n + 1)
     ends = np.cumsum(counts)
-    leg = np.repeat(np.arange(n_legs), counts)
+    leg = np.repeat(np.arange(len(legs)), counts)
     pos = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
     step = (1.0 / counts)[leg]
     t0 = pos * step
     t1 = (pos + 1) * step
     t1[ends - 1] = 1.0
-    vals, errs = _eval_panels(legs, leg, t0, t1, integrand)
+    vals, errs = _eval_panels(legs, exponent, power, leg, t0, t1)
     nodes = 15 * len(leg)
 
     stall = 0
@@ -299,7 +314,7 @@ def integrate_legs(legs, integrand, tol, max_nodes, integrand_exponent=None):
         t0[first + 1] = tm
         child = np.column_stack([first, first + 1]).ravel()
         vals[child], errs[child] = _eval_panels(
-            legs, leg[child], t0[child], t1[child], integrand)
+            legs, exponent, power, leg[child], t0[child], t1[child])
         nodes += 15 * len(child)
 
 

@@ -195,8 +195,9 @@ def _branch_points():
 def test_scalar_matches_batch_bitwise():
     for z in _branch_points():
         v = airy(complex(z))
-        ai, aip, _ = airy_batch(np.array([z]))
+        ai, aip, err = airy_batch(np.array([z]))
         assert v.ai == ai[0] and v.ai_prime == aip[0], z
+        assert v.est_rel_err == err[0], z
 
 
 def test_mixed_radius_batch_matches_scalar():

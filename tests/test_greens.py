@@ -140,6 +140,14 @@ def test_time_integral_rejects_nan_tol():
         greens_time_integral(p, math.nan)
 
 
+@pytest.mark.parametrize("tol", [1.0, 1e6, math.inf])
+def test_time_integral_rejects_loose_tol(tol):
+    # above 1e-4 the seed pass alone would pass for converged
+    p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="tol must be"):
+        greens_time_integral(p, tol)
+
+
 def test_deep_tunneling_regime():
     # strongly classically forbidden configuration: the value is
     # ~e^{-sqrt(2|E'|) d} ~ 1e-20 and requires the saddle-adapted path

@@ -5,8 +5,10 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
 from airyprod import ContourKind, ShiftedArgs, build_contour, greens, laplace_integral
+from airyprod.errors import EndpointSingularity
 from airyprod.greens import GreensParams
 from airyprod.grids import shifted_grid
 from airyprod.quadrature import (
@@ -19,9 +21,14 @@ from airyprod.quadrature import (
 )
 
 
+def _zero(k):
+    return np.zeros(k.shape, dtype=complex)
+
+
 def test_polynomial_on_ray():
+    # k^3 = e^0 k^{-p} with p = -3
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], lambda k, th: k ** 3, 1e-12, 50_000)
+    res = integrate_legs([leg], _zero, -3.0, 1e-12, 50_000)
     assert res.converged and res.stop == "converged"
     assert abs(res.value - 0.25) <= 1e-12
 
@@ -29,8 +36,7 @@ def test_polynomial_on_ray():
 def test_oscillatory_ray():
     leg = RayLeg(0.0, 0.0, 1.0)
     omega = 80.0
-    res = integrate_legs([leg], lambda k, th: np.exp(1j * omega * k), 1e-12, 200_000,
-                         integrand_exponent=lambda k: 1j * omega * k)
+    res = integrate_legs([leg], lambda k: 1j * omega * k, 0.0, 1e-12, 200_000)
     exact = (cmath.exp(1j * omega) - 1.0) / (1j * omega)
     assert res.converged
     assert abs(res.value - exact) <= 1e-12
@@ -38,21 +44,34 @@ def test_oscillatory_ray():
 
 def test_closed_circle_residue():
     leg = ArcLeg(1.0, 0.0, 2.0 * math.pi)
-    res = integrate_legs([leg], lambda k, th: 1.0 / k, 1e-12, 50_000)
+    res = integrate_legs([leg], _zero, 1.0, 1e-12, 50_000)
     assert abs(res.value - 2j * math.pi) <= 1e-11
 
 
 def test_sqrt_singularity_via_decay_leg():
     # int_0^1 k^(-1/2) dk = 2; the angle-tracked root keeps the branch
     leg = DecayLeg(0.0, 1.0, 70.0, outward=True)
-    res = integrate_legs([leg], lambda k, th: np.abs(k) ** -0.5 * np.exp(-0.5j * th),
-                         1e-12, 50_000)
+    res = integrate_legs([leg], _zero, 0.5, 1e-12, 50_000)
     assert abs(res.value - 2.0) <= 1e-11
 
 
+def test_non_decaying_decay_leg_raises():
+    # e^{1/k} grows without bound toward k = 0 on the positive ray, so the
+    # clustered substitution cannot regularize the endpoint; an inward leg
+    # is checked at its far end
+    for outward in (True, False):
+        leg = DecayLeg(0.0, 1.0, 6.0, outward=outward)
+        with pytest.raises(EndpointSingularity):
+            integrate_legs([leg], lambda k: 1.0 / k, 0.5, 1e-8, 50_000)
+    # the same leg turned to the negative ray, where e^{1/k} decays
+    leg = DecayLeg(math.pi, 1.0, 6.0, outward=True)
+    assert integrate_legs([leg], lambda k: 1.0 / k, 0.5, 1e-8, 50_000).converged
+
+
 def test_segment_leg_antiderivative():
+    # k = |k| e^{i theta} = e^0 k^{-p} with p = -1
     leg = SegmentLeg(1.0 + 0.0j, 1.0 + 2.0j)
-    res = integrate_legs([leg], lambda k, th: k, 1e-13, 50_000)
+    res = integrate_legs([leg], _zero, -1.0, 1e-13, 50_000)
     exact = ((1 + 2j) ** 2 - 1.0) / 2.0
     assert abs(res.value - exact) <= 1e-12
 
@@ -62,7 +81,7 @@ def test_node_ceiling_flags_not_converged():
     # bisection gains a fixed small factor per level (2^-0.1 on the end
     # panel), so the stall detector fires below the 400-node ceiling
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], lambda k, th: np.abs(k) ** -0.9, 1e-13, 400)
+    res = integrate_legs([leg], _zero, 0.9, 1e-13, 400)
     assert not res.converged
     assert res.stop == "plateau"
     assert res.nodes < 400
@@ -70,49 +89,54 @@ def test_node_ceiling_flags_not_converged():
 
 
 def test_stop_reason_non_finite():
+    # e^{1000} overflows float64 at every node
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], lambda k, th: np.full(k.shape, np.nan + 0j), 1e-8, 50_000)
+    res = integrate_legs([leg], lambda k: np.full(k.shape, 1000.0 + 0j), 0.0, 1e-8, 50_000)
     assert res.stop == "non_finite"
     assert not res.converged
     assert res.abs_err_est == math.inf
 
 
 def test_stop_reason_node_ceiling():
-    # the seed pass alone (8 panels, 120 nodes) already exceeds the ceiling
+    # the seed pass alone (2 panels, 30 nodes) already exceeds the ceiling
+    # and leaves the endpoint singularity unresolved
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], lambda k, th: np.exp(80j * k), 1e-12, 100)
+    res = integrate_legs([leg], _zero, 0.9, 1e-12, 20)
     assert res.stop == "node_ceiling"
     assert not res.converged
-    assert res.nodes == 120
+    assert res.nodes == 30
 
 
 def test_stop_reason_plateau():
     # 1e-17 lies below the 4e-16 relative panel floor of a smooth integrand,
     # so bisection cannot reduce the estimate
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], lambda k, th: np.exp(k), 1e-17, 10 ** 6)
+    res = integrate_legs([leg], lambda k: k, 0.0, 1e-17, 10 ** 6)
     assert res.stop == "plateau"
     assert not res.converged
     assert abs(res.value - (math.e - 1.0)) <= 1e-15
 
 
 def test_legs_share_one_integrand_call_per_round():
-    # three legs along [0, 3]: the seed pass and each bisection round make
-    # one integrand call, covering every leg with panels to evaluate
-    legs = [RayLeg(0.0, 0.0, 1.0), RayLeg(0.0, 1.0, 2.0), RayLeg(0.0, 2.0, 3.0)]
+    # three k^(-1/2) endpoint legs on the rays at 0, pi/2 and pi: the seed
+    # probes, the seed panels and each bisection round make one exponent
+    # call, covering every leg with points to evaluate
+    angles = (0.0, 0.5 * math.pi, math.pi)
+    legs = [DecayLeg(th, 1.0, 70.0, outward=True) for th in angles]
     calls = []
 
-    def integrand(k, th):
-        calls.append(k.real)
-        return np.exp(30j * k)
+    def exponent(k):
+        calls.append(k)
+        return _zero(k)
 
-    res = integrate_legs(legs, integrand, 1e-13, 50_000)
+    res = integrate_legs(legs, exponent, 0.5, 1e-13, 50_000)
     assert res.converged
-    assert len(calls[0]) == 3 * 8 * 15
-    assert len(calls) > 1 and sum(len(k) for k in calls) == res.nodes
-    assert calls[1].min() < 1.0 and calls[1].max() > 2.0
-    exact = (cmath.exp(90j) - 1.0) / 30j
-    assert abs(res.value - exact) <= 1e-13
+    assert len(calls[0]) == 3 * 33
+    assert len(calls[1]) == 3 * 2 * 15
+    assert len(calls) > 2 and sum(len(k) for k in calls[1:]) == res.nodes
+    assert len(np.unique(np.round(np.angle(calls[2]), 6))) == 3
+    exact = sum(2.0 * cmath.exp(0.5j * th) for th in angles)
+    assert abs(res.value - exact) <= 1e-12
 
 
 def test_path_connectivity_helper():
