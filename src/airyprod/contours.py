@@ -18,21 +18,27 @@ as a continuous lift, so crossing the cut ray while tracking the lift is
 an allowed, value-neutral deformation; what is forbidden, and checked,
 is a discontinuous jump of the lift.
 
-Five contour kinds are provided:
+Five contour kinds are provided, each a pair of ends (``_ENDS``):
 
     L+ : V3 -> V2          L- : V1 -> V2           (valley-to-valley)
     R- : 0 -> V1           R+ : 0 -> V3            (origin-to-valley)
     O  : 0 -> 0            (around the cut, ends on opposite sides)
 
-The inner ends of R+/R-/O approach k = 0 along the steepest-descent
-direction of the essential factor (the center of the internal valley,
-lifted to the side of the cut each contour starts on), which makes the
-endpoint integrand decay purely exponentially with no oscillation and
-keeps the construction uniformly accurate up to |arg z0| = pi/2, where
-the near-cut region of the internal valley degenerates.
+An end at k = 0 is approached along the steepest-descent direction of
+the essential factor (the center of the internal valley, lifted to the
+"up" side of the cut, where R- and O start, or the "low" side, one turn
+below, where R+ starts and O ends), which makes the endpoint integrand
+decay purely exponentially with no oscillation and keeps the
+construction uniformly accurate up to |arg z0| = pi/2, where the
+near-cut region of the internal valley degenerates.  One builder makes
+every kind from its ends: a ray in from the start valley or a decay leg
+out of k = 0, one arc at the turn radius, and a ray out to the end
+valley or a decay leg into k = 0.
 
 The geometry is closed-form.  With beta = z + z0/2 the exponent
-E(k) = i(beta k - z0^2/(4k) + k^3/12) has the four saddles
+E(k) = i(beta k - z0^2/(4k) + k^3/12), the coefficients
+(a, b, c) = (beta, -z0^2/4, 1) of the exponent family of
+``quadrature``, has the four saddles
 k = +-i(sqrt(z+z0) +- sqrt(z)) (``saddles``).  Each valley's tail angle
 minimizes the exact crest of Re E along its ray (the z0 term dropped),
 the truncation radius is the positive root of a cubic, and each turn
@@ -55,7 +61,7 @@ from .errors import (
     NonFiniteInput,
     ToleranceNotMet,
 )
-from .quadrature import ArcLeg, DecayLeg, QuadResult, RayLeg, integrate_legs
+from .quadrature import ArcLeg, DecayLeg, QuadResult, RayLeg, _cubic_roots, exponent, integrate_legs
 
 __all__ = [
     "Sector",
@@ -100,6 +106,17 @@ class ContourKind(Enum):
     R_PLUS = "R+"
     R_MINUS = "R-"
     O = "O"
+
+
+#: Each kind's start and end: a valley (V1, V2, V3 of VALLEY_SECTORS) or
+#: k = 0 on the "up" or "low" side of the cut.
+_ENDS = {
+    ContourKind.L_PLUS: ("V3", "V2"),
+    ContourKind.L_MINUS: ("V1", "V2"),
+    ContourKind.R_PLUS: ("low", "V3"),
+    ContourKind.R_MINUS: ("up", "V1"),
+    ContourKind.O: ("up", "low"),
+}
 
 
 def classify_sector(z0: complex) -> Sector:
@@ -160,27 +177,6 @@ def _effective_shift_angle(args: ShiftedArgs) -> float:
     if args.z0_sector is Sector.OUTER:
         return cmath.phase(-args.z0)
     return cmath.phase(args.z0)
-
-
-def _cubic_roots(p: float, q: float) -> tuple:
-    """Real roots of r^3 + p r + q = 0 in ascending order (one or three)."""
-    if q > 0.0:  # the roots for (p, -q), negated
-        return tuple(-r for r in reversed(_cubic_roots(p, -q)))
-    disc = 0.25 * q * q + p * p * p / 27.0
-    if disc >= 0.0:  # Cardano: the one real root is u + v, v = -p/(3u)
-        u = math.cbrt(-0.5 * q + math.sqrt(disc))
-        if p > 0.0:
-            # u and v nearly cancel when p^3 >> q^2, but not in
-            # (u + v)(u^2 - uv + v^2) = u^3 + v^3 = -q
-            w = p / (3.0 * u)
-            return (-q / (u * u + u * w + w * w),)
-        return (u - p / (3.0 * u),)
-    # trigonometric form for the outer roots; the middle one follows from
-    # the product of all three, -q, without cancellation
-    m = 2.0 * math.sqrt(-p / 3.0)
-    phi = math.acos(min(3.0 * q / (p * m), 1.0)) / 3.0
-    lo, hi = m * math.cos(phi + 2.0 * _PI / 3.0), m * math.cos(phi)
-    return lo, -q / (lo * hi), hi
 
 
 def _truncation_radius(beta_abs: float, tail_decay: float) -> float:
@@ -262,7 +258,7 @@ def _tails(beta: complex):
     return out
 
 
-def _pick_arc_radius(exponent, th_a, th_b, candidates):
+def _pick_arc_radius(coeffs, th_a, th_b, candidates):
     """Arc radius minimizing the largest Re E over the angular sweep.
 
     Among radii within one e-fold of the lowest crest the largest one
@@ -270,106 +266,75 @@ def _pick_arc_radius(exponent, th_a, th_b, candidates):
     panelized rays, which adaptive bisection resolves slowly.
     """
     phases = np.exp(_ARC_SWEEP * (1j * (th_b - th_a)) + 1j * th_a)
-    crests = exponent(np.multiply.outer(candidates, phases)).real.max(axis=1).tolist()
+    crests = exponent(coeffs, np.multiply.outer(candidates, phases)).real.max(axis=1).tolist()
     lowest = min(crests)
     return max(r for r, m in zip(candidates, crests) if m <= lowest + 1.0)
+
+
+def _coefficients(args: ShiftedArgs) -> tuple:
+    """(a, b, c) of E(k) = i(a k + b/k + c k^3/12) for I_C(z; z0)."""
+    return args.z + 0.5 * args.z0, -args.z0 * args.z0 / 4.0, 1.0
 
 
 def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
     """Construct the requested contour for the given (z, z0).
 
     All five kinds are defined in every shift sector (Outer uses the cut
-    and origin contours of -z0).  The geometry is closed-form: in each
-    valley the tail angle minimizes the exact crest of Re E without the
-    z0 term along its ray, the truncation radius is the positive root of
-    a cubic, and the turn radius is one of the two saddle moduli
-    |sqrt(z+z0) +- sqrt(z)| or a fixed floor, whichever keeps the crest
-    of Re E along the arc lowest.  Raises DegenerateGeometry when the
-    required truncation radius exceeds the ceiling of 80, which happens
-    beyond |z + z0/2| = 231.03.
+    and origin contours of -z0).  Every kind is one path between its two
+    ends: a ray in from the start (or a decay leg out of k = 0), one arc,
+    and a ray out to the end (or a decay leg into k = 0).  The geometry
+    is closed-form: in each valley the tail angle minimizes the exact
+    crest of Re E without the z0 term along its ray, the truncation
+    radius is the positive root of a cubic, and the turn radius is one
+    of the two saddle moduli |sqrt(z+z0) +- sqrt(z)| or a fixed floor,
+    whichever keeps the crest of Re E along the arc lowest.  Raises
+    DegenerateGeometry when the required truncation radius exceeds the
+    ceiling of 80, which happens beyond |z + z0/2| = 231.03.
     """
     if not isinstance(kind, ContourKind):
         raise InvalidKindForSector(f"unknown contour kind: {kind!r}")
 
     a = _effective_shift_angle(args)
-    cut = _PI / 2.0 + a
-    beta = args.z + 0.5 * args.z0
-    rho = abs(args.z0) ** 2
-    exponent = _exponent_factory(args)
+    coeffs = _coefficients(args)
+    tails = _tails(coeffs[0])
+    r_trunc = max(r for _, r in tails)
 
-    (th1, rt1), (th2, rt2), (th3, rt3) = _tails(beta)
-    r_trunc = max(rt1, rt2, rt3)
+    # an end is (angle, radius): a valley's tail ray out to its truncation
+    # radius, or radius 0 for k = 0 reached along the steepest descent ray
+    # of the essential factor, on either side of the cut
+    theta_up = 2.0 * a + _PI / 2.0
+    ends = dict(zip(("V1", "V2", "V3"), tails), up=(theta_up, 0.0),
+                low=(theta_up - 2.0 * _PI, 0.0))
+    (th_a, r_a), (th_b, r_b) = (ends[e] for e in _ENDS[kind])
+    valley = r_a > 0.0 or r_b > 0.0
+    origin = r_a == 0.0 or r_b == 0.0
 
     # candidate turn radii: the saddle moduli and the floor of the path
     # family; the floor keeps a usable arc when both saddles sit at k ~ 0
     outer, inner = saddles(args)[:2]
-    floor = 1.0 if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS) else 0.5
+    floor = 0.5 if origin else 1.0
     # r_trunc >= (12 lambda)^(1/3) ~ 7.1, so the clip keeps the floor, and
-    # the floor passes both filters below: no candidate list is ever empty
+    # the floor passes the filter below: no candidate list is ever empty
     cand = [_clip(r, 2e-3, 0.85 * r_trunc) for r in (abs(outer), abs(inner), floor)]
+    # rays into a valley are linearly panelized and must not start in the
+    # sqrt-singular region; a path from the origin crosses near the
+    # essential/linear balance radius, and large radii only stretch its
+    # endpoint leg
+    cand = [c for c in cand if not (valley and c < 0.05 or origin and c > 3.0)]
+    r_arc = _pick_arc_radius(coeffs, th_a, th_b, cand)
 
-    theta_up = 2.0 * a + _PI / 2.0       # steepest descent, start side of R-
-    theta_low = theta_up - 2.0 * _PI     # same ray on the other side of the cut
-
-    def s_max_for(r_outer):
-        # run the endpoint leg until the essential factor falls below
-        # e^{-lambda} along the steepest ray (|z0^2/(4k)| >= lambda); the
-        # sqrt-measure criterion alone caps the stub when z0 ~ 0.
-        if rho > 0.0:
-            s_ess = math.log(max(4.0 * _TAIL_LAMBDA * r_outer / rho, 1.0))
-        else:
-            s_ess = math.inf
-        return max(min(s_ess, 2.0 * _TAIL_LAMBDA + 4.0), 6.0)
-
-    # legs that continue into linearly panelized rays must not start in
-    # the sqrt-singular region; pure endpoint loops may go smaller
-    cand_ray = [c for c in cand if c >= 0.05]
-
-    if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS):
-        th_in, r_in = (th3, rt3) if kind is ContourKind.L_PLUS else (th1, rt1)
-        r_arc = _pick_arc_radius(exponent, th_in, th2, cand_ray)
-        legs = (
-            RayLeg(th_in, r_in, r_arc),
-            ArcLeg(r_arc, th_in, th2),
-            RayLeg(th2, r_arc, rt2),
-        )
-    elif kind in (ContourKind.R_MINUS, ContourKind.R_PLUS):
-        if kind is ContourKind.R_MINUS:
-            th_start, th_tail, r_tail = theta_up, th1, rt1
-        else:
-            th_start, th_tail, r_tail = theta_low, th3, rt3
-        # origin contours cross near the essential/linear balance radius,
-        # never far out; large radii only stretch the endpoint leg
-        cand_r = [c for c in cand_ray if c <= 3.0]
-        r_arc = _pick_arc_radius(exponent, th_start, th_tail, cand_r)
-        legs = (
-            DecayLeg(th_start, r_arc, s_max_for(r_arc), outward=True),
-            ArcLeg(r_arc, th_start, th_tail),
-            RayLeg(th_tail, r_arc, r_tail),
-        )
-    else:  # O
-        cand_r = [c for c in cand if c <= 3.0]
-        r_arc = _pick_arc_radius(exponent, theta_up, theta_low, cand_r)
-        s_max = s_max_for(r_arc)
-        legs = (
-            DecayLeg(theta_up, r_arc, s_max, outward=True),
-            ArcLeg(r_arc, theta_up, theta_low),
-            DecayLeg(theta_low, r_arc, s_max, outward=False),
-        )
-
-    return ContourPath(kind, cut, legs, r_trunc, r_arc)
-
-
-def _exponent_factory(args: ShiftedArgs):
-    beta = args.z + 0.5 * args.z0
-    z0sq = args.z0 * args.z0
-
-    def exponent(k):
-        if z0sq == 0.0:
-            return 1j * (beta * k + k * k * k / 12.0)
-        return 1j * (beta * k - z0sq / (4.0 * k) + k * k * k / 12.0)
-
-    return exponent
+    # run an endpoint leg until the essential factor falls below
+    # e^{-lambda} along the steepest ray (|z0^2/(4k)| >= lambda); the
+    # sqrt-measure criterion alone caps the stub when z0 ~ 0
+    rho = abs(args.z0) ** 2
+    s_ess = math.log(4.0 * _TAIL_LAMBDA * r_arc / rho) if rho > 0.0 else math.inf
+    s_max = max(min(s_ess, 2.0 * _TAIL_LAMBDA + 4.0), 6.0)
+    legs = (
+        RayLeg(th_a, r_a, r_arc) if r_a > 0.0 else DecayLeg(th_a, r_arc, s_max, outward=True),
+        ArcLeg(r_arc, th_a, th_b),
+        RayLeg(th_b, r_arc, r_b) if r_b > 0.0 else DecayLeg(th_b, r_arc, s_max, outward=False),
+    )
+    return ContourPath(kind, _PI / 2.0 + a, legs, r_trunc, r_arc)
 
 
 def laplace_integral(path: ContourPath, args: ShiftedArgs, tol: float = 1e-10) -> QuadResult:
@@ -390,7 +355,7 @@ def laplace_integral(path: ContourPath, args: ShiftedArgs, tol: float = 1e-10) -
     """
     if not (1e-14 <= tol <= 1e-4):
         raise ValueError("laplace_integral: tol must lie in [1e-14, 1e-4]")
-    result = integrate_legs(path.segments, _exponent_factory(args), 0.5, tol, _MAX_NODES)
+    result = integrate_legs(path.segments, _coefficients(args), 0.5, tol, _MAX_NODES)
     if not result.converged:
         raise ToleranceNotMet(
             f"laplace_integral: error {result.abs_err_est:.3g} above target after "

@@ -47,10 +47,9 @@ import math
 
 import numpy as np
 
-from .contours import _cubic_roots
 from .errors import CoincidentPoints, NonFiniteInput, ToleranceNotMet, ZeroField
 from .oracle import _airy_raw_batch
-from .quadrature import ArcLeg, DecayLeg, RayLeg, SegmentLeg, integrate_legs
+from .quadrature import ArcLeg, DecayLeg, RayLeg, SegmentLeg, _cubic_roots, integrate_legs
 
 __all__ = [
     "GreensParams",
@@ -206,11 +205,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     if f > 0.0:
         # t-plane: exponent iE't + i dd/(2t) - i (f^2/24) t^3, weight t^{-3/2}
         c3 = f * f / 24.0
-
-        def exponent(t):
-            return 1j * (eprime * t + dd / (2.0 * t) - c3 * t ** 3)
-
-        power = 1.5
+        coeffs, power = (eprime, 0.5 * dd, -0.5 * f * f), 1.5
         t_sad = math.sqrt(dd / (-2.0 * eprime)) if eprime < 0.0 else 0.0
         r_crest = math.sqrt(-8.0 * eprime) / f if eprime < 0.0 else 0.0
         if suppress > 5.0 and t_sad <= 0.95 * r_crest:
@@ -268,10 +263,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
                 legs.append(RayLeg(-_ROT, r_j, max(r_t, 2.0 * r_j)))
     else:
         # u = 1/t: exponent iE'/u + i dd u/2, weight u^{-1/2}
-        def exponent(u):
-            return 1j * (eprime / u + 0.5 * dd * u)
-
-        power = 0.5
+        coeffs, power = (0.5 * dd, eprime, 0.0), 0.5
         if suppress > 5.0:
             # the whole integrand decays on the imaginary axis and the
             # ray maximum is the (tunneling) saddle value
@@ -298,7 +290,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
                 legs.append(ArcLeg(r_j, start_angle, _ROT))
             legs.append(RayLeg(_ROT, r_j, r_t))
 
-    res = integrate_legs(legs, exponent, power, tol, 400_000)
+    res = integrate_legs(legs, coeffs, power, tol, 400_000)
     if not res.converged:
         raise ToleranceNotMet(
             f"greens_time_integral: error {res.abs_err_est:.3g} above target "

@@ -1,12 +1,19 @@
 """Adaptive complex-path quadrature of e^{E(k)} k^{-p} over parametric legs.
 
 Both integrals of this package, the contour integrals I_C and the
-Green's-function time integral, have this integrand; callers pass E and
-p.  Paths are chains of straight radial rays, circular arcs, and
-exponentially clustered "decay" rays that resolve an integrable
-endpoint at k = 0.  Every leg carries the continuously tracked angle
-theta of its points, so k^{-p} = |k|^{-p} e^{-i p theta} is taken on
-the correct branch sheet without consulting a principal argument.
+Green's-function time integral, have this integrand with an exponent of
+one family,
+
+    E(k) = i(a k + b/k + c k^3/12),
+
+so callers pass the coefficients (a, b, c) and the power p as data:
+I_C has (beta, -z0^2/4, 1), the time integral (E', |r-r'|^2/2, -F^2/2)
+in t and (|r-r'|^2/2, E', 0) in u = 1/t.  Paths are chains of straight
+radial rays, circular arcs, and exponentially clustered "decay" rays
+that resolve an integrable endpoint at k = 0.  Every leg carries the
+continuously tracked angle theta of its points, so
+k^{-p} = |k|^{-p} e^{-i p theta} is taken on the correct branch sheet
+without consulting a principal argument.
 
 Each panel is integrated with the 15-point Gauss-Kronrod rule; the
 embedded 7-point Gauss value provides the error estimate.  A seed pass
@@ -15,7 +22,7 @@ probe points per leg (about half a period per panel) and checks that
 every decay leg's integrand decays toward its inner end.  Rounds of
 bisection then split every panel whose error exceeds its share of the
 budget.  The panels of all legs are held as arrays in path order, and
-each round makes one call of E over all their nodes.
+each round makes one call of ``exponent`` over all their nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ import numpy as np
 
 from .errors import EndpointSingularity
 
-__all__ = ["RayLeg", "ArcLeg", "DecayLeg", "SegmentLeg", "QuadResult", "integrate_legs"]
+__all__ = ["RayLeg", "ArcLeg", "DecayLeg", "SegmentLeg", "QuadResult", "exponent",
+           "integrate_legs"]
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss weights
 # (QUADPACK dqk15 constants).
@@ -174,6 +182,17 @@ class QuadResult:
         return self.stop == "converged"
 
 
+def exponent(coeffs, k):
+    """E(k) = i(a k + b/k + c k^3/12) for ``coeffs`` = (a, b, c).
+
+    With b = 0 the b/k term is left out, so a path may start at k = 0.
+    """
+    a, b, c = coeffs
+    if b == 0.0:
+        return 1j * (a * k + c * k * k * k / 12.0)
+    return 1j * (a * k + b / k + c * k * k * k / 12.0)
+
+
 def _path_values(ex, k, dkdt, theta, power):
     """f dk/dt = e^{E - i p theta} |k|^{-p} dk/dt from ``ex`` = E(k); overflow
     and NaN stay in the values, and a panel holding them stops the loop."""
@@ -181,7 +200,7 @@ def _path_values(ex, k, dkdt, theta, power):
         return np.exp(ex - 1j * power * theta) / np.abs(k) ** power * dkdt
 
 
-def _eval_panels(legs, exponent, power, leg, t0, t1):
+def _eval_panels(legs, coeffs, power, leg, t0, t1):
     """GK15 on a batch of [t0, t1] panels; ``leg`` holds each panel's leg
     index in ascending order.
 
@@ -197,7 +216,7 @@ def _eval_panels(legs, exponent, power, leg, t0, t1):
     maps = [legs[j].map(ts[lo:hi].ravel())
             for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
     k, dkdt, theta = (np.concatenate(part) for part in zip(*maps))
-    f = _path_values(exponent(k), k, dkdt, theta, power).reshape(ts.shape)
+    f = _path_values(exponent(coeffs, k), k, dkdt, theta, power).reshape(ts.shape)
     resk = (f * _WGK).sum(axis=1)
     resg = (f * _WG).sum(axis=1)
     kron = resk * hw
@@ -215,7 +234,7 @@ _PROBE = np.linspace(0.0, 1.0, 33)
 _MAX_SEED_PANELS = 1200
 
 
-def _seed_counts(legs, exponent, power):
+def _seed_counts(legs, coeffs, power):
     """Initial panel count of every leg from E on its 33 ``_PROBE`` points.
 
     Each initial panel spans about half a period of e^{E} and a bounded
@@ -225,7 +244,7 @@ def _seed_counts(legs, exponent, power):
     """
     k, dkdt, theta = (np.concatenate(part).reshape(len(legs), -1)
                       for part in zip(*(leg.map(_PROBE) for leg in legs)))
-    ex = exponent(k.ravel()).reshape(k.shape)
+    ex = exponent(coeffs, k.ravel()).reshape(k.shape)
     decay = [j for j, leg in enumerate(legs) if isinstance(leg, DecayLeg)]
     if decay:
         vals = np.abs(_path_values(*(a[decay, ::2] for a in (ex, k, dkdt, theta)), power))
@@ -246,13 +265,13 @@ def _seed_counts(legs, exponent, power):
     return np.clip(n, 2, _MAX_SEED_PANELS)
 
 
-def integrate_legs(legs, exponent, power, tol, max_nodes):
+def integrate_legs(legs, coeffs, power, tol, max_nodes):
     """Adaptively integrate e^{E(k)} k^{-p} dk over a chain of legs.
 
     Parameters
     ----------
     legs : sequence of leg objects
-    exponent : callable k -> complex ndarray, the exponent E(k)
+    coeffs : (a, b, c), the exponent E(k) = i(a k + b/k + c k^3/12)
     power : real p; k^{-p} takes the branch of each leg's tracked angle
     tol : relative tolerance; the target is
         abs_err <= tol * max(1, |value|)
@@ -265,7 +284,7 @@ def integrate_legs(legs, exponent, power, tol, max_nodes):
     error).  Raises EndpointSingularity if the integrand of a
     ``DecayLeg`` does not decay toward its inner end.
     """
-    counts = _seed_counts(legs, exponent, power)
+    counts = _seed_counts(legs, coeffs, power)
     # panels live in path order, as arrays: leg index, [t0, t1], GK15
     # value and error; the seed edges are those of np.linspace(0, 1, n + 1)
     ends = np.cumsum(counts)
@@ -275,7 +294,7 @@ def integrate_legs(legs, exponent, power, tol, max_nodes):
     t0 = pos * step
     t1 = (pos + 1) * step
     t1[ends - 1] = 1.0
-    vals, errs = _eval_panels(legs, exponent, power, leg, t0, t1)
+    vals, errs = _eval_panels(legs, coeffs, power, leg, t0, t1)
     nodes = 15 * len(leg)
 
     stall = 0
@@ -314,7 +333,7 @@ def integrate_legs(legs, exponent, power, tol, max_nodes):
         t0[first + 1] = tm
         child = np.column_stack([first, first + 1]).ravel()
         vals[child], errs[child] = _eval_panels(
-            legs, exponent, power, leg[child], t0[child], t1[child])
+            legs, coeffs, power, leg[child], t0[child], t1[child])
         nodes += 15 * len(child)
 
 
@@ -329,3 +348,27 @@ def path_is_connected(legs, rtol=1e-9):
         if abs(th_prev[1] - th_next[0]) > 1e-12:
             return False
     return True
+
+
+def _cubic_roots(p: float, q: float) -> tuple:
+    """Real roots of r^3 + p r + q = 0 in ascending order (one or three).
+
+    The truncation radii of the paths of both integrals are such roots.
+    """
+    if q > 0.0:  # the roots for (p, -q), negated
+        return tuple(-r for r in reversed(_cubic_roots(p, -q)))
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc >= 0.0:  # Cardano: the one real root is u + v, v = -p/(3u)
+        u = math.cbrt(-0.5 * q + math.sqrt(disc))
+        if p > 0.0:
+            # u and v nearly cancel when p^3 >> q^2, but not in
+            # (u + v)(u^2 - uv + v^2) = u^3 + v^3 = -q
+            w = p / (3.0 * u)
+            return (-q / (u * u + u * w + w * w),)
+        return (u - p / (3.0 * u),)
+    # trigonometric form for the outer roots; the middle one follows from
+    # the product of all three, -q, without cancellation
+    m = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(min(3.0 * q / (p * m), 1.0)) / 3.0
+    lo, hi = m * math.cos(phi + 2.0 * math.pi / 3.0), m * math.cos(phi)
+    return lo, -q / (lo * hi), hi

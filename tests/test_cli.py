@@ -4,12 +4,14 @@ import cmath
 import json
 import math
 import os
+from pathlib import Path
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from airyprod import __version__, airy, cli, errors
+from airyprod import GreensParams, __version__, airy, cli, errors, greens_time_integral
 from airyprod.cli import main
 from airyprod.config import RunConfig, parse_complex
 
@@ -205,6 +207,69 @@ def test_greens_point_and_zero_field_routing(capsys):
     assert rc == 0
     rec = _fields(out.strip())
     assert rec["method"] == "free"  # zero field routes to the free form
+
+
+def test_greens_integral_method(capsys):
+    # the time integral runs at --tol raised to 1e-9 at least
+    rc, out = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
+                            "--r", "1,0,0", "--r-prime", "0,0,0", "--method", "integral"])
+    assert rc == 0
+    rec = _fields(out.strip())
+    g = greens_time_integral(GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0)), 1e-9)
+    assert rec["method"] == "integral"
+    assert (rec["re"], rec["im"]) == (format(g.real, ".17g"), format(g.imag, ".17g"))
+
+
+def test_greens_closed_weak_field_exit(capsys):
+    # the closed form leaves float64 at xi = 175 (EnvelopeExceeded)
+    rc, out = _run(capsys, ["greens", "--energy", "-0.3", "--field", "0,0,1e-4",
+                            "--r", "1,0,0", "--r-prime", "0,0,0", "--method", "closed"])
+    assert rc == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["greens", "--energy", "0.5", "--field", "0,0", "--r", "1,0,0",
+                  "--r-prime", "0,0,0"], id="greens-two-component-field"),
+    pytest.param(["table", "greens", "--out", "g.json", "--field", "0"],
+                 id="table-greens-zero-field"),
+    pytest.param(["verify", "ode", "--count", "0"], id="verify-zero-count"),
+])
+def test_validation_exits(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, out = _run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_verify_failure_exit(monkeypatch, capsys):
+    def suite(cfg, count):
+        return [("passing", 0.0, True), ("failing", 1.0, False)], 0.5
+
+    monkeypatch.setitem(cli._SUITES, "ode", (suite, 2))
+    rc, out = _run(capsys, ["verify", "ode"])
+    assert rc == 1
+    records = [_fields(line) for line in out.splitlines()]
+    assert [r["status"] for r in records] == ["pass", "FAIL", "FAIL"]
+    assert records[-1]["failures"] == "1"
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert commands and all(argv[0] == "airyprod" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[:2]))
+def test_readme_command_lines(tmp_path, monkeypatch, capsys, argv):
+    # the table lines write their files into the working directory
+    monkeypatch.chdir(tmp_path)
+    rc, out = _run(capsys, argv)
+    assert rc == 0 and out.endswith("\n")
+    if argv[0] == "table":
+        assert (tmp_path / _fields(out)["path"]).is_file()
 
 
 def test_greens_coincident_points_exit(capsys):

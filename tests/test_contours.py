@@ -28,12 +28,11 @@ from airyprod import (
 from airyprod.contours import (
     VALLEY_SECTORS,
     ContourPath,
-    _cubic_roots,
     _effective_shift_angle,
     _truncation_radius,
 )
 from airyprod.grids import shifted_grid
-from airyprod.quadrature import DecayLeg, RayLeg, path_is_connected
+from airyprod.quadrature import DecayLeg, RayLeg, _cubic_roots, path_is_connected
 
 PI = math.pi
 

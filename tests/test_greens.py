@@ -8,6 +8,7 @@ import pytest
 
 from airyprod import (
     CoincidentPoints,
+    EnvelopeExceeded,
     GreensParams,
     NonFiniteInput,
     ToleranceNotMet,
@@ -131,6 +132,14 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         greens_time_integral(
             GreensParams.make(0.5, (0, 0, 1), (1, 0, 0), (0, 0, 0)), tol=1e-12)
+
+
+def test_weak_field_closed_form_leaves_float64():
+    # xi = 175: the growing Airy factor alone overflows float64, although
+    # G ~ 0.0733 is finite; exponent-scaled Airy factors would return it
+    p = GreensParams.make(-0.3, (0, 0, 1e-4), (1, 0, 0), (0, 0, 0))
+    with pytest.raises(EnvelopeExceeded):
+        greens_closed(p)
 
 
 def test_time_integral_rejects_nan_tol():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from airyprod import ContourKind, ShiftedArgs, build_contour, greens, laplace_integral
+from airyprod import ContourKind, ShiftedArgs, build_contour, greens, laplace_integral, quadrature
 from airyprod.errors import EndpointSingularity
 from airyprod.greens import GreensParams
 from airyprod.grids import shifted_grid
@@ -21,14 +21,14 @@ from airyprod.quadrature import (
 )
 
 
-def _zero(k):
-    return np.zeros(k.shape, dtype=complex)
+# (a, b, c) of the exponent E(k) = i(a k + b/k + c k^3/12)
+_ZERO = (0.0, 0.0, 0.0)
 
 
 def test_polynomial_on_ray():
     # k^3 = e^0 k^{-p} with p = -3
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], _zero, -3.0, 1e-12, 50_000)
+    res = integrate_legs([leg], _ZERO, -3.0, 1e-12, 50_000)
     assert res.converged and res.stop == "converged"
     assert abs(res.value - 0.25) <= 1e-12
 
@@ -36,7 +36,7 @@ def test_polynomial_on_ray():
 def test_oscillatory_ray():
     leg = RayLeg(0.0, 0.0, 1.0)
     omega = 80.0
-    res = integrate_legs([leg], lambda k: 1j * omega * k, 0.0, 1e-12, 200_000)
+    res = integrate_legs([leg], (omega, 0.0, 0.0), 0.0, 1e-12, 200_000)
     exact = (cmath.exp(1j * omega) - 1.0) / (1j * omega)
     assert res.converged
     assert abs(res.value - exact) <= 1e-12
@@ -44,34 +44,34 @@ def test_oscillatory_ray():
 
 def test_closed_circle_residue():
     leg = ArcLeg(1.0, 0.0, 2.0 * math.pi)
-    res = integrate_legs([leg], _zero, 1.0, 1e-12, 50_000)
+    res = integrate_legs([leg], _ZERO, 1.0, 1e-12, 50_000)
     assert abs(res.value - 2j * math.pi) <= 1e-11
 
 
 def test_sqrt_singularity_via_decay_leg():
     # int_0^1 k^(-1/2) dk = 2; the angle-tracked root keeps the branch
     leg = DecayLeg(0.0, 1.0, 70.0, outward=True)
-    res = integrate_legs([leg], _zero, 0.5, 1e-12, 50_000)
+    res = integrate_legs([leg], _ZERO, 0.5, 1e-12, 50_000)
     assert abs(res.value - 2.0) <= 1e-11
 
 
 def test_non_decaying_decay_leg_raises():
-    # e^{1/k} grows without bound toward k = 0 on the positive ray, so the
-    # clustered substitution cannot regularize the endpoint; an inward leg
-    # is checked at its far end
+    # e^{1/k} (b = -i) grows without bound toward k = 0 on the positive
+    # ray, so the clustered substitution cannot regularize the endpoint; an
+    # inward leg is checked at its far end
     for outward in (True, False):
         leg = DecayLeg(0.0, 1.0, 6.0, outward=outward)
         with pytest.raises(EndpointSingularity):
-            integrate_legs([leg], lambda k: 1.0 / k, 0.5, 1e-8, 50_000)
+            integrate_legs([leg], (0.0, -1j, 0.0), 0.5, 1e-8, 50_000)
     # the same leg turned to the negative ray, where e^{1/k} decays
     leg = DecayLeg(math.pi, 1.0, 6.0, outward=True)
-    assert integrate_legs([leg], lambda k: 1.0 / k, 0.5, 1e-8, 50_000).converged
+    assert integrate_legs([leg], (0.0, -1j, 0.0), 0.5, 1e-8, 50_000).converged
 
 
 def test_segment_leg_antiderivative():
     # k = |k| e^{i theta} = e^0 k^{-p} with p = -1
     leg = SegmentLeg(1.0 + 0.0j, 1.0 + 2.0j)
-    res = integrate_legs([leg], _zero, -1.0, 1e-13, 50_000)
+    res = integrate_legs([leg], _ZERO, -1.0, 1e-13, 50_000)
     exact = ((1 + 2j) ** 2 - 1.0) / 2.0
     assert abs(res.value - exact) <= 1e-12
 
@@ -81,7 +81,7 @@ def test_node_ceiling_flags_not_converged():
     # bisection gains a fixed small factor per level (2^-0.1 on the end
     # panel), so the stall detector fires below the 400-node ceiling
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], _zero, 0.9, 1e-13, 400)
+    res = integrate_legs([leg], _ZERO, 0.9, 1e-13, 400)
     assert not res.converged
     assert res.stop == "plateau"
     assert res.nodes < 400
@@ -89,9 +89,9 @@ def test_node_ceiling_flags_not_converged():
 
 
 def test_stop_reason_non_finite():
-    # e^{1000} overflows float64 at every node
-    leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], lambda k: np.full(k.shape, 1000.0 + 0j), 0.0, 1e-8, 50_000)
+    # e^{1000 k} (a = -1000i) overflows float64 at every node of k in [1, 2]
+    leg = RayLeg(0.0, 1.0, 2.0)
+    res = integrate_legs([leg], (-1000j, 0.0, 0.0), 0.0, 1e-8, 50_000)
     assert res.stop == "non_finite"
     assert not res.converged
     assert res.abs_err_est == math.inf
@@ -101,7 +101,7 @@ def test_stop_reason_node_ceiling():
     # the seed pass alone (2 panels, 30 nodes) already exceeds the ceiling
     # and leaves the endpoint singularity unresolved
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], _zero, 0.9, 1e-12, 20)
+    res = integrate_legs([leg], _ZERO, 0.9, 1e-12, 20)
     assert res.stop == "node_ceiling"
     assert not res.converged
     assert res.nodes == 30
@@ -109,27 +109,29 @@ def test_stop_reason_node_ceiling():
 
 def test_stop_reason_plateau():
     # 1e-17 lies below the 4e-16 relative panel floor of a smooth integrand,
-    # so bisection cannot reduce the estimate
+    # here e^k (a = -i), so bisection cannot reduce the estimate
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], lambda k: k, 0.0, 1e-17, 10 ** 6)
+    res = integrate_legs([leg], (-1j, 0.0, 0.0), 0.0, 1e-17, 10 ** 6)
     assert res.stop == "plateau"
     assert not res.converged
     assert abs(res.value - (math.e - 1.0)) <= 1e-15
 
 
-def test_legs_share_one_integrand_call_per_round():
+def test_legs_share_one_integrand_call_per_round(monkeypatch):
     # three k^(-1/2) endpoint legs on the rays at 0, pi/2 and pi: the seed
     # probes, the seed panels and each bisection round make one exponent
     # call, covering every leg with points to evaluate
     angles = (0.0, 0.5 * math.pi, math.pi)
     legs = [DecayLeg(th, 1.0, 70.0, outward=True) for th in angles]
     calls = []
+    real = quadrature.exponent
 
-    def exponent(k):
+    def exponent(coeffs, k):
         calls.append(k)
-        return _zero(k)
+        return real(coeffs, k)
 
-    res = integrate_legs(legs, exponent, 0.5, 1e-13, 50_000)
+    monkeypatch.setattr(quadrature, "exponent", exponent)
+    res = integrate_legs(legs, _ZERO, 0.5, 1e-13, 50_000)
     assert res.converged
     assert len(calls[0]) == 3 * 33
     assert len(calls[1]) == 3 * 2 * 15
