@@ -7,8 +7,10 @@ verify  run an identity suite over a seeded pseudo-random grid
 table   write a CSV/JSON table over a parameter grid
 greens  evaluate the static-field Green's function at one configuration
 
-Exit codes: 0 success, 1 verification failures, 2 domain/validation
-errors, 3 quadrature failures, 4 I/O errors.  Stdout carries only data
+Each subcommand, table target and eval name takes only the flags it
+reads; any other flag is a usage error.  Exit codes: 0 success,
+1 verification failures, 2 usage, domain and validation errors,
+3 quadrature failures, 4 I/O errors.  Stdout carries only data
 records; diagnostics go to stderr.  All numbers are printed with 17
 significant digits (round-trip exact for doubles).
 """
@@ -26,7 +28,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_complex
 from .contours import (
     ContourKind,
     ShiftedArgs,
@@ -78,35 +79,49 @@ def _vector(text: str):
     return tuple(float(p) for p in parts)
 
 
-def _load_run_config(ns) -> RunConfig:
-    cfg = RunConfig.from_file(ns.config) if ns.config else RunConfig()
-    if ns.tol is not None:
-        cfg.quad_tol = ns.tol
-    if ns.format is not None:
-        cfg.format = ns.format
-    if ns.seed is not None:
-        cfg.seed = ns.seed
-    cfg.validate()
-    return cfg
+def parse_complex(text: str) -> complex:
+    """Parse 'RE', 'IMi', or 'RE+IMi' literals (e.g. '1.5-0.25i').
+
+    The trailing-i form avoids the shell-quoting problems of
+    parenthesized complex literals; Python's own 'j' form is accepted
+    too.  Spaces are ignored.
+    """
+    s = text.replace(" ", "")
+    if s.endswith(("i", "I")):
+        s = s[:-1] + "j"
+    try:
+        return complex(s)
+    except ValueError:
+        raise ValueError(f"not a complex literal: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 1e-14 <= tol <= 1e-4:
+        raise argparse.ArgumentTypeError("must lie in [1e-14, 1e-4]")
+    return tol
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return count
 
 
 # ----------------------------------------------------------------------
 # eval
 # ----------------------------------------------------------------------
 
-_EVAL_NAMES = ("u+", "u-", "w+", "w-", "product", "diff+", "diff-",
-               "aiai-real", "w-real+", "w-real-")
+_REAL_NAMES = ("aiai-real", "w-real+", "w-real-")
+_EVAL_NAMES = ("u+", "u-", "w+", "w-", "product", "diff+", "diff-", *_REAL_NAMES)
+_ROUTES = ("direct", "contour")
 
 
 def _cmd_eval(ns) -> int:
-    cfg = _load_run_config(ns)
-    name = ns.name
-    route = Route(ns.route)
-    tol = cfg.quad_tol
+    name, tol = ns.name, ns.tol
 
-    if name in ("aiai-real", "w-real+", "w-real-"):
-        if ns.x is None or ns.x0 is None:
-            raise ValueError(f"{name} requires --x and --x0")
+    if name in _REAL_NAMES:
         x, x0 = ns.x, ns.x0
         if name == "aiai-real":
             pv = aiai_real(x, x0, tol)
@@ -119,9 +134,7 @@ def _cmd_eval(ns) -> int:
                ("abs_err", _g(pv.abs_err_est))])
         return 0
 
-    if ns.z is None or ns.z0 is None:
-        raise ValueError(f"{name} requires --z and --z0")
-    z, z0 = parse_complex(ns.z), parse_complex(ns.z0)
+    z, z0, route = ns.z, ns.z0, Route(ns.route)
     if name == "product":
         pv = product(_ROT_NAMES[ns.rot1], _ROT_NAMES[ns.rot2], z, z0, route, tol)
     elif name in ("u+", "u-"):
@@ -144,8 +157,8 @@ def _cmd_eval(ns) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _suite_ode(cfg: RunConfig, count: int):
-    z, z0 = shifted_grid(count, cfg.seed)
+def _suite_ode(ns, count: int):
+    z, z0 = shifted_grid(count, ns.seed)
     tol = 1e-10
     worst = ode_residual_w_batch(z, z0)
     zero = z0 == 0.0
@@ -155,25 +168,25 @@ def _suite_ode(cfg: RunConfig, count: int):
             for zz, zz0, w in zip(z, z0, worst)], tol
 
 
-def _suite_routes(cfg: RunConfig, count: int):
-    z, z0 = shifted_grid(count, cfg.seed)
+def _suite_routes(ns, count: int):
+    z, z0 = shifted_grid(count, ns.seed)
     tol = 1e-7
     cases = []
     for zz, zz0 in zip(z, z0):
         worst = 0.0
         for sign in (+1, -1):
             d = u_pm(sign, zz, zz0, Route.DIRECT)
-            c = u_pm(sign, zz, zz0, Route.CONTOUR, cfg.quad_tol)
+            c = u_pm(sign, zz, zz0, Route.CONTOUR, ns.tol)
             worst = max(worst, abs(c.value - d.value) / max(1.0, abs(d.value)))
             d = w_pm(sign, zz, zz0, Route.DIRECT)
-            c = w_pm(sign, zz, zz0, Route.CONTOUR, cfg.quad_tol)
+            c = w_pm(sign, zz, zz0, Route.CONTOUR, ns.tol)
             worst = max(worst, abs(c.value - d.value) / max(1.0, abs(d.value)))
         cases.append((f"z={zz:.6g} z0={zz0:.6g}", worst, worst <= tol))
     return cases, tol
 
 
-def _suite_identities(cfg: RunConfig, count: int):
-    z, z0 = shifted_grid(count, cfg.seed)
+def _suite_identities(ns, count: int):
+    z, z0 = shifted_grid(count, ns.seed)
     tol = 1e-10
     third = cmath.exp(1j * math.pi / 3.0)
     cases = []
@@ -208,15 +221,15 @@ def _suite_identities(cfg: RunConfig, count: int):
     return cases, tol
 
 
-def _suite_contour_relation(cfg: RunConfig, count: int):
-    z, z0 = shifted_grid(count, cfg.seed)
+def _suite_contour_relation(ns, count: int):
+    z, z0 = shifted_grid(count, ns.seed)
     cases = []
     tol_abs = 1e-10
     for zz, zz0 in zip(z, z0):
         args = ShiftedArgs.make(zz, zz0)
         vals, errs = {}, {}
         for kind in ContourKind:
-            res = laplace_integral(build_contour(kind, args), args, cfg.quad_tol)
+            res = laplace_integral(build_contour(kind, args), args, ns.tol)
             vals[kind], errs[kind] = res.value, res.abs_err_est
         lhs = vals[ContourKind.O]
         rhs = (vals[ContourKind.R_MINUS] + vals[ContourKind.L_MINUS]
@@ -224,17 +237,17 @@ def _suite_contour_relation(cfg: RunConfig, count: int):
         budget = max(10.0 * sum(errs.values()), 1e-12 * max(1.0, abs(lhs)))
         resid = abs(lhs - rhs)
         cases.append((f"z={zz:.6g} z0={zz0:.6g} relation", resid, resid <= budget))
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(ns.seed + 1)
     for zz in rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5):
         args = ShiftedArgs.make(zz, 0.0)
-        res = laplace_integral(build_contour(ContourKind.O, args), args, cfg.quad_tol)
+        res = laplace_integral(build_contour(ContourKind.O, args), args, ns.tol)
         cases.append((f"z={zz:.6g} loop-at-zero-shift", abs(res.value),
                       abs(res.value) <= tol_abs))
     return cases, tol_abs
 
 
-def _suite_greens(cfg: RunConfig, count: int):
-    rng = np.random.default_rng(cfg.seed)
+def _suite_greens(ns, count: int):
+    rng = np.random.default_rng(ns.seed)
     cases = []
     tol = 1e-6
     for _ in range(count):
@@ -248,7 +261,7 @@ def _suite_greens(cfg: RunConfig, count: int):
         p = GreensParams.make(e, (0.0, 0.0, f0),
                               direction * d / 2 + shift, -direction * d / 2 + shift)
         gc = greens_closed(p)
-        gi = greens_time_integral(p, max(cfg.quad_tol, 1e-9))
+        gi = greens_time_integral(p, max(ns.tol, 1e-9))
         rel = abs(gc - gi) / max(abs(gc), 1e-300)
         cases.append((f"E={e:.4g} F={f0:.4g} eta={eta:.4g}", rel, rel <= tol))
     p = GreensParams.make(0.5, (0.0, 0.0, 1e-4), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -270,12 +283,8 @@ _SUITES = {
 
 
 def _cmd_verify(ns) -> int:
-    cfg = _load_run_config(ns)
     fn, default_count = _SUITES[ns.suite]
-    count = ns.count if ns.count is not None else default_count
-    if count < 1:
-        raise ValueError("--count must be >= 1")
-    cases, tol = fn(cfg, count)
+    cases, tol = fn(ns, ns.count if ns.count is not None else default_count)
     failures = 0
     worst = 0.0
     for i, (label, resid, ok) in enumerate(cases):
@@ -294,57 +303,54 @@ def _cmd_verify(ns) -> int:
 # table
 # ----------------------------------------------------------------------
 
-def _write_rows(path: str, header, rows, fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_g(v) for v in row])
-    else:
-        records = [dict(zip(header, (float(_g(v)) for v in row))) for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=1)
-            fh.write("\n")
-
-
-def _cmd_table(ns) -> int:
-    cfg = _load_run_config(ns)
-    if ns.count_x < 1 or ns.count_x0 < 1 or ns.eta_count < 1:
-        raise ValueError("grid counts must be >= 1")
-    if ns.target == "product":
-        xs, x0s = real_grid(ns.count_x, ns.count_x0,
-                            (ns.x_min, ns.x_max), (ns.x0_min, ns.x0_max))
-        rot1, rot2 = _ROT_NAMES[ns.rot1], _ROT_NAMES[ns.rot2]
-        route = Route(ns.route)
-        header = ["x", "x0", "re", "im", "abs_err"]
-        rows = []
-        for x, x0 in zip(xs, x0s):
-            pv = product(rot1, rot2, x, x0, route, cfg.quad_tol)
-            rows.append([x, x0, pv.value.real, pv.value.imag, pv.abs_err_est])
-    else:  # greens
-        field = ns.field
-        if field <= 0.0:
-            raise ValueError("table greens requires --field > 0")
-        etas = np.linspace(ns.eta_min, ns.eta_max, ns.eta_count)
-        header = ["eta", "xi", "field", "energy", "separation", "re", "im", "abs_err"]
-        rows = []
-        for eta in etas:
-            d = 2.0 ** (2.0 / 3.0) * eta / field ** (1.0 / 3.0)
-            energy = 0.5 * (field * d - ns.xi * (2.0 * field) ** (2.0 / 3.0))
-            p = GreensParams.make(energy, (0.0, 0.0, field),
-                                  (0.0, 0.0, d), (0.0, 0.0, 0.0))
-            g = greens_closed(p)
-            rows.append([eta, ns.xi, field, energy, d, g.real, g.imag,
-                         4e-13 * abs(g)])
+def _write_table(ns, header, rows) -> int:
     try:
-        _write_rows(ns.out, header, rows, cfg.format)
+        if ns.format == "csv":
+            with open(ns.out, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([_g(v) for v in row])
+        else:
+            records = [dict(zip(header, (float(_g(v)) for v in row))) for row in rows]
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                json.dump(records, fh, indent=1)
+                fh.write("\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     _emit([("table", ns.target), ("rows", len(rows)), ("path", ns.out),
-           ("format", cfg.format)])
+           ("format", ns.format)])
     return 0
+
+
+def _cmd_table_product(ns) -> int:
+    xs, x0s = real_grid(ns.count_x, ns.count_x0,
+                        (ns.x_min, ns.x_max), (ns.x0_min, ns.x0_max))
+    rot1, rot2 = _ROT_NAMES[ns.rot1], _ROT_NAMES[ns.rot2]
+    route = Route(ns.route)
+    rows = []
+    for x, x0 in zip(xs, x0s):
+        pv = product(rot1, rot2, x, x0, route, ns.tol)
+        rows.append([x, x0, pv.value.real, pv.value.imag, pv.abs_err_est])
+    return _write_table(ns, ["x", "x0", "re", "im", "abs_err"], rows)
+
+
+def _cmd_table_greens(ns) -> int:
+    field = ns.field
+    if field <= 0.0:
+        raise ValueError("table greens requires --field > 0")
+    rows = []
+    for eta in np.linspace(ns.eta_min, ns.eta_max, ns.eta_count):
+        d = 2.0 ** (2.0 / 3.0) * eta / field ** (1.0 / 3.0)
+        energy = 0.5 * (field * d - ns.xi * (2.0 * field) ** (2.0 / 3.0))
+        p = GreensParams.make(energy, (0.0, 0.0, field),
+                              (0.0, 0.0, d), (0.0, 0.0, 0.0))
+        g = greens_closed(p)
+        rows.append([eta, ns.xi, field, energy, d, g.real, g.imag,
+                     4e-13 * abs(g)])
+    return _write_table(ns, ["eta", "xi", "field", "energy", "separation",
+                             "re", "im", "abs_err"], rows)
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +358,6 @@ def _cmd_table(ns) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_greens(ns) -> int:
-    cfg = _load_run_config(ns)
     p = GreensParams.make(ns.energy, _vector(ns.field), _vector(ns.r),
                           _vector(ns.r_prime))
     method = ns.method
@@ -363,7 +368,7 @@ def _cmd_greens(ns) -> int:
         sv = scaled_vars(p)
         extra = [("xi", _g(sv.xi)), ("eta", _g(sv.eta))]
     elif method == "integral":
-        g = greens_time_integral(p, max(cfg.quad_tol, 1e-9))
+        g = greens_time_integral(p, max(ns.tol, 1e-9))
         extra = []
     else:
         g = greens_free(p)
@@ -379,11 +384,13 @@ def _cmd_greens(ns) -> int:
 # ----------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--tol", type=float, help="quadrature tolerance")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--seed", type=int)
+    tol_flag = argparse.ArgumentParser(add_help=False)
+    tol_flag.add_argument("--tol", type=_tolerance, default=1e-10,
+                          help="quadrature tolerance, in [1e-14, 1e-4]")
+    table_flags = argparse.ArgumentParser(add_help=False)
+    table_flags.add_argument("--out", required=True, help="path of the table file")
+    table_flags.add_argument("--format", choices=("csv", "json"), default="csv",
+                             help="table file format")
 
     parser = argparse.ArgumentParser(
         prog="airyprod",
@@ -392,45 +399,57 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate one function at a point")
-    p_eval.add_argument("name", choices=_EVAL_NAMES)
-    p_eval.add_argument("--z", help="complex literal RE+IMi")
-    p_eval.add_argument("--z0", help="complex literal RE+IMi")
-    p_eval.add_argument("--x", type=float, help="real argument (real-axis forms)")
-    p_eval.add_argument("--x0", type=float, help="real shift (real-axis forms)")
-    p_eval.add_argument("--route", choices=("direct", "contour"), default="direct")
-    p_eval.add_argument("--rot1", choices=("0", "+", "-"), default="0")
-    p_eval.add_argument("--rot2", choices=("0", "+", "-"), default="0")
+    p_eval = sub.add_parser("eval", help="evaluate one function at a point")
     p_eval.set_defaults(func=_cmd_eval)
+    names = p_eval.add_subparsers(dest="name", required=True)
+    for name in _EVAL_NAMES:
+        p_name = names.add_parser(name, parents=[tol_flag])
+        if name in _REAL_NAMES:
+            p_name.add_argument("--x", type=float, required=True, help="real argument")
+            p_name.add_argument("--x0", type=float, required=True, help="real shift")
+            continue
+        p_name.add_argument("--z", type=parse_complex, required=True,
+                            help="complex literal RE+IMi")
+        p_name.add_argument("--z0", type=parse_complex, required=True,
+                            help="complex literal RE+IMi")
+        p_name.add_argument("--route", choices=_ROUTES, default="direct")
+        if name == "product":
+            p_name.add_argument("--rot1", choices=_ROT_NAMES, default="0")
+            p_name.add_argument("--rot2", choices=_ROT_NAMES, default="0")
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[tol_flag],
                               help="run an identity suite")
     p_verify.add_argument("suite", choices=sorted(_SUITES))
-    p_verify.add_argument("--count", type=int)
+    p_verify.add_argument("--count", type=_count,
+                          help="number of cases (default: per suite)")
+    p_verify.add_argument("--seed", type=int, default=20240901,
+                          help="seed of the pseudo-random grid")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_table = sub.add_parser("table", parents=[common],
-                             help="write a table over a grid")
-    p_table.add_argument("target", choices=("product", "greens"))
-    p_table.add_argument("--out", required=True)
-    p_table.add_argument("--rot1", choices=("0", "+", "-"), default="0")
-    p_table.add_argument("--rot2", choices=("0", "+", "-"), default="0")
-    p_table.add_argument("--route", choices=("direct", "contour"), default="direct")
-    p_table.add_argument("--x-min", type=float, default=-2.0)
-    p_table.add_argument("--x-max", type=float, default=2.0)
-    p_table.add_argument("--count-x", type=int, default=9)
-    p_table.add_argument("--x0-min", type=float, default=0.0)
-    p_table.add_argument("--x0-max", type=float, default=2.0)
-    p_table.add_argument("--count-x0", type=int, default=5)
-    p_table.add_argument("--xi", type=float, default=0.0)
-    p_table.add_argument("--field", type=float, default=0.1)
-    p_table.add_argument("--eta-min", type=float, default=0.1)
-    p_table.add_argument("--eta-max", type=float, default=5.0)
-    p_table.add_argument("--eta-count", type=int, default=50)
-    p_table.set_defaults(func=_cmd_table)
+    p_table = sub.add_parser("table", help="write a table over a grid")
+    targets = p_table.add_subparsers(dest="target", required=True)
+    p_prod = targets.add_parser("product", parents=[table_flags, tol_flag],
+                                help="a product over a real (x, x0) grid")
+    p_prod.add_argument("--rot1", choices=_ROT_NAMES, default="0")
+    p_prod.add_argument("--rot2", choices=_ROT_NAMES, default="0")
+    p_prod.add_argument("--route", choices=_ROUTES, default="direct")
+    p_prod.add_argument("--x-min", type=float, default=-2.0)
+    p_prod.add_argument("--x-max", type=float, default=2.0)
+    p_prod.add_argument("--count-x", type=_count, default=9)
+    p_prod.add_argument("--x0-min", type=float, default=0.0)
+    p_prod.add_argument("--x0-max", type=float, default=2.0)
+    p_prod.add_argument("--count-x0", type=_count, default=5)
+    p_prod.set_defaults(func=_cmd_table_product)
+    p_tgreens = targets.add_parser("greens", parents=[table_flags],
+                                   help="the closed-form Green's function over eta")
+    p_tgreens.add_argument("--xi", type=float, default=0.0)
+    p_tgreens.add_argument("--field", type=float, default=0.1)
+    p_tgreens.add_argument("--eta-min", type=float, default=0.1)
+    p_tgreens.add_argument("--eta-max", type=float, default=5.0)
+    p_tgreens.add_argument("--eta-count", type=_count, default=50)
+    p_tgreens.set_defaults(func=_cmd_table_greens)
 
-    p_greens = sub.add_parser("greens", parents=[common],
+    p_greens = sub.add_parser("greens", parents=[tol_flag],
                               help="evaluate the Green's function at a point")
     p_greens.add_argument("--energy", type=float, required=True)
     p_greens.add_argument("--field", required=True, help="FX,FY,FZ")
@@ -442,20 +461,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMPLEX_OPTIONS = ("--z", "--z0")
 _NEGATIVE_LITERAL = re.compile(r"-[0-9.ijIJ]")
 
 
-def _attach_complex_values(argv):
+def _attach_negative_values(argv):
     """Write ``--z0 -1.1+0.3i`` as ``--z0=-1.1+0.3i``.
 
     argparse reads a separate value that starts with '-' as an option
-    unless it is a plain negative number, so a negative complex literal
-    would leave its option without a value.
+    unless it is a plain negative number, so ``-1e-3``, ``-0.1,0,0`` or a
+    negative complex literal would leave its option without a value.
+    Every option here takes exactly one value.
     """
     out = []
     for arg in argv:
-        if out and out[-1] in _COMPLEX_OPTIONS and _NEGATIVE_LITERAL.match(arg):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_LITERAL.match(arg)):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -463,9 +483,11 @@ def _attach_complex_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    ns = parser.parse_args(_attach_complex_values(argv))
+    try:
+        ns = _build_parser().parse_args(_attach_negative_values(argv))
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help/--version
+        return exc.code
     try:
         return ns.func(ns)
     except _QUAD_ERRORS as exc:

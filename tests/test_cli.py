@@ -1,4 +1,4 @@
-"""Command-line interface: records, exit codes, tables, config files."""
+"""Command-line interface: records, exit codes, tables, flag parsing."""
 
 import cmath
 import json
@@ -12,8 +12,7 @@ import sys
 import pytest
 
 from airyprod import GreensParams, __version__, airy, cli, errors, greens_time_integral
-from airyprod.cli import main
-from airyprod.config import RunConfig, parse_complex
+from airyprod.cli import main, parse_complex
 
 
 def _fields(line):
@@ -233,6 +232,28 @@ def test_greens_closed_weak_field_exit(capsys):
     pytest.param(["table", "greens", "--out", "g.json", "--field", "0"],
                  id="table-greens-zero-field"),
     pytest.param(["verify", "ode", "--count", "0"], id="verify-zero-count"),
+    # a flag that its subcommand, target or name does not read
+    pytest.param(["verify", "routes", "--count", "1", "--format", "json"],
+                 id="verify-format"),
+    pytest.param(["eval", "u+", "--z", "1", "--z0", "0", "--seed", "3"], id="eval-seed"),
+    pytest.param(["table", "greens", "--out", "g.csv", "--rot1", "+", "--route", "contour",
+                  "--tol", "1e-5"], id="table-greens-product-flags"),
+    pytest.param(["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1,0,0",
+                  "--r-prime", "0,0,0", "--format", "json"], id="greens-format"),
+    pytest.param(["eval", "w-real+", "--x", "0", "--x0", "1", "--route", "contour"],
+                 id="eval-real-route"),
+    pytest.param(["table", "greens", "--out", "g.csv", "--tol", "1e-8"],
+                 id="table-greens-tol"),
+    pytest.param(["verify", "ode", "--config", "x.cfg"], id="verify-config"),
+    # --tol outside [1e-14, 1e-4]
+    pytest.param(["eval", "u+", "--z", "1", "--z0", "0", "--tol", "1.0"],
+                 id="eval-tol-out-of-range"),
+    pytest.param(["verify", "ode", "--count", "3", "--tol", "1.0"],
+                 id="verify-tol-out-of-range"),
+    pytest.param(["table", "product", "--out", "p.csv", "--tol", "1.0"],
+                 id="table-product-tol-out-of-range"),
+    pytest.param(["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1,0,0",
+                  "--r-prime", "0,0,0", "--tol", "1.0"], id="greens-tol-out-of-range"),
 ])
 def test_validation_exits(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -284,34 +305,42 @@ def test_greens_non_finite_energy_exit(capsys):
     assert rc == 2 and out == ""
 
 
-def test_config_file_round_trip(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    # saddle_hint, turn_radius_factor and tail_angle_shift were settings of
-    # earlier versions; files that still carry them keep loading
-    cfg.write_text("# comment\nquad_tol = 1e-9\nseed = 4\nsaddle_hint = on\n"
-                   "turn_radius_factor = 1.1\ntail_angle_shift = 0.05\n"
-                   "max_nodes = 50000\ntail_tol = 1e-12\n")
-    rc, out = _run(capsys, ["verify", "ode", "--config", str(cfg), "--count", "3"])
+def test_omitted_flags_take_defaults(tmp_path, monkeypatch, capsys):
+    rc, out = _run(capsys, ["verify", "ode", "--count", "5"])
     assert rc == 0
-    parsed = RunConfig.from_file(str(cfg))
-    assert parsed.quad_tol == 1e-9
-    assert parsed.seed == 4
+    assert (rc, out) == _run(capsys, ["verify", "ode", "--count", "5",
+                                      "--seed", "20240901", "--tol", "1e-10"])
+    monkeypatch.chdir(tmp_path)
+    tables = []
+    for fmt in ([], ["--format", "csv"]):
+        rc, _ = _run(capsys, ["table", "product", "--out", "p.csv", "--count-x", "3",
+                              "--count-x0", "2", *fmt])
+        assert rc == 0
+        tables.append((tmp_path / "p.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
-def test_config_validation_exit(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("quad_tol = 1.0\n")
-    rc, _ = _run(capsys, ["verify", "ode", "--config", str(cfg), "--count", "3"])
-    assert rc == 2
-
-
-def test_config_unknown_key_exit(tmp_path, capsys):
-    cfg = tmp_path / "typo.cfg"
-    cfg.write_text("seed = 3\nquad_tl = 1e-4\n")
-    rc = main(["verify", "ode", "--config", str(cfg), "--count", "3"])
-    captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
-    assert f"{cfg}:2: unknown key 'quad_tl'" in captured.err
+@pytest.mark.parametrize("argv,attached", [
+    pytest.param(["eval", "aiai-real", "--x", "0", "--x0", "-1e-3"], "--x0=-1e-3",
+                 id="eval-x0"),
+    pytest.param(["greens", "--energy", "-3e-1", "--field", "0,0,0.1", "--r", "1,0,0",
+                  "--r-prime", "0,0,0"], "--energy=-3e-1", id="greens-energy"),
+    pytest.param(["table", "product", "--out", "p.csv", "--x-min", "-1e1", "--count-x", "3",
+                  "--count-x0", "2"], "--x-min=-1e1", id="table-x-min"),
+    pytest.param(["greens", "--energy", "0.5", "--field", "-0.1,0,0", "--r", "1,0,0",
+                  "--r-prime", "0,0,0"], "--field=-0.1,0,0", id="greens-field"),
+])
+def test_negative_option_values(tmp_path, monkeypatch, capsys, argv, attached):
+    # a separate value with a leading minus reads as the option's value,
+    # exactly as the attached --opt=value form does
+    monkeypatch.chdir(tmp_path)
+    i = argv.index(attached.split("=")[0])
+    rc, out = _run(capsys, argv)
+    written = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    assert rc == 0
+    rc_eq, out_eq = _run(capsys, argv[:i] + [attached] + argv[i + 2:])
+    assert rc_eq == 0 and out == out_eq
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == written
 
 
 @pytest.mark.parametrize("text,expected", [
