@@ -404,6 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     names = p_eval.add_subparsers(dest="name", required=True)
     for name in _EVAL_NAMES:
         p_name = names.add_parser(name, parents=[tol_flag])
+        p_name.set_defaults(leaf=p_name)
         if name in _REAL_NAMES:
             p_name.add_argument("--x", type=float, required=True, help="real argument")
             p_name.add_argument("--x0", type=float, required=True, help="real shift")
@@ -424,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="number of cases (default: per suite)")
     p_verify.add_argument("--seed", type=int, default=20240901,
                           help="seed of the pseudo-random grid")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, leaf=p_verify)
 
     p_table = sub.add_parser("table", help="write a table over a grid")
     targets = p_table.add_subparsers(dest="target", required=True)
@@ -439,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prod.add_argument("--x0-min", type=float, default=0.0)
     p_prod.add_argument("--x0-max", type=float, default=2.0)
     p_prod.add_argument("--count-x0", type=_count, default=5)
-    p_prod.set_defaults(func=_cmd_table_product)
+    p_prod.set_defaults(func=_cmd_table_product, leaf=p_prod)
     p_tgreens = targets.add_parser("greens", parents=[table_flags],
                                    help="the closed-form Green's function over eta")
     p_tgreens.add_argument("--xi", type=float, default=0.0)
@@ -447,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tgreens.add_argument("--eta-min", type=float, default=0.1)
     p_tgreens.add_argument("--eta-max", type=float, default=5.0)
     p_tgreens.add_argument("--eta-count", type=_count, default=50)
-    p_tgreens.set_defaults(func=_cmd_table_greens)
+    p_tgreens.set_defaults(func=_cmd_table_greens, leaf=p_tgreens)
 
     p_greens = sub.add_parser("greens", parents=[tol_flag],
                               help="evaluate the Green's function at a point")
@@ -457,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_greens.add_argument("--r-prime", required=True, help="X,Y,Z")
     p_greens.add_argument("--method", choices=("closed", "integral", "free"),
                           default="closed")
-    p_greens.set_defaults(func=_cmd_greens)
+    p_greens.set_defaults(func=_cmd_greens, leaf=p_greens)
     return parser
 
 
@@ -485,7 +486,9 @@ def _attach_negative_values(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = _build_parser().parse_args(_attach_negative_values(argv))
+        ns, extra = _build_parser().parse_known_args(_attach_negative_values(argv))
+        if extra:  # reported with the usage of the command that was given them
+            ns.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help/--version
         return exc.code
     try:

@@ -84,7 +84,8 @@ _ZERO_SHIFT = 1e-300
 _BOUNDARY_TOL = 1e-12
 
 # contour numerics: the integrand is cut where it falls below e^{-lambda}
-# = 1e-13, each integral may take up to 600 000 nodes, and no contour
+# = 1e-13, no bisection round starts once an integral has taken 600 000
+# nodes (the round that reaches them may pass that count), and no contour
 # reaches beyond radius 80
 _TAIL_LAMBDA = -math.log(1e-13)
 _MAX_NODES = 600_000
@@ -209,10 +210,6 @@ def saddles(args: ShiftedArgs) -> tuple:
     return outer, inner, -outer, -inner
 
 
-def _clip(x, lo, hi):
-    return max(lo, min(hi, x))
-
-
 def _tail_candidates(valley):
     """Seven interior angles of a valley as (theta, cos theta, sin theta)."""
     lo, hi = valley
@@ -240,21 +237,20 @@ def _tails(beta: complex):
     truncation radius comes from each angle's own cubic decay rate, so
     slow near-edge angles pay their real price.
     """
-    beta_abs = abs(beta)
-    radii = [_truncation_radius(beta_abs, d) for d in _TAIL_DECAYS]
+    radii = [_truncation_radius(abs(beta), d) for d in _TAIL_DECAYS]
+    re, im = beta.real, beta.imag
     out = []
     for cands in _TAIL_CANDIDATES:
-        best = None
+        best = math.inf
         for (th, cos_th, sin_th), d, r_tr in zip(cands, _TAIL_DECAYS, radii):
-            a = beta.real * sin_th + beta.imag * cos_th
-            crest = 0.0
-            if a < 0.0:
-                r = _clip(math.sqrt(-4.0 * a / d), 0.2, r_tr)
-                crest = -r * (a + d * r * r / 12.0)
-            score = crest + 0.02 * r_tr
-            if best is None or score < best[0]:
-                best = (score, th, r_tr)
-        out.append(best[1:])
+            a = re * sin_th + im * cos_th
+            score = 0.02 * r_tr
+            if a < 0.0:  # the crest lies off the start of the ray
+                r = max(0.2, min(r_tr, math.sqrt(-4.0 * a / d)))
+                score += -r * (a + d * r * r / 12.0)
+            if score < best:
+                best, tail = score, (th, r_tr)
+        out.append(tail)
     return out
 
 
@@ -315,7 +311,7 @@ def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
     floor = 0.5 if origin else 1.0
     # r_trunc >= (12 lambda)^(1/3) ~ 7.1, so the clip keeps the floor, and
     # the floor passes the filter below: no candidate list is ever empty
-    cand = [_clip(r, 2e-3, 0.85 * r_trunc) for r in (abs(outer), abs(inner), floor)]
+    cand = [max(2e-3, min(0.85 * r_trunc, r)) for r in (abs(outer), abs(inner), floor)]
     # rays into a valley are linearly panelized and must not start in the
     # sqrt-singular region; a path from the origin crosses near the
     # essential/linear balance radius, and large radii only stretch its

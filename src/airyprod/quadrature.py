@@ -88,12 +88,10 @@ class RayLeg:
     r_end: float
 
     def map(self, t):
-        t = np.asarray(t, dtype=float)
-        r = self.r_start + (self.r_end - self.r_start) * t
+        r = self.r_start + (self.r_end - self.r_start) * np.asarray(t, dtype=float)
         phase = complex(math.cos(self.theta), math.sin(self.theta))
-        k = r * phase
-        dkdt = np.full_like(k, (self.r_end - self.r_start) * phase)
-        return k, dkdt, np.full_like(r, self.theta)
+        return (r * phase, np.full(r.shape, (self.r_end - self.r_start) * phase),
+                np.full(r.shape, float(self.theta)))
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,7 @@ class ArcLeg:
     theta_end: float
 
     def map(self, t):
-        t = np.asarray(t, dtype=float)
-        th = self.theta_start + (self.theta_end - self.theta_start) * t
+        th = self.theta_start + (self.theta_end - self.theta_start) * np.asarray(t, dtype=float)
         k = self.radius * np.exp(1j * th)
         dkdt = 1j * (self.theta_end - self.theta_start) * k
         return k, dkdt, th
@@ -134,8 +131,7 @@ class DecayLeg:
         phase = complex(math.cos(self.theta), math.sin(self.theta))
         k = self.r_outer * np.exp(-s) * phase
         sign = 1.0 if self.outward else -1.0
-        dkdt = sign * self.s_max * k
-        return k, dkdt, np.full_like(s, self.theta)
+        return k, sign * self.s_max * k, np.full(s.shape, float(self.theta))
 
     @property
     def r_inner(self):
@@ -167,7 +163,9 @@ class QuadResult:
     reason the adaptive loop stopped.
 
     ``stop`` is one of ``"converged"`` (the target was met),
-    ``"node_ceiling"`` (``max_nodes`` was reached first), ``"plateau"``
+    ``"node_ceiling"`` (the node count had reached ``max_nodes`` before the
+    target was met; the ceiling is checked between bisection rounds, so
+    the last round may take the count past it), ``"plateau"``
     (bisection stopped reducing the error estimate: the float64 floor of
     the path) or ``"non_finite"`` (a panel value or error is not finite).
     """
@@ -211,23 +209,21 @@ def _eval_panels(legs, coeffs, power, leg, t0, t1):
     """
     mid = 0.5 * (t0 + t1)
     hw = 0.5 * (t1 - t0)
-    ts = mid[:, None] + hw[:, None] * _XGK[None, :]
-    edges = np.searchsorted(leg, np.arange(len(legs) + 1))
+    ts = mid[:, None] + hw[:, None] * _XGK
+    edges = leg.searchsorted(np.arange(len(legs) + 1)).tolist()
     maps = [legs[j].map(ts[lo:hi].ravel())
             for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
     k, dkdt, theta = (np.concatenate(part) for part in zip(*maps))
     f = _path_values(exponent(coeffs, k), k, dkdt, theta, power).reshape(ts.shape)
     resk = (f * _WGK).sum(axis=1)
-    resg = (f * _WG).sum(axis=1)
     kron = resk * hw
-    raw = np.abs(resk - resg) * hw
+    raw = np.abs(resk - (f * _WG).sum(axis=1)) * hw
     resasc = (np.abs(f - 0.5 * resk[:, None]) * _WGK).sum(axis=1) * hw
-    err = raw.copy()
-    mask = (resasc > 0.0) & (raw > 0.0)
-    err[mask] = resasc[mask] * np.minimum(
-        1.0, (200.0 * raw[mask] / resasc[mask]) ** 1.5)
-    err = np.maximum(err, 4e-16 * np.abs(kron))
-    return kron, err
+    # a panel with raw or resasc at 0 keeps raw; its quotient is discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc > 0.0) & (raw > 0.0),
+                       resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5), raw)
+    return kron, np.maximum(err, 4e-16 * np.abs(kron))
 
 
 _PROBE = np.linspace(0.0, 1.0, 33)
@@ -242,27 +238,26 @@ def _seed_counts(legs, coeffs, power):
     end must sit far below the leg maximum over t = j/16 (every other
     probe), or EndpointSingularity is raised.
     """
-    k, dkdt, theta = (np.concatenate(part).reshape(len(legs), -1)
-                      for part in zip(*(leg.map(_PROBE) for leg in legs)))
-    ex = exponent(coeffs, k.ravel()).reshape(k.shape)
-    decay = [j for j, leg in enumerate(legs) if isinstance(leg, DecayLeg)]
-    if decay:
-        vals = np.abs(_path_values(*(a[decay, ::2] for a in (ex, k, dkdt, theta)), power))
-        inner = np.where([legs[j].outward for j in decay], vals[:, 0], vals[:, -1])
-        peak = np.maximum(vals.max(axis=1), 1e-280)
-        bad = ~np.isfinite(inner) | (inner > peak * 1e-2)
-        if bad.any():
-            raise EndpointSingularity("integrand does not decay toward the inner end of "
-                                      f"the leg at angle {legs[decay[bad.argmax()]].theta:.6f}")
+    maps = [leg.map(_PROBE) for leg in legs]
+    ex = exponent(coeffs, np.concatenate([m[0] for m in maps])).reshape(len(legs), -1)
+    for leg, row, (k, dkdt, theta) in zip(legs, ex, maps):
+        if isinstance(leg, DecayLeg):
+            vals = np.abs(_path_values(row[::2], k[::2], dkdt[::2], theta[::2], power))
+            inner = vals[0] if leg.outward else vals[-1]
+            if not math.isfinite(inner) or inner > max(vals.max(), 1e-280) * 1e-2:
+                raise EndpointSingularity("integrand does not decay toward the inner end "
+                                          f"of the leg at angle {leg.theta:.6f}")
     # variation more than ~45 e-folds below the leg maximum cannot affect
     # the result; clip so deep decay tails do not inflate the count
-    re = np.maximum(ex.real, ex.real.max(axis=1, keepdims=True) - 45.0)
-    alive = re > re.max(axis=1, keepdims=True) - 44.0
+    top = ex.real.max(axis=1, keepdims=True)
+    re = np.maximum(ex.real, top - 45.0)
+    alive = re > top - 44.0
     seg = alive[:, :-1] & alive[:, 1:]
-    phase = (np.abs(np.diff(ex.imag, axis=1)) * seg).sum(axis=1)
-    mag = np.abs(np.diff(re, axis=1)).sum(axis=1)
-    n = (phase / 2.5 + mag / 4.0).astype(int) + 2
-    return np.clip(n, 2, _MAX_SEED_PANELS)
+    phase = (np.abs(ex.imag[:, 1:] - ex.imag[:, :-1]) * seg).sum(axis=1)
+    mag = np.abs(re[:, 1:] - re[:, :-1]).sum(axis=1)
+    # fmin caps the count before the cast, which also keeps an overflowed
+    # or NaN count from turning into a negative one
+    return np.fmin(phase / 2.5 + mag / 4.0, _MAX_SEED_PANELS - 2).astype(int) + 2
 
 
 def integrate_legs(legs, coeffs, power, tol, max_nodes):
@@ -275,7 +270,9 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
     power : real p; k^{-p} takes the branch of each leg's tracked angle
     tol : relative tolerance; the target is
         abs_err <= tol * max(1, |value|)
-    max_nodes : ceiling on total integrand evaluations
+    max_nodes : no bisection round starts once the integrand has been
+        evaluated on this many nodes; the round that reaches the ceiling
+        runs to its end, so ``nodes`` may exceed it
 
     Returns
     -------
@@ -287,9 +284,9 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
     counts = _seed_counts(legs, coeffs, power)
     # panels live in path order, as arrays: leg index, [t0, t1], GK15
     # value and error; the seed edges are those of np.linspace(0, 1, n + 1)
-    ends = np.cumsum(counts)
-    leg = np.repeat(np.arange(len(legs)), counts)
-    pos = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    ends = counts.cumsum()
+    leg = np.arange(len(legs)).repeat(counts)
+    pos = np.arange(ends[-1]) - (ends - counts).repeat(counts)
     step = (1.0 / counts)[leg]
     t0 = pos * step
     t1 = (pos + 1) * step
@@ -324,14 +321,15 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
         split = errs > goal / (2.0 * len(errs))
         # each split panel becomes its two halves in place, so the arrays
         # stay in path order and every leg's panels stay contiguous
-        reps = 1 + split
-        sel = np.flatnonzero(split)
+        sel = split.nonzero()[0]
         tm = 0.5 * (t0[sel] + t1[sel])
-        first = (np.cumsum(reps) - reps)[sel]
-        leg, t0, t1, vals, errs = (np.repeat(a, reps) for a in (leg, t0, t1, vals, errs))
+        # the i-th split panel moves right by the i halves inserted before it
+        first = sel + np.arange(len(sel))
+        leg, t0, t1, vals, errs = (a.repeat(split + 1) for a in (leg, t0, t1, vals, errs))
         t1[first] = tm
         t0[first + 1] = tm
-        child = np.column_stack([first, first + 1]).ravel()
+        child = first.repeat(2)
+        child[1::2] += 1
         vals[child], errs[child] = _eval_panels(
             legs, coeffs, power, leg[child], t0[child], t1[child])
         nodes += 15 * len(child)

@@ -262,6 +262,32 @@ def test_validation_exits(tmp_path, monkeypatch, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, usage", [
+    pytest.param(["verify", "routes", "--count", "1", "--format", "json"],
+                 "usage: airyprod verify ", id="verify"),
+    pytest.param(["table", "greens", "--out", "g.csv", "--rot1", "+"],
+                 "usage: airyprod table greens ", id="table-greens"),
+    pytest.param(["eval", "u+", "--z", "1", "--z0", "0", "--seed", "3"],
+                 "usage: airyprod eval u+ ", id="eval-name"),
+])
+def test_unknown_flag_reports_its_subcommand_usage(tmp_path, monkeypatch, capsys, argv,
+                                                   usage):
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(usage)
+    assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_and_version_exit_zero(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == __version__ + "\n"
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: airyprod verify ")
+
+
 def test_verify_failure_exit(monkeypatch, capsys):
     def suite(cfg, count):
         return [("passing", 0.0, True), ("failing", 1.0, False)], 0.5

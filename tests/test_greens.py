@@ -142,6 +142,16 @@ def test_weak_field_closed_form_leaves_float64():
         greens_closed(p)
 
 
+def test_node_ceiling_is_checked_between_rounds():
+    # the ceiling of 400 000 nodes stops the next round, not the running
+    # one: this weak-field integral reaches it in its last round
+    p = GreensParams.make(1.0, (0, 0, 1e-5), (0.5, 0.5, 0), (0, 0, 0))
+    with pytest.raises(ToleranceNotMet) as info:
+        greens_time_integral(p, 1e-8)
+    assert info.value.result.stop == "node_ceiling"
+    assert info.value.result.nodes == 494_010
+
+
 def test_time_integral_rejects_nan_tol():
     # NaN fails every comparison, so the range check must be written to reject it
     p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from airyprod import ContourKind, ShiftedArgs, build_contour, greens, laplace_integral, quadrature
+from airyprod import (ContourKind, Sector, ShiftedArgs, build_contour, greens,
+                      laplace_integral, quadrature)
 from airyprod.errors import EndpointSingularity
 from airyprod.greens import GreensParams
 from airyprod.grids import shifted_grid
@@ -228,6 +229,76 @@ def test_panel_schedule_pinned(monkeypatch):
     for config in _GREENS_CONFIGS:
         greens.greens_time_integral(GreensParams.make(*config), 1e-8)
     assert [r.nodes for r in results] == _GREENS_NODES
+
+
+# float.hex of (Re value, Im value, abs_err_est) at tol 1e-8, recorded once,
+# so that no change moves a contour-route bit, and with it a CLI byte,
+# unnoticed.  Rows: the five kinds in ContourKind order at an inner-sector
+# and at an outer-sector point, then the _GREENS_CONFIGS time integrals.
+# The last bits of exp and power differ between numpy's SIMD targets, so
+# the pins hold where numpy's float64 exp and power loops are those they
+# were recorded with.
+_BITS_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
+_BITS_KERNELS = ("2.4", "X86_V4", "X86_V4")
+_CONTOUR_BITS = [
+    ("0x1.63afdbd454d9bp+3", "-0x1.1606d7bd15c76p-2", "0x1.34de3bffae55ep-37"),
+    ("0x1.0371cbc6f1792p+3", "-0x1.19b9bd51c8a38p+1", "0x1.a3ba5de8f0844p-45"),
+    ("-0x1.c8cc7feba32b7p-1", "-0x1.fe7c84652ffafp-1", "0x1.46e984d1e63c4p-36"),
+    ("0x1.ab9089ba284a7p-1", "0x1.67902002f7894p-1", "0x1.c0142e139e4a9p-39"),
+    ("-0x1.47c1fb9835490p+0", "-0x1.d75b9401c0990p-3", "0x1.073fcf236f7c6p-40"),
+    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a82p-3", "0x1.a5de4f35c34c0p-32"),
+    ("-0x1.ccf49d1768a34p+0", "-0x1.d83c90ebe8ae9p+1", "0x1.62a97960ba81fp-39"),
+    ("0x1.06d3d9688fd6fp-1", "-0x1.250bfff48c6ecp+0", "0x1.3143f9ae5194dp-36"),
+    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bdp-1", "0x1.91152135020d8p-51"),
+    ("-0x1.d109ffae69876p+1", "-0x1.c8722319bf0bdp+0", "0x1.ac399b8271b2ap-32"),
+]
+_GREENS_BITS = [
+    ("-0x1.b7dc49beafd98p-2", "0x1.322b10b5e801bp+1", "0x1.28d8ff3eac67fp-38"),
+    ("0x1.8ea1a770335fbp-11", "0x1.8ea791965783bp-11", "0x1.3f9aaa192d195p-31"),
+    ("0x1.1041111a28d01p-1", "0x1.3e7bc6f5032f5p-1", "0x1.5b55e3672315dp-37"),
+    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a350p-1", "0x1.fdc4b68aabfbfp-33"),
+    ("0x1.ad27aad2b6cd6p-2", "0x1.ad27aad2b6cd6p-2", "0x1.693afc35e4fbcp-36"),
+    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1fp-19", "0x1.2fdab618edc7bp-55"),
+]
+
+
+def _float_kernels():
+    """numpy's minor version and the SIMD targets of its float64 exp and power."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0
+        return None
+    info = opt_func_info(func_name="exp|power", signature="float64")
+    return (np.__version__.rsplit(".", 1)[0], info["exp"]["dd"]["current"],
+            info["power"]["ddd"]["current"])
+
+
+def _bits(res):
+    return res.value.real.hex(), res.value.imag.hex(), res.abs_err_est.hex()
+
+
+@pytest.mark.skipif(_float_kernels() != _BITS_KERNELS,
+                    reason="bits recorded with numpy 2.4 on X86_V4 exp and power loops")
+def test_contour_route_bits_pinned(monkeypatch):
+    got = []
+    for (z, z0), sector in zip(_BITS_POINTS, (Sector.INNER, Sector.OUTER)):
+        args = ShiftedArgs.make(z, z0)
+        assert args.z0_sector is sector
+        got += [_bits(laplace_integral(build_contour(kind, args), args, 1e-8))
+                for kind in ContourKind]
+    assert got == _CONTOUR_BITS
+
+    results = []
+    real = greens.integrate_legs
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(greens, "integrate_legs", recording)
+    for config in _GREENS_CONFIGS:
+        greens.greens_time_integral(GreensParams.make(*config), 1e-8)
+    assert [_bits(r) for r in results] == _GREENS_BITS
 
 
 def test_greens_legs_connected(monkeypatch):
