@@ -20,15 +20,15 @@ accurate to better than 1e-13.
 The series is written as Ai = A(z^3) - z B(z^3), Ai' = z^2 C(z^3) - D(z^3):
 Ai(0), -Ai'(0) and the integer divisors are folded into four tables of
 double-double coefficients, built exactly in rationals at import, so the
-four sums share the powers (z^3)^k and each term costs one complex
-double-double multiply and four multiply-adds.  The step is fused: the
-Dekker halves of every coefficient are split at import, those of z^3
-once per call and those of each power once per term, and the multiply-
-adds are written out in the loop body, in exactly the operations and
-order of the double-double primitives.  The kernel uses plain arithmetic
-operators only: ``airy_batch`` runs it on float arrays, and a scalar
-``airy`` call inside the crossover radius runs the same code on python
-floats, with bit-identical results.
+four sums share the powers (z^3)^k and each term costs four real-by-
+complex multiply-adds and one complex double-double multiply.  The loop
+body is one straight line: every Dekker split, exact product and two-sum
+(Dekker, Numer. Math. 18, 1971) is written out with the sums in local
+variables, so a term makes no helper call.  The number of terms depends
+on |z| alone and is looked up in a table of radii.  The kernel uses plain
+arithmetic operators only: ``airy_batch`` runs it on float arrays, and a
+scalar ``airy`` call inside the crossover radius runs the same code on
+python floats, with bit-identical results.
 
 For arguments outside |arg z| <= 2*pi/3 the expansion is applied to the
 rotated points exp(+-2i*pi/3) z and recombined through the standard
@@ -40,10 +40,12 @@ which keeps every expansion inside its well-conditioned sector.  The
 asymptotic branch is written in real arithmetic too: real and imaginary
 parts with plain operators, and one numpy call each for the complex
 square roots and the exponential.  So a scalar call beyond the crossover
-also runs on python floats, bit-identical to ``airy_batch``; and since
-numpy may fuse a complex multiply into FMA instructions on hosts that
-have them while real +, -, * and / are always single IEEE roundings, the
-values of both branches do not depend on the host's FMA support.
+also runs on python floats, bit-identical to ``airy_batch``.  Real +, -,
+* and / are single IEEE roundings, so Ai and Ai' do not change with the
+SIMD loops numpy picks for the host, except within an ulp of the
+crossover circle, where ``airy_batch`` picks the branch by numpy's
+complex abs; ``est_rel_err`` does in its last bits, through numpy's
+float64 exp.
 
 Conjugate symmetry Ai(conj z) = conj(Ai(z)) is enforced structurally by
 evaluating in the upper half plane only, so it holds exactly.
@@ -51,6 +53,7 @@ evaluating in the upper half plane only, so it holds exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 import cmath
@@ -101,23 +104,11 @@ class AiryValue:
 
 
 # ----------------------------------------------------------------------
-# double-double primitives from plain operators: they run unchanged on
-# python floats and on numpy float arrays
+# complex double-double products and differences, as 4-tuples
+# (re_hi, re_lo, im_hi, im_lo) of python floats or float arrays alike.
+# Dekker's splits, exact products and sums (Numer. Math. 18, 1971) are
+# written out with plain operators, so no helper calls nest.
 # ----------------------------------------------------------------------
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def _fast_two_sum(a, b):
-    # requires |a| >= |b| componentwise (true at all call sites)
-    s = a + b
-    err = b - (s - a)
-    return s, err
-
 
 def _split(a):
     """Dekker halves (hi, lo) of a, with hi + lo == a exactly."""
@@ -126,43 +117,72 @@ def _split(a):
     return hi, a - hi
 
 
-def _dd_add(ah, al, bh, bl):
-    sh, sl = _two_sum(ah, bh)
-    sl = sl + (al + bl)
-    return _fast_two_sum(sh, sl)
-
-
-def _dd_mul_split(ah, al, a0, a1, bh, bl, b0, b1):
-    """(ah, al) * (bh, bl), given the halves a0, a1 of ah and b0, b1 of bh."""
-    p = ah * bh
-    err = ((a0 * b0 - p) + a0 * b1 + a1 * b0) + a1 * b1
-    return _fast_two_sum(p, err + (ah * bl + al * bh))
-
-
-def _dd_mul(ah, al, bh, bl):
-    return _dd_mul_split(ah, al, *_split(ah), bh, bl, *_split(bh))
-
-
-# complex double-double: 4-tuple (re_hi, re_lo, im_hi, im_lo)
-
-def _cdd_add(a, b):
-    rh, rl = _dd_add(a[0], a[1], b[0], b[1])
-    ih, il = _dd_add(a[2], a[3], b[2], b[3])
-    return (rh, rl, ih, il)
-
-
 def _cdd_mul(a, b):
-    p1h, p1l = _dd_mul(a[0], a[1], b[0], b[1])
-    p2h, p2l = _dd_mul(a[2], a[3], b[2], b[3])
-    rh, rl = _dd_add(p1h, p1l, -p2h, -p2l)
-    q1h, q1l = _dd_mul(a[0], a[1], b[2], b[3])
-    q2h, q2l = _dd_mul(a[2], a[3], b[0], b[1])
-    ih, il = _dd_add(q1h, q1l, q2h, q2l)
-    return (rh, rl, ih, il)
+    """a * b: the four real double-double products of the parts, then
+    Re a Re b - Im a Im b and Re a Im b + Im a Re b."""
+    arh, arl, aih, ail = a
+    brh, brl, bih, bil = b
+    t = _SPLIT * arh
+    ar0 = t - (t - arh)
+    ar1 = arh - ar0
+    t = _SPLIT * aih
+    ai0 = t - (t - aih)
+    ai1 = aih - ai0
+    t = _SPLIT * brh
+    br0 = t - (t - brh)
+    br1 = brh - br0
+    t = _SPLIT * bih
+    bi0 = t - (t - bih)
+    bi1 = bih - bi0
+    # Re a * Re b and Im a * Im b
+    p = arh * brh
+    e = (((ar0 * br0 - p) + ar0 * br1 + ar1 * br0) + ar1 * br1
+         + (arh * brl + arl * brh))
+    p1h = p + e
+    p1l = e - (p1h - p)
+    p = aih * bih
+    e = (((ai0 * bi0 - p) + ai0 * bi1 + ai1 * bi0) + ai1 * bi1
+         + (aih * bil + ail * bih))
+    p2h = p + e
+    p2l = e - (p2h - p)
+    # Re a * Im b and Im a * Re b
+    p = arh * bih
+    e = (((ar0 * bi0 - p) + ar0 * bi1 + ar1 * bi0) + ar1 * bi1
+         + (arh * bil + arl * bih))
+    q1h = p + e
+    q1l = e - (q1h - p)
+    p = aih * brh
+    e = (((ai0 * br0 - p) + ai0 * br1 + ai1 * br0) + ai1 * br1
+         + (aih * brl + ail * brh))
+    q2h = p + e
+    q2l = e - (q2h - p)
+    s = p1h - p2h
+    bb = s - p1h
+    e = ((p1h - (s - bb)) + (-p2h - bb)) + (p1l - p2l)
+    rh = s + e
+    rl = e - (rh - s)
+    s = q1h + q2h
+    bb = s - q1h
+    e = ((q1h - (s - bb)) + (q2h - bb)) + (q1l + q2l)
+    ih = s + e
+    return rh, rl, ih, e - (ih - s)
 
 
-def _cdd_collapse(a):
-    return (a[0] + a[1]) + 1j * (a[2] + a[3])
+def _cdd_sub(a, b):
+    """a - b, part by part: an exact two-sum of the high words, the low
+    words added to its error, and a renormalizing fast two-sum."""
+    arh, arl, aih, ail = a
+    brh, brl, bih, bil = b
+    s = arh - brh
+    bb = s - arh
+    e = ((arh - (s - bb)) + (-brh - bb)) + (arl - brl)
+    rh = s + e
+    rl = e - (rh - s)
+    s = aih - bih
+    bb = s - aih
+    e = ((aih - (s - bb)) + (-bih - bb)) + (ail - bil)
+    ih = s + e
+    return rh, rl, ih, e - (ih - s)
 
 
 def _parts(c):
@@ -211,91 +231,200 @@ def _series_tables(count):
     return tuple(rows)
 
 
-# 64 powers: |z| = 9 needs 48 and |z| = 12 needs 59 (see _series_terms)
-_SERIES = _series_tables(64)
+#: Term counts by radius.  The series stops at the first power k >= 1 of
+#: z^3 whose four terms at |z| = r all fall below 1e-35 of the larger of 1
+#: and the largest term so far, well under the double-double rounding of
+#: that term.  Term magnitudes depend on |z| only, so the count is a step
+#: function of r: _TERM_RADII[k - 2] is the smallest float r whose count is
+#: at least k, for k = 2..48.  The radii come from bisection over float64
+#: bit patterns on that rule, which the tests keep as its definition.
+_TERM_RADII = (
+    4.875750501391233e-12, 3.7502130780950666e-06, 0.00038249934023250754,
+    0.004076037037424463, 0.01741243352298093, 0.046847074518644415,
+    0.09648078561781612, 0.1678142388159818, 0.2604641575407179,
+    0.37294874311068194, 0.5032670382252543, 0.6492624991096558,
+    0.8088283297761069, 0.9800113859414613, 1.161055735581502,
+    1.3504123426660275, 1.5467309379573615, 1.7488434514779612,
+    1.9557442899191053, 2.166570313510362, 2.386612371170755,
+    2.6142279100657193, 2.8484373393888056, 3.086819996073577,
+    3.3266137910574414, 3.5698813915433045, 3.813254548890747,
+    4.062896016156415, 4.312104380558745, 4.563559451511703,
+    4.814752627400713, 5.070108337880164, 5.324992048690857,
+    5.580181608635868, 5.837432406423255, 6.094776137221436,
+    6.352672532769034, 6.6112098588606685, 6.870114748652645,
+    7.129254222996274, 7.388878222712485, 7.64858381646967,
+    7.907865501292963, 8.168298124499218, 8.42818320451973,
+    8.687239505394102, 8.947732657733974,
+)
+
+# rows k = 0..48: the most terms any radius up to the crossover needs
+_SERIES = _series_tables(len(_TERM_RADII) + 2)
 
 
 def _series_terms(r):
-    """Last power of z^3 the series needs for |z| <= r.
-
-    Term magnitudes depend on |z| only; the sum stops at the first power
-    whose four terms all fall below 1e-35 of the larger of 1 and the
-    largest term, well under the double-double rounding of that term.
-    """
-    r3, power, peak = r * r * r, 1.0, 1.0
-    for k, (a, b, c, d) in enumerate(_SERIES):
-        term = power * max(a[0], b[0] * r, c[0] * r * r, d[0])
-        peak = max(peak, term)
-        if k and term < 1e-35 * peak:
-            return k
-        power *= r3
-    return len(_SERIES) - 1
+    """Last power of z^3 the series needs for |z| <= r (48 beyond the
+    crossover radius)."""
+    return 1 + bisect_right(_TERM_RADII, r)
 
 
 def _series_core(x, y, n):
     """Ai, Ai' at z = x + iy from the Maclaurin series through (z^3)^n.
 
     The four sums A, B, C, D (see ``_series_tables``) share the powers
-    P_k = (z^3)^k, so each term costs one complex double-double multiply
-    and four real-by-complex multiply-adds.  The step is fused: the
-    Dekker halves of the coefficients are split at import, those of z^3
-    once per call and those of P_k once per term, and each multiply-add
-    is written out in the loop body, with exactly the operations of
-    ``_dd_mul`` and ``_cdd_add`` in their order.  Plain operators only:
-    x, y are python floats or float arrays alike, with bit-identical
-    results.
+    P_k = (z^3)^k.  Each term adds P_k times the row's four real
+    coefficients to the four complex double-double sums, and then forms
+    P_{k+1} = P_k z^3.  The loop body is one straight line of plain
+    operators: every Dekker split, exact product and two-sum is written
+    out, and the sums live in local variables.  The Dekker halves of the
+    coefficients are split at import, those of z^3 once per call and
+    those of P_k once per term.  x, y are python floats or float arrays
+    alike, with bit-identical results.
     """
     z = (x, 0.0, y, 0.0)
     z2 = _cdd_mul(z, z)
-    z3 = _cdd_mul(z2, z)
-    zrh, zrl, zih, zil = z3
-    zr0, zr1 = _split(zrh)
-    zi0, zi1 = _split(zih)
-    sums = [(ch, cl, 0.0, 0.0) for ch, cl, _, _ in _SERIES[0]]
-    prh, prl, pih, pil = z3
-    for k in range(1, n + 1):
-        pr0, pr1 = _split(prh)
-        pi0, pi1 = _split(pih)
-        for j, (ch, cl, c0, c1) in enumerate(_SERIES[k]):
-            # (rh, rl), (ih, il) = _dd_mul(P_re, c), _dd_mul(P_im, c)
-            rh = prh * ch
-            rl = (((pr0 * c0 - rh) + pr0 * c1 + pr1 * c0) + pr1 * c1
-                  + (prh * cl + prl * ch))
-            t = rh + rl
-            rl = rl - (t - rh)
-            rh = t
-            ih = pih * ch
-            il = (((pi0 * c0 - ih) + pi0 * c1 + pi1 * c0) + pi1 * c1
-                  + (pih * cl + pil * ch))
-            t = ih + il
-            il = il - (t - ih)
-            ih = t
-            # sums[j] = _cdd_add(sums[j], (rh, rl, ih, il))
-            sh, sl, sih, sil = sums[j]
-            s = sh + rh
-            bb = s - sh
-            e = ((sh - (s - bb)) + (rh - bb)) + (sl + rl)
-            sh = s + e
-            sl = e - (sh - s)
-            s = sih + ih
-            bb = s - sih
-            e = ((sih - (s - bb)) + (ih - bb)) + (sil + il)
-            sih = s + e
-            sil = e - (sih - s)
-            sums[j] = (sh, sl, sih, sil)
-        if k < n:
-            # P_{k+1} = _cdd_mul(P_k, z^3)
-            p1h, p1l = _dd_mul_split(prh, prl, pr0, pr1, zrh, zrl, zr0, zr1)
-            p2h, p2l = _dd_mul_split(pih, pil, pi0, pi1, zih, zil, zi0, zi1)
-            q1h, q1l = _dd_mul_split(prh, prl, pr0, pr1, zih, zil, zi0, zi1)
-            q2h, q2l = _dd_mul_split(pih, pil, pi0, pi1, zrh, zrl, zr0, zr1)
-            prh, prl = _dd_add(p1h, p1l, -p2h, -p2l)
-            pih, pil = _dd_add(q1h, q1l, q2h, q2l)
-    a, b, c, d = sums
-    zb = _cdd_mul(z, b)
-    ai = _cdd_add(a, (-zb[0], -zb[1], -zb[2], -zb[3]))
-    aip = _cdd_add(_cdd_mul(z2, c), (-d[0], -d[1], -d[2], -d[3]))
-    return _cdd_collapse(ai), _cdd_collapse(aip)
+    zrh, zrl, zih, zil = prh, prl, pih, pil = _cdd_mul(z2, z)
+    t = _SPLIT * zrh
+    zr0 = t - (t - zrh)
+    zr1 = zrh - zr0
+    t = _SPLIT * zih
+    zi0 = t - (t - zih)
+    zi1 = zih - zi0
+    # the sums A, B, C, D as (re_hi, re_lo, im_hi, im_lo), from row k = 0;
+    # the coefficients of row k are (hi, lo, hi0, hi1) as (ah, al, a0, a1)
+    (arh, arl, _, _), (brh, brl, _, _), (crh, crl, _, _), (drh, drl, _, _) = (
+        _SERIES[0])
+    aih = ail = bih = bil = cih = cil = dih = dil = 0.0
+    for k, ((ah, al, a0, a1), (bh, bl, b0, b1), (ch, cl, c0, c1),
+            (dh, dl, d0, d1)) in enumerate(_SERIES[1:n + 1], 1):
+        t = _SPLIT * prh
+        pr0 = t - (t - prh)
+        pr1 = prh - pr0
+        t = _SPLIT * pih
+        pi0 = t - (t - pih)
+        pi1 = pih - pi0
+        # A: P_re A_k and P_im A_k as double-doubles (t, tl), each added
+        # to its part of the sum; then the same for B, C and D
+        th = prh * ah
+        tl = (((pr0 * a0 - th) + pr0 * a1 + pr1 * a0) + pr1 * a1
+              + (prh * al + prl * ah))
+        t = th + tl
+        tl = tl - (t - th)
+        s = arh + t
+        bb = s - arh
+        e = ((arh - (s - bb)) + (t - bb)) + (arl + tl)
+        arh = s + e
+        arl = e - (arh - s)
+        th = pih * ah
+        tl = (((pi0 * a0 - th) + pi0 * a1 + pi1 * a0) + pi1 * a1
+              + (pih * al + pil * ah))
+        t = th + tl
+        tl = tl - (t - th)
+        s = aih + t
+        bb = s - aih
+        e = ((aih - (s - bb)) + (t - bb)) + (ail + tl)
+        aih = s + e
+        ail = e - (aih - s)
+        # B
+        th = prh * bh
+        tl = (((pr0 * b0 - th) + pr0 * b1 + pr1 * b0) + pr1 * b1
+              + (prh * bl + prl * bh))
+        t = th + tl
+        tl = tl - (t - th)
+        s = brh + t
+        bb = s - brh
+        e = ((brh - (s - bb)) + (t - bb)) + (brl + tl)
+        brh = s + e
+        brl = e - (brh - s)
+        th = pih * bh
+        tl = (((pi0 * b0 - th) + pi0 * b1 + pi1 * b0) + pi1 * b1
+              + (pih * bl + pil * bh))
+        t = th + tl
+        tl = tl - (t - th)
+        s = bih + t
+        bb = s - bih
+        e = ((bih - (s - bb)) + (t - bb)) + (bil + tl)
+        bih = s + e
+        bil = e - (bih - s)
+        # C
+        th = prh * ch
+        tl = (((pr0 * c0 - th) + pr0 * c1 + pr1 * c0) + pr1 * c1
+              + (prh * cl + prl * ch))
+        t = th + tl
+        tl = tl - (t - th)
+        s = crh + t
+        bb = s - crh
+        e = ((crh - (s - bb)) + (t - bb)) + (crl + tl)
+        crh = s + e
+        crl = e - (crh - s)
+        th = pih * ch
+        tl = (((pi0 * c0 - th) + pi0 * c1 + pi1 * c0) + pi1 * c1
+              + (pih * cl + pil * ch))
+        t = th + tl
+        tl = tl - (t - th)
+        s = cih + t
+        bb = s - cih
+        e = ((cih - (s - bb)) + (t - bb)) + (cil + tl)
+        cih = s + e
+        cil = e - (cih - s)
+        # D
+        th = prh * dh
+        tl = (((pr0 * d0 - th) + pr0 * d1 + pr1 * d0) + pr1 * d1
+              + (prh * dl + prl * dh))
+        t = th + tl
+        tl = tl - (t - th)
+        s = drh + t
+        bb = s - drh
+        e = ((drh - (s - bb)) + (t - bb)) + (drl + tl)
+        drh = s + e
+        drl = e - (drh - s)
+        th = pih * dh
+        tl = (((pi0 * d0 - th) + pi0 * d1 + pi1 * d0) + pi1 * d1
+              + (pih * dl + pil * dh))
+        t = th + tl
+        tl = tl - (t - th)
+        s = dih + t
+        bb = s - dih
+        e = ((dih - (s - bb)) + (t - bb)) + (dil + tl)
+        dih = s + e
+        dil = e - (dih - s)
+        if k == n:
+            break
+        # P_{k+1} = P_k z^3: P_re zr - P_im zi and P_re zi + P_im zr
+        p = prh * zrh
+        e = (((pr0 * zr0 - p) + pr0 * zr1 + pr1 * zr0) + pr1 * zr1
+             + (prh * zrl + prl * zrh))
+        p1h = p + e
+        p1l = e - (p1h - p)
+        p = pih * zih
+        e = (((pi0 * zi0 - p) + pi0 * zi1 + pi1 * zi0) + pi1 * zi1
+             + (pih * zil + pil * zih))
+        p2h = p + e
+        p2l = e - (p2h - p)
+        p = prh * zih
+        e = (((pr0 * zi0 - p) + pr0 * zi1 + pr1 * zi0) + pr1 * zi1
+             + (prh * zil + prl * zih))
+        q1h = p + e
+        q1l = e - (q1h - p)
+        p = pih * zrh
+        e = (((pi0 * zr0 - p) + pi0 * zr1 + pi1 * zr0) + pi1 * zr1
+             + (pih * zrl + pil * zrh))
+        q2h = p + e
+        q2l = e - (q2h - p)
+        s = p1h - p2h
+        bb = s - p1h
+        e = ((p1h - (s - bb)) + (-p2h - bb)) + (p1l - p2l)
+        prh = s + e
+        prl = e - (prh - s)
+        s = q1h + q2h
+        bb = s - q1h
+        e = ((q1h - (s - bb)) + (q2h - bb)) + (q1l + q2l)
+        pih = s + e
+        pil = e - (pih - s)
+    # Ai = A - z B, Ai' = z^2 C - D
+    ai = _cdd_sub((arh, arl, aih, ail), _cdd_mul(z, (brh, brl, bih, bil)))
+    aip = _cdd_sub(_cdd_mul(z2, (crh, crl, cih, cil)), (drh, drl, dih, dil))
+    return ((ai[0] + ai[1]) + 1j * (ai[2] + ai[3]),
+            (aip[0] + aip[1]) + 1j * (aip[2] + aip[3]))
 
 
 def _series_err(x, y, n):

@@ -1,6 +1,7 @@
 """Reference-evaluator tests: frozen values, identities, error contracts."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -347,6 +348,101 @@ def test_series_values_pinned():
         assert [x.hex() for x in got] == want, zz
         got = [a.real, a.imag, ap.real, ap.imag]
         assert [float(x).hex() for x in got] == want, zz
+
+
+def _digest_points():
+    # 4000 seeded points built with +, -, *, / and sqrt only, so they are
+    # the same bits on every host: the disk in both half planes, both
+    # axes, the six rays where z^3 is imaginary and the crossover circle
+    # (drawn just inside it, so no host's |z| takes a point across)
+    rng = np.random.default_rng(59)
+    x, y = rng.uniform(-CROSSOVER_RADIUS, CROSSOVER_RADIUS, (2, 2600))
+    disk = (x + 1j * y)[x * x + y * y < CROSSOVER_RADIUS ** 2 * (1.0 - 1e-12)][:2000]
+    real = rng.uniform(-CROSSOVER_RADIUS, CROSSOVER_RADIUS, 200) + 0j
+    imag = 1j * rng.uniform(-CROSSOVER_RADIUS, CROSSOVER_RADIUS, 200)
+    c, s = math.sqrt(3.0) / 2.0, 0.5
+    rays = [r * dx + 1j * (r * dy) for r, (dx, dy) in zip(
+        rng.uniform(0.0, CROSSOVER_RADIUS, (6, 200)),
+        [(c, s), (0.0, 1.0), (-c, s), (-c, -s), (0.0, -1.0), (c, -s)])]
+    t = rng.uniform(-1.0, 1.0, 400)
+    r = CROSSOVER_RADIUS * (1.0 - 1e-13)
+    circle = r * (1 - t * t) / (1 + t * t) + 1j * (r * 2 * t / (1 + t * t))
+    circle[200:] = -circle[200:]
+    return np.concatenate([disk, real, imag, *rays, circle])
+
+
+def _hex_digest(pairs):
+    h = hashlib.sha256()
+    for a, ap in pairs:
+        parts = (a.real, a.imag, ap.real, ap.imag)
+        h.update(" ".join(float(x).hex() for x in parts).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of the float.hex of Ai and Ai' at _digest_points(), recorded
+# from the series kernel of the nested double-double primitives
+_SERIES_DIGEST = "057be9f04d7e879b66462c965238f42d82c5fb86ddb5b5bc57b35cdfb6440e26"
+
+
+def test_series_digest_pinned():
+    # real +, -, * only, so the same bits on any host, one call per point
+    # and one 4000-point array alike
+    z = _digest_points()
+    assert len(z) == 4000 and np.all(np.abs(z) < CROSSOVER_RADIUS)
+    ai, aip, _ = airy_batch(z)
+    assert _hex_digest(zip(ai, aip)) == _SERIES_DIGEST
+    values = [airy(complex(w)) for w in z]
+    assert _hex_digest((v.ai, v.ai_prime) for v in values) == _SERIES_DIGEST
+
+
+_WALK_TABLE = oracle._series_tables(64)
+
+
+def _walk_terms(r):
+    """The series term count for each radius in the array r, by the rule
+    itself: walk a longer coefficient table and stop at the first power
+    k >= 1 whose four terms all fall below 1e-35 of the larger of 1 and
+    the largest term so far."""
+    r3, power, peak = r * r * r, np.ones_like(r), np.ones_like(r)
+    count = np.full(r.shape, len(_WALK_TABLE) - 1)
+    running = np.ones(r.shape, dtype=bool)
+    for k, (a, b, c, d) in enumerate(_WALK_TABLE):
+        term = power * np.maximum.reduce([np.full_like(r, a[0]), b[0] * r,
+                                          c[0] * r * r, np.full_like(r, d[0])])
+        peak = np.maximum(peak, term)
+        if k:
+            stop = running & (term < 1e-35 * peak)
+            count[stop] = k
+            running &= ~stop
+        power = power * r3
+    return count
+
+
+def test_term_radii_are_the_walks_thresholds():
+    # radius k - 2 is the smallest float r with count >= k, by bisection
+    # over the bit patterns of the floats in [0, 9], every k at once
+    top = int(_walk_terms(np.array([CROSSOVER_RADIUS]))[0])
+    ks = np.arange(2, top + 1)
+    lo = np.zeros(len(ks), dtype=np.int64)
+    hi = np.full(len(ks), np.float64(CROSSOVER_RADIUS).view(np.int64))
+    while np.any(lo < hi):
+        mid = lo + (hi - lo) // 2
+        up = _walk_terms(mid.view(np.float64)) >= ks
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid + 1)
+    assert tuple(lo.view(np.float64).tolist()) == oracle._TERM_RADII
+    # the kept coefficient rows are the walk's first rows, bit for bit
+    assert oracle._SERIES == _WALK_TABLE[:top + 1]
+
+
+def test_series_terms_matches_walk():
+    # +-1000 ulps around every threshold and 100 000 seeded radii
+    bits = np.array(oracle._TERM_RADII).view(np.int64)
+    near = (bits[:, None] + np.arange(-1000, 1001)).ravel().view(np.float64)
+    rng = np.random.default_rng(61)
+    r = np.concatenate([near, rng.uniform(0.0, CROSSOVER_RADIUS, 100_000),
+                        [0.0, CROSSOVER_RADIUS]])
+    got = np.array([oracle._series_terms(x) for x in r.tolist()])
+    assert np.array_equal(got, _walk_terms(r))
 
 
 @pytest.mark.parametrize("z", [12 + 4j, -15 - 2j, -20.0, 30.0, 9.5j, -9.2 + 0.1j])
