@@ -50,7 +50,7 @@ from .greens import (
     operator_residual,
     scaled_vars,
 )
-from .oracle import AiryValue, airy, airy_batch, airy_ode_residual
+from .oracle import AiryValue, airy, airy_batch
 from .products import (
     ProductValue,
     Rotation,
@@ -69,7 +69,7 @@ from .products import (
 from .quadrature import QuadResult
 
 __all__ = [
-    "AiryValue", "airy", "airy_batch", "airy_ode_residual",
+    "AiryValue", "airy", "airy_batch",
     "Sector", "ContourKind", "ShiftedArgs", "ContourPath",
     "classify_sector", "build_contour", "laplace_integral", "saddles",
     "QuadResult",

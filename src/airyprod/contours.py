@@ -18,11 +18,13 @@ as a continuous lift, so crossing the cut ray while tracking the lift is
 an allowed, value-neutral deformation; what is forbidden, and checked,
 is a discontinuous jump of the lift.
 
-Five contour kinds are provided, each a pair of ends (``_ENDS``):
+A path is named by its pair of ends (start, end), each a valley
+``V1``, ``V2``, ``V3`` or k = 0 on the ``up`` or ``low`` side of the cut.
+Five such pairs have names, the contour kinds (``_ENDS``):
 
     L+ : V3 -> V2          L- : V1 -> V2           (valley-to-valley)
-    R- : 0 -> V1           R+ : 0 -> V3            (origin-to-valley)
-    O  : 0 -> 0            (around the cut, ends on opposite sides)
+    R- : up -> V1          R+ : low -> V3          (origin-to-valley)
+    O  : up -> low         (around the cut, ends on opposite sides)
 
 An end at k = 0 is approached along the steepest-descent direction of
 the essential factor (the center of the internal valley, lifted to the
@@ -31,7 +33,7 @@ below, where R+ starts and O ends), which makes the endpoint integrand
 decay purely exponentially with no oscillation and keeps the
 construction uniformly accurate up to |arg z0| = pi/2, where the
 near-cut region of the internal valley degenerates.  One builder makes
-every kind from its ends: a ray in from the start valley or a decay leg
+every path from its ends: a ray in from the start valley or a decay leg
 out of k = 0, one arc at the turn radius, and a ray out to the end
 valley or a decay leg into k = 0.
 
@@ -102,6 +104,8 @@ class Sector(Enum):
 
 
 class ContourKind(Enum):
+    """The name of one pair of ends in ``_ENDS``."""
+
     L_PLUS = "L+"
     L_MINUS = "L-"
     R_PLUS = "R+"
@@ -109,8 +113,11 @@ class ContourKind(Enum):
     O = "O"
 
 
-#: Each kind's start and end: a valley (V1, V2, V3 of VALLEY_SECTORS) or
+#: The ends a path may join: the valleys V1, V2, V3 of VALLEY_SECTORS and
 #: k = 0 on the "up" or "low" side of the cut.
+_END_NAMES = ("V1", "V2", "V3", "up", "low")
+
+#: Each kind's start and end.
 _ENDS = {
     ContourKind.L_PLUS: ("V3", "V2"),
     ContourKind.L_MINUS: ("V1", "V2"),
@@ -158,13 +165,14 @@ class ShiftedArgs:
 class ContourPath:
     """An immutable, fully built integration path.
 
-    ``segments`` is the ordered leg chain; ``cut_angle`` records the
-    branch-cut ray used to anchor the k^(1/2) lift; ``endpoint_scale``
-    is the radius at which endpoint legs cluster exponentially toward
-    k = 0 (for L contours, the turn radius).
+    ``kind`` is what the path was built from, a ``ContourKind`` or a
+    (start, end) pair of end names; ``segments`` is the ordered leg
+    chain; ``cut_angle`` records the branch-cut ray used to anchor the
+    k^(1/2) lift; ``endpoint_scale`` is the radius at which endpoint legs
+    cluster exponentially toward k = 0 (for L contours, the turn radius).
     """
 
-    kind: ContourKind
+    kind: ContourKind | tuple
     cut_angle: float
     segments: tuple
     truncation_radius: float
@@ -272,24 +280,35 @@ def _coefficients(args: ShiftedArgs) -> tuple:
     return args.z + 0.5 * args.z0, -args.z0 * args.z0 / 4.0, 1.0
 
 
-def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
-    """Construct the requested contour for the given (z, z0).
+def _ends(kind) -> tuple:
+    """The (start, end) names of a ``ContourKind`` or of a pair of them."""
+    if isinstance(kind, ContourKind):
+        return _ENDS[kind]
+    if (isinstance(kind, tuple) and len(kind) == 2 and kind[0] != kind[1]
+            and all(e in _END_NAMES for e in kind)):
+        return kind
+    raise InvalidKindForSector(f"unknown contour kind: {kind!r}")
 
-    All five kinds are defined in every shift sector (Outer uses the cut
-    and origin contours of -z0).  Every kind is one path between its two
-    ends: a ray in from the start (or a decay leg out of k = 0), one arc,
-    and a ray out to the end (or a decay leg into k = 0).  The geometry
-    is closed-form: in each valley the tail angle minimizes the exact
-    crest of Re E without the z0 term along its ray, the truncation
-    radius is the positive root of a cubic, and the turn radius is one
-    of the two saddle moduli |sqrt(z+z0) +- sqrt(z)| or a fixed floor,
-    whichever keeps the crest of Re E along the arc lowest.  Raises
-    DegenerateGeometry when the required truncation radius exceeds the
-    ceiling of 80, which happens beyond |z + z0/2| = 231.03.
+
+def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
+    """Construct the path of ``kind`` for the given (z, z0).
+
+    ``kind`` is a ``ContourKind`` or a (start, end) pair of the end names
+    ``V1``, ``V2``, ``V3``, ``up`` and ``low``, with start != end.  Every
+    path is defined in every shift sector (Outer uses the cut and origin
+    contours of -z0), and each joins its two ends with a ray in from the
+    start (or a decay leg out of k = 0), one arc, and a ray out to the
+    end (or a decay leg into k = 0).  The geometry is closed-form: in
+    each valley the tail angle minimizes the exact crest of Re E without
+    the z0 term along its ray, the truncation radius is the positive root
+    of a cubic, and the turn radius is one of the two saddle moduli
+    |sqrt(z+z0) +- sqrt(z)| or a fixed floor, whichever keeps the crest
+    of Re E along the arc lowest.  Raises InvalidKindForSector for any
+    other ``kind``, and DegenerateGeometry when the required truncation
+    radius exceeds the ceiling of 80, which happens beyond
+    |z + z0/2| = 231.03.
     """
-    if not isinstance(kind, ContourKind):
-        raise InvalidKindForSector(f"unknown contour kind: {kind!r}")
-
+    start, end = _ends(kind)
     a = _effective_shift_angle(args)
     coeffs = _coefficients(args)
     tails = _tails(coeffs[0])
@@ -301,7 +320,7 @@ def build_contour(kind: ContourKind, args: ShiftedArgs) -> ContourPath:
     theta_up = 2.0 * a + _PI / 2.0
     ends = dict(zip(("V1", "V2", "V3"), tails), up=(theta_up, 0.0),
                 low=(theta_up - 2.0 * _PI, 0.0))
-    (th_a, r_a), (th_b, r_b) = (ends[e] for e in _ENDS[kind])
+    (th_a, r_a), (th_b, r_b) = ends[start], ends[end]
     valley = r_a > 0.0 or r_b > 0.0
     origin = r_a == 0.0 or r_b == 0.0
 

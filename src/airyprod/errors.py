@@ -14,9 +14,10 @@ class EnvelopeExceeded(AiryprodError):
 
 
 class InvalidKindForSector(AiryprodError):
-    """Requested contour kind is not a ``ContourKind``.
+    """Requested contour kind is neither a ``ContourKind`` nor a pair of
+    two different end names.
 
-    Every kind is defined in every shift sector, so only an unknown kind
+    Every path is defined in every shift sector, so only an unknown kind
     raises this.
     """
 

@@ -234,10 +234,15 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             ]
         else:
             t_saddle = math.sqrt(8.0 * eprime) / f if eprime > 0.05 else 0.0
+            # junction radius: the ray past it is panelized evenly, so at
+            # small separations a junction near d/sqrt(2) would leave the
+            # steep fall of t^{-3/2} to the ray, where bisection stalls;
+            # the floor hands that fall to the decay leg's geometric spacing
             r_j = math.sqrt(dd / (2.0 * max(abs(eprime), 1.0)))
             if t_saddle > 0.0:
-                r_j = min(r_j, 0.5 * t_saddle)
-            r_j = max(r_j, 1e-6)
+                r_j = max(min(r_j, 0.5 * t_saddle), min(0.5, 0.25 * t_saddle))
+            else:
+                r_j = max(r_j, min(0.5, 1.0 / max(abs(eprime), 1.0)))
 
             r_min = dd * sin_rot / (2.0 * lam)
             s_max = max(math.log(max(r_j / r_min, 2.0)), 6.0)

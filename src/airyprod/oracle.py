@@ -40,12 +40,12 @@ which keeps every expansion inside its well-conditioned sector.  The
 asymptotic branch is written in real arithmetic too: real and imaginary
 parts with plain operators, and one numpy call each for the complex
 square roots and the exponential.  So a scalar call beyond the crossover
-also runs on python floats, bit-identical to ``airy_batch``.  Real +, -,
-* and / are single IEEE roundings, so Ai and Ai' do not change with the
-SIMD loops numpy picks for the host, except within an ulp of the
-crossover circle, where ``airy_batch`` picks the branch by numpy's
-complex abs; ``est_rel_err`` does in its last bits, through numpy's
-float64 exp.
+also runs on python floats, bit-identical to ``airy_batch``.  Both entry
+points pick the branch by x*x + y*y <= 81 and take the series term count
+from its correctly rounded square root.  Real +, -, * and / are single
+IEEE roundings, so Ai and Ai' do not change with the SIMD loops numpy
+picks for the host; ``est_rel_err`` does in its last bits, through
+numpy's float64 exp.
 
 Conjugate symmetry Ai(conj z) = conj(Ai(z)) is enforced structurally by
 evaluating in the upper half plane only, so it holds exactly.
@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import EnvelopeExceeded, NonFiniteInput
 
-__all__ = ["AiryValue", "airy", "airy_batch", "airy_ode_residual", "ENVELOPE_RADIUS"]
+__all__ = ["AiryValue", "airy", "airy_batch", "ENVELOPE_RADIUS"]
 
 #: Documented accuracy envelope of the public evaluator.
 ENVELOPE_RADIUS = 50.0
@@ -73,6 +73,7 @@ ENVELOPE_RADIUS = 50.0
 #: double-double series degrades past ~|z| = 10.7, the smallest-term
 #: asymptotic error crosses 1e-13 near |z| = 8.
 CROSSOVER_RADIUS = 9.0
+_CROSSOVER_R2 = CROSSOVER_RADIUS * CROSSOVER_RADIUS  # 81, exactly
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT3_2 = 0.5 * _SQRT3  # Im e^{2i pi/3}; its real part is -1/2
@@ -440,9 +441,10 @@ def _series_err(x, y, n):
 def _series_batch(z):
     """Ai, Ai', est_rel_err arrays by ``_series_core`` on the array z."""
     z = np.asarray(z, dtype=complex)
-    n = _series_terms(float(np.max(np.abs(z), initial=0.0)))
-    ai, aip = _series_core(z.real, z.imag, n)
-    return ai, aip, _series_err(z.real, z.imag, n)
+    x, y = z.real, z.imag
+    n = _series_terms(math.sqrt(float(np.max(x * x + y * y, initial=0.0))))
+    ai, aip = _series_core(x, y, n)
+    return ai, aip, _series_err(x, y, n)
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +588,7 @@ def _airy_raw_batch(z):
     flip = z.imag < 0.0
     zz = np.where(flip, np.conj(z), z)
 
-    small = np.abs(zz) <= CROSSOVER_RADIUS
+    small = zz.real * zz.real + zz.imag * zz.imag <= _CROSSOVER_R2
     if small.any():
         a, ap, e = _series_batch(zz[small])
         ai[small], aip[small], est[small] = a, ap, e
@@ -629,36 +631,21 @@ def airy(z: complex) -> AiryValue:
         if |z| > 50 (the documented accuracy envelope).
     """
     z = complex(z)
-    r = abs(z)
-    _check_envelope(cmath.isfinite(z), r)
-    # python floats on both branches, in the upper half plane like
-    # _airy_raw_batch, so both entry points agree bit for bit
+    _check_envelope(cmath.isfinite(z), abs(z))
+    # python floats on both branches, in the upper half plane and with
+    # the branch rule of _airy_raw_batch, so both entry points agree bit
+    # for bit
     flip = z.imag < 0.0
     zz = z.conjugate() if flip else z
     x, y = zz.real, zz.imag
-    if r > CROSSOVER_RADIUS:
+    r2 = x * x + y * y
+    if r2 > _CROSSOVER_R2:
         ar, ai, dr, di, est = _asym(x, y)
         ai, aip = complex(ar, ai), complex(dr, di)
     else:
-        n = _series_terms(r)
+        n = _series_terms(math.sqrt(r2))
         ai, aip = _series_core(x, y, n)
         est = _series_err(x, y, n)
     if flip:
         ai, aip = ai.conjugate(), aip.conjugate()
     return AiryValue(ai, aip, float(est))
-
-
-def airy_ode_residual(z: complex, h: float = 1e-3) -> float:
-    """Centered-difference check that the evaluator solves v'' = z v.
-
-    Returns |FD2[Ai](z) - z Ai(z)| / max(1, |Ai(z)|) with a second-order
-    stencil of step h.  Step restricted to 1e-4 <= h <= 1e-1: larger
-    steps leave the O(h^2) regime, smaller ones amplify rounding.
-    """
-    z = complex(z)
-    h = float(h)
-    if not (1e-4 <= h <= 1e-1):
-        raise ValueError("airy_ode_residual: h must lie in [1e-4, 1e-1]")
-    a0, ap_, am = airy_batch(np.array([z, z + h, z - h]))[0]
-    fd2 = (ap_ - 2.0 * a0 + am) / (h * h)
-    return abs(fd2 - z * a0) / max(1.0, abs(a0))

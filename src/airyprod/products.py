@@ -17,25 +17,41 @@ value is computable two ways:
 * route ``DIRECT``   -- evaluations of the Airy reference evaluator
                         multiplied together (the default; fast, and the
                         ground truth the contour route is tested against);
-* route ``CONTOUR``  -- a fixed combination of the half-line Laplace
-                        integrals I_C of ``contours``,
+* route ``CONTOUR``  -- one half-line Laplace integral I_C of
+                        ``contours`` over a path between two ends,
 
-      e^{i pi/4 + i m pi/3} / (4 pi^{3/2}) * sum_C c_C I_C,   c_C = +-1,
+      e^{i pi/4 + i m pi/3} / (4 pi^{3/2}) * I_C.
 
-  where some signs change when |arg z0| > pi/2, because the cut and the
-  origin loop O of that sector are those of -z0.  The basis rows are
+  An end is a valley V1, V2, V3 or k = 0 on one side of the cut.  Let
+  "near" be the side where R+- starts (low for +, up for -), "far" the
+  other side, and V = V3 for + and V1 for -.  The rows are
 
-      U+- :  m = -+1,  I_{L+-}
-      W+- :  m = +-1,  I_{R+-}            (|arg z0| <= pi/2)
-                       I_{R+-} +- I_O     (|arg z0| >  pi/2)
+      value          m     |arg z0| <= pi/2     |arg z0| > pi/2
+      U+-           -+1    V -> V2              V -> V2
+      W+-           +-1    near -> V            far -> V
+      diff+-        +-1    far -> near          near -> far
+      (+-, 0)       +-1    far -> V             near -> V
+      (+-, -+)       0     far -> V2            near -> V2
+
+  The ends change with the sector because for |arg z0| > pi/2 the cut
+  and the origin ends are those of -z0.  The mixed products are the
+  combinations
+
+      Ai(e^{+-}(z+z0)) Ai(z)         = U-+ + e^{-+i pi/3} (U+- - W-+)
+      Ai(e^{+-}(z+z0)) Ai(e^{-+} z)  = e^{-+i pi/3} U-+ + e^{+-i pi/3} W-+
+
+  whose integrals chain end to start, so each is the integral over one
+  path.  Only Ai(z+z0) Ai(z) = e^{-i pi/3} W+ + e^{+i pi/3} W- takes two
+  integrals, over R+ and R-, whose paths share no end; its real-axis
+  cosine form ``aiai_real`` is twice the real part of the R- term.
 
 Both routes read one table, one row per value: ``_DIRECT`` lists the
 evaluator products to add or subtract and ``_CONTOUR`` the prefactor and
-signed integrals above, for U+-, W+-, the nine products, the
-antisymmetric ``difference_identity`` (I_O alone) and the real-axis
-cosine form ``aiai_real``.  The sector dispatch lives in the table, not
-in the contour engine, because the formula choice is a property of the
-representation rather than of path geometry.
+the path of each sector, for U+-, W+-, the nine products, the
+antisymmetric ``difference_identity`` (the origin loop, one way round or
+the other) and ``aiai_real``.  The sector dispatch lives in the table,
+not in the contour engine, because the formula choice is a property of
+the representation rather than of path geometry.
 
 ``w_pm_real`` (shift >= 0 only) is the W+- row on real arguments, where
 it is the half-line formula of the real axis.
@@ -50,7 +66,6 @@ import cmath
 import math
 
 from .contours import (
-    ContourKind,
     Sector,
     ShiftedArgs,
     build_contour,
@@ -115,52 +130,42 @@ def _pref(m: int) -> complex:
     return cmath.exp(1j * (math.pi / 4.0 + m * math.pi / 3.0)) / _PREF_NORM
 
 
-_L = {+1: ContourKind.L_PLUS, -1: ContourKind.L_MINUS}
-_R = {+1: ContourKind.R_PLUS, -1: ContourKind.R_MINUS}
-_O = ContourKind.O
-
-
 def _rows(s: int):
     """The rows of the values that come in +- pairs, for the sign s.
 
     ``_DIRECT`` terms are (c, f1, f2) for c Ai(f1 (z+z0)) Ai(f2 z), where
     f = None takes the argument as it is.  ``_CONTOUR`` rows are a
-    prefactor and terms (kind, c, c_outer) for c I_kind, with c_outer
-    used when |arg z0| > pi/2 and c = 0 leaving the integral out.  The
-    mixed products are the combinations
-
-        Ai(e^{+-}(z+z0)) Ai(z)         = U-+ + e^{-+i pi/3} (U+- - W-+)
-        Ai(e^{+-}(z+z0)) Ai(e^{-+} z)  = e^{-+i pi/3} U-+ + e^{+-i pi/3} W-+
-
-    written out in the integrals; e^{-2i pi/3} = -e^{+i pi/3} leaves one
-    prefactor per row.
+    prefactor and the paths for |arg z0| <= pi/2 and for |arg z0| > pi/2,
+    each a tuple of (start, end) pairs whose integrals are added.
     """
     rot = Rotation(s)
     w = rot.factor
-    u_row = (_pref(-s), ((_L[s], 1, 1),))
-    w_row = (_pref(s), ((_R[s], 1, 1), (_O, 0, s)))
+    near, far = ("low", "up") if s > 0 else ("up", "low")
+    v = "V3" if s > 0 else "V1"
+    u_row = (_pref(-s), ((v, "V2"),), ((v, "V2"),))
+    w_row = (_pref(s), ((near, v),), ((far, v),))
     direct = {("u", s): ((1, w, w),),
               ("w", s): ((1, None, w),),
               ("diff", s): ((1, w, None), (-1, None, w))}
     contour = {("u", s): u_row,
                ("w", s): w_row,
-               ("diff", s): (_pref(s), ((_O, s, -s),)),
+               ("diff", s): (_pref(s), ((far, near),), ((near, far),)),
                (rot, rot): u_row,
                (Rotation.NONE, rot): w_row,
-               (rot, Rotation.NONE): (_pref(s), ((_L[-s], 1, 1), (_L[s], -1, -1),
-                                                 (_R[-s], 1, 1), (_O, 0, -s))),
-               (rot, Rotation(-s)): (_pref(0), ((_L[-s], 1, 1), (_R[-s], 1, 1),
-                                                (_O, 0, -s)))}
+               (rot, Rotation.NONE): (_pref(s), ((far, v),), ((near, v),)),
+               (rot, Rotation(-s)): (_pref(0), ((far, "V2"),), ((near, "V2"),))}
     return direct, contour
 
 
+# R+ and R-: the origin loops of e^{-i pi/3} W+ + e^{+i pi/3} W- cancel
+# in every sector
+_R_PAIR = (("low", "V3"), ("up", "V1"))
 _DIRECT = {(r1, r2): ((1, r1.factor, r2.factor),) for r1 in Rotation for r2 in Rotation}
 _CONTOUR = {
-    # the I_O terms of e^{-i pi/3} W+ + e^{+i pi/3} W- cancel in every sector
-    (Rotation.NONE, Rotation.NONE): (_pref(0), ((_R[+1], 1, 1), (_R[-1], 1, 1))),
+    (Rotation.NONE, Rotation.NONE): (_pref(0), _R_PAIR, _R_PAIR),
     # the row above on the real axis, where its two terms are complex
     # conjugates: twice the real part of the R- term
-    "aiai": (2.0 * _pref(0), ((_R[-1], 1, 1),)),
+    "aiai": (2.0 * _pref(0), _R_PAIR[1:], _R_PAIR[1:]),
 }
 for _s in (+1, -1):
     _d, _c = _rows(_s)
@@ -188,9 +193,9 @@ def _direct_product(f1: complex, f2: complex) -> tuple[complex, float]:
                + 2.0 * _EPS * args)
 
 
-def _contour_value(kind: ContourKind, args: ShiftedArgs, tol):
-    """I_kind and its error estimate."""
-    res = laplace_integral(build_contour(kind, args), args, tol)
+def _contour_value(ends: tuple, args: ShiftedArgs, tol):
+    """I_C over the path between ``ends`` and its error estimate."""
+    res = laplace_integral(build_contour(ends, args), args, tol)
     return res.value, res.abs_err_est
 
 
@@ -212,8 +217,9 @@ def _signed_sum(terms) -> tuple[complex, float]:
 def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
     """The value of one table row along ``route``.
 
-    The contour route evaluates each integral of the row once, and
-    bounds the error by |prefactor| times the sum of their estimates.
+    The contour route integrates over the row's path for the sector of
+    z0 (over both paths of Ai(z+z0) Ai(z)), and bounds the error by
+    |prefactor| times the estimate.
     """
     z, z0 = complex(z), complex(z0)
     if route is Route.DIRECT:
@@ -225,10 +231,9 @@ def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
     if route is not Route.CONTOUR:
         raise ValueError(f"products support the DIRECT and CONTOUR routes, not {route}")
     args = ShiftedArgs.make(z, z0)
-    col = 2 if args.z0_sector is Sector.OUTER else 1
-    pref, row = _CONTOUR[key]
-    val, err = _signed_sum((term[col], _contour_value(term[0], args, tol))
-                           for term in row if term[col])
+    pref, *paths = _CONTOUR[key]
+    val, err = _signed_sum((1, _contour_value(ends, args, tol))
+                           for ends in paths[args.z0_sector is Sector.OUTER])
     return ProductValue(pref * val, route, abs(pref) * err)
 
 
@@ -242,9 +247,9 @@ def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
          tol: float = _DEFAULT_TOL) -> ProductValue:
     """W+-(z; z0) = Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
-    On the contour route the single integral over R+- suffices for
-    |arg z0| <= pi/2 (and z0 = 0); beyond, the origin-loop correction
-    +-I_O is added.
+    On the contour route this is the integral over R+- for
+    |arg z0| <= pi/2 (and z0 = 0); beyond, the path starts at k = 0 on
+    the other side of the cut, which adds the origin loop +-I_O.
     """
     return _evaluate(("w", _check_sign(sign)), z, z0, route, tol)
 
@@ -255,13 +260,14 @@ def product(rot1: Rotation, rot2: Rotation, z: complex, z0: complex,
 
     ``rot1``/``rot2`` select the solutions: v(z) = Ai(e^{r 2i pi/3} z).
     The direct route multiplies two evaluator calls; the contour route
-    sums the Laplace integrals of the U/W basis combinations
+    integrates the U/W basis combinations
 
         Ai(z+z0) Ai(z)                   = e^{-i pi/3} W+ + e^{+i pi/3} W-
         Ai(e^{+-}(z+z0)) Ai(z)           = U-+ + e^{-+i pi/3} (U+- - W-+)
         Ai(e^{+-}(z+z0)) Ai(e^{-+} z)    = e^{-+i pi/3} U-+ + e^{+-i pi/3} W-+
 
-    evaluating each integral once.
+    each over one path between two ends, except the first, which is the
+    two integrals over R+ and R-.
     """
     return _evaluate((Rotation(rot1), Rotation(rot2)), z, z0, route, tol)
 
@@ -271,7 +277,7 @@ def difference_identity(sign: int, z: complex, z0: complex,
     """Ai(e^{+-2i pi/3}(z+z0)) Ai(z) - Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
     This antisymmetric combination is proportional to the origin-loop
-    integral alone,
+    integral alone, taken in the direction that gives the sign below,
 
         +- e^{i pi/4 +- i pi/3} / (4 pi^{3/2}) * I_O    (|arg z0| <= pi/2)
         -+ e^{i pi/4 +- i pi/3} / (4 pi^{3/2}) * I_O    (|arg z0| >  pi/2)
@@ -318,25 +324,14 @@ def aiai_real(x: float, x0: float, tol: float = _DEFAULT_TOL) -> ProductValue:
     return ProductValue(complex(pv.value.real, 0.0), Route.REAL_AXIS, pv.abs_err_est)
 
 
-def _factor_derivatives(zz: complex, rot: complex):
-    """(p, p', p'', p''', p'''') for p(z) = Ai(rot z) at argument zz.
+def _derivative_stack(zz, rot: complex):
+    """(p, p', p'', p''', p'''') for p(z) = Ai(rot z) at the array zz, from
+    one ``airy_batch`` call.
 
     Every rotated Ai solves p'' = z p in the unrotated variable (rot^3
     is 1), so higher derivatives reduce to p and p'.
     """
-    a = airy(rot * zz)
-    return _derivatives(zz, rot, a.ai, a.ai_prime)
-
-
-def _derivative_stack(args, rot: complex):
-    """Vectorized ``_factor_derivatives``: one ``airy_batch`` call."""
-    ai, aip, _ = airy_batch(rot * args)
-    return _derivatives(args, rot, ai, aip)
-
-
-def _derivatives(zz, rot: complex, ai, aip):
-    """(p, ..., p'''') at zz from ai = Ai(rot zz), aip = Ai'(rot zz); the
-    arguments are scalars or arrays alike."""
+    ai, aip, _ = airy_batch(rot * zz)
     dp = rot * aip
     return ai, dp, zz * ai, ai + zz * dp, 2.0 * dp + zz * zz * ai
 
@@ -354,8 +349,7 @@ def _leibniz_terms(p, q):
 
 def _residual_w(z, z0, p, q):
     """Residual of w'''' - (4z + 2 z0) w'' - 6 w' + z0^2 w for w = p q,
-    over the largest magnitude among its four terms (floored at 1); the
-    arguments are scalars or arrays alike."""
+    over the largest magnitude among its four terms (floored at 1)."""
     w0, w1, w2, _, w4 = _leibniz_terms(p, q)
     terms = (w4, (4.0 * z + 2.0 * z0) * w2, 6.0 * w1, z0 * z0 * w0)
     resid = terms[0] - terms[1] - terms[2] + terms[3]
@@ -386,10 +380,10 @@ def ode_residual_w(z: complex, z0: complex,
     relative to the natural scale of the identity.
     """
     rot1, rot2 = Rotation(rot1), Rotation(rot2)
-    z, z0 = complex(z), complex(z0)
-    p = _factor_derivatives(z + z0, rot1.factor)
-    q = _factor_derivatives(z, rot2.factor)
-    return float(_residual_w(z, z0, p, q))
+    z, z0 = np.array([complex(z)]), complex(z0)
+    p = _derivative_stack(z + z0, rot1.factor)
+    q = _derivative_stack(z, rot2.factor)
+    return float(_residual_w(z, z0, p, q)[0])
 
 
 def ode_residual_w_batch(z, z0):
@@ -421,7 +415,7 @@ def ode_residual_reduced(z: complex,
     satisfies it; derivatives are analytic as in ``ode_residual_w``.
     """
     rot1, rot2 = Rotation(rot1), Rotation(rot2)
-    z = complex(z)
-    p = _factor_derivatives(z, rot1.factor)
-    q = _factor_derivatives(z, rot2.factor)
-    return float(_residual_reduced(z, p, q))
+    z = np.array([complex(z)])
+    p = _derivative_stack(z, rot1.factor)
+    q = _derivative_stack(z, rot2.factor)
+    return float(_residual_reduced(z, p, q)[0])

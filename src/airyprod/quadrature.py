@@ -133,10 +133,6 @@ class DecayLeg:
         sign = 1.0 if self.outward else -1.0
         return k, sign * self.s_max * k, np.full(s.shape, float(self.theta))
 
-    @property
-    def r_inner(self):
-        return self.r_outer * math.exp(-self.s_max)
-
 
 @dataclass(frozen=True)
 class SegmentLeg:
@@ -333,19 +329,6 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
         vals[child], errs[child] = _eval_panels(
             legs, coeffs, power, leg[child], t0[child], t1[child])
         nodes += 15 * len(child)
-
-
-def path_is_connected(legs, rtol=1e-9):
-    """Check junction continuity of both position and tracked angle."""
-    ends = [leg.map([0.0, 1.0]) for leg in legs]
-    for (k_prev, _, th_prev), (k_next, _, th_next) in zip(ends[:-1], ends[1:]):
-        k_end, k_start = k_prev[1], k_next[0]
-        scale = max(abs(k_end), abs(k_start), 1e-30)
-        if abs(k_end - k_start) > rtol * scale:
-            return False
-        if abs(th_prev[1] - th_next[0]) > 1e-12:
-            return False
-    return True
 
 
 def _cubic_roots(p: float, q: float) -> tuple:

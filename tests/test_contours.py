@@ -26,13 +26,15 @@ from airyprod import (
     w_pm,
 )
 from airyprod.contours import (
+    _ENDS,
     VALLEY_SECTORS,
     ContourPath,
     _effective_shift_angle,
     _truncation_radius,
 )
 from airyprod.grids import shifted_grid
-from airyprod.quadrature import DecayLeg, RayLeg, _cubic_roots, path_is_connected
+from airyprod.quadrature import DecayLeg, RayLeg, _cubic_roots
+from pathcheck import path_is_connected, r_inner
 
 PI = math.pi
 
@@ -114,8 +116,8 @@ def test_path_invariants_all_kinds(z0):
             assert isinstance(first, DecayLeg) and isinstance(last, DecayLeg)
             # both ends at k ~ 0, lifts a full turn apart (opposite cut
             # sides), both inside the internal valley mod 2 pi
-            assert first.r_inner < 1e-2 * path.endpoint_scale
-            assert last.r_inner < 1e-2 * path.endpoint_scale
+            assert r_inner(first) < 1e-2 * path.endpoint_scale
+            assert r_inner(last) < 1e-2 * path.endpoint_scale
             assert first.theta - last.theta == pytest.approx(2.0 * PI)
             for th in (first.theta, last.theta):
                 frac = (th - 2.0 * a_eff) % (2.0 * PI)
@@ -133,6 +135,40 @@ def test_invalid_kind_rejected():
     args = ShiftedArgs.make(1.0, 1.0)
     with pytest.raises(InvalidKindForSector):
         build_contour("loop", args)
+
+
+@pytest.mark.parametrize("bad", [("up", "up"), ("V1", "V4"), ("V1",), ["up", "V1"], "O"])
+def test_invalid_end_pair_rejected(bad):
+    with pytest.raises(InvalidKindForSector):
+        build_contour(bad, ShiftedArgs.make(1.0, 1.0))
+
+
+@pytest.mark.parametrize("z0", [0.9, -1.1 + 0.4j, 1.3j, 0.0])
+def test_kind_and_its_end_pair_build_one_path(z0):
+    args = ShiftedArgs.make(0.8 - 0.3j, z0)
+    for kind, ends in _ENDS.items():
+        assert build_contour(kind, args).segments == build_contour(ends, args).segments
+
+
+@pytest.mark.parametrize("z,z0", [(0.6, 1.1), (1.2 - 0.8j, -0.9), (0.4 + 0.2j, 1.7j),
+                                  (-1.5, 0.0)], ids=["inner", "outer", "boundary", "zero"])
+def test_chained_paths_equal_signed_sums(z, z0):
+    # a path between two ends is the sum of named paths that chain from
+    # the one end to the other, e.g. up -> V3 = O then R+
+    lp, lm, rp, rm, o = (_integral(k, z, z0) for k in ContourKind)  # L+ L- R+ R- O
+    chains = {
+        ("up", "V3"): ((1, o), (1, rp)),
+        ("low", "V1"): ((-1, o), (1, rm)),
+        ("low", "up"): ((-1, o),),
+        ("up", "V2"): ((1, rm), (1, lm)),
+        ("low", "V2"): ((-1, o), (1, rm), (1, lm)),
+        ("V1", "V3"): ((1, lm), (-1, lp)),
+    }
+    for ends, terms in chains.items():
+        got = _integral(ends, z, z0)
+        want = sum(c * r.value for c, r in terms)
+        budget = got.abs_err_est + sum(r.abs_err_est for _, r in terms)
+        assert abs(got.value - want) <= max(budget, 1e-12), ends
 
 
 def test_degenerate_geometry_ceiling():

@@ -200,6 +200,28 @@ def test_mutual_consistency_parameter_sweep():
         assert abs(gc - gi) <= 1e-6 * max(abs(gc), 1e-300)
 
 
+def test_time_integral_at_small_separations():
+    # five seeded configurations, each at seven separations from 1 down to
+    # 1e-3 along a fixed direction: the time integral converges at tol
+    # 1e-10 on every one, with the effective energy of either sign
+    rng = np.random.default_rng(61)
+    signs = set()
+    for _ in range(5):
+        e = rng.uniform(-1.0, 1.0)
+        f = 10.0 ** rng.uniform(-1.0, 0.0) * rng.normal(size=3)
+        f *= 10.0 ** rng.uniform(-1.0, 0.0) / np.linalg.norm(f)
+        r_prime = rng.uniform(-1.0, 1.0, 3)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        signs.add(e > float(np.dot(f, r_prime)))
+        for d in (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3):
+            p = GreensParams.make(e, f, r_prime + d * u, r_prime)
+            gi = greens_time_integral(p, 1e-10)
+            gc = greens_closed(p)
+            assert abs(gi - gc) <= 1e-13 * max(1.0, abs(gc)), (e, d)
+    assert signs == {True, False}
+
+
 @pytest.mark.parametrize("e, f, d", [(-0.02, 1e-8, 1.0), (-0.3, 1e-6, 5.0),
                                      (-0.1, 1e-5, 3.0), (-0.05, 1e-7, 2.0),
                                      (-0.5, 1e-6, 2.0)])

@@ -18,8 +18,8 @@ from airyprod.quadrature import (
     RayLeg,
     SegmentLeg,
     integrate_legs,
-    path_is_connected,
 )
+from pathcheck import path_is_connected
 
 
 # (a, b, c) of the exponent E(k) = i(a k + b/k + c k^3/12)
