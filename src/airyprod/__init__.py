@@ -57,9 +57,7 @@ from .products import (
     Route,
     aiai_real,
     difference_identity,
-    ode_residual_reduced,
     ode_residual_reduced_batch,
-    ode_residual_w,
     ode_residual_w_batch,
     product,
     u_pm,
@@ -75,8 +73,7 @@ __all__ = [
     "QuadResult",
     "Route", "Rotation", "ProductValue",
     "u_pm", "w_pm", "product", "difference_identity",
-    "w_pm_real", "aiai_real", "ode_residual_w", "ode_residual_reduced",
-    "ode_residual_w_batch", "ode_residual_reduced_batch",
+    "w_pm_real", "aiai_real", "ode_residual_w_batch", "ode_residual_reduced_batch",
     "GreensParams", "ScaledVars", "scaled_vars",
     "greens_closed", "greens_time_integral", "greens_free", "operator_residual",
     "AiryprodError", "NonFiniteInput", "EnvelopeExceeded",

@@ -116,36 +116,25 @@ def _count(text: str) -> int:
 _REAL_NAMES = ("aiai-real", "w-real+", "w-real-")
 _EVAL_NAMES = ("u+", "u-", "w+", "w-", "product", "diff+", "diff-", *_REAL_NAMES)
 _ROUTES = ("direct", "contour")
+_SIGNED = {"u": u_pm, "w": w_pm, "diff": difference_identity, "w-real": w_pm_real}
 
 
 def _cmd_eval(ns) -> int:
     name, tol = ns.name, ns.tol
-
     if name in _REAL_NAMES:
-        x, x0 = ns.x, ns.x0
-        if name == "aiai-real":
-            pv = aiai_real(x, x0, tol)
-        else:
-            pv = w_pm_real(+1 if name.endswith("+") else -1, x, x0, tol)
-        _emit([("name", name), ("x", _g(x)), ("x0", _g(x0)),
-               ("sector", classify_sector(complex(x0)).value),
-               ("route", pv.route.value),
-               ("re", _g(pv.value.real)), ("im", _g(pv.value.imag)),
-               ("abs_err", _g(pv.abs_err_est))])
-        return 0
-
-    z, z0, route = ns.z, ns.z0, Route(ns.route)
-    if name == "product":
-        pv = product(_ROT_NAMES[ns.rot1], _ROT_NAMES[ns.rot2], z, z0, route, tol)
-    elif name in ("u+", "u-"):
-        pv = u_pm(+1 if name == "u+" else -1, z, z0, route, tol)
-    elif name in ("w+", "w-"):
-        pv = w_pm(+1 if name == "w+" else -1, z, z0, route, tol)
-    else:  # diff+-
-        pv = difference_identity(+1 if name == "diff+" else -1, z, z0, route, tol)
-    _emit([("name", name),
-           ("z", f"{_g(z.real)}{z.imag:+.17g}i"),
-           ("z0", f"{_g(z0.real)}{z0.imag:+.17g}i"),
+        point = [("x", _g(ns.x)), ("x0", _g(ns.x0))]
+        z0, args = complex(ns.x0), (ns.x, ns.x0, tol)
+    else:
+        point = [("z", f"{_g(ns.z.real)}{ns.z.imag:+.17g}i"),
+                 ("z0", f"{_g(ns.z0.real)}{ns.z0.imag:+.17g}i")]
+        z0, args = ns.z0, (ns.z, ns.z0, Route(ns.route), tol)
+    if name == "aiai-real":
+        pv = aiai_real(*args)
+    elif name == "product":
+        pv = product(_ROT_NAMES[ns.rot1], _ROT_NAMES[ns.rot2], *args)
+    else:  # u+-, w+-, diff+-, w-real+-
+        pv = _SIGNED[name[:-1]](+1 if name[-1] == "+" else -1, *args)
+    _emit([("name", name), *point,
            ("sector", classify_sector(z0).value),
            ("route", pv.route.value),
            ("re", _g(pv.value.real)), ("im", _g(pv.value.imag)),
@@ -175,12 +164,10 @@ def _suite_routes(ns, count: int):
     for zz, zz0 in zip(z, z0):
         worst = 0.0
         for sign in (+1, -1):
-            d = u_pm(sign, zz, zz0, Route.DIRECT)
-            c = u_pm(sign, zz, zz0, Route.CONTOUR, ns.tol)
-            worst = max(worst, abs(c.value - d.value) / max(1.0, abs(d.value)))
-            d = w_pm(sign, zz, zz0, Route.DIRECT)
-            c = w_pm(sign, zz, zz0, Route.CONTOUR, ns.tol)
-            worst = max(worst, abs(c.value - d.value) / max(1.0, abs(d.value)))
+            for fn in (u_pm, w_pm):
+                d = fn(sign, zz, zz0, Route.DIRECT)
+                c = fn(sign, zz, zz0, Route.CONTOUR, ns.tol)
+                worst = max(worst, abs(c.value - d.value) / max(1.0, abs(d.value)))
         cases.append((f"z={zz:.6g} z0={zz0:.6g}", worst, worst <= tol))
     return cases, tol
 
@@ -340,6 +327,8 @@ def _cmd_table_greens(ns) -> int:
     field = ns.field
     if field <= 0.0:
         raise ValueError("table greens requires --field > 0")
+    if not (ns.eta_min > 0.0 and ns.eta_max > 0.0):
+        raise ValueError("table greens requires --eta-min > 0 and --eta-max > 0")
     rows = []
     for eta in np.linspace(ns.eta_min, ns.eta_max, ns.eta_count):
         d = 2.0 ** (2.0 / 3.0) * eta / field ** (1.0 / 3.0)

@@ -63,6 +63,7 @@ __all__ = [
 
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
 _ROT = math.pi / 8.0  # fixed endpoint rotation of the time integral
+_STEP = 1e-3  # finite-difference step of operator_residual
 
 
 @dataclass(frozen=True)
@@ -96,24 +97,36 @@ class ScaledVars:
     eta: float
 
 
-def _check_separation(p: GreensParams) -> float:
-    if not all(map(math.isfinite, (p.energy_E, *p.field_F, *p.r, *p.r_prime))):
-        raise NonFiniteInput("Green's function inputs must be finite")
-    d = p.separation
+def _finite(message: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteInput(message)
+
+
+def _checked(p: GreensParams) -> tuple[float, float, float]:
+    """|r - r'|, |F| and F.(r + r'): finite, with r != r'.
+
+    Finite inputs can overflow in these sums and squares; that raises
+    NonFiniteInput, not a RuntimeWarning.
+    """
+    _finite("Green's function inputs must be finite",
+            p.energy_E, *p.field_F, *p.r, *p.r_prime)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, f = p.separation, p.field_strength
+        fdot = float(np.dot(p.field_F, np.add(p.r, p.r_prime)))
+    _finite("|r - r'|, |F| or F.(r + r') overflows float64", d, f, fdot)
     if d == 0.0:
         raise CoincidentPoints("r and r' coincide; the kernel has a 1/|r-r'| pole")
-    return d
+    return d, f, fdot
 
 
 def scaled_vars(p: GreensParams) -> ScaledVars:
     """Dimensionless arguments (xi, eta) of the closed form; eta > 0."""
-    d = _check_separation(p)
-    f = p.field_strength
+    d, f, fdot = _checked(p)
     if f == 0.0:
         raise ZeroField("scaled variables are defined only for |F| > 0")
-    fdot = float(np.dot(p.field_F, np.add(p.r, p.r_prime)))
     xi = (fdot - 2.0 * p.energy_E) / (2.0 * f) ** (2.0 / 3.0)
     eta = f ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0) * d
+    _finite("scaled variable xi or eta overflows float64", xi, eta)
     return ScaledVars(xi, eta)
 
 
@@ -148,10 +161,17 @@ def greens_free(p: GreensParams) -> complex:
     For E < 0 the outgoing branch is the exponentially decaying one,
     k = i sqrt(2|E|).
     """
-    d = _check_separation(p)
+    d = _checked(p)[0]
     e = p.energy_E
     k = math.sqrt(2.0 * e) if e >= 0.0 else 1j * math.sqrt(-2.0 * e)
+    _finite("free-wave phase k|r - r'| overflows float64", abs(k) * d)
     return cmath.exp(1j * k * d) / (2.0 * math.pi * d)
+
+
+def _decay_span(r: float, r_min: float) -> float:
+    """``s_max`` of a decay leg from radius r in to r_min: log(r / r_min),
+    but at least 6."""
+    return max(math.log(max(r / r_min, 2.0)), 6.0)
 
 
 def _cut_length(a: float, b: float, c: float, lam: float) -> float:
@@ -180,10 +200,13 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     """
     if not (1e-10 <= tol <= 1e-4):
         raise ValueError("greens_time_integral: tol must be in [1e-10, 1e-4]")
-    d = _check_separation(p)
+    d, f, fdot = _checked(p)
     dd = d * d
-    f = p.field_strength
-    eprime = p.energy_E - 0.5 * float(np.dot(p.field_F, np.add(p.r, p.r_prime)))
+    eprime = p.energy_E - 0.5 * fdot
+    # the coefficients E', |r - r'|^2/2 and F^2/2, with E' as large as the
+    # path geometry raises it: 8 E' and (2|E'|)^{3/2}
+    _finite("time-integral coefficients overflow float64",
+            8.0 * abs(eprime) * math.sqrt(abs(eprime)), dd, f * f)
 
     # truncation depth: tails are cut where the integrand is e^{-lam} of
     # its O(1) scale, but below the effective energy the VALUE itself is
@@ -218,8 +241,6 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             # valley.  (For weak suppression the fixed-rotation route
             # below is both safe and cheaper, and for strong fields the
             # cubic ridge would block this ray before the saddle.)
-            r_min = dd / (2.0 * lam)
-            s_max = max(math.log(max(t_sad / r_min, 2.0)), 6.0)
             r_t = _cut_length(c3, 0.0, -abs(eprime), lam)
             # the ray's depth -E'r - c3 r^3 climbs to lam at the middle
             # root of c3 r^3 + E'r + lam = 0; without three real roots
@@ -227,7 +248,8 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             roots = _cubic_roots(eprime / c3, lam / c3)
             r_x = max(t_sad, roots[1]) if len(roots) == 3 else r_crest
             legs = [
-                DecayLeg(-math.pi / 2.0, t_sad, s_max, outward=True),
+                DecayLeg(-math.pi / 2.0, t_sad, _decay_span(t_sad, dd / (2.0 * lam)),
+                         outward=True),
                 RayLeg(-math.pi / 2.0, t_sad, r_x),
                 ArcLeg(r_x, -math.pi / 2.0, -math.pi / 6.0),
                 RayLeg(-math.pi / 6.0, r_x, max(r_t, 1.1 * r_x)),
@@ -244,9 +266,8 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             else:
                 r_j = max(r_j, min(0.5, 1.0 / max(abs(eprime), 1.0)))
 
-            r_min = dd * sin_rot / (2.0 * lam)
-            s_max = max(math.log(max(r_j / r_min, 2.0)), 6.0)
-            legs = [DecayLeg(-_ROT, r_j, s_max, outward=True)]
+            legs = [DecayLeg(-_ROT, r_j, _decay_span(r_j, dd * sin_rot / (2.0 * lam)),
+                             outward=True)]
 
             if t_saddle > 1.5 * r_j:
                 legs.append(ArcLeg(r_j, -_ROT, 0.0))
@@ -273,10 +294,9 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             # the whole integrand decays on the imaginary axis and the
             # ray maximum is the (tunneling) saddle value
             u_sad = math.sqrt(-2.0 * eprime / dd)
-            r_min = -eprime / lam
-            s_max = max(math.log(max(u_sad / r_min, 2.0)), 6.0)
             r_t = max(2.0 * lam / dd, 2.0 * u_sad)
-            legs = [DecayLeg(math.pi / 2.0, u_sad, s_max, outward=True),
+            legs = [DecayLeg(math.pi / 2.0, u_sad, _decay_span(u_sad, -eprime / lam),
+                             outward=True),
                     RayLeg(math.pi / 2.0, u_sad, r_t)]
         else:
             start_angle = -_ROT if eprime >= 0.0 else _ROT
@@ -284,11 +304,8 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             # leg resolves the sqrt weight, above it the linear tail is
             # smooth
             r_j = max(math.sqrt(abs(eprime) / (0.5 * dd)), 1.0 / (0.5 * dd), 1e-9)
-            if eprime != 0.0:
-                r_min = abs(eprime) * sin_rot / lam
-                s_max = max(math.log(max(r_j / r_min, 2.0)), 6.0)
-            else:
-                s_max = 2.0 * lam
+            s_max = (_decay_span(r_j, abs(eprime) * sin_rot / lam) if eprime != 0.0
+                     else 2.0 * lam)
             r_t = max(lam / (0.5 * dd * sin_rot), 2.0 * r_j)
             legs = [DecayLeg(start_angle, r_j, s_max, outward=True)]
             if start_angle != _ROT:
@@ -305,17 +322,19 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     return pref * res.value
 
 
-def operator_residual(p: GreensParams, h: float = 1e-3) -> float:
+def operator_residual(p: GreensParams) -> float:
     """Residual of [-(1/2) Lap + F.r - E] G at r, by 7-point stencil.
 
-    Uses the closed form at the six displaced points; the result is
-    normalized by |G| / |r - r'|^2, the natural curvature scale of the
-    kernel away from its pole.  Meaningful only off the singularity
-    (|r - r'| comfortably larger than h); h must lie in (0, |r - r'|).
+    Uses the closed form at the six points displaced by h = 1e-3; the
+    result is normalized by |G| / |r - r'|^2, the natural curvature scale
+    of the kernel away from its pole.  Meaningful only off the
+    singularity (|r - r'| comfortably larger than h); ValueError unless
+    |r - r'| > h.
     """
-    d = _check_separation(p)
-    if not 0.0 < h < d:
-        raise ValueError("operator_residual: h must lie in (0, |r - r'|)")
+    d = _checked(p)[0]
+    h = _STEP
+    if not h < d:
+        raise ValueError("operator_residual: |r - r'| must exceed the step 1e-3")
     g0 = greens_closed(p)
     lap = 0.0 + 0.0j
     for axis in range(3):

@@ -86,8 +86,6 @@ __all__ = [
     "difference_identity",
     "w_pm_real",
     "aiai_real",
-    "ode_residual_w",
-    "ode_residual_reduced",
     "ode_residual_w_batch",
     "ode_residual_reduced_batch",
 ]
@@ -202,12 +200,11 @@ def _contour_value(ends: tuple, args: ShiftedArgs, tol):
 def _signed_sum(terms) -> tuple[complex, float]:
     """Sum of c v and of e over (c, (v, e)) terms with c = +-1.
 
-    v itself is added or subtracted, so a single term with c = 1 comes
-    back unchanged, signed zeros included.
+    Every row's first term has c = +1 and is taken as it is, and v is
+    added or subtracted, so a single term comes back unchanged, signed
+    zeros included.
     """
-    (c, (val, err)), *rest = terms
-    if c < 0:
-        val = -val
+    (_, (val, err)), *rest = terms
     for c, (v, e) in rest:
         val = val + v if c > 0 else val - v
         err = err + e
@@ -364,33 +361,21 @@ def _residual_reduced(z, p, q):
     return abs(resid) / reduce(np.maximum, map(abs, terms), 1.0)
 
 
-def ode_residual_w(z: complex, z0: complex,
-                   rot1: Rotation = Rotation.NONE,
-                   rot2: Rotation = Rotation.NONE) -> float:
-    """Normalized residual of the fourth-order product equation.
+def ode_residual_w_batch(z, z0):
+    """Normalized residual of the fourth-order product equation, per point
+    the maximum over all nine products v1(z+z0) v2(z).
 
-    Derivatives of w = v1(z+z0) v2(z) are formed analytically from the
-    Airy recurrence v'' = z v (no finite differences), combined by the
-    Leibniz rule, and inserted into
+    Derivatives of each w are formed analytically from the Airy
+    recurrence v'' = z v (no finite differences), combined by the Leibniz
+    rule, and inserted into
 
         w'''' - (4z + 2 z0) w'' - 6 w' + z0^2 w.
 
-    The residual is normalized by the largest magnitude among the four
+    Each residual is normalized by the largest magnitude among the four
     operator terms (floored at 1), so it measures cancellation quality
-    relative to the natural scale of the identity.
-    """
-    rot1, rot2 = Rotation(rot1), Rotation(rot2)
-    z, z0 = np.array([complex(z)]), complex(z0)
-    p = _derivative_stack(z + z0, rot1.factor)
-    q = _derivative_stack(z, rot2.factor)
-    return float(_residual_w(z, z0, p, q)[0])
-
-
-def ode_residual_w_batch(z, z0):
-    """Vectorized ``ode_residual_w``: per-point maximum over all nine products.
-
-    Shares the six Airy evaluations each point needs across the nine
-    rotation pairs, so large verification grids stay fast.
+    relative to the natural scale of the identity.  The six Airy
+    evaluations a point needs are shared by the nine rotation pairs, and
+    a scalar is a one-point array.
     """
     z = np.atleast_1d(np.asarray(z, complex))
     z0 = np.atleast_1d(np.asarray(z0, complex))
@@ -400,22 +385,12 @@ def ode_residual_w_batch(z, z0):
 
 
 def ode_residual_reduced_batch(z):
-    """Vectorized ``ode_residual_reduced``: per-point max over nine products."""
+    """Residual of the third-order zero-shift equation w''' = 4z w' + 2w,
+    per point the maximum over all nine products v1(z) v2(z).
+
+    Any product of two Airy-equation solutions with equal arguments
+    satisfies it; derivatives and scale are as in ``ode_residual_w_batch``.
+    """
     z = np.atleast_1d(np.asarray(z, complex))
     stacks = [_derivative_stack(z, r.factor) for r in Rotation]
     return reduce(np.maximum, (_residual_reduced(z, p, q) for p in stacks for q in stacks))
-
-
-def ode_residual_reduced(z: complex,
-                         rot1: Rotation = Rotation.NONE,
-                         rot2: Rotation = Rotation.NONE) -> float:
-    """Residual of the third-order zero-shift equation w''' = 4z w' + 2w.
-
-    Any product of two Airy-equation solutions with equal arguments
-    satisfies it; derivatives are analytic as in ``ode_residual_w``.
-    """
-    rot1, rot2 = Rotation(rot1), Rotation(rot2)
-    z = np.array([complex(z)])
-    p = _derivative_stack(z, rot1.factor)
-    q = _derivative_stack(z, rot2.factor)
-    return float(_residual_reduced(z, p, q)[0])

@@ -29,7 +29,6 @@ from airyprod import (
     greens_time_integral,
     laplace_integral,
     ode_residual_reduced_batch,
-    ode_residual_w,
     ode_residual_w_batch,
     operator_residual,
     u_pm,
@@ -62,8 +61,6 @@ def test_criterion_1_ode_suite():
     zero_subset = z[z0 == 0.0]
     assert len(zero_subset) > 0
     worst_reduced = float(np.max(ode_residual_reduced_batch(zero_subset)))
-    # spot agreement between the scalar and batched residual paths
-    assert ode_residual_w(z[0], z0[0], Rotation.PLUS, Rotation.MINUS) <= worst + 1e-16
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and worst_reduced < 1e-10 and elapsed < 10.0
     _report(1, "product-ode residuals", ok,

@@ -254,6 +254,17 @@ def test_greens_closed_weak_field_exit(capsys):
                  id="table-product-tol-out-of-range"),
     pytest.param(["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1,0,0",
                   "--r-prime", "0,0,0", "--tol", "1.0"], id="greens-tol-out-of-range"),
+    pytest.param(["table", "greens", "--out", "g.csv", "--eta-min", "-1", "--eta-count", "3"],
+                 id="table-greens-negative-eta"),
+    pytest.param(["table", "greens", "--out", "g.csv", "--eta-min", "0"],
+                 id="table-greens-zero-eta"),
+    # finite inputs that overflow float64 on the way to G
+    pytest.param(["greens", "--energy", "0.5", "--field", "0,0,1e200", "--r", "1,0,0",
+                  "--r-prime", "0,0,0", "--method", "integral"], id="greens-overflow-field"),
+    pytest.param(["greens", "--energy", "1e308", "--field", "0,0,0.1", "--r", "1,0,0",
+                  "--r-prime", "0,0,0", "--method", "free"], id="greens-overflow-energy"),
+    pytest.param(["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1e200,0,0",
+                  "--r-prime", "0,0,0", "--method", "free"], id="greens-overflow-r"),
 ])
 def test_validation_exits(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

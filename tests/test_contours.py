@@ -24,6 +24,7 @@ from airyprod import (
     saddles,
     u_pm,
     w_pm,
+    w_pm_real,
 )
 from airyprod.contours import (
     _ENDS,
@@ -65,6 +66,11 @@ def test_classify_sector(z0, expected):
 def test_classify_rejects_nonfinite():
     with pytest.raises(NonFiniteInput):
         classify_sector(complex("nan"))
+    # a non-finite z with a finite z0 reaches ShiftedArgs.make
+    with pytest.raises(NonFiniteInput):
+        u_pm(+1, math.nan, 0.3, Route.CONTOUR)
+    with pytest.raises(NonFiniteInput):
+        w_pm_real(+1, math.nan, 1.0)
 
 
 def test_zero_sector_threshold():

@@ -246,6 +246,10 @@ _NON_FINITE = {
     "nan-energy": (math.nan, (0, 0, 0.1), (1, 0, 0)),
     "inf-field": (0.5, (0, math.inf, 0.1), (1, 0, 0)),
     "nan-r": (0.5, (0, 0, 0.1), (1, math.nan, 0)),
+    # finite inputs whose |F|, 2E or |r - r'| overflows float64
+    "overflow-field": (0.5, (0, 0, 1e200), (1, 0, 0)),
+    "overflow-energy": (1e308, (0, 0, 0.1), (1, 0, 0)),
+    "overflow-r": (0.5, (0, 0, 0.1), (1e200, 0, 0)),
 }
 
 
@@ -257,8 +261,9 @@ def test_non_finite_inputs_typed(fn, case):
         fn(GreensParams.make(e, f, r, (0, 0, 0)))
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, "separation"])
-def test_operator_residual_rejects_bad_step(h):
-    p = GreensParams.make(0.4, (0, 0, 0.3), (2.0, 0.5, 0.1), (0, 0, -0.5))
+@pytest.mark.parametrize("d", [1e-3, 5e-4])
+def test_operator_residual_rejects_separation_within_step(d):
+    # the stencil step is 1e-3, so the points must lie farther apart
+    p = GreensParams.make(0.4, (0, 0, 0.3), (d, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
-        operator_residual(p, p.separation if h == "separation" else h)
+        operator_residual(p)
