@@ -45,7 +45,7 @@ def main():
     vals, err = {}, 0.0
     for kind in ContourKind:
         path = build_contour(kind, args)
-        res = laplace_integral(path, args, 1e-11)
+        res = laplace_integral(path, 1e-11)
         vals[kind] = res.value
         err += res.abs_err_est
         print(f"\n{kind.value:3s} cut at {path.cut_angle:.3f} rad, "
@@ -62,7 +62,7 @@ def main():
           f"= {abs(lhs - rhs):.2e}  (combined err budget {err:.2e})")
 
     args0 = ShiftedArgs.make(z, 0.0)
-    res = laplace_integral(build_contour(ContourKind.O, args0), args0, 1e-12)
+    res = laplace_integral(build_contour(ContourKind.O, args0), 1e-12)
     print(f"loop integral at z0 = 0: |I_O| = {abs(res.value):.2e} "
           "(contractible, vanishes)")
 

@@ -216,7 +216,7 @@ def _suite_contour_relation(ns, count: int):
         args = ShiftedArgs.make(zz, zz0)
         vals, errs = {}, {}
         for kind in ContourKind:
-            res = laplace_integral(build_contour(kind, args), args, ns.tol)
+            res = laplace_integral(build_contour(kind, args), ns.tol)
             vals[kind], errs[kind] = res.value, res.abs_err_est
         lhs = vals[ContourKind.O]
         rhs = (vals[ContourKind.R_MINUS] + vals[ContourKind.L_MINUS]
@@ -227,7 +227,7 @@ def _suite_contour_relation(ns, count: int):
     rng = np.random.default_rng(ns.seed + 1)
     for zz in rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5):
         args = ShiftedArgs.make(zz, 0.0)
-        res = laplace_integral(build_contour(ContourKind.O, args), args, ns.tol)
+        res = laplace_integral(build_contour(ContourKind.O, args), ns.tol)
         cases.append((f"z={zz:.6g} loop-at-zero-shift", abs(res.value),
                       abs(res.value) <= tol_abs))
     return cases, tol_abs

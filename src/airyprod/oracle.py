@@ -576,11 +576,16 @@ def _complex(re, im):
 # ----------------------------------------------------------------------
 
 def _airy_raw_batch(z):
-    """Core evaluator without the envelope gate (arrays in, arrays out)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteInput("airy: argument must be finite")
+    """Core evaluator without the envelope gate (arrays in, arrays out).
 
+    EnvelopeExceeded where e^{-zeta}, zeta = (2/3) z^(3/2), could leave
+    float64: where |Re zeta| + 8 eps |zeta| > 700.  The eps term bounds
+    the rounding of Re zeta at the rotated points of the connection
+    formula; it gates |zeta| > 3.9e17 (|z| > 7e11) even on the negative
+    real axis, where Re zeta = 0.  A point that is not finite, or whose
+    zeta overflows, fails the same test.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
     ai = np.empty_like(z)
     aip = np.empty_like(z)
     est = np.empty(z.shape)
@@ -588,14 +593,17 @@ def _airy_raw_batch(z):
     flip = z.imag < 0.0
     zz = np.where(flip, np.conj(z), z)
 
-    small = zz.real * zz.real + zz.imag * zz.imag <= _CROSSOVER_R2
+    # |z|^2 and zeta overflow, or turn NaN, only at points the gate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = zz.real * zz.real + zz.imag * zz.imag <= _CROSSOVER_R2
+        big = ~small
+        zeta = (2.0 / 3.0) * zz[big] * np.sqrt(zz[big])
+        if not np.all(np.abs(zeta.real) + 8.0 * _EPS * np.abs(zeta) <= 700.0):
+            raise EnvelopeExceeded("airy: exponential scale overflows float64")
     if small.any():
         a, ap, e = _series_batch(zz[small])
         ai[small], aip[small], est[small] = a, ap, e
-    big = ~small
     if big.any():
-        if np.any(np.abs(np.real((2.0 / 3.0) * zz[big] * np.sqrt(zz[big]))) > 700.0):
-            raise EnvelopeExceeded("airy: exponential scale overflows float64")
         a, ap, e = _asym_batch(zz[big])
         ai[big], aip[big], est[big] = a, ap, e
 

@@ -193,7 +193,7 @@ def _direct_product(f1: complex, f2: complex) -> tuple[complex, float]:
 
 def _contour_value(ends: tuple, args: ShiftedArgs, tol):
     """I_C over the path between ``ends`` and its error estimate."""
-    res = laplace_integral(build_contour(ends, args), args, tol)
+    res = laplace_integral(build_contour(ends, args), tol)
     return res.value, res.abs_err_est
 
 

@@ -23,6 +23,13 @@ every decay leg's integrand decays toward its inner end.  Rounds of
 bisection then split every panel whose error exceeds its share of the
 budget.  The panels of all legs are held as arrays in path order, and
 each round makes one call of ``exponent`` over all their nodes.
+
+``integrate_legs`` alone decides that a path integral failed: it returns
+only results that met their target and raises ToleranceNotMet for every
+miss.  Leg maps, exponent and integrand run with numpy's floating-point
+warnings off; a value that leaves float64 anywhere on the path ends the
+loop as the ``non_finite`` stop, or raises EndpointSingularity from the
+seed pass when it sits at the inner end of a decay leg.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import EndpointSingularity
+from .errors import EndpointSingularity, ToleranceNotMet
 
 __all__ = ["RayLeg", "ArcLeg", "DecayLeg", "SegmentLeg", "QuadResult", "exponent",
            "integrate_legs"]
@@ -164,6 +171,8 @@ class QuadResult:
     the last round may take the count past it), ``"plateau"``
     (bisection stopped reducing the error estimate: the float64 floor of
     the path) or ``"non_finite"`` (a panel value or error is not finite).
+    ``integrate_legs`` returns only converged results; the others ride on
+    the ToleranceNotMet it raises.
     """
 
     value: complex
@@ -188,10 +197,8 @@ def exponent(coeffs, k):
 
 
 def _path_values(ex, k, dkdt, theta, power):
-    """f dk/dt = e^{E - i p theta} |k|^{-p} dk/dt from ``ex`` = E(k); overflow
-    and NaN stay in the values, and a panel holding them stops the loop."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(ex - 1j * power * theta) / np.abs(k) ** power * dkdt
+    """f dk/dt = e^{E - i p theta} |k|^{-p} dk/dt from ``ex`` = E(k)."""
+    return np.exp(ex - 1j * power * theta) / np.abs(k) ** power * dkdt
 
 
 def _eval_panels(legs, coeffs, power, leg, t0, t1):
@@ -207,19 +214,20 @@ def _eval_panels(legs, coeffs, power, leg, t0, t1):
     hw = 0.5 * (t1 - t0)
     ts = mid[:, None] + hw[:, None] * _XGK
     edges = leg.searchsorted(np.arange(len(legs) + 1)).tolist()
-    maps = [legs[j].map(ts[lo:hi].ravel())
-            for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
-    k, dkdt, theta = (np.concatenate(part) for part in zip(*maps))
-    f = _path_values(exponent(coeffs, k), k, dkdt, theta, power).reshape(ts.shape)
-    resk = (f * _WGK).sum(axis=1)
-    kron = resk * hw
-    raw = np.abs(resk - (f * _WG).sum(axis=1)) * hw
-    resasc = (np.abs(f - 0.5 * resk[:, None]) * _WGK).sum(axis=1) * hw
-    # a panel with raw or resasc at 0 keeps raw; its quotient is discarded
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a value off float64 stays in a panel, which stops the loop as non_finite
+    with np.errstate(all="ignore"):
+        maps = [legs[j].map(ts[lo:hi].ravel())
+                for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
+        k, dkdt, theta = (np.concatenate(part) for part in zip(*maps))
+        f = _path_values(exponent(coeffs, k), k, dkdt, theta, power).reshape(ts.shape)
+        resk = (f * _WGK).sum(axis=1)
+        kron = resk * hw
+        raw = np.abs(resk - (f * _WG).sum(axis=1)) * hw
+        resasc = (np.abs(f - 0.5 * resk[:, None]) * _WGK).sum(axis=1) * hw
+        # a panel with raw or resasc at 0 keeps raw; its quotient is discarded
         err = np.where((resasc > 0.0) & (raw > 0.0),
                        resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5), raw)
-    return kron, np.maximum(err, 4e-16 * np.abs(kron))
+        return kron, np.maximum(err, 4e-16 * np.abs(kron))
 
 
 _PROBE = np.linspace(0.0, 1.0, 33)
@@ -234,26 +242,28 @@ def _seed_counts(legs, coeffs, power):
     end must sit far below the leg maximum over t = j/16 (every other
     probe), or EndpointSingularity is raised.
     """
-    maps = [leg.map(_PROBE) for leg in legs]
-    ex = exponent(coeffs, np.concatenate([m[0] for m in maps])).reshape(len(legs), -1)
-    for leg, row, (k, dkdt, theta) in zip(legs, ex, maps):
-        if isinstance(leg, DecayLeg):
-            vals = np.abs(_path_values(row[::2], k[::2], dkdt[::2], theta[::2], power))
-            inner = vals[0] if leg.outward else vals[-1]
-            if not math.isfinite(inner) or inner > max(vals.max(), 1e-280) * 1e-2:
-                raise EndpointSingularity("integrand does not decay toward the inner end "
-                                          f"of the leg at angle {leg.theta:.6f}")
-    # variation more than ~45 e-folds below the leg maximum cannot affect
-    # the result; clip so deep decay tails do not inflate the count
-    top = ex.real.max(axis=1, keepdims=True)
-    re = np.maximum(ex.real, top - 45.0)
-    alive = re > top - 44.0
-    seg = alive[:, :-1] & alive[:, 1:]
-    phase = (np.abs(ex.imag[:, 1:] - ex.imag[:, :-1]) * seg).sum(axis=1)
-    mag = np.abs(re[:, 1:] - re[:, :-1]).sum(axis=1)
-    # fmin caps the count before the cast, which also keeps an overflowed
-    # or NaN count from turning into a negative one
-    return np.fmin(phase / 2.5 + mag / 4.0, _MAX_SEED_PANELS - 2).astype(int) + 2
+    # a value off float64 fails the decay check or inflates the count to its cap
+    with np.errstate(all="ignore"):
+        maps = [leg.map(_PROBE) for leg in legs]
+        ex = exponent(coeffs, np.concatenate([m[0] for m in maps])).reshape(len(legs), -1)
+        for leg, row, (k, dkdt, theta) in zip(legs, ex, maps):
+            if isinstance(leg, DecayLeg):
+                vals = np.abs(_path_values(row[::2], k[::2], dkdt[::2], theta[::2], power))
+                inner = vals[0] if leg.outward else vals[-1]
+                if not math.isfinite(inner) or inner > max(vals.max(), 1e-280) * 1e-2:
+                    raise EndpointSingularity("integrand does not decay toward the inner "
+                                              f"end of the leg at angle {leg.theta:.6f}")
+        # variation more than ~45 e-folds below the leg maximum cannot
+        # affect the result; clip so deep decay tails do not inflate the count
+        top = ex.real.max(axis=1, keepdims=True)
+        re = np.maximum(ex.real, top - 45.0)
+        alive = re > top - 44.0
+        seg = alive[:, :-1] & alive[:, 1:]
+        phase = (np.abs(ex.imag[:, 1:] - ex.imag[:, :-1]) * seg).sum(axis=1)
+        mag = np.abs(re[:, 1:] - re[:, :-1]).sum(axis=1)
+        # fmin caps the count before the cast, which also keeps an
+        # overflowed or NaN count from turning into a negative one
+        return np.fmin(phase / 2.5 + mag / 4.0, _MAX_SEED_PANELS - 2).astype(int) + 2
 
 
 def integrate_legs(legs, coeffs, power, tol, max_nodes):
@@ -272,10 +282,16 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
 
     Returns
     -------
-    QuadResult whose ``stop`` says why the loop ended; ``converged`` is
-    False unless the target was met (callers decide whether that is an
-    error).  Raises EndpointSingularity if the integrand of a
-    ``DecayLeg`` does not decay toward its inner end.
+    QuadResult that met the target (``stop`` is ``"converged"``).
+
+    Raises
+    ------
+    ToleranceNotMet
+        if the loop stops short of the target; the unconverged QuadResult,
+        whose ``stop`` says why, rides on the exception's ``result``.
+    EndpointSingularity
+        if the integrand of a ``DecayLeg`` does not decay toward its
+        inner end.
     """
     counts = _seed_counts(legs, coeffs, power)
     # panels live in path order, as arrays: leg index, [t0, t1], GK15
@@ -296,20 +312,20 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
         total = complex(vals.sum())
         err_tot = float(errs.sum())
         if not (math.isfinite(err_tot) and cmath.isfinite(total)):
-            return QuadResult(total, math.inf, nodes, "non_finite")
+            stop, err_tot = "non_finite", math.inf
+            break
         goal = tol * max(1.0, abs(total))
         if err_tot <= goal:
             return QuadResult(total, err_tot, nodes, "converged")
         if nodes >= max_nodes:
-            return QuadResult(total, err_tot, nodes, "node_ceiling")
+            stop = "node_ceiling"
+            break
         # rounding plateau: bisection no longer reduces the estimate, the
         # remaining error is the float64 floor of this path geometry
-        if err_tot > 0.7 * prev_err:
-            stall += 1
-            if stall >= 4:
-                return QuadResult(total, err_tot, nodes, "plateau")
-        else:
-            stall = 0
+        stall = stall + 1 if err_tot > 0.7 * prev_err else 0
+        if stall >= 4:
+            stop = "plateau"
+            break
         prev_err = err_tot
 
         # err_tot > goal puts the largest error above goal / n, so at
@@ -329,6 +345,8 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
         vals[child], errs[child] = _eval_panels(
             legs, coeffs, power, leg[child], t0[child], t1[child])
         nodes += 15 * len(child)
+    raise ToleranceNotMet(f"error {err_tot:.3g} above target after {nodes} nodes "
+                          f"(stop: {stop})", result=QuadResult(total, err_tot, nodes, stop))
 
 
 def _cubic_roots(p: float, q: float) -> tuple:

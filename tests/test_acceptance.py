@@ -103,7 +103,7 @@ def test_criterion_3_contour_relation():
         args = ShiftedArgs.make(zz, zz0)
         vals, errs = {}, 0.0
         for kind in ContourKind:
-            res = laplace_integral(build_contour(kind, args), args, 1e-10)
+            res = laplace_integral(build_contour(kind, args), 1e-10)
             vals[kind] = res.value
             errs += res.abs_err_est
         lhs = vals[ContourKind.O]
@@ -115,7 +115,7 @@ def test_criterion_3_contour_relation():
     worst_loop = 0.0
     for zz in rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20):
         args = ShiftedArgs.make(zz, 0.0)
-        res = laplace_integral(build_contour(ContourKind.O, args), args, 1e-11)
+        res = laplace_integral(build_contour(ContourKind.O, args), 1e-11)
         worst_loop = max(worst_loop, abs(res.value))
     ok = worst_ratio <= 1.0 and worst_loop <= 1e-10
     _report(3, "five-contour linear relation", ok,

@@ -92,6 +92,16 @@ def test_envelope_and_finite_gates():
     airy(50.0)  # boundary admitted
 
 
+@pytest.mark.parametrize("z", [1e160, 1e206, -1e120, -1e20, complex("nan")])
+def test_raw_batch_gate_is_warning_free(z):
+    # past the envelope the unenveloped evaluator's gate itself must not
+    # overflow: |z|^2 overflows at 1e160, zeta at 1e206, and on the
+    # negative axis Re zeta = 0 while the rounding of zeta does not fit
+    # e^{-zeta} (RuntimeWarnings are errors in this suite)
+    with pytest.raises(EnvelopeExceeded):
+        oracle._airy_raw_batch(np.array([0.5, z]))
+
+
 def test_error_estimate_envelope():
     rng = np.random.default_rng(7)
     z = (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)) * 20

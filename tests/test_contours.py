@@ -42,7 +42,7 @@ PI = math.pi
 
 def _integral(kind, z, z0, tol=1e-11):
     args = ShiftedArgs.make(z, z0)
-    return laplace_integral(build_contour(kind, args), args, tol)
+    return laplace_integral(build_contour(kind, args), tol)
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +273,11 @@ def test_path_independence_under_perturbation():
         args = ShiftedArgs.make(z, z0)
         for kind, cases in perturbations.items():
             path = build_contour(kind, args)
-            base = laplace_integral(path, args, tol).value
+            base = laplace_integral(path, tol).value
             for factor, shift in cases:
                 pert = _perturbed(path, args, factor, shift)
                 assert path_is_connected(pert.segments)
-                value = laplace_integral(pert, args, tol).value
+                value = laplace_integral(pert, tol).value
                 assert abs(value - base) <= 10.0 * tol * max(1.0, abs(base))
 
 
@@ -299,7 +299,7 @@ def test_tolerance_not_met_carries_result():
     args = ShiftedArgs.make(-10 + 0.5j, 0.0)
     path = build_contour(ContourKind.L_PLUS, args)
     with pytest.raises(ToleranceNotMet) as exc:
-        laplace_integral(path, args, 1e-14)
+        laplace_integral(path, 1e-14)
     assert exc.value.result is not None
     assert not exc.value.result.converged
     assert exc.value.result.stop == "plateau"
@@ -318,18 +318,28 @@ def test_endpoint_singularity_detected():
                   RayLeg(bad_theta, 0.5, 6.0)),
         truncation_radius=6.0,
         endpoint_scale=0.5,
+        coeffs=(1.5, -1.0, 1.0),  # (z + z0/2, -z0^2/4, 1)
     )
     with pytest.raises(EndpointSingularity):
-        laplace_integral(bad, args, 1e-8)
+        laplace_integral(bad, 1e-8)
+
+
+def test_path_carries_its_exponent():
+    # a path integrates the exponent it was built for, so no caller can
+    # pair it with another (z, z0)
+    args = ShiftedArgs.make(1 + 0.5j, 0.3 - 0.2j)
+    for kind in ContourKind:
+        coeffs = build_contour(kind, args).coeffs
+        assert coeffs == (args.z + 0.5 * args.z0, -args.z0 * args.z0 / 4.0, 1.0)
 
 
 def test_laplace_tol_validation():
     args = ShiftedArgs.make(1.0, 0.0)
     path = build_contour(ContourKind.L_MINUS, args)
     with pytest.raises(ValueError):
-        laplace_integral(path, args, 1e-15)
+        laplace_integral(path, 1e-15)
     with pytest.raises(ValueError):
-        laplace_integral(path, args, 1e-3)
+        laplace_integral(path, 1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +416,7 @@ def test_wide_domain_contours_converge_and_match_oracle():
     for zz, zz0 in zip(zs, z0s):
         args = ShiftedArgs.make(zz, zz0)
         for kind in ContourKind:
-            laplace_integral(build_contour(kind, args), args, 1e-8)
+            laplace_integral(build_contour(kind, args), 1e-8)
 
     ai_z = {s: airy_batch(cmath.exp(s * 2j * PI / 3) * z)[0] for s in (+1, -1)}
     ai_shift = airy_batch(z + z0)[0]

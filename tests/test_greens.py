@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from airyprod import (
+    AiryprodError,
     CoincidentPoints,
     EnvelopeExceeded,
     GreensParams,
@@ -259,6 +260,23 @@ def test_non_finite_inputs_typed(fn, case):
     e, f, r = _NON_FINITE[case]
     with pytest.raises(NonFiniteInput):
         fn(GreensParams.make(e, f, r, (0, 0, 0)))
+
+
+def test_float64_edges_typed():
+    # E, F_z and x drawn as +-10^U(-320, 308): every entry point returns a
+    # finite value or raises an AiryprodError, and none ends in a numpy
+    # RuntimeWarning (an error in this suite)
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        e, f, x = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 308) for _ in range(3))
+        p = GreensParams.make(e, (0, 0, f), (x, 0, 0), (0, 0, 0))
+        for fn in (greens_closed, greens_free, greens_time_integral, scaled_vars):
+            try:
+                value = fn(p)
+            except AiryprodError:
+                continue
+            parts = (value.xi, value.eta) if fn is scaled_vars else (value,)
+            assert all(map(cmath.isfinite, parts)), (fn.__name__, e, f, x)
 
 
 @pytest.mark.parametrize("d", [1e-3, 5e-4])

@@ -12,8 +12,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from airyprod import greens, products
+from airyprod import ContourKind, ShiftedArgs, contours, greens, products
+from airyprod.errors import ToleranceNotMet
 from airyprod.greens import GreensParams
 from airyprod.products import Route
 
@@ -47,3 +49,19 @@ def test_every_rebound_name_is_called_through(monkeypatch):
     assert tracing.all_restored()
     seen = {span[0] for span in tracer.spans}
     assert seen == {name for _, _, name, _ in tracing.REBIND}
+
+
+def test_raised_miss_is_traced(monkeypatch):
+    # a quadrature miss raises ToleranceNotMet from integrate_legs itself;
+    # its span still records the node count and converged=False, read from
+    # the exception's result
+    tracing = _tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    path = contours.build_contour(ContourKind.L_PLUS, ShiftedArgs.make(-10 + 0.5j, 0))
+    with tracing.rebound(tracer), pytest.raises(ToleranceNotMet) as info:
+        contours.laplace_integral(path, 1e-14)
+    assert tracing.all_restored()
+    miss = info.value.result
+    assert miss.stop == "plateau"
+    spans = [s for s in tracer.spans if s[0] == "quadrature.integrate_legs"]
+    assert [s[5] for s in spans] == [[miss.nodes, False]]

@@ -9,7 +9,7 @@ import pytest
 
 from airyprod import (ContourKind, Sector, ShiftedArgs, build_contour, greens,
                       laplace_integral, quadrature)
-from airyprod.errors import EndpointSingularity
+from airyprod.errors import EndpointSingularity, ToleranceNotMet
 from airyprod.greens import GreensParams
 from airyprod.grids import shifted_grid
 from airyprod.quadrature import (
@@ -24,6 +24,17 @@ from pathcheck import path_is_connected
 
 # (a, b, c) of the exponent E(k) = i(a k + b/k + c k^3/12)
 _ZERO = (0.0, 0.0, 0.0)
+
+
+def _miss(*args):
+    """The unconverged result that ``integrate_legs`` raises with."""
+    with pytest.raises(ToleranceNotMet) as info:
+        integrate_legs(*args)
+    res = info.value.result
+    assert not res.converged
+    assert str(info.value) == (f"error {res.abs_err_est:.3g} above target after "
+                               f"{res.nodes} nodes (stop: {res.stop})")
+    return res
 
 
 def test_polynomial_on_ray():
@@ -82,8 +93,7 @@ def test_node_ceiling_flags_not_converged():
     # bisection gains a fixed small factor per level (2^-0.1 on the end
     # panel), so the stall detector fires below the 400-node ceiling
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], _ZERO, 0.9, 1e-13, 400)
-    assert not res.converged
+    res = _miss([leg], _ZERO, 0.9, 1e-13, 400)
     assert res.stop == "plateau"
     assert res.nodes < 400
     assert res.abs_err_est > 0.0
@@ -92,9 +102,8 @@ def test_node_ceiling_flags_not_converged():
 def test_stop_reason_non_finite():
     # e^{1000 k} (a = -1000i) overflows float64 at every node of k in [1, 2]
     leg = RayLeg(0.0, 1.0, 2.0)
-    res = integrate_legs([leg], (-1000j, 0.0, 0.0), 0.0, 1e-8, 50_000)
+    res = _miss([leg], (-1000j, 0.0, 0.0), 0.0, 1e-8, 50_000)
     assert res.stop == "non_finite"
-    assert not res.converged
     assert res.abs_err_est == math.inf
 
 
@@ -102,9 +111,8 @@ def test_stop_reason_node_ceiling():
     # the seed pass alone (2 panels, 30 nodes) already exceeds the ceiling
     # and leaves the endpoint singularity unresolved
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], _ZERO, 0.9, 1e-12, 20)
+    res = _miss([leg], _ZERO, 0.9, 1e-12, 20)
     assert res.stop == "node_ceiling"
-    assert not res.converged
     assert res.nodes == 30
 
 
@@ -112,9 +120,8 @@ def test_stop_reason_plateau():
     # 1e-17 lies below the 4e-16 relative panel floor of a smooth integrand,
     # here e^k (a = -i), so bisection cannot reduce the estimate
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = integrate_legs([leg], (-1j, 0.0, 0.0), 0.0, 1e-17, 10 ** 6)
+    res = _miss([leg], (-1j, 0.0, 0.0), 0.0, 1e-17, 10 ** 6)
     assert res.stop == "plateau"
-    assert not res.converged
     assert abs(res.value - (math.e - 1.0)) <= 1e-15
 
 
@@ -214,7 +221,7 @@ def test_panel_schedule_pinned(monkeypatch):
                              _WIDE_NODES)):
         for a, b, want in zip(z, z0, pinned):
             args = ShiftedArgs.make(a, b)
-            got = tuple(laplace_integral(build_contour(kind, args), args, 1e-8).nodes
+            got = tuple(laplace_integral(build_contour(kind, args), 1e-8).nodes
                         for kind in ContourKind)
             assert got == want, (a, b)
 
@@ -236,10 +243,10 @@ def test_panel_schedule_pinned(monkeypatch):
 # unnoticed.  Rows: the five kinds in ContourKind order at an inner-sector
 # and at an outer-sector point, then the _GREENS_CONFIGS time integrals.
 # The last bits of exp and power differ between numpy's SIMD targets, so
-# the pins hold where numpy's float64 exp and power loops are those they
-# were recorded with.
+# one row set is recorded per set of numpy's float64 exp and power loops
+# (``_BITS``, keyed by ``_float_kernels()``), and the pins hold where
+# numpy runs one of them.
 _BITS_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
-_BITS_KERNELS = ("2.4", "X86_V4", "X86_V4")
 _CONTOUR_BITS = [
     ("0x1.63afdbd454d9bp+3", "-0x1.1606d7bd15c76p-2", "0x1.34de3bffae55ep-37"),
     ("0x1.0371cbc6f1792p+3", "-0x1.19b9bd51c8a38p+1", "0x1.a3ba5de8f0844p-45"),
@@ -260,6 +267,33 @@ _GREENS_BITS = [
     ("0x1.ad27aad2b6cd6p-2", "0x1.ad27aad2b6cd6p-2", "0x1.693afc35e4fbcp-36"),
     ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1fp-19", "0x1.2fdab618edc7bp-55"),
 ]
+# The same rows with numpy's X86_V4 and X86_V3 loops switched off
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3").
+_BASELINE_CONTOUR_BITS = [
+    ("0x1.63afdbd454d9bp+3", "-0x1.1606d7bd15c82p-2", "0x1.34de2e6ad63a8p-37"),
+    ("0x1.0371cbc6f1792p+3", "-0x1.19b9bd51c8a37p+1", "0x1.a3b576cd9aae6p-45"),
+    ("-0x1.c8cc7feba32b7p-1", "-0x1.fe7c84652ffafp-1", "0x1.46e98b52d3e32p-36"),
+    ("0x1.ab9089ba284a8p-1", "0x1.67902002f7894p-1", "0x1.c0141f1fdf635p-39"),
+    ("-0x1.47c1fb9835490p+0", "-0x1.d75b9401c0990p-3", "0x1.074002d7a4a1ap-40"),
+    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a82p-3", "0x1.a5de4ed959e47p-32"),
+    ("-0x1.ccf49d1768a34p+0", "-0x1.d83c90ebe8aeap+1", "0x1.62a9905fa0860p-39"),
+    ("0x1.06d3d9688fd6fp-1", "-0x1.250bfff48c6edp+0", "0x1.3143f36dae750p-36"),
+    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bdp-1", "0x1.9115214168568p-51"),
+    ("-0x1.d109ffae69875p+1", "-0x1.c8722319bf0bep+0", "0x1.ac39a23efcdd2p-32"),
+]
+_BASELINE_GREENS_BITS = [
+    ("-0x1.b7dc49beafd97p-2", "0x1.322b10b5e801bp+1", "0x1.28d901f8bb254p-38"),
+    ("0x1.8ea1a770335fap-11", "0x1.8ea791965783ap-11", "0x1.3f9aaa192d29dp-31"),
+    ("0x1.1041111a28d02p-1", "0x1.3e7bc6f5032f6p-1", "0x1.5b55e367157edp-37"),
+    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a350p-1", "0x1.fdc4b8255c89ep-33"),
+    ("0x1.ad27aad2b6cd6p-2", "0x1.ad27aad2b6cd6p-2", "0x1.693afe81f0134p-36"),
+    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1fp-19", "0x1.2fdac0b361cd5p-55"),
+]
+_BITS = {
+    ("2.4", "X86_V4", "X86_V4"): (_CONTOUR_BITS, _GREENS_BITS),
+    ("2.4", "baseline(X86_V2)", "baseline(X86_V2)"):
+        (_BASELINE_CONTOUR_BITS, _BASELINE_GREENS_BITS),
+}
 
 
 def _float_kernels():
@@ -277,16 +311,17 @@ def _bits(res):
     return res.value.real.hex(), res.value.imag.hex(), res.abs_err_est.hex()
 
 
-@pytest.mark.skipif(_float_kernels() != _BITS_KERNELS,
-                    reason="bits recorded with numpy 2.4 on X86_V4 exp and power loops")
+@pytest.mark.skipif(_float_kernels() not in _BITS,
+                    reason=f"no bits recorded for numpy exp and power loops {_float_kernels()}")
 def test_contour_route_bits_pinned(monkeypatch):
+    contour_bits, greens_bits = _BITS[_float_kernels()]
     got = []
     for (z, z0), sector in zip(_BITS_POINTS, (Sector.INNER, Sector.OUTER)):
         args = ShiftedArgs.make(z, z0)
         assert args.z0_sector is sector
-        got += [_bits(laplace_integral(build_contour(kind, args), args, 1e-8))
+        got += [_bits(laplace_integral(build_contour(kind, args), 1e-8))
                 for kind in ContourKind]
-    assert got == _CONTOUR_BITS
+    assert got == contour_bits
 
     results = []
     real = greens.integrate_legs
@@ -298,7 +333,7 @@ def test_contour_route_bits_pinned(monkeypatch):
     monkeypatch.setattr(greens, "integrate_legs", recording)
     for config in _GREENS_CONFIGS:
         greens.greens_time_integral(GreensParams.make(*config), 1e-8)
-    assert [_bits(r) for r in results] == _GREENS_BITS
+    assert [_bits(r) for r in results] == greens_bits
 
 
 def test_greens_legs_connected(monkeypatch):
