@@ -33,9 +33,7 @@ from .errors import (
     AiryprodError,
     CoincidentPoints,
     DegenerateGeometry,
-    EndpointSingularity,
     EnvelopeExceeded,
-    InvalidKindForSector,
     NegativeShift,
     NonFiniteInput,
     ToleranceNotMet,
@@ -77,7 +75,6 @@ __all__ = [
     "GreensParams", "ScaledVars", "scaled_vars",
     "greens_closed", "greens_time_integral", "greens_free", "operator_residual",
     "AiryprodError", "NonFiniteInput", "EnvelopeExceeded",
-    "InvalidKindForSector", "DegenerateGeometry", "ToleranceNotMet",
-    "EndpointSingularity", "NegativeShift",
+    "DegenerateGeometry", "ToleranceNotMet", "NegativeShift",
     "ZeroField", "CoincidentPoints",
 ]

@@ -35,7 +35,7 @@ from .contours import (
     classify_sector,
     laplace_integral,
 )
-from .errors import AiryprodError, EndpointSingularity, ToleranceNotMet
+from .errors import AiryprodError, ToleranceNotMet
 from .greens import (
     GreensParams,
     greens_closed,
@@ -57,9 +57,6 @@ from .products import (
     w_pm,
     w_pm_real,
 )
-
-_QUAD_ERRORS = (ToleranceNotMet, EndpointSingularity)
-_DOMAIN_ERRORS = (AiryprodError, ValueError)  # checked after _QUAD_ERRORS
 
 _ROT_NAMES = {"0": Rotation.NONE, "+": Rotation.PLUS, "-": Rotation.MINUS}
 
@@ -482,10 +479,10 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return ns.func(ns)
-    except _QUAD_ERRORS as exc:
+    except ToleranceNotMet as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 3
-    except _DOMAIN_ERRORS as exc:
+    except (AiryprodError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

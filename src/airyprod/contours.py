@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidKindForSector, NonFiniteInput
+from .errors import DegenerateGeometry, NonFiniteInput
 from .quadrature import ArcLeg, DecayLeg, QuadResult, RayLeg, _cubic_roots, exponent, integrate_legs
 
 __all__ = [
@@ -280,7 +280,7 @@ def _ends(kind) -> tuple:
     if (isinstance(kind, tuple) and len(kind) == 2 and kind[0] != kind[1]
             and all(e in _END_NAMES for e in kind)):
         return kind
-    raise InvalidKindForSector(f"unknown contour kind: {kind!r}")
+    raise ValueError(f"unknown contour kind: {kind!r}")
 
 
 def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
@@ -296,8 +296,8 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     the z0 term along its ray, the truncation radius is the positive root
     of a cubic, and the turn radius is one of the two saddle moduli
     |sqrt(z+z0) +- sqrt(z)| or a fixed floor, whichever keeps the crest
-    of Re E along the arc lowest.  Raises InvalidKindForSector for any
-    other ``kind``, and DegenerateGeometry when the required truncation
+    of Re E along the arc lowest.  Raises ValueError for any other
+    ``kind``, and DegenerateGeometry when the required truncation
     radius exceeds the ceiling of 80, which happens beyond
     |z + z0/2| = 231.03.
     """
@@ -354,9 +354,10 @@ def laplace_integral(path: ContourPath, tol: float = 1e-10) -> QuadResult:
 
     Raises
     ------
-    EndpointSingularity
-        if an endpoint leg fails to decay toward k = 0 (a path whose
-        inner ray points outside the internal valley).
+    DegenerateGeometry
+        if the integrand is finite at the inner end of an endpoint leg
+        but does not decay toward k = 0 there (a path whose inner ray
+        points outside the internal valley).
     ToleranceNotMet
         if the quadrature stops short of the target (its ``stop`` says
         why); the best estimate rides on the exception's ``result``

@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, NonFiniteInput, ToleranceNotMet, ZeroField
+from .errors import CoincidentPoints, DegenerateGeometry, NonFiniteInput, ZeroField
 from .oracle import _airy_raw_batch
 from .quadrature import ArcLeg, DecayLeg, RayLeg, SegmentLeg, _cubic_roots, integrate_legs
 
@@ -177,14 +177,14 @@ def _decay_span(r: float, r_min: float) -> float:
 def _cut_length(a: float, b: float, c: float, lam: float) -> float:
     """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0).
 
-    ToleranceNotMet when x would exceed 1e8.  The cubic and quadratic
+    DegenerateGeometry when x would exceed 1e8.  The cubic and quadratic
     terms must reach lam inside that cap on their own, without a decaying
     linear term (c > 0); this keeps the solved cubic finite.
     """
     cap = 1e8
     # the left side stays below lam short of the root and above it beyond
     if (a * cap + b) * cap * cap + min(c, 0.0) * cap < lam:
-        raise ToleranceNotMet("time-integral tail radius diverged")
+        raise DegenerateGeometry("time-integral tail would reach past t = 1e8")
     s = b / (3.0 * a)  # x = y - s removes the quadratic term
     return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - lam / a)[-1] - s
 
@@ -194,9 +194,11 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
 
     Serves as the independent numerical check on ``greens_closed``;
     valid for F = 0 as well (where it reproduces the free form).  ``tol``
-    must lie in [1e-10, 1e-4].  Raises ToleranceNotMet on a quadrature
-    miss or a diverging tail, EndpointSingularity on a non-decaying
-    endpoint leg.
+    must lie in [1e-10, 1e-4].  Raises DegenerateGeometry when no usable
+    path exists (a tail that would reach past t = 1e8, or an endpoint
+    leg whose finite integrand does not decay) and ToleranceNotMet when
+    the quadrature stops short of ``tol``, including on a value that
+    leaves float64 along the path.
     """
     if not (1e-10 <= tol <= 1e-4):
         raise ValueError("greens_time_integral: tol must be in [1e-10, 1e-4]")

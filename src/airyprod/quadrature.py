@@ -24,12 +24,16 @@ bisection then split every panel whose error exceeds its share of the
 budget.  The panels of all legs are held as arrays in path order, and
 each round makes one call of ``exponent`` over all their nodes.
 
-``integrate_legs`` alone decides that a path integral failed: it returns
-only results that met their target and raises ToleranceNotMet for every
-miss.  Leg maps, exponent and integrand run with numpy's floating-point
-warnings off; a value that leaves float64 anywhere on the path ends the
-loop as the ``non_finite`` stop, or raises EndpointSingularity from the
-seed pass when it sits at the inner end of a decay leg.
+A path integral fails in one of two ways.  DegenerateGeometry means no
+usable path exists: the seed pass raises it for a decay leg whose
+integrand is finite at its inner end but does not decay there (the
+callers raise it for a path that would reach past their radius caps).
+ToleranceNotMet means the adaptive loop stopped short of its target:
+``integrate_legs`` raises it for every miss, with the unconverged result
+attached.  Leg maps, exponent and integrand run with numpy's
+floating-point warnings off, so a value that leaves float64 anywhere on
+the path, the inner end of a decay leg included, ends the loop as the
+``non_finite`` stop.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import EndpointSingularity, ToleranceNotMet
+from .errors import DegenerateGeometry, ToleranceNotMet
 
 __all__ = ["RayLeg", "ArcLeg", "DecayLeg", "SegmentLeg", "QuadResult", "exponent",
            "integrate_legs"]
@@ -238,11 +242,12 @@ def _seed_counts(legs, coeffs, power):
     """Initial panel count of every leg from E on its 33 ``_PROBE`` points.
 
     Each initial panel spans about half a period of e^{E} and a bounded
-    change of log-magnitude.  On a ``DecayLeg``, |f dk/dt| at the inner
-    end must sit far below the leg maximum over t = j/16 (every other
-    probe), or EndpointSingularity is raised.
+    change of log-magnitude.  On a ``DecayLeg``, a finite |f dk/dt| at
+    the inner end must sit far below the leg maximum over t = j/16 (every
+    other probe), or DegenerateGeometry is raised.
     """
-    # a value off float64 fails the decay check or inflates the count to its cap
+    # a value off float64 raises nothing here: it passes the decay check
+    # and at most inflates the count to its cap
     with np.errstate(all="ignore"):
         maps = [leg.map(_PROBE) for leg in legs]
         ex = exponent(coeffs, np.concatenate([m[0] for m in maps])).reshape(len(legs), -1)
@@ -250,9 +255,10 @@ def _seed_counts(legs, coeffs, power):
             if isinstance(leg, DecayLeg):
                 vals = np.abs(_path_values(row[::2], k[::2], dkdt[::2], theta[::2], power))
                 inner = vals[0] if leg.outward else vals[-1]
-                if not math.isfinite(inner) or inner > max(vals.max(), 1e-280) * 1e-2:
-                    raise EndpointSingularity("integrand does not decay toward the inner "
-                                              f"end of the leg at angle {leg.theta:.6f}")
+                # an infinite or NaN inner value compares false
+                if inner > max(vals.max(), 1e-280) * 1e-2:
+                    raise DegenerateGeometry("integrand does not decay toward the inner "
+                                             f"end of the leg at angle {leg.theta:.6f}")
         # variation more than ~45 e-folds below the leg maximum cannot
         # affect the result; clip so deep decay tails do not inflate the count
         top = ex.real.max(axis=1, keepdims=True)
@@ -289,9 +295,9 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
     ToleranceNotMet
         if the loop stops short of the target; the unconverged QuadResult,
         whose ``stop`` says why, rides on the exception's ``result``.
-    EndpointSingularity
-        if the integrand of a ``DecayLeg`` does not decay toward its
-        inner end.
+    DegenerateGeometry
+        if the integrand of a ``DecayLeg`` is finite at its inner end but
+        does not decay toward it.
     """
     counts = _seed_counts(legs, coeffs, power)
     # panels live in path order, as arrays: leg index, [t0, t1], GK15

@@ -97,8 +97,7 @@ def test_python_dash_m_entry_point():
     assert done.stdout.strip() == __version__
 
 
-_QUAD_FAILURES = (errors.ToleranceNotMet, errors.EndpointSingularity)
-_ERROR_EXITS = [(cls, 3 if cls in _QUAD_FAILURES else 2)
+_ERROR_EXITS = [(cls, 3 if cls is errors.ToleranceNotMet else 2)
                 for cls in vars(errors).values()
                 if isinstance(cls, type) and issubclass(cls, errors.AiryprodError)]
 _ERROR_EXITS += [(ValueError, 2), (OSError, 4)]
@@ -226,6 +225,17 @@ def test_greens_closed_weak_field_exit(capsys):
     assert rc == 2 and out == ""
 
 
+def test_greens_integral_overflow_on_path_exit(capsys):
+    # E = 1e100 is finite, but the integrand overflows at the inner end
+    # of the first decay leg: the quadrature stops as non_finite
+    rc = main(["greens", "--energy", "1e100", "--field", "0,0,0.1", "--r", "1,0,0",
+               "--r-prime", "0,0,0", "--method", "integral"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("quadrature failure: ")
+    assert "(stop: non_finite)" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["greens", "--energy", "0.5", "--field", "0,0", "--r", "1,0,0",
                   "--r-prime", "0,0,0"], id="greens-two-component-field"),
@@ -265,6 +275,9 @@ def test_greens_closed_weak_field_exit(capsys):
                   "--r-prime", "0,0,0", "--method", "free"], id="greens-overflow-energy"),
     pytest.param(["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1e200,0,0",
                   "--r-prime", "0,0,0", "--method", "free"], id="greens-overflow-r"),
+    # the time integral's tail would reach past t = 1e8: no usable path
+    pytest.param(["greens", "--energy", "0.02", "--field", "0,0,1e-9", "--r", "1,0,0",
+                  "--r-prime", "0,0,0", "--method", "integral"], id="greens-tail-past-cap"),
 ])
 def test_validation_exits(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -10,8 +10,6 @@ import pytest
 from airyprod import (
     ContourKind,
     DegenerateGeometry,
-    EndpointSingularity,
-    InvalidKindForSector,
     NonFiniteInput,
     Route,
     Sector,
@@ -139,13 +137,13 @@ def test_lift_offsets_between_r_contours():
 
 def test_invalid_kind_rejected():
     args = ShiftedArgs.make(1.0, 1.0)
-    with pytest.raises(InvalidKindForSector):
+    with pytest.raises(ValueError, match="unknown contour kind"):
         build_contour("loop", args)
 
 
 @pytest.mark.parametrize("bad", [("up", "up"), ("V1", "V4"), ("V1",), ["up", "V1"], "O"])
 def test_invalid_end_pair_rejected(bad):
-    with pytest.raises(InvalidKindForSector):
+    with pytest.raises(ValueError, match="unknown contour kind"):
         build_contour(bad, ShiftedArgs.make(1.0, 1.0))
 
 
@@ -311,17 +309,26 @@ def test_endpoint_singularity_detected():
     # the essential factor (anti-steepest direction)
     args = ShiftedArgs.make(0.5, 2.0)
     bad_theta = 2.0 * _effective_shift_angle(args) - PI / 2.0
-    bad = ContourPath(
-        kind=ContourKind.R_MINUS,
-        cut_angle=PI / 2,
-        segments=(DecayLeg(bad_theta, 0.5, 30.0, outward=True),
-                  RayLeg(bad_theta, 0.5, 6.0)),
-        truncation_radius=6.0,
-        endpoint_scale=0.5,
-        coeffs=(1.5, -1.0, 1.0),  # (z + z0/2, -z0^2/4, 1)
-    )
-    with pytest.raises(EndpointSingularity):
-        laplace_integral(bad, 1e-8)
+
+    def bad(s_max):
+        return ContourPath(
+            kind=ContourKind.R_MINUS,
+            cut_angle=PI / 2,
+            segments=(DecayLeg(bad_theta, 0.5, s_max, outward=True),
+                      RayLeg(bad_theta, 0.5, 6.0)),
+            truncation_radius=6.0,
+            endpoint_scale=0.5,
+            coeffs=(1.5, -1.0, 1.0),  # (z + z0/2, -z0^2/4, 1)
+        )
+
+    # at k = 0.5 e^{-5} the essential factor e^{|z0^2/(4k)|} is about
+    # e^297, finite: no usable path
+    with pytest.raises(DegenerateGeometry, match="does not decay"):
+        laplace_integral(bad(5.0), 1e-8)
+    # at k = 0.5 e^{-30} it overflows, which stops the quadrature like
+    # any non-finite value on the path
+    with pytest.raises(ToleranceNotMet, match=r"\(stop: non_finite\)"):
+        laplace_integral(bad(30.0), 1e-8)
 
 
 def test_path_carries_its_exponent():

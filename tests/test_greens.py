@@ -1,6 +1,7 @@
 """Static-field Green's function: closed form vs time integral vs free limit."""
 
 import cmath
+import collections
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from airyprod import (
     AiryprodError,
     CoincidentPoints,
+    DegenerateGeometry,
     EnvelopeExceeded,
     GreensParams,
     NonFiniteInput,
@@ -238,8 +240,8 @@ def test_weak_field_time_integral_matches_free(e, f, d):
 @pytest.mark.parametrize("e, f, r", [(0.02, 1e-9, (1, 0, 0)), (-0.5, 1e-9, (6, 0, 0)),
                                      (0.02, 1e-12, (1, 0, 0))])
 def test_time_integral_tail_guard(e, f, r):
-    # the tail radius would exceed 1e8: a typed failure, never a value
-    with pytest.raises(ToleranceNotMet):
+    # the tail radius would exceed 1e8: no usable path, and nothing is integrated
+    with pytest.raises(DegenerateGeometry, match="past t = 1e8"):
         greens_time_integral(GreensParams.make(e, (0, 0, f), r, (0, 0, 0)), 1e-8)
 
 
@@ -267,16 +269,34 @@ def test_float64_edges_typed():
     # finite value or raises an AiryprodError, and none ends in a numpy
     # RuntimeWarning (an error in this suite)
     rng = np.random.default_rng(7)
+    ends = collections.Counter()
     for _ in range(400):
         e, f, x = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 308) for _ in range(3))
         p = GreensParams.make(e, (0, 0, f), (x, 0, 0), (0, 0, 0))
         for fn in (greens_closed, greens_free, greens_time_integral, scaled_vars):
             try:
                 value = fn(p)
-            except AiryprodError:
+            except AiryprodError as exc:
+                if fn is greens_time_integral:
+                    # an overflow at the inner end of a decay leg is a
+                    # non-finite value on the path like any other
+                    assert "does not decay" not in str(exc), (e, f, x)
+                    if isinstance(exc, ToleranceNotMet):
+                        assert exc.result is not None, (e, f, x)
+                        ends[exc.result.stop] += 1
+                    else:
+                        ends[type(exc).__name__] += 1
                 continue
             parts = (value.xi, value.eta) if fn is scaled_vars else (value,)
             assert all(map(cmath.isfinite, parts)), (fn.__name__, e, f, x)
+            if fn is greens_time_integral:
+                ends["value"] += 1
+    # a path integral fails in two ways: no usable path (DegenerateGeometry:
+    # a tail past t = 1e8), or a quadrature that stopped (ToleranceNotMet,
+    # counted by its stop); the rest are rejected inputs
+    assert ends == {"value": 38, "non_finite": 47, "node_ceiling": 1,
+                    "DegenerateGeometry": 32, "NonFiniteInput": 202,
+                    "CoincidentPoints": 80}
 
 
 @pytest.mark.parametrize("d", [1e-3, 5e-4])

@@ -210,8 +210,7 @@ def test_public_surface():
         "GreensParams", "ScaledVars", "scaled_vars",
         "greens_closed", "greens_time_integral", "greens_free", "operator_residual",
         "AiryprodError", "NonFiniteInput", "EnvelopeExceeded",
-        "InvalidKindForSector", "DegenerateGeometry", "ToleranceNotMet",
-        "EndpointSingularity", "NegativeShift",
+        "DegenerateGeometry", "ToleranceNotMet", "NegativeShift",
         "ZeroField", "CoincidentPoints",
     ]
     tail = ["route", "tol"]

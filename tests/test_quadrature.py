@@ -9,7 +9,7 @@ import pytest
 
 from airyprod import (ContourKind, Sector, ShiftedArgs, build_contour, greens,
                       laplace_integral, quadrature)
-from airyprod.errors import EndpointSingularity, ToleranceNotMet
+from airyprod.errors import DegenerateGeometry, ToleranceNotMet
 from airyprod.greens import GreensParams
 from airyprod.grids import shifted_grid
 from airyprod.quadrature import (
@@ -72,9 +72,14 @@ def test_non_decaying_decay_leg_raises():
     # ray, so the clustered substitution cannot regularize the endpoint; an
     # inward leg is checked at its far end
     for outward in (True, False):
+        # e^{1/k} at k = e^{-6} is about 1e175: finite, so no usable path
         leg = DecayLeg(0.0, 1.0, 6.0, outward=outward)
-        with pytest.raises(EndpointSingularity):
+        with pytest.raises(DegenerateGeometry, match="does not decay"):
             integrate_legs([leg], (0.0, -1j, 0.0), 0.5, 1e-8, 50_000)
+        # at k = e^{-7} it overflows, which stops the loop like any
+        # non-finite value on the path
+        leg = DecayLeg(0.0, 1.0, 7.0, outward=outward)
+        assert _miss([leg], (0.0, -1j, 0.0), 0.5, 1e-8, 50_000).stop == "non_finite"
     # the same leg turned to the negative ray, where e^{1/k} decays
     leg = DecayLeg(math.pi, 1.0, 6.0, outward=True)
     assert integrate_legs([leg], (0.0, -1j, 0.0), 0.5, 1e-8, 50_000).converged
