@@ -46,6 +46,20 @@ minimizes the exact crest of Re E along its ray (the z0 term dropped),
 the truncation radius is the positive root of a cubic, and each turn
 radius is a saddle modulus or a fixed floor, whichever keeps the crest
 of Re E along the arc lowest.
+
+The numerics are fixed, and the tail rules are those of ``quadrature``,
+which the time integral of ``greens`` shares:
+
+* the integrand is cut where it falls to e^{-lambda} = 1e-13
+  (``TAIL_LAMBDA``);
+* each truncation radius is ``tail_radius`` of
+  d R^3 - 12|beta| R = 12 lambda, d = sin(3 theta), capped at 80, so
+  building a contour raises DegenerateGeometry beyond
+  |z + z0/2| = 231.03;
+* an endpoint leg spans ``decay_span`` from 4 lambda r_arc in to |z0|^2,
+  where the essential factor has fallen to e^{-lambda}, clipped at
+  2 lambda + 4;
+* no bisection round starts once an integral has taken 600 000 nodes.
 """
 
 from __future__ import annotations
@@ -57,8 +71,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateGeometry, NonFiniteInput
-from .quadrature import ArcLeg, DecayLeg, QuadResult, RayLeg, _cubic_roots, exponent, integrate_legs
+from .errors import NonFiniteInput
+from .quadrature import (TAIL_LAMBDA, ArcLeg, DecayLeg, QuadResult, RayLeg, decay_span, exponent,
+                         integrate_legs, tail_radius)
 
 __all__ = [
     "Sector",
@@ -80,11 +95,9 @@ VALLEY_SECTORS = ((0.0, _PI / 3.0), (-2.0 * _PI / 3.0, -_PI / 3.0), (-4.0 * _PI 
 _ZERO_SHIFT = 1e-300
 _BOUNDARY_TOL = 1e-12
 
-# contour numerics: the integrand is cut where it falls below e^{-lambda}
-# = 1e-13, no bisection round starts once an integral has taken 600 000
-# nodes (the round that reaches them may pass that count), and no contour
-# reaches beyond radius 80
-_TAIL_LAMBDA = -math.log(1e-13)
+# contour numerics: no bisection round starts once an integral has taken
+# 600 000 nodes (the round that reaches them may pass that count), and no
+# contour reaches beyond radius 80; the cut depth is quadrature's
 _MAX_NODES = 600_000
 _TRUNCATION_CEILING = 80.0
 
@@ -186,21 +199,6 @@ def _effective_shift_angle(args: ShiftedArgs) -> float:
     return cmath.phase(args.z0)
 
 
-def _truncation_radius(beta_abs: float, tail_decay: float) -> float:
-    """Radius R with (R^3/12) * d = lambda + |beta| R, d = tail_decay.
-
-    The depressed cubic R^3 + pR + q = 0 (p = -12|beta|/d <= 0,
-    q = -12 lambda/d < 0) has exactly one positive root, its largest.
-    """
-    r = _cubic_roots(-12.0 * beta_abs / tail_decay, -12.0 * _TAIL_LAMBDA / tail_decay)[-1]
-    if r > _TRUNCATION_CEILING:
-        raise DegenerateGeometry(
-            f"truncation radius would exceed the ceiling {_TRUNCATION_CEILING} "
-            f"(|z + z0/2| = {beta_abs:.3g})"
-        )
-    return r
-
-
 def saddles(args: ShiftedArgs) -> tuple:
     """The four roots k = +-i(sqrt(z+z0) +- sqrt(z)) of k^4 + 4 beta k^2 + z0^2.
 
@@ -243,7 +241,9 @@ def _tails(beta: complex):
     truncation radius comes from each angle's own cubic decay rate, so
     slow near-edge angles pay their real price.
     """
-    radii = [_truncation_radius(abs(beta), d) for d in _TAIL_DECAYS]
+    # (R^3/12) d = lambda + |beta| R, times 12
+    c, lam = -12.0 * abs(beta), 12.0 * TAIL_LAMBDA
+    radii = [tail_radius(d, 0.0, c, lam, _TRUNCATION_CEILING) for d in _TAIL_DECAYS]
     re, im = beta.real, beta.imag
     out = []
     for cands in _TAIL_CANDIDATES:
@@ -334,9 +334,8 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     # run an endpoint leg until the essential factor falls below
     # e^{-lambda} along the steepest ray (|z0^2/(4k)| >= lambda); the
     # sqrt-measure criterion alone caps the stub when z0 ~ 0
-    rho = abs(args.z0) ** 2
-    s_ess = math.log(4.0 * _TAIL_LAMBDA * r_arc / rho) if rho > 0.0 else math.inf
-    s_max = max(min(s_ess, 2.0 * _TAIL_LAMBDA + 4.0), 6.0)
+    s_max = min(decay_span(4.0 * TAIL_LAMBDA * r_arc, abs(args.z0) ** 2),
+                2.0 * TAIL_LAMBDA + 4.0)
     legs = (
         RayLeg(th_a, r_a, r_arc) if r_a > 0.0 else DecayLeg(th_a, r_arc, s_max, outward=True),
         ArcLeg(r_arc, th_a, th_b),

@@ -16,10 +16,12 @@ class EnvelopeExceeded(AiryprodError):
 class DegenerateGeometry(AiryprodError):
     """No usable integration path exists.
 
-    Raised when a contour's truncation radius would exceed its ceiling
-    of 80 (|z + z0/2| > 231.03), when a time-integral tail would reach
-    past t = 1e8, and when the integrand of a decay leg, of either
-    integral, is finite at the leg's inner end but does not decay there.
+    Raised only in ``quadrature``: by ``tail_radius`` when a path's tail
+    would reach past its cap (radius 80 for a contour, which happens
+    beyond |z + z0/2| = 231.03, and t = 1e8 for the time integral), and
+    by the seed pass of ``integrate_legs`` when the integrand of a decay
+    leg, of either integral, is finite at the leg's inner end but does
+    not decay there.
     """
 
 

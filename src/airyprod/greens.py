@@ -34,8 +34,10 @@ provided:
     radius along the way (each tail cut, the chord from the stationary
     point, the tunnelling depth) is a root of a cubic in closed form.
 
-The two share no code beyond the panel integrator, so their agreement is
-a genuine cross-check.  The weak-field limit is the free outgoing wave
+The two share no code: the closed form reads only the Airy evaluator and
+the time integral only ``quadrature``, whose panel integrator and tail
+rules the contour integrals use too, so their agreement is a genuine
+cross-check.  The weak-field limit is the free outgoing wave
 e^{ik|r-r'|}/(2 pi |r-r'|), exposed as ``greens_free``.
 """
 
@@ -47,9 +49,10 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, DegenerateGeometry, NonFiniteInput, ZeroField
+from .errors import CoincidentPoints, NonFiniteInput, ZeroField
 from .oracle import _airy_raw_batch
-from .quadrature import ArcLeg, DecayLeg, RayLeg, SegmentLeg, _cubic_roots, integrate_legs
+from .quadrature import (TAIL_LAMBDA, ArcLeg, DecayLeg, RayLeg, SegmentLeg, _cubic_roots,
+                         decay_span, integrate_legs, tail_radius)
 
 __all__ = [
     "GreensParams",
@@ -63,6 +66,7 @@ __all__ = [
 
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
 _ROT = math.pi / 8.0  # fixed endpoint rotation of the time integral
+_T_MAX = 1e8  # the cap of every time-integral tail radius
 _STEP = 1e-3  # finite-difference step of operator_residual
 
 
@@ -168,37 +172,20 @@ def greens_free(p: GreensParams) -> complex:
     return cmath.exp(1j * k * d) / (2.0 * math.pi * d)
 
 
-def _decay_span(r: float, r_min: float) -> float:
-    """``s_max`` of a decay leg from radius r in to r_min: log(r / r_min),
-    but at least 6."""
-    return max(math.log(max(r / r_min, 2.0)), 6.0)
-
-
-def _cut_length(a: float, b: float, c: float, lam: float) -> float:
-    """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0).
-
-    DegenerateGeometry when x would exceed 1e8.  The cubic and quadratic
-    terms must reach lam inside that cap on their own, without a decaying
-    linear term (c > 0); this keeps the solved cubic finite.
-    """
-    cap = 1e8
-    # the left side stays below lam short of the root and above it beyond
-    if (a * cap + b) * cap * cap + min(c, 0.0) * cap < lam:
-        raise DegenerateGeometry("time-integral tail would reach past t = 1e8")
-    s = b / (3.0 * a)  # x = y - s removes the quadratic term
-    return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - lam / a)[-1] - s
-
-
 def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     """G(r, r') by direct quadrature of the half-line time integral.
 
     Serves as the independent numerical check on ``greens_closed``;
     valid for F = 0 as well (where it reproduces the free form).  ``tol``
-    must lie in [1e-10, 1e-4].  Raises DegenerateGeometry when no usable
-    path exists (a tail that would reach past t = 1e8, or an endpoint
-    leg whose finite integrand does not decay) and ToleranceNotMet when
-    the quadrature stops short of ``tol``, including on a value that
-    leaves float64 along the path.
+    must lie in [1e-10, 1e-4].  The path takes the contours' tail rules
+    from ``quadrature``: the cut depth TAIL_LAMBDA (here deepened by the
+    tunnelling suppression), ``tail_radius`` with cap t = 1e8 and
+    ``decay_span``.  Both failures come from there: DegenerateGeometry
+    when no usable path exists (a tail that would reach past t = 1e8, or
+    an endpoint leg whose finite integrand does not decay), and
+    ToleranceNotMet when the quadrature stops short of ``tol``, including
+    on a value that leaves float64 along the path (after 0 nodes when
+    e^{E} already leaves it on a seed probe).
     """
     if not (1e-10 <= tol <= 1e-4):
         raise ValueError("greens_time_integral: tol must be in [1e-10, 1e-4]")
@@ -223,7 +210,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             suppress = min(kappa_d, barrier)
         else:
             suppress = kappa_d
-    lam = -math.log(1e-13) + 25.0 + min(suppress, 150.0)
+    lam = TAIL_LAMBDA + 25.0 + min(suppress, 150.0)
 
     sin_rot = math.sin(_ROT)
 
@@ -243,14 +230,14 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             # valley.  (For weak suppression the fixed-rotation route
             # below is both safe and cheaper, and for strong fields the
             # cubic ridge would block this ray before the saddle.)
-            r_t = _cut_length(c3, 0.0, -abs(eprime), lam)
+            r_t = tail_radius(c3, 0.0, -abs(eprime), lam, _T_MAX)
             # the ray's depth -E'r - c3 r^3 climbs to lam at the middle
             # root of c3 r^3 + E'r + lam = 0; without three real roots
             # its crest r_crest stays below lam
             roots = _cubic_roots(eprime / c3, lam / c3)
             r_x = max(t_sad, roots[1]) if len(roots) == 3 else r_crest
             legs = [
-                DecayLeg(-math.pi / 2.0, t_sad, _decay_span(t_sad, dd / (2.0 * lam)),
+                DecayLeg(-math.pi / 2.0, t_sad, decay_span(t_sad, dd / (2.0 * lam)),
                          outward=True),
                 RayLeg(-math.pi / 2.0, t_sad, r_x),
                 ArcLeg(r_x, -math.pi / 2.0, -math.pi / 6.0),
@@ -268,7 +255,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             else:
                 r_j = max(r_j, min(0.5, 1.0 / max(abs(eprime), 1.0)))
 
-            legs = [DecayLeg(-_ROT, r_j, _decay_span(r_j, dd * sin_rot / (2.0 * lam)),
+            legs = [DecayLeg(-_ROT, r_j, decay_span(r_j, dd * sin_rot / (2.0 * lam)),
                              outward=True)]
 
             if t_saddle > 1.5 * r_j:
@@ -279,15 +266,14 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
                 # is -c3 (sin 3rho L^3 + 3 t_s sin 2rho L^2) plus the
                 # i dd/(2t) term, which only lowers it; cutting where the
                 # cubic reaches -lam is therefore conservative
-                length = _cut_length(c3 * math.sin(3.0 * _ROT),
-                                     3.0 * c3 * t_saddle * math.sin(2.0 * _ROT), 0.0, lam)
+                length = tail_radius(c3 * math.sin(3.0 * _ROT),
+                                     3.0 * c3 * t_saddle * math.sin(2.0 * _ROT), 0.0, lam, _T_MAX)
                 legs.append(SegmentLeg(complex(t_saddle),
                                        t_saddle + length * cmath.exp(-1j * _ROT)))
             else:
                 # along -pi/8 the term iE't decays for E' < 0 and grows
                 # for E' > 0, so it enters the tail with its sign
-                r_t = _cut_length(c3 * math.sin(3.0 * _ROT), 0.0,
-                                  -eprime * sin_rot, lam)
+                r_t = tail_radius(c3 * math.sin(3.0 * _ROT), 0.0, -eprime * sin_rot, lam, _T_MAX)
                 legs.append(RayLeg(-_ROT, r_j, max(r_t, 2.0 * r_j)))
     else:
         # u = 1/t: exponent iE'/u + i dd u/2, weight u^{-1/2}
@@ -297,7 +283,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             # ray maximum is the (tunneling) saddle value
             u_sad = math.sqrt(-2.0 * eprime / dd)
             r_t = max(2.0 * lam / dd, 2.0 * u_sad)
-            legs = [DecayLeg(math.pi / 2.0, u_sad, _decay_span(u_sad, -eprime / lam),
+            legs = [DecayLeg(math.pi / 2.0, u_sad, decay_span(u_sad, -eprime / lam),
                              outward=True),
                     RayLeg(math.pi / 2.0, u_sad, r_t)]
         else:
@@ -306,8 +292,10 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             # leg resolves the sqrt weight, above it the linear tail is
             # smooth
             r_j = max(math.sqrt(abs(eprime) / (0.5 * dd)), 1.0 / (0.5 * dd), 1e-9)
-            s_max = (_decay_span(r_j, abs(eprime) * sin_rot / lam) if eprime != 0.0
-                     else 2.0 * lam)
+            # at E' = 0, or an E' whose inner radius underflows, the
+            # sqrt-measure criterion alone sets the span
+            r_min = abs(eprime) * sin_rot / lam
+            s_max = decay_span(r_j, r_min) if r_min > 0.0 else 2.0 * lam
             r_t = max(lam / (0.5 * dd * sin_rot), 2.0 * r_j)
             legs = [DecayLeg(start_angle, r_j, s_max, outward=True)]
             if start_angle != _ROT:

@@ -47,11 +47,11 @@ value is computable two ways:
 
 Both routes read one table, one row per value: ``_DIRECT`` lists the
 evaluator products to add or subtract and ``_CONTOUR`` the prefactor and
-the path of each sector, for U+-, W+-, the nine products, the
-antisymmetric ``difference_identity`` (the origin loop, one way round or
-the other) and ``aiai_real``.  The sector dispatch lives in the table,
-not in the contour engine, because the formula choice is a property of
-the representation rather than of path geometry.
+the path of each sector, for the nine products (U+- and W+- among
+them), the antisymmetric ``difference_identity`` (the origin loop, one
+way round or the other) and ``aiai_real``.  The sector dispatch lives
+in the table, not in the contour engine, because the formula choice is
+a property of the representation rather than of path geometry.
 
 ``w_pm_real`` (shift >= 0 only) is the W+- row on real arguments, where
 it is the half-line formula of the real axis.
@@ -134,31 +134,32 @@ def _rows(s: int):
     ``_DIRECT`` terms are (c, f1, f2) for c Ai(f1 (z+z0)) Ai(f2 z), where
     f = None takes the argument as it is.  ``_CONTOUR`` rows are a
     prefactor and the paths for |arg z0| <= pi/2 and for |arg z0| > pi/2,
-    each a tuple of (start, end) pairs whose integrals are added.
+    each a tuple of (start, end) pairs whose integrals are added.  U+-
+    is the row (rot, rot) and W+- the row (NONE, rot).
     """
     rot = Rotation(s)
     w = rot.factor
     near, far = ("low", "up") if s > 0 else ("up", "low")
     v = "V3" if s > 0 else "V1"
-    u_row = (_pref(-s), ((v, "V2"),), ((v, "V2"),))
-    w_row = (_pref(s), ((near, v),), ((far, v),))
-    direct = {("u", s): ((1, w, w),),
-              ("w", s): ((1, None, w),),
-              ("diff", s): ((1, w, None), (-1, None, w))}
-    contour = {("u", s): u_row,
-               ("w", s): w_row,
-               ("diff", s): (_pref(s), ((far, near),), ((near, far),)),
-               (rot, rot): u_row,
-               (Rotation.NONE, rot): w_row,
+    direct = {("diff", s): ((1, w, None), (-1, None, w))}
+    contour = {("diff", s): (_pref(s), ((far, near),), ((near, far),)),
+               (rot, rot): (_pref(-s), ((v, "V2"),), ((v, "V2"),)),
+               (Rotation.NONE, rot): (_pref(s), ((near, v),), ((far, v),)),
                (rot, Rotation.NONE): (_pref(s), ((far, v),), ((near, v),)),
                (rot, Rotation(-s)): (_pref(0), ((far, "V2"),), ((near, "V2"),))}
     return direct, contour
 
 
+def _direct_factor(rot: Rotation):
+    """The ``_DIRECT`` factor of ``rot``: None, the argument as it is, for NONE."""
+    return None if rot is Rotation.NONE else rot.factor
+
+
 # R+ and R-: the origin loops of e^{-i pi/3} W+ + e^{+i pi/3} W- cancel
 # in every sector
 _R_PAIR = (("low", "V3"), ("up", "V1"))
-_DIRECT = {(r1, r2): ((1, r1.factor, r2.factor),) for r1 in Rotation for r2 in Rotation}
+_DIRECT = {(r1, r2): ((1, _direct_factor(r1), _direct_factor(r2)),)
+           for r1 in Rotation for r2 in Rotation}
 _CONTOUR = {
     (Rotation.NONE, Rotation.NONE): (_pref(0), _R_PAIR, _R_PAIR),
     # the row above on the real axis, where its two terms are complex
@@ -237,7 +238,7 @@ def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
 def u_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
          tol: float = _DEFAULT_TOL) -> ProductValue:
     """U+-(z; z0) = Ai(e^{+-2i pi/3}(z+z0)) Ai(e^{+-2i pi/3} z)."""
-    return _evaluate(("u", _check_sign(sign)), z, z0, route, tol)
+    return _evaluate((Rotation(_check_sign(sign)),) * 2, z, z0, route, tol)
 
 
 def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
@@ -248,7 +249,7 @@ def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
     |arg z0| <= pi/2 (and z0 = 0); beyond, the path starts at k = 0 on
     the other side of the cut, which adds the origin loop +-I_O.
     """
-    return _evaluate(("w", _check_sign(sign)), z, z0, route, tol)
+    return _evaluate((Rotation.NONE, Rotation(_check_sign(sign))), z, z0, route, tol)
 
 
 def product(rot1: Rotation, rot2: Rotation, z: complex, z0: complex,

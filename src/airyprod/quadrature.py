@@ -18,22 +18,31 @@ without consulting a principal argument.
 Each panel is integrated with the 15-point Gauss-Kronrod rule; the
 embedded 7-point Gauss value provides the error estimate.  A seed pass
 allots panels from the phase and magnitude variation of e^{E} on 33
-probe points per leg (about half a period per panel) and checks that
-every decay leg's integrand decays toward its inner end.  Rounds of
-bisection then split every panel whose error exceeds its share of the
-budget.  The panels of all legs are held as arrays in path order, and
-each round makes one call of ``exponent`` over all their nodes.
+probe points per leg (about half a period per panel), checks that
+every decay leg's integrand decays toward its inner end, and checks
+that e^{E} stays inside float64 on every probe.  Rounds of bisection
+then split every panel whose error exceeds its share of the budget.
+The panels of all legs are held as arrays in path order, and each round
+makes one call of ``exponent`` over all their nodes.
 
-A path integral fails in one of two ways.  DegenerateGeometry means no
-usable path exists: the seed pass raises it for a decay leg whose
-integrand is finite at its inner end but does not decay there (the
-callers raise it for a path that would reach past their radius caps).
-ToleranceNotMet means the adaptive loop stopped short of its target:
-``integrate_legs`` raises it for every miss, with the unconverged result
-attached.  Leg maps, exponent and integrand run with numpy's
-floating-point warnings off, so a value that leaves float64 anywhere on
-the path, the inner end of a decay leg included, ends the loop as the
-``non_finite`` stop.
+Both path builders, ``contours.build_contour`` and
+``greens.greens_time_integral``, take their tail rules from here: the
+cut depth ``TAIL_LAMBDA`` (the integrand falls to 1e-13), the tail
+reach ``tail_radius``, a root of ``_cubic_roots`` below a cap (80 for
+contours, 1e8 for the time integral), and the span ``decay_span`` of a
+decay leg into k = 0.
+
+A path integral fails in one of two ways, both raised in this module.
+DegenerateGeometry means no usable path exists: ``tail_radius`` raises
+it for a tail that would reach past its cap, and the seed pass for a
+decay leg whose integrand is finite at its inner end but does not decay
+there.  ToleranceNotMet means the adaptive loop stopped short of its
+target: ``integrate_legs`` raises it for every miss, with the
+unconverged result attached.  An exponent past the float64 range of
+e^{E} (or NaN) on a seed probe is the ``non_finite`` stop after 0 nodes.
+Leg maps, exponent and integrand run with numpy's floating-point
+warnings off, so a value that leaves float64 anywhere else on the path,
+the inner end of a decay leg included, ends the loop as the same stop.
 """
 
 from __future__ import annotations
@@ -174,7 +183,8 @@ class QuadResult:
     target was met; the ceiling is checked between bisection rounds, so
     the last round may take the count past it), ``"plateau"``
     (bisection stopped reducing the error estimate: the float64 floor of
-    the path) or ``"non_finite"`` (a panel value or error is not finite).
+    the path) or ``"non_finite"`` (a panel value or error is not finite,
+    or e^{E} is not finite on a seed probe, which stops it after 0 nodes).
     ``integrate_legs`` returns only converged results; the others ride on
     the ToleranceNotMet it raises.
     """
@@ -236,6 +246,7 @@ def _eval_panels(legs, coeffs, power, leg, t0, t1):
 
 _PROBE = np.linspace(0.0, 1.0, 33)
 _MAX_SEED_PANELS = 1200
+_MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^{E} is finite up to Re E ~ 709.78
 
 
 def _seed_counts(legs, coeffs, power):
@@ -244,10 +255,12 @@ def _seed_counts(legs, coeffs, power):
     Each initial panel spans about half a period of e^{E} and a bounded
     change of log-magnitude.  On a ``DecayLeg``, a finite |f dk/dt| at
     the inner end must sit far below the leg maximum over t = j/16 (every
-    other probe), or DegenerateGeometry is raised.
+    other probe), or DegenerateGeometry is raised.  None if e^{E} leaves
+    float64 on any probe (Re E > log of the largest float64) or E is NaN
+    there: no panel of such a path is worth evaluating.
     """
-    # a value off float64 raises nothing here: it passes the decay check
-    # and at most inflates the count to its cap
+    # a value off float64 raises nothing here: it passes the decay check,
+    # and an exponent past _MAX_EXPONENT (or NaN) returns None
     with np.errstate(all="ignore"):
         maps = [leg.map(_PROBE) for leg in legs]
         ex = exponent(coeffs, np.concatenate([m[0] for m in maps])).reshape(len(legs), -1)
@@ -262,6 +275,9 @@ def _seed_counts(legs, coeffs, power):
         # variation more than ~45 e-folds below the leg maximum cannot
         # affect the result; clip so deep decay tails do not inflate the count
         top = ex.real.max(axis=1, keepdims=True)
+        # the maximum is NaN if any Re E is
+        if not top.max() <= _MAX_EXPONENT or np.isnan(ex.imag).any():
+            return None
         re = np.maximum(ex.real, top - 45.0)
         alive = re > top - 44.0
         seg = alive[:, :-1] & alive[:, 1:]
@@ -294,12 +310,27 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
     ------
     ToleranceNotMet
         if the loop stops short of the target; the unconverged QuadResult,
-        whose ``stop`` says why, rides on the exception's ``result``.
+        whose ``stop`` says why, rides on the exception's ``result``.  An
+        exponent with Re E past log(float64 max) ~ 709.78, or NaN, on a
+        seed probe stops it as ``non_finite`` before any panel is
+        evaluated (0 nodes).
     DegenerateGeometry
         if the integrand of a ``DecayLeg`` is finite at its inner end but
         does not decay toward it.
     """
     counts = _seed_counts(legs, coeffs, power)
+    # with e^{E} off float64 on a probe, no panel is evaluated
+    res = (QuadResult(complex(math.nan, math.nan), math.inf, 0, "non_finite") if counts is None
+           else _bisect(legs, coeffs, power, tol, max_nodes, counts))
+    if not res.converged:
+        raise ToleranceNotMet(f"error {res.abs_err_est:.3g} above target after {res.nodes} "
+                              f"nodes (stop: {res.stop})", result=res)
+    return res
+
+
+def _bisect(legs, coeffs, power, tol, max_nodes, counts):
+    """The adaptive loop of ``integrate_legs`` from ``counts`` seed panels
+    per leg, as a QuadResult of any ``stop``."""
     # panels live in path order, as arrays: leg index, [t0, t1], GK15
     # value and error; the seed edges are those of np.linspace(0, 1, n + 1)
     ends = counts.cumsum()
@@ -318,20 +349,17 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
         total = complex(vals.sum())
         err_tot = float(errs.sum())
         if not (math.isfinite(err_tot) and cmath.isfinite(total)):
-            stop, err_tot = "non_finite", math.inf
-            break
+            return QuadResult(total, math.inf, nodes, "non_finite")
         goal = tol * max(1.0, abs(total))
         if err_tot <= goal:
             return QuadResult(total, err_tot, nodes, "converged")
         if nodes >= max_nodes:
-            stop = "node_ceiling"
-            break
+            return QuadResult(total, err_tot, nodes, "node_ceiling")
         # rounding plateau: bisection no longer reduces the estimate, the
         # remaining error is the float64 floor of this path geometry
         stall = stall + 1 if err_tot > 0.7 * prev_err else 0
         if stall >= 4:
-            stop = "plateau"
-            break
+            return QuadResult(total, err_tot, nodes, "plateau")
         prev_err = err_tot
 
         # err_tot > goal puts the largest error above goal / n, so at
@@ -351,14 +379,12 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
         vals[child], errs[child] = _eval_panels(
             legs, coeffs, power, leg[child], t0[child], t1[child])
         nodes += 15 * len(child)
-    raise ToleranceNotMet(f"error {err_tot:.3g} above target after {nodes} nodes "
-                          f"(stop: {stop})", result=QuadResult(total, err_tot, nodes, stop))
 
 
 def _cubic_roots(p: float, q: float) -> tuple:
     """Real roots of r^3 + p r + q = 0 in ascending order (one or three).
 
-    The truncation radii of the paths of both integrals are such roots.
+    Every radius of the paths of both integrals is such a root.
     """
     if q > 0.0:  # the roots for (p, -q), negated
         return tuple(-r for r in reversed(_cubic_roots(p, -q)))
@@ -377,3 +403,31 @@ def _cubic_roots(p: float, q: float) -> tuple:
     phi = math.acos(min(3.0 * q / (p * m), 1.0)) / 3.0
     lo, hi = m * math.cos(phi + 2.0 * math.pi / 3.0), m * math.cos(phi)
     return lo, -q / (lo * hi), hi
+
+
+# the tail rules of both integrals' paths: a tail is cut where the
+# integrand has fallen to e^{-TAIL_LAMBDA} = 1e-13 of its O(1) scale (the
+# time integral cuts deeper by its tunnelling suppression)
+TAIL_LAMBDA = -math.log(1e-13)
+
+
+def tail_radius(a: float, b: float, c: float, lam: float, cap: float) -> float:
+    """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0).
+
+    DegenerateGeometry when x would exceed ``cap``.  The cubic and
+    quadratic terms must reach lam inside the cap on their own, without a
+    decaying linear term (c > 0); this keeps the solved cubic finite.
+    """
+    # the left side stays below lam short of the root and above it beyond
+    if (a * cap + b) * cap * cap + min(c, 0.0) * cap < lam:
+        raise DegenerateGeometry(f"path tail would reach past radius {cap:g}")
+    s = b / (3.0 * a)  # x = y - s removes the quadratic term
+    return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - lam / a)[-1] - s
+
+
+def decay_span(r: float, r_min: float) -> float:
+    """``s_max`` of a decay leg from radius r in to r_min: log(r / r_min),
+    but at least 6, and infinite for r_min = 0."""
+    if r_min == 0.0:
+        return math.inf
+    return max(math.log(max(r / r_min, 2.0)), 6.0)

@@ -226,14 +226,14 @@ def test_greens_closed_weak_field_exit(capsys):
 
 
 def test_greens_integral_overflow_on_path_exit(capsys):
-    # E = 1e100 is finite, but the integrand overflows at the inner end
-    # of the first decay leg: the quadrature stops as non_finite
+    # E = 1e100 is finite, but the integrand overflows on the seed probes:
+    # the quadrature stops as non_finite before it evaluates a panel
     rc = main(["greens", "--energy", "1e100", "--field", "0,0,0.1", "--r", "1,0,0",
                "--r-prime", "0,0,0", "--method", "integral"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
     assert captured.err.startswith("quadrature failure: ")
-    assert "(stop: non_finite)" in captured.err
+    assert captured.err.endswith("after 0 nodes (stop: non_finite)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,10 +29,9 @@ from airyprod.contours import (
     VALLEY_SECTORS,
     ContourPath,
     _effective_shift_angle,
-    _truncation_radius,
 )
 from airyprod.grids import shifted_grid
-from airyprod.quadrature import DecayLeg, RayLeg, _cubic_roots
+from airyprod.quadrature import TAIL_LAMBDA, DecayLeg, RayLeg, _cubic_roots, tail_radius
 from pathcheck import path_is_connected, r_inner
 
 PI = math.pi
@@ -254,7 +253,8 @@ def _perturbed(path, args, factor, shift):
         last = replace(last, r_outer=r)
     else:
         theta = last.theta + shift
-        r_end = _truncation_radius(abs(args.z + 0.5 * args.z0), math.sin(3.0 * theta))
+        r_end = tail_radius(math.sin(3.0 * theta), 0.0, -12.0 * abs(args.z + 0.5 * args.z0),
+                            12.0 * TAIL_LAMBDA, 80.0)
         last = replace(last, theta=theta, r_start=r, r_end=r_end)
     return replace(path, segments=(first, arc, last))
 
@@ -381,24 +381,6 @@ def test_saddles_large_argument_zero_shift():
     ks = saddles(ShiftedArgs.make(100.0, 0.0))
     nonzero = sorted((k for k in ks if k != 0.0), key=lambda k: k.imag)
     assert nonzero == [-20j, 20j]
-
-
-def test_truncation_radius_solves_its_cubic():
-    lam = -math.log(1e-13)
-    for beta_abs in (0.0, 1e-6, 0.3, 1.0, 4.0, 12.5, 60.0, 400.0):
-        for d in (0.05, 0.2, 0.43, 0.78, 1.0):
-            # (d/12) r^3 - |beta| r - lam is negative below its one
-            # positive root, so the root lies beyond the ceiling 80
-            # exactly when the cubic is still negative there
-            if (d / 12.0) * 80.0 ** 3 - beta_abs * 80.0 - lam < 0.0:
-                with pytest.raises(DegenerateGeometry):
-                    _truncation_radius(beta_abs, d)
-                continue
-            r = _truncation_radius(beta_abs, d)
-            assert 0.0 < r <= 80.0
-            terms = (d / 12.0) * r ** 3 + beta_abs * r + lam
-            resid = (d / 12.0) * r ** 3 - beta_abs * r - lam
-            assert abs(resid) <= 1e-12 * terms
 
 
 def test_cubic_roots():

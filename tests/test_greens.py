@@ -241,8 +241,19 @@ def test_weak_field_time_integral_matches_free(e, f, d):
                                      (0.02, 1e-12, (1, 0, 0))])
 def test_time_integral_tail_guard(e, f, r):
     # the tail radius would exceed 1e8: no usable path, and nothing is integrated
-    with pytest.raises(DegenerateGeometry, match="past t = 1e8"):
+    with pytest.raises(DegenerateGeometry, match=r"path tail would reach past radius 1e\+08"):
         greens_time_integral(GreensParams.make(e, (0, 0, f), r, (0, 0, 0)), 1e-8)
+
+
+def test_time_integral_overflow_evaluates_no_panel():
+    # E = 1e100 puts Re E near 1.9e99 on the seed probes of the first
+    # decay leg and the arc: e^{E} leaves float64 there, so the quadrature
+    # stops before it evaluates a panel
+    p = GreensParams.make(1e100, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
+    with pytest.raises(ToleranceNotMet, match=r"after 0 nodes \(stop: non_finite\)") as info:
+        greens_time_integral(p, 1e-8)
+    assert info.value.result.stop == "non_finite"
+    assert info.value.result.nodes == 0
 
 
 _NON_FINITE = {

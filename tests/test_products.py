@@ -198,6 +198,26 @@ def test_wide_domain_contour_route_does_not_cancel():
     assert gap <= 1e-8 * max(1.0, abs(d.value))
 
 
+def _bits(pv):
+    return pv.value.real.hex(), pv.value.imag.hex(), pv.abs_err_est.hex()
+
+
+def test_u_and_w_are_product_rows():
+    # U+- is the product (s, s) and W+- the product (0, s): the same row
+    # of the same table, so the same bits on both routes, signed zeros of
+    # the unrotated argument included
+    z, z0 = grids.shifted_grid(10, 31)  # the last two points have z0 = 0
+    points = [*zip(z.tolist(), z0.tolist()), (0.8, 0.0), (-1.5, 0.7), (-2.0, -0.4),
+              (complex(1.0, -0.0), 0.0), (complex(0.6, -0.0), complex(-0.3, -0.0))]
+    for z, z0 in points:
+        for route in (Route.DIRECT, Route.CONTOUR):
+            for s in (+1, -1):
+                rot = Rotation(s)
+                assert _bits(u_pm(s, z, z0, route)) == _bits(product(rot, rot, z, z0, route))
+                assert _bits(w_pm(s, z, z0, route)) == _bits(
+                    product(Rotation.NONE, rot, z, z0, route))
+
+
 def test_public_surface():
     assert airyprod.__all__ == [
         "AiryValue", "airy", "airy_batch",

@@ -3,6 +3,7 @@ reason the adaptive loop stops, and the pinned panel schedule."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from airyprod.errors import DegenerateGeometry, ToleranceNotMet
 from airyprod.greens import GreensParams
 from airyprod.grids import shifted_grid
 from airyprod.quadrature import (
+    TAIL_LAMBDA,
     ArcLeg,
     DecayLeg,
     RayLeg,
     SegmentLeg,
     integrate_legs,
+    tail_radius,
 )
 from pathcheck import path_is_connected
 
@@ -105,11 +108,13 @@ def test_node_ceiling_flags_not_converged():
 
 
 def test_stop_reason_non_finite():
-    # e^{1000 k} (a = -1000i) overflows float64 at every node of k in [1, 2]
+    # e^{1000 k} (a = -1000i) overflows float64 at every node of k in [1, 2],
+    # so the seed pass stops the loop before any panel is evaluated
     leg = RayLeg(0.0, 1.0, 2.0)
     res = _miss([leg], (-1000j, 0.0, 0.0), 0.0, 1e-8, 50_000)
     assert res.stop == "non_finite"
     assert res.abs_err_est == math.inf
+    assert res.nodes == 0
 
 
 def test_stop_reason_node_ceiling():
@@ -128,6 +133,52 @@ def test_stop_reason_plateau():
     res = _miss([leg], (-1j, 0.0, 0.0), 0.0, 1e-17, 10 ** 6)
     assert res.stop == "plateau"
     assert abs(res.value - (math.e - 1.0)) <= 1e-15
+
+
+def _tail_forms():
+    """(a, b, c, lam, cap) of the tail cubics of both integrals."""
+    # a contour tail: (d/12) R^3 = lambda + |beta| R, times 12
+    for beta_abs in (0.0, 1e-6, 0.3, 1.0, 4.0, 12.5, 60.0, 400.0):
+        for d in (0.05, 0.2, 0.43, 0.78, 1.0):
+            yield d, 0.0, -12.0 * beta_abs, 12.0 * TAIL_LAMBDA, 80.0
+    # the time integral's tails at field f and effective energy e: the
+    # tunnelling ray, the chord down from the stationary point t_s and the
+    # rotated ray, whose linear term has the sign of -e
+    rot = math.pi / 8.0
+    for f in (1e-9, 1e-6, 1e-3, 0.1, 1.0, 20.0):
+        c3 = f * f / 24.0
+        for e in (-2.0, -0.3, 0.06, 0.5, 3.0):
+            for lam in (TAIL_LAMBDA + 25.0, TAIL_LAMBDA + 175.0):
+                yield c3, 0.0, -abs(e), lam, 1e8
+                yield c3 * math.sin(3.0 * rot), 0.0, -e * math.sin(rot), lam, 1e8
+                if e > 0.0:
+                    t_s = math.sqrt(8.0 * e) / f
+                    yield (c3 * math.sin(3.0 * rot), 3.0 * c3 * t_s * math.sin(2.0 * rot),
+                           0.0, lam, 1e8)
+
+
+def test_tail_radius_solves_its_cubic():
+    raised = solved = 0
+    for a, b, c, lam, cap in _tail_forms():
+        # a x^3 + b x^2 + c x - lam is negative below its one positive root
+        # (with c <= 0), so the root lies beyond the cap exactly when the
+        # cubic is still below lam there; a linear term c > 0 does not
+        # count toward reaching lam
+        if a * cap ** 3 + b * cap ** 2 + min(c, 0.0) * cap < lam:
+            with pytest.raises(DegenerateGeometry, match=re.escape(f"past radius {cap:g}")):
+                tail_radius(a, b, c, lam, cap)
+            raised += 1
+            continue
+        x = tail_radius(a, b, c, lam, cap)
+        assert 0.0 < x <= cap, (a, b, c, lam, cap)
+        terms = a * x ** 3 + b * x ** 2 + abs(c) * x + lam
+        resid = a * x ** 3 + b * x ** 2 + c * x - lam
+        # x = y - s with s = b/(3a) is as accurate as y, relative to s,
+        # and the slope of the cubic turns that into residual
+        slope = 3.0 * a * x * x + 2.0 * b * x + c
+        assert abs(resid) <= 1e-12 * (terms + abs(slope) * b / (3.0 * a)), (a, b, c, lam, cap)
+        solved += 1
+    assert raised > 10 and solved > 100
 
 
 def test_legs_share_one_integrand_call_per_round(monkeypatch):
