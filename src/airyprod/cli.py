@@ -18,40 +18,24 @@ significant digits (round-trip exact for doubles).
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
-import math
 import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .contours import (
-    ContourKind,
-    ShiftedArgs,
-    build_contour,
-    classify_sector,
-    laplace_integral,
-)
+from .checks import SUITES
+from .contours import classify_sector
 from .errors import AiryprodError, ToleranceNotMet
-from .greens import (
-    GreensParams,
-    greens_closed,
-    greens_free,
-    greens_time_integral,
-    operator_residual,
-    scaled_vars,
-)
-from .grids import real_grid, shifted_grid
+from .greens import GreensParams, greens_closed, greens_free, greens_time_integral, scaled_vars
+from .grids import real_grid
 from .products import (
     Rotation,
     Route,
     aiai_real,
     difference_identity,
-    ode_residual_reduced_batch,
-    ode_residual_w_batch,
     product,
     u_pm,
     w_pm,
@@ -143,140 +127,14 @@ def _cmd_eval(ns) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _suite_ode(ns, count: int):
-    z, z0 = shifted_grid(count, ns.seed)
-    tol = 1e-10
-    worst = ode_residual_w_batch(z, z0)
-    zero = z0 == 0.0
-    if zero.any():
-        worst[zero] = np.maximum(worst[zero], ode_residual_reduced_batch(z[zero]))
-    return [(f"z={zz:.6g} z0={zz0:.6g}", w, w <= tol)
-            for zz, zz0, w in zip(z, z0, worst)], tol
-
-
-def _suite_routes(ns, count: int):
-    z, z0 = shifted_grid(count, ns.seed)
-    tol = 1e-7
-    cases = []
-    for zz, zz0 in zip(z, z0):
-        worst = 0.0
-        for sign in (+1, -1):
-            for fn in (u_pm, w_pm):
-                d = fn(sign, zz, zz0, Route.DIRECT)
-                c = fn(sign, zz, zz0, Route.CONTOUR, ns.tol)
-                worst = max(worst, abs(c.value - d.value) / max(1.0, abs(d.value)))
-        cases.append((f"z={zz:.6g} z0={zz0:.6g}", worst, worst <= tol))
-    return cases, tol
-
-
-def _suite_identities(ns, count: int):
-    z, z0 = shifted_grid(count, ns.seed)
-    tol = 1e-10
-    third = cmath.exp(1j * math.pi / 3.0)
-    cases = []
-    for zz, zz0 in zip(z, z0):
-        U = {s: u_pm(s, zz, zz0).value for s in (+1, -1)}
-        W = {s: w_pm(s, zz, zz0).value for s in (+1, -1)}
-        Wr = {s: w_pm(s, zz + zz0, -zz0).value for s in (+1, -1)}
-        # residuals are scaled by the largest combining term: where the
-        # combination cancels below eps * that scale, float64 holds no
-        # further information about the identity
-        scale = max(1.0, *(abs(v) for v in (*U.values(), *W.values(), *Wr.values())))
-        worst = 0.0
-
-        lhs = product(Rotation.NONE, Rotation.NONE, zz, zz0).value
-        rhs = W[+1] / third + third * W[-1]
-        worst = max(worst, abs(lhs - rhs) / max(scale, abs(lhs)))
-        for s in (+1, -1):
-            lhs = product(Rotation(s), Rotation.NONE, zz, zz0).value
-            rhs = U[-s] + third ** (-s) * (U[s] - W[-s])
-            worst = max(worst, abs(lhs - rhs) / max(scale, abs(lhs)))
-            lhs = product(Rotation(s), Rotation(-s), zz, zz0).value
-            rhs = third ** (-s) * U[-s] + third ** s * W[-s]
-            worst = max(worst, abs(lhs - rhs) / max(scale, abs(lhs)))
-            # reflection of the shift through the product identity
-            lhs = W[s]
-            rhs = U[-s] + third ** (-s) * (U[s] - Wr[-s])
-            worst = max(worst, abs(lhs - rhs) / max(scale, abs(lhs)))
-            # translation symmetry of the rotated-pair basis
-            worst = max(worst, abs(u_pm(s, zz + zz0, -zz0).value - U[s])
-                        / max(1.0, abs(U[s])))
-        cases.append((f"z={zz:.6g} z0={zz0:.6g}", worst, worst <= tol))
-    return cases, tol
-
-
-def _suite_contour_relation(ns, count: int):
-    z, z0 = shifted_grid(count, ns.seed)
-    cases = []
-    tol_abs = 1e-10
-    for zz, zz0 in zip(z, z0):
-        args = ShiftedArgs.make(zz, zz0)
-        vals, errs = {}, {}
-        for kind in ContourKind:
-            res = laplace_integral(build_contour(kind, args), ns.tol)
-            vals[kind], errs[kind] = res.value, res.abs_err_est
-        lhs = vals[ContourKind.O]
-        rhs = (vals[ContourKind.R_MINUS] + vals[ContourKind.L_MINUS]
-               - vals[ContourKind.L_PLUS] - vals[ContourKind.R_PLUS])
-        budget = max(10.0 * sum(errs.values()), 1e-12 * max(1.0, abs(lhs)))
-        resid = abs(lhs - rhs)
-        cases.append((f"z={zz:.6g} z0={zz0:.6g} relation", resid, resid <= budget))
-    rng = np.random.default_rng(ns.seed + 1)
-    for zz in rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5):
-        args = ShiftedArgs.make(zz, 0.0)
-        res = laplace_integral(build_contour(ContourKind.O, args), ns.tol)
-        cases.append((f"z={zz:.6g} loop-at-zero-shift", abs(res.value),
-                      abs(res.value) <= tol_abs))
-    return cases, tol_abs
-
-
-def _suite_greens(ns, count: int):
-    rng = np.random.default_rng(ns.seed)
-    cases = []
-    tol = 1e-6
-    for _ in range(count):
-        e = rng.uniform(-1.0, 1.0)
-        f0 = 10.0 ** rng.uniform(-2.0, 0.0)
-        eta = rng.uniform(0.1, 5.0)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        d = 2.0 ** (2.0 / 3.0) * eta / f0 ** (1.0 / 3.0)
-        shift = rng.normal(size=3) * 0.5
-        p = GreensParams.make(e, (0.0, 0.0, f0),
-                              direction * d / 2 + shift, -direction * d / 2 + shift)
-        gc = greens_closed(p)
-        gi = greens_time_integral(p, max(ns.tol, 1e-9))
-        rel = abs(gc - gi) / max(abs(gc), 1e-300)
-        cases.append((f"E={e:.4g} F={f0:.4g} eta={eta:.4g}", rel, rel <= tol))
-    p = GreensParams.make(0.5, (0.0, 0.0, 1e-4), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    rel = abs(greens_closed(p) - greens_free(p)) / abs(greens_free(p))
-    cases.append(("weak-field-vs-free", rel, rel <= 1e-3))
-    p = GreensParams.make(0.4, (0.0, 0.0, 0.3), (2.0, 0.5, 0.1), (0.0, 0.0, -0.5))
-    resid = operator_residual(p)
-    cases.append(("operator-residual", resid, resid <= 1e-4))
-    return cases, tol
-
-
-_SUITES = {
-    "ode": (_suite_ode, 60),
-    "routes": (_suite_routes, 16),
-    "identities": (_suite_identities, 60),
-    "contour-relation": (_suite_contour_relation, 16),
-    "greens": (_suite_greens, 12),
-}
-
-
 def _cmd_verify(ns) -> int:
-    fn, default_count = _SUITES[ns.suite]
-    cases, tol = fn(ns, ns.count if ns.count is not None else default_count)
-    failures = 0
-    worst = 0.0
-    for i, (label, resid, ok) in enumerate(cases):
-        worst = max(worst, resid)
-        if not ok:
-            failures += 1
+    suite, default_count, tol = SUITES[ns.suite]
+    cases = suite(ns.count if ns.count is not None else default_count, ns.seed, ns.tol)
+    for i, (label, resid, bound) in enumerate(cases):
         _emit([("case", i), ("desc", f'"{label}"'), ("residual", _g(resid)),
-               ("status", "pass" if ok else "FAIL")])
+               ("status", "pass" if resid <= bound else "FAIL")])
+    failures = sum(not resid <= bound for _, resid, bound in cases)
+    worst = max([0.0] + [resid for _, resid, _ in cases])
     _emit([("suite", ns.suite), ("cases", len(cases)), ("failures", failures),
            ("max_residual", _g(worst)), ("tol", _g(tol)),
            ("status", "PASS" if failures == 0 else "FAIL")])
@@ -406,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[tol_flag],
                               help="run an identity suite")
-    p_verify.add_argument("suite", choices=sorted(_SUITES))
+    p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--count", type=_count,
                           help="number of cases (default: per suite)")
     p_verify.add_argument("--seed", type=int, default=20240901,

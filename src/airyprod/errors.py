@@ -18,10 +18,11 @@ class DegenerateGeometry(AiryprodError):
 
     Raised only in ``quadrature``: by ``tail_radius`` when a path's tail
     would reach past its cap (radius 80 for a contour, which happens
-    beyond |z + z0/2| = 231.03, and t = 1e8 for the time integral), and
-    by the seed pass of ``integrate_legs`` when the integrand of a decay
-    leg, of either integral, is finite at the leg's inner end but does
-    not decay there.
+    beyond |z + z0/2| = 231.03, and t = 1e8 for the time integral), by
+    ``check_reach`` when the time integral's stationary point lies past
+    t = 1e8, and by the seed pass of ``integrate_legs`` when the
+    integrand of a decay leg, of either integral, is finite at the leg's
+    inner end but does not decay there.
     """
 
 

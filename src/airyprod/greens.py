@@ -52,7 +52,7 @@ import numpy as np
 from .errors import CoincidentPoints, NonFiniteInput, ZeroField
 from .oracle import _airy_raw_batch
 from .quadrature import (TAIL_LAMBDA, ArcLeg, DecayLeg, RayLeg, SegmentLeg, _cubic_roots,
-                         decay_span, integrate_legs, tail_radius)
+                         check_reach, decay_span, integrate_legs, tail_radius)
 
 __all__ = [
     "GreensParams",
@@ -88,7 +88,11 @@ class GreensParams:
 
     @property
     def separation(self) -> float:
-        return float(np.linalg.norm(np.subtract(self.r, self.r_prime)))
+        diff = np.subtract(self.r, self.r_prime)
+        m = float(np.max(np.abs(diff)))
+        if 0.0 < m < 1.5e-154:  # the squares would leave normal float64: scale first
+            return m * float(np.linalg.norm(diff / m))
+        return float(np.linalg.norm(diff))
 
     @property
     def field_strength(self) -> float:
@@ -120,6 +124,7 @@ def _checked(p: GreensParams) -> tuple[float, float, float]:
     _finite("|r - r'|, |F| or F.(r + r') overflows float64", d, f, fdot)
     if d == 0.0:
         raise CoincidentPoints("r and r' coincide; the kernel has a 1/|r-r'| pole")
+    _finite("1/|r - r'| overflows float64", 1.0 / d)
     return d, f, fdot
 
 
@@ -181,8 +186,8 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     from ``quadrature``: the cut depth TAIL_LAMBDA (here deepened by the
     tunnelling suppression), ``tail_radius`` with cap t = 1e8 and
     ``decay_span``.  Both failures come from there: DegenerateGeometry
-    when no usable path exists (a tail that would reach past t = 1e8, or
-    an endpoint leg whose finite integrand does not decay), and
+    when no usable path exists (a tail or the stationary point past
+    t = 1e8, or an endpoint leg whose finite integrand does not decay), and
     ToleranceNotMet when the quadrature stops short of ``tol``, including
     on a value that leaves float64 along the path (after 0 nodes when
     e^{E} already leaves it on a seed probe).
@@ -193,9 +198,10 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     dd = d * d
     eprime = p.energy_E - 0.5 * fdot
     # the coefficients E', |r - r'|^2/2 and F^2/2, with E' as large as the
-    # path geometry raises it: 8 E' and (2|E'|)^{3/2}
+    # path geometry raises it: 8 E' and (2|E'|)^{3/2}; and 1/|r - r'|^2,
+    # which overflows where |r - r'|^2 leaves the normal float64 range
     _finite("time-integral coefficients overflow float64",
-            8.0 * abs(eprime) * math.sqrt(abs(eprime)), dd, f * f)
+            8.0 * abs(eprime) * math.sqrt(abs(eprime)), dd, 1.0 / d / d, f * f)
 
     # truncation depth: tails are cut where the integrand is e^{-lam} of
     # its O(1) scale, but below the effective energy the VALUE itself is
@@ -270,6 +276,8 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
                                      3.0 * c3 * t_saddle * math.sin(2.0 * _ROT), 0.0, lam, _T_MAX)
                 legs.append(SegmentLeg(complex(t_saddle),
                                        t_saddle + length * cmath.exp(-1j * _ROT)))
+                # the stationary point is held to the cap of the tails
+                check_reach(t_saddle, _T_MAX, legs, coeffs, power)
             else:
                 # along -pi/8 the term iE't decays for E' < 0 and grows
                 # for E' > 0, so it enters the tail with its sign

@@ -1,16 +1,19 @@
 """Deterministic pseudo-random sample grids for verification runs.
 
 The identity and route checks need (z, z0) samples that cover all four
-shift sectors (inner / outer / boundary / zero) with controlled radii.
-Given the same seed the grids are bit-identical, which keeps report
-files byte-stable.
+shift sectors (inner / outer / boundary / zero) with controlled radii,
+and the Green's-function checks need field configurations over a range
+of scaled separations.  Given the same seed the grids are bit-identical,
+which keeps report files byte-stable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["shifted_grid", "real_grid"]
+from .greens import GreensParams
+
+__all__ = ["shifted_grid", "greens_samples", "real_grid"]
 
 
 def _disk(rng, n, radius):
@@ -46,6 +49,26 @@ def shifted_grid(n: int, seed: int, z_radius: float = 4.0, z0_radius: float = 3.
     z0 = mag * np.exp(1j * arg)
     z0[n - n_zero:] = 0.0
     return z, z0
+
+
+def greens_samples(n: int, seed):
+    """Yield n pairs (eta, GreensParams) with E in [-1, 1], F = 10^U(-2, 0) z^.
+
+    Each sample draws, in this order, E, F, eta in [0.1, 5], a random
+    direction and a shift of the midpoint; r and r' sit symmetrically
+    about it at the separation whose scaled value is eta.  ``seed`` may
+    be a ``numpy.random.Generator``, which is drawn from and advanced.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        e = rng.uniform(-1.0, 1.0)
+        f0 = 10.0 ** rng.uniform(-2.0, 0.0)
+        eta = rng.uniform(0.1, 5.0)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        half = direction * (2.0 ** (2.0 / 3.0) * eta / f0 ** (1.0 / 3.0)) / 2
+        shift = rng.normal(size=3) * 0.5
+        yield eta, GreensParams.make(e, (0.0, 0.0, f0), half + shift, -half + shift)
 
 
 def real_grid(n_x: int, n_x0: int, x_range=(-5.0, 5.0), x0_range=(0.0, 4.0)):

@@ -29,14 +29,15 @@ Both path builders, ``contours.build_contour`` and
 ``greens.greens_time_integral``, take their tail rules from here: the
 cut depth ``TAIL_LAMBDA`` (the integrand falls to 1e-13), the tail
 reach ``tail_radius``, a root of ``_cubic_roots`` below a cap (80 for
-contours, 1e8 for the time integral), and the span ``decay_span`` of a
+contours, 1e8 for the time integral), the same cap on any other radius
+a path must pass (``check_reach``), and the span ``decay_span`` of a
 decay leg into k = 0.
 
 A path integral fails in one of two ways, both raised in this module.
-DegenerateGeometry means no usable path exists: ``tail_radius`` raises
-it for a tail that would reach past its cap, and the seed pass for a
-decay leg whose integrand is finite at its inner end but does not decay
-there.  ToleranceNotMet means the adaptive loop stopped short of its
+DegenerateGeometry means no usable path exists: ``tail_radius`` and
+``check_reach`` raise it for a path that would reach past its cap, and
+the seed pass for a decay leg whose integrand is finite at its inner
+end but does not decay there.  ToleranceNotMet means the adaptive loop stopped short of its
 target: ``integrate_legs`` raises it for every miss, with the
 unconverged result attached.  An exponent past the float64 range of
 e^{E} (or NaN) on a seed probe is the ``non_finite`` stop after 0 nodes.
@@ -423,6 +424,16 @@ def tail_radius(a: float, b: float, c: float, lam: float, cap: float) -> float:
         raise DegenerateGeometry(f"path tail would reach past radius {cap:g}")
     s = b / (3.0 * a)  # x = y - s removes the quadratic term
     return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - lam / a)[-1] - s
+
+
+def check_reach(r: float, cap: float, legs, coeffs, power) -> None:
+    """DegenerateGeometry when the path ``legs`` must pass radius r > cap.
+
+    A path whose e^{E} already leaves float64 on a seed probe is left to
+    ``integrate_legs``, which stops it as ``non_finite`` after 0 nodes.
+    """
+    if r > cap and _seed_counts(legs, coeffs, power) is not None:
+        raise DegenerateGeometry(f"path would pass radius {r:g}, past its cap {cap:g}")
 
 
 def decay_span(r: float, r_min: float) -> float:

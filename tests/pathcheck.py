@@ -1,6 +1,9 @@
-"""Path checks shared by the contour and quadrature tests."""
+"""Helpers shared by the test modules: path checks for the contour and
+quadrature tests, and the key of the bit and digest pins."""
 
 import math
+
+import numpy as np
 
 
 def path_is_connected(legs, rtol=1e-9):
@@ -19,3 +22,14 @@ def path_is_connected(legs, rtol=1e-9):
 def r_inner(leg):
     """The radius at which a ``DecayLeg`` stops short of k = 0."""
     return leg.r_outer * math.exp(-leg.s_max)
+
+
+def float_kernels():
+    """numpy's minor version and the SIMD targets of its float64 exp and power."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0
+        return None
+    info = opt_func_info(func_name="exp|power", signature="float64")
+    return (np.__version__.rsplit(".", 1)[0], info["exp"]["dd"]["current"],
+            info["power"]["ddd"]["current"])

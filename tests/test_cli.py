@@ -1,6 +1,7 @@
 """Command-line interface: records, exit codes, tables, flag parsing."""
 
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import sys
 
 import pytest
 
-from airyprod import GreensParams, __version__, airy, cli, errors, greens_time_integral
+from airyprod import GreensParams, __version__, airy, checks, cli, errors, greens_time_integral
 from airyprod.cli import main, parse_complex
+from pathcheck import float_kernels
 
 
 def _fields(line):
@@ -123,13 +125,93 @@ def test_eval_product_rotations(capsys):
     assert abs(float(rec["abs_err"])) < 1e-8
 
 
-@pytest.mark.parametrize("suite", ["identities", "contour-relation", "routes", "greens"])
+# SHA-256 of the stdout of each verify run below and of each README command
+# line, and of the table files those write.  The contour-route and
+# Green's-function digits follow numpy's float64 exp and power loops, so
+# one set is recorded per ``float_kernels()`` key; under the baseline loops
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3") the
+# outputs not listed again keep their bytes.
+_V4_DIGESTS = {
+    "verify ode --count 6 --seed 3":
+        "78853d3a670d0f711091faa658d18a808db6bfcd02b74ff8ccae4019cae9c1aa",
+    "verify ode": "4d387ad1e75b14ac9b48cc6ac71cc6e6f18ea6ab3fd63c5fac0b97f641d52770",
+    "verify routes --count 6 --seed 3":
+        "df73f263ea1b35aa96f4f72cc3df40311c2a7c40de2c5a49a6d7624764cca51b",
+    "verify routes": "2e6423a2c2dee79e257a324460e78d122f550983096f870a0a8674d4abb66c18",
+    "verify identities --count 6 --seed 3":
+        "a02a286b1f3fc67f08fd06ac5d52cad0fa20c6337b75e2c9297b1fb9b330a484",
+    "verify identities": "59404786b87a00c73436c174bd26ba6aad86a2e82faf6f97b828d80e49b73d1d",
+    "verify contour-relation --count 6 --seed 3":
+        "8e630f9272edad7592ce1dc248f4a963e8651b254755647229770b163b665465",
+    "verify contour-relation":
+        "35ddce875b50e920a6a82d1e499ab6675525ebde9df616d8dce062e1d1cfd264",
+    "verify greens --count 6 --seed 3":
+        "ef6ff947d6de18e9c5929180cdc078388c98beda3a389f781057b1f2330476d2",
+    "verify greens": "a25e9b302d6dac80cb0b69b267982d1d130c19a6eb1f7184e8ab0927b35a2828",
+    "eval u+ --z 1+0.5i --z0 0.3 --route contour":
+        "7c1ce9fd0b5301774084d82e7a15132ca45f75c26ee8607fc3cd02fe952874ad",
+    "eval w+ --z 0.7-0.4i --z0 -1.1+0.3i":
+        "86bb85a9cc1ddbef751977ae0a81b25f425665c536bb2c2c0188f4ab1978e536",
+    "eval w-real+ --x 0 --x0 1":
+        "a74ce5edd36d7b808435126e99d311e3ba6b39435f4815ad58db090c8b1f0187",
+    "verify identities --count 100 --seed 7":
+        "b635e21af4c3c900a9b36c771238cb6066994f1251946e3080ed4430658c2d3e",
+    "table product --out prod.csv --count-x 21 --count-x0 5":
+        "178592cd87bbd9185da12b168c41ccbaf8ffbab1b8ab6688bec358983bb36465",
+    "prod.csv": "0c90c3b85ccafc282fab1c2211f036b226e785865ece34bddf6cae1cefe9a54f",
+    "table greens --out g.json --format json --xi 0 --field 0.1":
+        "a489580443cf2e04b6f9f96a8409ec4e9a67b50cbbc6b0fa86bdb0cce41993fb",
+    "g.json": "456fa2add0f5b2dcc68f5016aeec348c62d6588094826e971819f7679753623f",
+    "greens --energy 0.5 --field 0,0,0.1 --r 1,0,0 --r-prime 0,0,0":
+        "989f166312cba084ec32d2b458fc6c2a89177dd14f55dbf29908fa79c8c2c991",
+}
+_DIGESTS = {
+    ("2.4", "X86_V4", "X86_V4"): _V4_DIGESTS,
+    ("2.4", "baseline(X86_V2)", "baseline(X86_V2)"): {
+        **_V4_DIGESTS,
+        "verify ode --count 6 --seed 3":
+            "68479de0a1e966b8998bcb5d715080387d96c9a16f3d213dcb739920b25d74df",
+        "verify ode": "0384bbeca919f06e66eb423af5954182aae0f71b1a3bd3d7f60ae54e6d3f3ecb",
+        "verify routes --count 6 --seed 3":
+            "da2dc106291758f50f519caac84d3cac5372e3e2c4ed8fb87afff3ffe704f72b",
+        "verify routes": "1e9701d5b4a09b931f0ef2aad7e1e0667e2302e9760ac0058b4e13428a22947e",
+        "verify contour-relation --count 6 --seed 3":
+            "d1e34a7e60efd9bafa4cbd68ecb7ab52b50341da31ef200a827cb09b6199fd2e",
+        "verify contour-relation":
+            "f3d2e02b81d8f8336f8728c9aa6d9d0c2f9807317804c4e1d661651b59887253",
+        "verify greens --count 6 --seed 3":
+            "cd04384121c9207991f993ee58fa5a742c2c62b026f88c94f73aa9e3a88d115b",
+        "verify greens": "b4ff64b88487895934e9cb5a026efe179b043f5306bec3384620861d2d348450",
+        "eval u+ --z 1+0.5i --z0 0.3 --route contour":
+            "759a787455ec2ef649e53066e7ef8149a3ff99d3d081ab1729a6887fea734c74",
+        "eval w-real+ --x 0 --x0 1":
+            "43921e6d85642305d5eb9182910b2416c6a9a27ca0ddea29771409b92b10817b",
+    },
+}
+
+
+def _digests_match(outputs):
+    """Each (name, bytes) against its recorded digest; a skip where none
+    is recorded for this host's numpy loops."""
+    digests = _DIGESTS.get(float_kernels())
+    if digests is None:
+        pytest.skip(f"no digests recorded for numpy exp and power loops {float_kernels()}")
+    for name, data in outputs:
+        assert hashlib.sha256(data).hexdigest() == digests[name], name
+
+
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_verify_suites_pass(capsys, suite):
-    rc, out = _run(capsys, ["verify", suite, "--count", "6", "--seed", "3"])
-    assert rc == 0
-    summary = _fields(out.strip().splitlines()[-1])
-    assert summary["status"] == "PASS"
-    assert int(summary["failures"]) == 0
+    outputs = []
+    for extra in (["--count", "6", "--seed", "3"], []):
+        argv = ["verify", suite, *extra]
+        rc, out = _run(capsys, argv)
+        assert rc == 0
+        summary = _fields(out.strip().splitlines()[-1])
+        assert summary["status"] == "PASS"
+        assert int(summary["failures"]) == 0
+        outputs.append((" ".join(argv), out.encode()))
+    _digests_match(outputs)
 
 
 def test_verify_deterministic(capsys):
@@ -278,6 +360,10 @@ def test_greens_integral_overflow_on_path_exit(capsys):
     # the time integral's tail would reach past t = 1e8: no usable path
     pytest.param(["greens", "--energy", "0.02", "--field", "0,0,1e-9", "--r", "1,0,0",
                   "--r-prime", "0,0,0", "--method", "integral"], id="greens-tail-past-cap"),
+    # so would its path through the stationary point t = 2e9
+    pytest.param(["greens", "--energy", "0.5", "--field", "0,0,1e-9", "--r", "1,0,0",
+                  "--r-prime", "0,0,0", "--method", "integral"],
+                 id="greens-stationary-point-past-cap"),
 ])
 def test_validation_exits(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -313,10 +399,10 @@ def test_help_and_version_exit_zero(capsys):
 
 
 def test_verify_failure_exit(monkeypatch, capsys):
-    def suite(cfg, count):
-        return [("passing", 0.0, True), ("failing", 1.0, False)], 0.5
+    def suite(count, seed, tol):
+        return [("passing", 0.0, 0.5), ("failing", 1.0, 0.5)]
 
-    monkeypatch.setitem(cli._SUITES, "ode", (suite, 2))
+    monkeypatch.setitem(checks.SUITES, "ode", (suite, 2, 0.5))
     rc, out = _run(capsys, ["verify", "ode"])
     assert rc == 1
     records = [_fields(line) for line in out.splitlines()]
@@ -339,8 +425,22 @@ def test_readme_command_lines(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     rc, out = _run(capsys, argv)
     assert rc == 0 and out.endswith("\n")
+    outputs = [(" ".join(argv), out.encode())]
     if argv[0] == "table":
-        assert (tmp_path / _fields(out)["path"]).is_file()
+        path = tmp_path / _fields(out)["path"]
+        outputs.append((path.name, path.read_bytes()))
+    _digests_match(outputs)
+
+
+def test_greens_underflowing_separation(capsys):
+    # |r - r'|^2 = 1e-340 underflows but |r - r'| does not: G is the near
+    # field 1/(2 pi |r - r'|)
+    rc, out = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
+                            "--r", "1e-170,0,0", "--r-prime", "0,0,0"])
+    assert rc == 0
+    rec = _fields(out.strip())
+    assert float(rec["separation"]) == 1e-170
+    assert float(rec["re"]) == pytest.approx(1.0 / (2.0 * math.pi * 1e-170), rel=1e-13)
 
 
 def test_greens_coincident_points_exit(capsys):

@@ -17,6 +17,7 @@ from airyprod import (
     ToleranceNotMet,
     airy_batch,
     build_contour,
+    checks,
     classify_sector,
     laplace_integral,
     saddles,
@@ -210,12 +211,8 @@ def test_frozen_zero_arg_value():
 
 
 def test_linear_relation_reference_point():
-    vals = {k: _integral(k, 1 + 0.3j, 0.7) for k in ContourKind}
-    lhs = vals[ContourKind.O].value
-    rhs = (vals[ContourKind.R_MINUS].value + vals[ContourKind.L_MINUS].value
-           - vals[ContourKind.L_PLUS].value - vals[ContourKind.R_PLUS].value)
-    budget = 10.0 * sum(v.abs_err_est for v in vals.values())
-    assert abs(lhs - rhs) <= budget
+    [(resid, bound, _)] = checks.five_contour_relation([1 + 0.3j], [0.7], 1e-11)
+    assert resid <= bound
 
 
 @pytest.mark.parametrize("z,z0", [
@@ -225,17 +222,14 @@ def test_linear_relation_reference_point():
     (-1.5, 0.0),            # zero
 ])
 def test_linear_relation_by_sector(z, z0):
-    vals = {k: _integral(k, z, z0) for k in ContourKind}
-    lhs = vals[ContourKind.O].value
-    rhs = (vals[ContourKind.R_MINUS].value + vals[ContourKind.L_MINUS].value
-           - vals[ContourKind.L_PLUS].value - vals[ContourKind.R_PLUS].value)
-    assert abs(lhs - rhs) <= max(10.0 * sum(v.abs_err_est for v in vals.values()), 1e-12)
+    [(resid, bound, _)] = checks.five_contour_relation([z], [z0], 1e-11)
+    assert resid <= max(bound, 1e-12)
 
 
 @pytest.mark.parametrize("z", [0.0, 2.0, -3.0, 1 + 1j, -2j])
 def test_loop_vanishes_at_zero_shift(z):
-    res = _integral(ContourKind.O, z, 0.0, tol=1e-12)
-    assert abs(res.value) <= 1e-10
+    [loop] = checks.zero_shift_loop([z], 1e-12)
+    assert loop <= 1e-10
 
 
 def _perturbed(path, args, factor, shift):

@@ -9,6 +9,8 @@ import pytest
 
 from airyprod import (
     AiryprodError,
+    checks,
+    greens,
     CoincidentPoints,
     DegenerateGeometry,
     EnvelopeExceeded,
@@ -23,6 +25,7 @@ from airyprod import (
     operator_residual,
     scaled_vars,
 )
+from airyprod.grids import greens_samples
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -51,9 +54,7 @@ def test_eta_field_homogeneity():
 
 def test_closed_vs_time_integral_reference_point():
     p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
-    gc = greens_closed(p)
-    gi = greens_time_integral(p, 1e-9)
-    assert abs(gc - gi) <= 1e-6 * abs(gc)
+    assert checks.greens_gap(p, 1e-9) <= 1e-6
 
 
 def test_weak_field_approaches_free():
@@ -174,10 +175,8 @@ def test_deep_tunneling_regime():
     # strongly classically forbidden configuration: the value is
     # ~e^{-sqrt(2|E'|) d} ~ 1e-20 and requires the saddle-adapted path
     p = GreensParams.make(-0.81, (0, 0, 0.012), (15.9, 0, 0), (-15.9, 0, 0))
-    gc = greens_closed(p)
-    gi = greens_time_integral(p, 1e-8)
-    assert abs(gc) < 1e-15  # sanity: genuinely suppressed
-    assert abs(gc - gi) <= 1e-6 * abs(gc)
+    assert abs(greens_closed(p)) < 1e-15  # sanity: genuinely suppressed
+    assert checks.greens_gap(p, 1e-8) <= 1e-6
     # zero-field counterpart against the analytic decaying wave
     p0 = GreensParams.make(-1.0, (0, 0, 0), (30, 0, 0), (0, 0, 0))
     gi0 = greens_time_integral(p0, 1e-9)
@@ -187,20 +186,8 @@ def test_deep_tunneling_regime():
 
 
 def test_mutual_consistency_parameter_sweep():
-    rng = np.random.default_rng(17)
-    for _ in range(15):
-        e = rng.uniform(-1.0, 1.0)
-        f0 = 10.0 ** rng.uniform(-2.0, 0.0)
-        eta = rng.uniform(0.1, 5.0)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        d = 2.0 ** (2.0 / 3.0) * eta / f0 ** (1.0 / 3.0)
-        shift = rng.normal(size=3) * 0.5
-        p = GreensParams.make(e, (0, 0, f0), direction * d / 2 + shift,
-                              -direction * d / 2 + shift)
-        gc = greens_closed(p)
-        gi = greens_time_integral(p, 1e-8)
-        assert abs(gc - gi) <= 1e-6 * max(abs(gc), 1e-300)
+    for _, p in greens_samples(15, 17):
+        assert checks.greens_gap(p, 1e-8) <= 1e-6, p
 
 
 def test_time_integral_at_small_separations():
@@ -243,6 +230,22 @@ def test_time_integral_tail_guard(e, f, r):
     # the tail radius would exceed 1e8: no usable path, and nothing is integrated
     with pytest.raises(DegenerateGeometry, match=r"path tail would reach past radius 1e\+08"):
         greens_time_integral(GreensParams.make(e, (0, 0, f), r, (0, 0, 0)), 1e-8)
+
+
+def test_time_integral_stationary_point_past_cap(monkeypatch):
+    # t_s = sqrt(8E')/F = 2e9 lies past the cap t = 1e8: no usable path,
+    # found before the quadrature is entered
+    monkeypatch.setattr(greens, "integrate_legs", lambda *args: pytest.fail("quadrature ran"))
+    p = GreensParams.make(0.5, (0, 0, 1e-9), (1, 0, 0), (0, 0, 0))
+    with pytest.raises(DegenerateGeometry, match=r"radius 2e\+09, past its cap 1e\+08"):
+        greens_time_integral(p, 1e-8)
+
+
+@pytest.mark.parametrize("r", [(1e-170, 0, 0), (3e-200, -4e-200, 1e-210), (1e-320, 0, 0)])
+def test_separation_below_squared_underflow(r):
+    # |r - r'|^2 underflows float64 where |r - r'| does not
+    p = GreensParams.make(0.5, (0, 0, 0.1), r, (0, 0, 0))
+    assert p.separation == pytest.approx(math.hypot(*r), rel=1e-15)
 
 
 def test_time_integral_overflow_evaluates_no_panel():
@@ -303,11 +306,11 @@ def test_float64_edges_typed():
             if fn is greens_time_integral:
                 ends["value"] += 1
     # a path integral fails in two ways: no usable path (DegenerateGeometry:
-    # a tail past t = 1e8), or a quadrature that stopped (ToleranceNotMet,
-    # counted by its stop); the rest are rejected inputs
-    assert ends == {"value": 38, "non_finite": 47, "node_ceiling": 1,
-                    "DegenerateGeometry": 32, "NonFiniteInput": 202,
-                    "CoincidentPoints": 80}
+    # a tail or stationary point past t = 1e8), or a quadrature that stopped
+    # (ToleranceNotMet, counted by its stop); the rest are rejected inputs,
+    # among them every separation whose 1/|r - r'|^2 overflows
+    assert ends == {"value": 38, "non_finite": 44, "node_ceiling": 1,
+                    "DegenerateGeometry": 31, "NonFiniteInput": 286}
 
 
 @pytest.mark.parametrize("d", [1e-3, 5e-4])

@@ -22,7 +22,7 @@ from airyprod.quadrature import (
     integrate_legs,
     tail_radius,
 )
-from pathcheck import path_is_connected
+from pathcheck import float_kernels, path_is_connected
 
 
 # (a, b, c) of the exponent E(k) = i(a k + b/k + c k^3/12)
@@ -300,7 +300,7 @@ def test_panel_schedule_pinned(monkeypatch):
 # and at an outer-sector point, then the _GREENS_CONFIGS time integrals.
 # The last bits of exp and power differ between numpy's SIMD targets, so
 # one row set is recorded per set of numpy's float64 exp and power loops
-# (``_BITS``, keyed by ``_float_kernels()``), and the pins hold where
+# (``_BITS``, keyed by ``float_kernels()``), and the pins hold where
 # numpy runs one of them.
 _BITS_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
 _CONTOUR_BITS = [
@@ -352,25 +352,14 @@ _BITS = {
 }
 
 
-def _float_kernels():
-    """numpy's minor version and the SIMD targets of its float64 exp and power."""
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:  # numpy < 2.0
-        return None
-    info = opt_func_info(func_name="exp|power", signature="float64")
-    return (np.__version__.rsplit(".", 1)[0], info["exp"]["dd"]["current"],
-            info["power"]["ddd"]["current"])
-
-
 def _bits(res):
     return res.value.real.hex(), res.value.imag.hex(), res.abs_err_est.hex()
 
 
-@pytest.mark.skipif(_float_kernels() not in _BITS,
-                    reason=f"no bits recorded for numpy exp and power loops {_float_kernels()}")
+@pytest.mark.skipif(float_kernels() not in _BITS,
+                    reason=f"no bits recorded for numpy exp and power loops {float_kernels()}")
 def test_contour_route_bits_pinned(monkeypatch):
-    contour_bits, greens_bits = _BITS[_float_kernels()]
+    contour_bits, greens_bits = _BITS[float_kernels()]
     got = []
     for (z, z0), sector in zip(_BITS_POINTS, (Sector.INNER, Sector.OUTER)):
         args = ShiftedArgs.make(z, z0)
