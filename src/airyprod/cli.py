@@ -54,10 +54,7 @@ def _emit(pairs) -> None:
 
 
 def _vector(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated components, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(float(p) for p in text.split(","))
 
 
 def parse_complex(text: str) -> complex:

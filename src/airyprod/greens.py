@@ -70,6 +70,13 @@ _T_MAX = 1e8  # the cap of every time-integral tail radius
 _STEP = 1e-3  # finite-difference step of operator_residual
 
 
+def _three(name: str, v) -> tuple:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must have exactly three components, got shape {v.shape}")
+    return tuple(v.tolist())
+
+
 @dataclass(frozen=True)
 class GreensParams:
     """Physical inputs: energy (hartree), field and positions (a.u.)."""
@@ -81,10 +88,10 @@ class GreensParams:
 
     @classmethod
     def make(cls, energy_E, field_F, r, r_prime) -> "GreensParams":
-        return cls(float(energy_E),
-                   tuple(float(x) for x in field_F),
-                   tuple(float(x) for x in r),
-                   tuple(float(x) for x in r_prime))
+        """ValueError unless each of field_F, r and r_prime has exactly
+        three components."""
+        return cls(float(energy_E), _three("field_F", field_F), _three("r", r),
+                   _three("r_prime", r_prime))
 
     @property
     def separation(self) -> float:
@@ -177,23 +184,10 @@ def greens_free(p: GreensParams) -> complex:
     return cmath.exp(1j * k * d) / (2.0 * math.pi * d)
 
 
-def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
-    """G(r, r') by direct quadrature of the half-line time integral.
-
-    Serves as the independent numerical check on ``greens_closed``;
-    valid for F = 0 as well (where it reproduces the free form).  ``tol``
-    must lie in [1e-10, 1e-4].  The path takes the contours' tail rules
-    from ``quadrature``: the cut depth TAIL_LAMBDA (here deepened by the
-    tunnelling suppression), ``tail_radius`` with cap t = 1e8 and
-    ``decay_span``.  Both failures come from there: DegenerateGeometry
-    when no usable path exists (a tail or the stationary point past
-    t = 1e8, or an endpoint leg whose finite integrand does not decay), and
-    ToleranceNotMet when the quadrature stops short of ``tol``, including
-    on a value that leaves float64 along the path (after 0 nodes when
-    e^{E} already leaves it on a seed probe).
-    """
-    if not (1e-10 <= tol <= 1e-4):
-        raise ValueError("greens_time_integral: tol must be in [1e-10, 1e-4]")
+def _time_path(p: GreensParams):
+    """(legs, coeffs, power) for ``integrate_legs``: the path of
+    ``greens_time_integral``, in the one of the five families its
+    docstring lists that p selects."""
     d, f, fdot = _checked(p)
     dd = d * d
     eprime = p.energy_E - 0.5 * fdot
@@ -220,70 +214,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
 
     sin_rot = math.sin(_ROT)
 
-    if f > 0.0:
-        # t-plane: exponent iE't + i dd/(2t) - i (f^2/24) t^3, weight t^{-3/2}
-        c3 = f * f / 24.0
-        coeffs, power = (eprime, 0.5 * dd, -0.5 * f * f), 1.5
-        t_sad = math.sqrt(dd / (-2.0 * eprime)) if eprime < 0.0 else 0.0
-        r_crest = math.sqrt(-8.0 * eprime) / f if eprime < 0.0 else 0.0
-        if suppress > 5.0 and t_sad <= 0.95 * r_crest:
-            # tunneling regime: the value is e^{-suppress} small and any
-            # path whose maximum exceeds the complex saddle value hits a
-            # float64 cancellation floor.  The steepest ray theta = -pi/2
-            # passes exactly through that saddle (its crest equals the
-            # saddle exponent), so descend it until the depth target or
-            # the field-barrier crest, then swing into the adjacent cubic
-            # valley.  (For weak suppression the fixed-rotation route
-            # below is both safe and cheaper, and for strong fields the
-            # cubic ridge would block this ray before the saddle.)
-            r_t = tail_radius(c3, 0.0, -abs(eprime), lam, _T_MAX)
-            # the ray's depth -E'r - c3 r^3 climbs to lam at the middle
-            # root of c3 r^3 + E'r + lam = 0; without three real roots
-            # its crest r_crest stays below lam
-            roots = _cubic_roots(eprime / c3, lam / c3)
-            r_x = max(t_sad, roots[1]) if len(roots) == 3 else r_crest
-            legs = [
-                DecayLeg(-math.pi / 2.0, t_sad, decay_span(t_sad, dd / (2.0 * lam)),
-                         outward=True),
-                RayLeg(-math.pi / 2.0, t_sad, r_x),
-                ArcLeg(r_x, -math.pi / 2.0, -math.pi / 6.0),
-                RayLeg(-math.pi / 6.0, r_x, max(r_t, 1.1 * r_x)),
-            ]
-        else:
-            t_saddle = math.sqrt(8.0 * eprime) / f if eprime > 0.05 else 0.0
-            # junction radius: the ray past it is panelized evenly, so at
-            # small separations a junction near d/sqrt(2) would leave the
-            # steep fall of t^{-3/2} to the ray, where bisection stalls;
-            # the floor hands that fall to the decay leg's geometric spacing
-            r_j = math.sqrt(dd / (2.0 * max(abs(eprime), 1.0)))
-            if t_saddle > 0.0:
-                r_j = max(min(r_j, 0.5 * t_saddle), min(0.5, 0.25 * t_saddle))
-            else:
-                r_j = max(r_j, min(0.5, 1.0 / max(abs(eprime), 1.0)))
-
-            legs = [DecayLeg(-_ROT, r_j, decay_span(r_j, dd * sin_rot / (2.0 * lam)),
-                             outward=True)]
-
-            if t_saddle > 1.5 * r_j:
-                legs.append(ArcLeg(r_j, -_ROT, 0.0))
-                legs.append(RayLeg(0.0, r_j, t_saddle))
-                # descend from the stationary point along t_s + L e^{-i rho}:
-                # there E' = 3 c3 t_s^2 cancels the linear terms, so Re E
-                # is -c3 (sin 3rho L^3 + 3 t_s sin 2rho L^2) plus the
-                # i dd/(2t) term, which only lowers it; cutting where the
-                # cubic reaches -lam is therefore conservative
-                length = tail_radius(c3 * math.sin(3.0 * _ROT),
-                                     3.0 * c3 * t_saddle * math.sin(2.0 * _ROT), 0.0, lam, _T_MAX)
-                legs.append(SegmentLeg(complex(t_saddle),
-                                       t_saddle + length * cmath.exp(-1j * _ROT)))
-                # the stationary point is held to the cap of the tails
-                check_reach(t_saddle, _T_MAX, legs, coeffs, power)
-            else:
-                # along -pi/8 the term iE't decays for E' < 0 and grows
-                # for E' > 0, so it enters the tail with its sign
-                r_t = tail_radius(c3 * math.sin(3.0 * _ROT), 0.0, -eprime * sin_rot, lam, _T_MAX)
-                legs.append(RayLeg(-_ROT, r_j, max(r_t, 2.0 * r_j)))
-    else:
+    if f == 0.0:
         # u = 1/t: exponent iE'/u + i dd u/2, weight u^{-1/2}
         coeffs, power = (0.5 * dd, eprime, 0.0), 0.5
         if suppress > 5.0:
@@ -291,28 +222,118 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
             # ray maximum is the (tunneling) saddle value
             u_sad = math.sqrt(-2.0 * eprime / dd)
             r_t = max(2.0 * lam / dd, 2.0 * u_sad)
-            legs = [DecayLeg(math.pi / 2.0, u_sad, decay_span(u_sad, -eprime / lam),
-                             outward=True),
-                    RayLeg(math.pi / 2.0, u_sad, r_t)]
+            return [DecayLeg(math.pi / 2.0, u_sad, decay_span(u_sad, -eprime / lam)),
+                    RayLeg(math.pi / 2.0, u_sad, r_t)], coeffs, power
+        # junction where both phase terms are O(1): below it the decay
+        # leg resolves the sqrt weight, above it the linear tail is
+        # smooth
+        r_j = max(math.sqrt(abs(eprime) / (0.5 * dd)), 1.0 / (0.5 * dd), 1e-9)
+        # at E' = 0, or an E' whose inner radius underflows, the
+        # sqrt-measure criterion alone sets the span
+        r_min = abs(eprime) * sin_rot / lam
+        s_max = decay_span(r_j, r_min) if r_min > 0.0 else 2.0 * lam
+        if eprime >= 0.0:
+            legs = [DecayLeg(-_ROT, r_j, s_max), ArcLeg(r_j, -_ROT, _ROT)]
         else:
-            start_angle = -_ROT if eprime >= 0.0 else _ROT
-            # junction where both phase terms are O(1): below it the decay
-            # leg resolves the sqrt weight, above it the linear tail is
-            # smooth
-            r_j = max(math.sqrt(abs(eprime) / (0.5 * dd)), 1.0 / (0.5 * dd), 1e-9)
-            # at E' = 0, or an E' whose inner radius underflows, the
-            # sqrt-measure criterion alone sets the span
-            r_min = abs(eprime) * sin_rot / lam
-            s_max = decay_span(r_j, r_min) if r_min > 0.0 else 2.0 * lam
-            r_t = max(lam / (0.5 * dd * sin_rot), 2.0 * r_j)
-            legs = [DecayLeg(start_angle, r_j, s_max, outward=True)]
-            if start_angle != _ROT:
-                legs.append(ArcLeg(r_j, start_angle, _ROT))
-            legs.append(RayLeg(_ROT, r_j, r_t))
+            legs = [DecayLeg(_ROT, r_j, s_max)]
+        r_t = max(lam / (0.5 * dd * sin_rot), 2.0 * r_j)
+        return [*legs, RayLeg(_ROT, r_j, r_t)], coeffs, power
 
-    res = integrate_legs(legs, coeffs, power, tol, 400_000)
+    # t-plane: exponent iE't + i dd/(2t) - i (f^2/24) t^3, weight t^{-3/2}
+    c3 = f * f / 24.0
+    coeffs, power = (eprime, 0.5 * dd, -0.5 * f * f), 1.5
+    t_sad = math.sqrt(dd / (-2.0 * eprime)) if eprime < 0.0 else 0.0
+    r_crest = math.sqrt(-8.0 * eprime) / f if eprime < 0.0 else 0.0
+    if suppress > 5.0 and t_sad <= 0.95 * r_crest:
+        # tunneling regime: the value is e^{-suppress} small and any
+        # path whose maximum exceeds the complex saddle value hits a
+        # float64 cancellation floor.  The steepest ray theta = -pi/2
+        # passes exactly through that saddle (its crest equals the
+        # saddle exponent), so descend it until the depth target or
+        # the field-barrier crest, then swing into the adjacent cubic
+        # valley.  (For weak suppression the fixed-rotation route
+        # below is both safe and cheaper, and for strong fields the
+        # cubic ridge would block this ray before the saddle.)
+        r_t = tail_radius(c3, 0.0, -abs(eprime), lam, _T_MAX)
+        # the ray's depth -E'r - c3 r^3 climbs to lam at the middle
+        # root of c3 r^3 + E'r + lam = 0; without three real roots
+        # its crest r_crest stays below lam
+        roots = _cubic_roots(eprime / c3, lam / c3)
+        r_x = max(t_sad, roots[1]) if len(roots) == 3 else r_crest
+        return [DecayLeg(-math.pi / 2.0, t_sad, decay_span(t_sad, dd / (2.0 * lam))),
+                RayLeg(-math.pi / 2.0, t_sad, r_x),
+                ArcLeg(r_x, -math.pi / 2.0, -math.pi / 6.0),
+                RayLeg(-math.pi / 6.0, r_x, max(r_t, 1.1 * r_x))], coeffs, power
+
+    # junction radius: the ray past it is panelized evenly, so at small
+    # separations a junction near d/sqrt(2) would leave the steep fall of
+    # t^{-3/2} to the ray, where bisection stalls; the floor hands that
+    # fall to the decay leg's geometric spacing
+    r_j = math.sqrt(dd / (2.0 * max(abs(eprime), 1.0)))
+    r_min = dd * sin_rot / (2.0 * lam)
+    if eprime > 0.05:
+        t_saddle = math.sqrt(8.0 * eprime) / f
+        r_j = max(min(r_j, 0.5 * t_saddle), min(0.5, 0.25 * t_saddle))
+        # descend from the stationary point along t_s + L e^{-i rho}:
+        # there E' = 3 c3 t_s^2 cancels the linear terms, so Re E is
+        # -c3 (sin 3rho L^3 + 3 t_s sin 2rho L^2) plus the i dd/(2t)
+        # term, which only lowers it; cutting where the cubic reaches
+        # -lam is therefore conservative
+        length = tail_radius(c3 * math.sin(3.0 * _ROT),
+                             3.0 * c3 * t_saddle * math.sin(2.0 * _ROT), 0.0, lam, _T_MAX)
+        legs = [DecayLeg(-_ROT, r_j, decay_span(r_j, r_min)), ArcLeg(r_j, -_ROT, 0.0),
+                RayLeg(0.0, r_j, t_saddle),
+                SegmentLeg(complex(t_saddle), t_saddle + length * cmath.exp(-1j * _ROT))]
+        # the stationary point is held to the cap of the tails
+        check_reach(t_saddle, _T_MAX, legs, coeffs, power)
+        return legs, coeffs, power
+    r_j = max(r_j, min(0.5, 1.0 / max(abs(eprime), 1.0)))
+    # along -pi/8 the term iE't decays for E' < 0 and grows for E' > 0,
+    # so it enters the tail with its sign
+    r_t = tail_radius(c3 * math.sin(3.0 * _ROT), 0.0, -eprime * sin_rot, lam, _T_MAX)
+    return [DecayLeg(-_ROT, r_j, decay_span(r_j, r_min)),
+            RayLeg(-_ROT, r_j, max(r_t, 2.0 * r_j))], coeffs, power
+
+
+def _time_integral(p: GreensParams, tol: float):
+    """The ``QuadResult`` of the time integral along ``_time_path``, before
+    the prefactor."""
+    if not (1e-10 <= tol <= 1e-4):
+        raise ValueError("greens_time_integral: tol must be in [1e-10, 1e-4]")
+    return integrate_legs(*_time_path(p), tol, 400_000)
+
+
+def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
+    """G(r, r') by direct quadrature of the half-line time integral.
+
+    Serves as the independent numerical check on ``greens_closed``;
+    valid for F = 0 as well (where it reproduces the free form).  ``tol``
+    must lie in [1e-10, 1e-4].  The path is one of five families, each
+    chosen by one condition on the effective energy E' = E - F.(r+r')/2
+    and the tunnelling suppression (in e-folds):
+
+    - F > 0, suppression > 5 and the real saddle |r - r'|/sqrt(-2E')
+      within 0.95 of the barrier crest sqrt(-8E')/F: the steepest
+      tunnelling ray;
+    - F > 0, otherwise E' > 0.05: the real axis to the stationary point
+      sqrt(8E')/F, then a chord down from it;
+    - F > 0 otherwise: a ray rotated by -pi/8;
+    - F = 0 (in u = 1/t), suppression > 5: the tunnelling ray;
+    - F = 0 otherwise: a ray rotated by pi/8, entered by an arc when
+      E' >= 0.
+
+    The path takes the contours' tail rules from ``quadrature``: the
+    cut depth TAIL_LAMBDA (here deepened by the tunnelling suppression),
+    ``tail_radius`` with cap t = 1e8 and ``decay_span``.  Both failures
+    come from there: DegenerateGeometry when no usable path exists (a
+    tail or the stationary point past t = 1e8, or an endpoint leg whose
+    finite integrand does not decay), and ToleranceNotMet when the
+    quadrature stops short of ``tol``, including on a value that leaves
+    float64 along the path (after 0 nodes when e^{E} already leaves it
+    on a seed probe).
+    """
     pref = cmath.exp(-1j * math.pi / 4.0) / (2.0 * math.pi) ** 1.5
-    return pref * res.value
+    return pref * _time_integral(p, tol).value
 
 
 def operator_residual(p: GreensParams) -> float:

@@ -9,9 +9,10 @@ one family,
 so callers pass the coefficients (a, b, c) and the power p as data:
 I_C has (beta, -z0^2/4, 1), the time integral (E', |r-r'|^2/2, -F^2/2)
 in t and (|r-r'|^2/2, E', 0) in u = 1/t.  Paths are chains of straight
-radial rays, circular arcs, and exponentially clustered "decay" rays
-that resolve an integrable endpoint at k = 0.  Every leg carries the
-continuously tracked angle theta of its points, so
+radial rays, circular arcs, exponentially clustered "decay" rays that
+resolve an integrable endpoint at k = 0, and straight chords
+(``SegmentLeg``, the time integral's descent from its stationary point).
+Every leg carries the continuously tracked angle theta of its points, so
 k^{-p} = |k|^{-p} e^{-i p theta} is taken on the correct branch sheet
 without consulting a principal argument.
 
@@ -25,8 +26,8 @@ then split every panel whose error exceeds its share of the budget.
 The panels of all legs are held as arrays in path order, and each round
 makes one call of ``exponent`` over all their nodes.
 
-Both path builders, ``contours.build_contour`` and
-``greens.greens_time_integral``, take their tail rules from here: the
+Both path builders, ``contours.build_contour`` and the time
+integral's ``greens._time_path``, take their tail rules from here: the
 cut depth ``TAIL_LAMBDA`` (the integrand falls to 1e-13), the tail
 reach ``tail_radius``, a root of ``_cubic_roots`` below a cap (80 for
 contours, 1e8 for the time integral), the same cap on any other radius

@@ -1,22 +1,45 @@
 """Helpers shared by the test modules: path checks for the contour and
-quadrature tests, and the key of the bit and digest pins."""
+quadrature tests, the key of the bit and digest pins, the seed-7
+float64-edge Green's-function configurations, and small numeric helpers."""
 
+import cmath
 import math
 
 import numpy as np
 
+from airyprod import GreensParams
+
+OMEGA = cmath.exp(2j * math.pi / 3)
+
+
+def scaled_diff(a, b):
+    """|a - b| relative to max(1, |b|)."""
+    return abs(a - b) / max(1.0, abs(b))
+
+
+def bits(res):
+    """float.hex of (Re value, Im value, abs_err_est) of a result."""
+    return res.value.real.hex(), res.value.imag.hex(), res.abs_err_est.hex()
+
 
 def path_is_connected(legs, rtol=1e-9):
-    """Check junction continuity of both position and tracked angle."""
+    """Check junction continuity of both position and tracked angle; a
+    junction that leaves float64 is not continuous."""
     ends = [leg.map([0.0, 1.0]) for leg in legs]
     for (k_prev, _, th_prev), (k_next, _, th_next) in zip(ends[:-1], ends[1:]):
         k_end, k_start = k_prev[1], k_next[0]
         scale = max(abs(k_end), abs(k_start), 1e-30)
-        if abs(k_end - k_start) > rtol * scale:
+        if not abs(k_end - k_start) <= rtol * scale:
             return False
-        if abs(th_prev[1] - th_next[0]) > 1e-12:
+        if not abs(th_prev[1] - th_next[0]) <= 1e-12:
             return False
     return True
+
+
+def ends_finite(legs):
+    """Whether every leg's map is finite at both ends."""
+    with np.errstate(invalid="ignore"):
+        return all(np.isfinite(leg.map([0.0, 1.0])[0]).all() for leg in legs)
 
 
 def r_inner(leg):
@@ -33,3 +56,12 @@ def float_kernels():
     info = opt_func_info(func_name="exp|power", signature="float64")
     return (np.__version__.rsplit(".", 1)[0], info["exp"]["dd"]["current"],
             info["power"]["ddd"]["current"])
+
+
+def float64_edges():
+    """400 seeded configurations with E, F_z and x drawn as +-10^U(-320, 308),
+    F = F_z z^, r = x x^ and r' = 0."""
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        e, f, x = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 308) for _ in range(3))
+        yield GreensParams.make(e, (0, 0, f), (x, 0, 0), (0, 0, 0))

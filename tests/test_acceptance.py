@@ -8,7 +8,6 @@ where stated, the runtime budget.
 reference side b is the direct (evaluator) route.
 """
 
-import cmath
 import math
 import time
 
@@ -28,19 +27,15 @@ from airyprod import (
     w_pm_real,
 )
 from airyprod.grids import greens_samples, shifted_grid
+from pathcheck import OMEGA, scaled_diff
 
 SEED = 20240901
-OMEGA = cmath.exp(2j * math.pi / 3)
 
 
 def _report(n, label, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {n} {label}: {status} ({detail})")
     assert ok, f"criterion {n} failed: {detail}"
-
-
-def _scaled(a, b):
-    return abs(a - b) / max(1.0, abs(b))
 
 
 def test_criterion_1_ode_suite():
@@ -70,9 +65,9 @@ def test_criterion_2_route_equivalence():
     for i, (zz, zz0) in enumerate(zip(z, z0)):
         for sign in (+1, -1):
             c = u_pm(sign, zz, zz0, Route.CONTOUR, 1e-8).value
-            worst_u = max(worst_u, _scaled(c, direct_u[sign][i]))
+            worst_u = max(worst_u, scaled_diff(c, direct_u[sign][i]))
             c = w_pm(sign, zz, zz0, Route.CONTOUR, 1e-8).value
-            worst_w = max(worst_w, _scaled(c, direct_w[sign][i]))
+            worst_w = max(worst_w, scaled_diff(c, direct_w[sign][i]))
     elapsed = time.perf_counter() - t0
     ok = worst_u <= tol and worst_w <= tol and elapsed < 300.0
     _report(2, "contour-vs-direct routes", ok,
@@ -102,13 +97,13 @@ def test_criterion_4_real_axis():
             for sign in (+1, -1):
                 got = w_pm_real(sign, x, x0).value
                 ref = w_pm(sign, x, x0).value
-                worst_half = max(worst_half, _scaled(got, ref))
+                worst_half = max(worst_half, scaled_diff(got, ref))
     worst_cos = 0.0
     for x in np.linspace(-5.0, 5.0, 11):
         for x0 in np.linspace(-4.0, 4.0, 9):  # includes the x0 < 0 regime
             got = aiai_real(x, x0).value
             ref = airy(x + x0).ai * airy(x).ai
-            worst_cos = max(worst_cos, _scaled(got, ref))
+            worst_cos = max(worst_cos, scaled_diff(got, ref))
     ok = worst_half <= tol and worst_cos <= tol
     _report(4, "real-axis half-line forms", ok,
             f"worst scaled diff half-line {worst_half:.3e}, "
@@ -123,7 +118,7 @@ def test_criterion_5_difference_identities():
         for sign in (+1, -1):
             d = difference_identity(sign, zz, zz0, Route.DIRECT).value
             c = difference_identity(sign, zz, zz0, Route.CONTOUR).value
-            worst = max(worst, _scaled(c, d))
+            worst = max(worst, scaled_diff(c, d))
     ok = worst <= tol
     _report(5, "loop-integral difference identities", ok,
             f"50 samples per sector, worst scaled diff {worst:.3e}, tol {tol:g}")

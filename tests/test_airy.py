@@ -1,6 +1,5 @@
 """Reference-evaluator tests: frozen values, identities, error contracts."""
 
-import cmath
 import hashlib
 import math
 
@@ -17,8 +16,7 @@ from airyprod import (
 )
 from airyprod import oracle
 from airyprod.oracle import CROSSOVER_RADIUS, _asym_batch, _series_batch
-
-OMEGA = cmath.exp(2j * math.pi / 3)
+from pathcheck import OMEGA
 
 # independent closed forms for the origin values
 AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)

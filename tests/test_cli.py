@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from airyprod import GreensParams, __version__, airy, checks, cli, errors, greens_time_integral
+from airyprod import (GreensParams, __version__, airy, checks, cli, errors, greens_time_integral,
+                      scaled_vars)
 from airyprod.cli import main, parse_complex
 from pathcheck import float_kernels
 
@@ -267,6 +268,29 @@ def test_table_greens_json(tmp_path, capsys):
     assert records[0]["eta"] == pytest.approx(0.1)
     assert records[-1]["eta"] == pytest.approx(5.0)
     assert all(r["xi"] == pytest.approx(0.3) for r in records)
+
+
+@pytest.mark.parametrize("xi, field, count", [(0, 0.1, 50), (3, 0.1, 10), (-5, 0.5, 10),
+                                              (2, 0.02, 10)])
+def test_table_greens_abs_err_bounds_mpmath(tmp_path, capsys, xi, field, count):
+    # abs_err is the fixed bound 4e-13 |G|, not an estimate: it must cover
+    # the distance to G at the xi, eta and |r - r'| the code forms (the
+    # worst relative error on these grids is about 1e-14)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    out_file = tmp_path / "g.json"
+    rc, _ = _run(capsys, ["table", "greens", "--out", str(out_file), "--format", "json",
+                          "--xi", str(xi), "--field", str(field), "--eta-count", str(count)])
+    assert rc == 0
+    w = mp.exp(2j * mp.pi / 3)
+    for rec in json.loads(out_file.read_text()):
+        p = GreensParams.make(rec["energy"], (0, 0, rec["field"]), (0, 0, rec["separation"]),
+                              (0, 0, 0))
+        sv = scaled_vars(p)
+        a, b = mp.mpf(sv.xi) + sv.eta, w * (mp.mpf(sv.xi) - sv.eta)
+        deriv = mp.airyai(a, 1) * mp.airyai(b) - w * mp.airyai(a) * mp.airyai(b, 1)
+        ref = complex(-mp.exp(1j * mp.pi / 6) / p.separation * deriv)
+        assert abs(complex(rec["re"], rec["im"]) - ref) <= rec["abs_err"], rec
 
 
 def test_table_bad_path_exit_code(tmp_path, capsys):

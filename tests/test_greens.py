@@ -26,8 +26,7 @@ from airyprod import (
     scaled_vars,
 )
 from airyprod.grids import greens_samples
-
-OMEGA = cmath.exp(2j * math.pi / 3)
+from pathcheck import OMEGA, float64_edges
 
 
 def test_scaled_vars_symmetric_points():
@@ -138,6 +137,19 @@ def test_domain_errors():
             GreensParams.make(0.5, (0, 0, 1), (1, 0, 0), (0, 0, 0)), tol=1e-12)
 
 
+@pytest.mark.parametrize("field, r, r_prime, name", [
+    pytest.param((0, 0.1), (1, 0), (0, 0), "field_F", id="two-component"),
+    pytest.param((0, 0, 0.1, 0), (1, 0, 0, 0), (0, 0, 0, 0), "field_F", id="four-component"),
+    pytest.param(0.1, (1, 0, 0), (0, 0, 0), "field_F", id="scalar-field"),
+    pytest.param((0, 0, 0.1), (1, 0, 0), (0, 0), "r_prime", id="mismatched"),
+])
+def test_params_take_three_vectors(field, r, r_prime, name):
+    # before the check, four components gave greens_closed = 0.0918+0.150i,
+    # two gave values from both routes, and the rest numpy or Python errors
+    with pytest.raises(ValueError, match=f"^{name} must have exactly three components"):
+        GreensParams.make(0.5, field, r, r_prime)
+
+
 def test_weak_field_closed_form_leaves_float64():
     # xi = 175: the growing Airy factor alone overflows float64, although
     # G ~ 0.0733 is finite; exponent-scaled Airy factors would return it
@@ -232,13 +244,12 @@ def test_time_integral_tail_guard(e, f, r):
         greens_time_integral(GreensParams.make(e, (0, 0, f), r, (0, 0, 0)), 1e-8)
 
 
-def test_time_integral_stationary_point_past_cap(monkeypatch):
+def test_time_integral_stationary_point_past_cap():
     # t_s = sqrt(8E')/F = 2e9 lies past the cap t = 1e8: no usable path,
-    # found before the quadrature is entered
-    monkeypatch.setattr(greens, "integrate_legs", lambda *args: pytest.fail("quadrature ran"))
+    # found while the path is built, before the quadrature is entered
     p = GreensParams.make(0.5, (0, 0, 1e-9), (1, 0, 0), (0, 0, 0))
     with pytest.raises(DegenerateGeometry, match=r"radius 2e\+09, past its cap 1e\+08"):
-        greens_time_integral(p, 1e-8)
+        greens._time_path(p)
 
 
 @pytest.mark.parametrize("r", [(1e-170, 0, 0), (3e-200, -4e-200, 1e-210), (1e-320, 0, 0)])
@@ -282,11 +293,8 @@ def test_float64_edges_typed():
     # E, F_z and x drawn as +-10^U(-320, 308): every entry point returns a
     # finite value or raises an AiryprodError, and none ends in a numpy
     # RuntimeWarning (an error in this suite)
-    rng = np.random.default_rng(7)
     ends = collections.Counter()
-    for _ in range(400):
-        e, f, x = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 308) for _ in range(3))
-        p = GreensParams.make(e, (0, 0, f), (x, 0, 0), (0, 0, 0))
+    for p in float64_edges():
         for fn in (greens_closed, greens_free, greens_time_integral, scaled_vars):
             try:
                 value = fn(p)
@@ -294,15 +302,15 @@ def test_float64_edges_typed():
                 if fn is greens_time_integral:
                     # an overflow at the inner end of a decay leg is a
                     # non-finite value on the path like any other
-                    assert "does not decay" not in str(exc), (e, f, x)
+                    assert "does not decay" not in str(exc), p
                     if isinstance(exc, ToleranceNotMet):
-                        assert exc.result is not None, (e, f, x)
+                        assert exc.result is not None, p
                         ends[exc.result.stop] += 1
                     else:
                         ends[type(exc).__name__] += 1
                 continue
             parts = (value.xi, value.eta) if fn is scaled_vars else (value,)
-            assert all(map(cmath.isfinite, parts)), (fn.__name__, e, f, x)
+            assert all(map(cmath.isfinite, parts)), (fn.__name__, p)
             if fn is greens_time_integral:
                 ends["value"] += 1
     # a path integral fails in two ways: no usable path (DegenerateGeometry:

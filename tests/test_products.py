@@ -26,13 +26,9 @@ from airyprod import (
     w_pm,
 )
 from airyprod.contours import _ENDS
+from pathcheck import bits, scaled_diff
 
-OMEGA = cmath.exp(2j * math.pi / 3)
 THIRD = cmath.exp(1j * math.pi / 3)
-
-
-def _scaled_diff(a, b):
-    return abs(a - b) / max(1.0, abs(b))
 
 
 def test_zero_point_values():
@@ -62,22 +58,22 @@ def test_route_equivalence_sample_points(z, z0):
     for sign in (+1, -1):
         d = u_pm(sign, z, z0).value
         c = u_pm(sign, z, z0, Route.CONTOUR).value
-        assert _scaled_diff(c, d) <= 1e-8
+        assert scaled_diff(c, d) <= 1e-8
         d = w_pm(sign, z, z0).value
         c = w_pm(sign, z, z0, Route.CONTOUR).value
-        assert _scaled_diff(c, d) <= 1e-8
+        assert scaled_diff(c, d) <= 1e-8
 
 
 def test_outer_sector_w_route():
     d = w_pm(+1, 0.5, -1.0).value
     c = w_pm(+1, 0.5, -1.0, Route.CONTOUR).value
-    assert _scaled_diff(c, d) <= 1e-8
+    assert scaled_diff(c, d) <= 1e-8
 
 
 def test_mixed_product_contour_route():
     d = product(Rotation.PLUS, Rotation.MINUS, 2j, 1.0).value
     c = product(Rotation.PLUS, Rotation.MINUS, 2j, 1.0, Route.CONTOUR).value
-    assert _scaled_diff(c, d) <= 1e-8
+    assert scaled_diff(c, d) <= 1e-8
 
 
 def test_all_nine_products_contour_route():
@@ -198,10 +194,6 @@ def test_wide_domain_contour_route_does_not_cancel():
     assert gap <= 1e-8 * max(1.0, abs(d.value))
 
 
-def _bits(pv):
-    return pv.value.real.hex(), pv.value.imag.hex(), pv.abs_err_est.hex()
-
-
 def test_u_and_w_are_product_rows():
     # U+- is the product (s, s) and W+- the product (0, s): the same row
     # of the same table, so the same bits on both routes, signed zeros of
@@ -213,8 +205,8 @@ def test_u_and_w_are_product_rows():
         for route in (Route.DIRECT, Route.CONTOUR):
             for s in (+1, -1):
                 rot = Rotation(s)
-                assert _bits(u_pm(s, z, z0, route)) == _bits(product(rot, rot, z, z0, route))
-                assert _bits(w_pm(s, z, z0, route)) == _bits(
+                assert bits(u_pm(s, z, z0, route)) == bits(product(rot, rot, z, z0, route))
+                assert bits(w_pm(s, z, z0, route)) == bits(
                     product(Rotation.NONE, rot, z, z0, route))
 
 

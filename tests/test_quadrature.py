@@ -2,6 +2,9 @@
 reason the adaptive loop stops, and the pinned panel schedule."""
 
 import cmath
+import collections
+import hashlib
+import itertools
 import math
 import re
 
@@ -10,9 +13,9 @@ import pytest
 
 from airyprod import (ContourKind, Sector, ShiftedArgs, build_contour, greens,
                       laplace_integral, quadrature)
-from airyprod.errors import DegenerateGeometry, ToleranceNotMet
+from airyprod.errors import AiryprodError, DegenerateGeometry, ToleranceNotMet
 from airyprod.greens import GreensParams
-from airyprod.grids import shifted_grid
+from airyprod.grids import greens_samples, shifted_grid
 from airyprod.quadrature import (
     TAIL_LAMBDA,
     ArcLeg,
@@ -22,7 +25,7 @@ from airyprod.quadrature import (
     integrate_legs,
     tail_radius,
 )
-from pathcheck import float_kernels, path_is_connected
+from pathcheck import bits, ends_finite, float64_edges, float_kernels, path_is_connected
 
 
 # (a, b, c) of the exponent E(k) = i(a k + b/k + c k^3/12)
@@ -271,7 +274,7 @@ _GREENS_CONFIGS = (
 )
 
 
-def test_panel_schedule_pinned(monkeypatch):
+def test_panel_schedule_pinned():
     for (z, z0), pinned in ((shifted_grid(40, 41), _NARROW_NODES),
                             (shifted_grid(40, 42, z_radius=12.0, z0_radius=6.0),
                              _WIDE_NODES)):
@@ -280,18 +283,8 @@ def test_panel_schedule_pinned(monkeypatch):
             got = tuple(laplace_integral(build_contour(kind, args), 1e-8).nodes
                         for kind in ContourKind)
             assert got == want, (a, b)
-
-    results = []
-    real = greens.integrate_legs
-
-    def recording(*args, **kwargs):
-        results.append(real(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(greens, "integrate_legs", recording)
-    for config in _GREENS_CONFIGS:
-        greens.greens_time_integral(GreensParams.make(*config), 1e-8)
-    assert [r.nodes for r in results] == _GREENS_NODES
+    assert [greens._time_integral(GreensParams.make(*config), 1e-8).nodes
+            for config in _GREENS_CONFIGS] == _GREENS_NODES
 
 
 # float.hex of (Re value, Im value, abs_err_est) at tol 1e-8, recorded once,
@@ -352,45 +345,60 @@ _BITS = {
 }
 
 
-def _bits(res):
-    return res.value.real.hex(), res.value.imag.hex(), res.abs_err_est.hex()
-
-
 @pytest.mark.skipif(float_kernels() not in _BITS,
                     reason=f"no bits recorded for numpy exp and power loops {float_kernels()}")
-def test_contour_route_bits_pinned(monkeypatch):
+def test_contour_route_bits_pinned():
     contour_bits, greens_bits = _BITS[float_kernels()]
     got = []
     for (z, z0), sector in zip(_BITS_POINTS, (Sector.INNER, Sector.OUTER)):
         args = ShiftedArgs.make(z, z0)
         assert args.z0_sector is sector
-        got += [_bits(laplace_integral(build_contour(kind, args), 1e-8))
+        got += [bits(laplace_integral(build_contour(kind, args), 1e-8))
                 for kind in ContourKind]
     assert got == contour_bits
-
-    results = []
-    real = greens.integrate_legs
-
-    def recording(*args, **kwargs):
-        results.append(real(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(greens, "integrate_legs", recording)
-    for config in _GREENS_CONFIGS:
-        greens.greens_time_integral(GreensParams.make(*config), 1e-8)
-    assert [_bits(r) for r in results] == greens_bits
+    assert [bits(greens._time_integral(GreensParams.make(*config), 1e-8))
+            for config in _GREENS_CONFIGS] == greens_bits
 
 
-def test_greens_legs_connected(monkeypatch):
-    legs = []
-    real = greens.integrate_legs
+# SHA-256 of repr((legs, coeffs, power)) over every time-integral path built
+# for criterion 6's samples and the seed-7 float64-edge configurations, in
+# that order, recorded once.  Every radius comes from ``math``, so the
+# digest is the same under numpy's X86_V4 and baseline loops.
+_TIME_PATHS_DIGEST = "97d406a61f5831fa0f395e3f8b1705c1d0c3d1a6d26aa6289a09ee6628bf0822"
 
-    def recording(path, *args, **kwargs):
-        legs.append(path)
-        return real(path, *args, **kwargs)
 
-    monkeypatch.setattr(greens, "integrate_legs", recording)
-    for config in _GREENS_CONFIGS:
-        greens.greens_time_integral(GreensParams.make(*config), 1e-8)
-    assert len(legs) == len(_GREENS_CONFIGS)
-    assert all(path_is_connected(path) for path in legs)
+def _family(legs, power):
+    plane = "t" if power == 1.5 else "u"
+    if abs(legs[0].theta) == math.pi / 2.0:
+        return plane, "tunnelling"
+    return plane, "chord" if isinstance(legs[-1], SegmentLeg) else "rotated"
+
+
+def test_time_paths_pinned():
+    # no quadrature runs: each path is checked and hashed as built
+    digest = hashlib.sha256()
+    families = collections.Counter()
+    overflowing = 0
+    samples = (p for _, p in greens_samples(100, 20240907))
+    for p in itertools.chain(samples, float64_edges()):
+        try:
+            legs, coeffs, power = greens._time_path(p)
+        except AiryprodError:
+            continue
+        families[_family(legs, power)] += 1
+        digest.update(repr((legs, coeffs, power)).encode())
+        if ends_finite(legs):
+            assert path_is_connected(legs), p
+        else:
+            overflowing += 1
+    assert families == {("t", "chord"): 66, ("t", "rotated"): 67, ("t", "tunnelling"): 12,
+                        ("u", "rotated"): 32, ("u", "tunnelling"): 6}
+    # the seed-7 paths of 11 configurations have a leg whose map is not
+    # finite at an end, and their quadrature stops as non_finite: 10
+    # zero-field decay legs whose
+    # span log(r_j / r_min) overflows at separations from 5e-152 to 7e-32,
+    # and one chord at E = 1e129 whose tail_radius comes back NaN
+    assert overflowing == 11
+    if float_kernels() not in _BITS:
+        pytest.skip(f"no pins recorded for numpy exp and power loops {float_kernels()}")
+    assert digest.hexdigest() == _TIME_PATHS_DIGEST

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from airyprod import NegativeShift, Route, airy, aiai_real, w_pm, w_pm_real
-
-
-def _scaled(a, b):
-    return abs(a - b) / max(1.0, abs(b))
+from pathcheck import scaled_diff
 
 
 def test_zero_shift_reduces_to_unshifted_representation():
@@ -16,14 +13,14 @@ def test_zero_shift_reduces_to_unshifted_representation():
         for sign in (+1, -1):
             got = w_pm_real(sign, x, 0.0)
             ref = w_pm(sign, x, 0.0).value
-            assert _scaled(got.value, ref) <= 1e-10
+            assert scaled_diff(got.value, ref) <= 1e-10
             assert got.route is Route.REAL_AXIS
 
 
 def test_reference_point_matches_direct():
     got = w_pm_real(+1, 0.0, 1.0).value
     ref = w_pm(+1, 0.0, 1.0).value
-    assert _scaled(got, ref) <= 1e-8
+    assert scaled_diff(got, ref) <= 1e-8
 
 
 @pytest.mark.parametrize("x", [-4.0, -1.0, 0.0, 2.0, 4.5])
@@ -32,7 +29,7 @@ def test_half_line_grid(x, x0):
     for sign in (+1, -1):
         got = w_pm_real(sign, x, x0)
         ref = w_pm(sign, x, x0).value
-        assert _scaled(got.value, ref) <= 1e-8
+        assert scaled_diff(got.value, ref) <= 1e-8
         # x0 >= 0 is the inner or zero sector: the same single R+- integral
         contour = w_pm(sign, x, x0, Route.CONTOUR)
         assert (got.value, got.abs_err_est) == (contour.value, contour.abs_err_est)
@@ -61,7 +58,7 @@ def test_aiai_negative_shift_regime():
     # x0 < 0 exercises the cancellation of the loop contributions
     got = aiai_real(1.0, -2.0).value
     ref = airy(-1.0).ai * airy(1.0).ai
-    assert _scaled(got, ref) <= 1e-8
+    assert scaled_diff(got, ref) <= 1e-8
 
 
 @pytest.mark.parametrize("u,v", [(0.3, 1.1), (-2.0, 0.5), (1.7, -0.4), (-1.1, -2.3)])
@@ -69,7 +66,7 @@ def test_reproduces_two_argument_product(u, v):
     # x = v, x0 = u - v gives the symmetric product Ai(u) Ai(v)
     got = aiai_real(v, u - v).value
     ref = airy(u).ai * airy(v).ai
-    assert _scaled(got, ref) <= 1e-8
+    assert scaled_diff(got, ref) <= 1e-8
     # and the swapped assignment agrees (symmetry of the formula)
     got_swapped = aiai_real(u, v - u).value
     assert abs(got - got_swapped) <= 1e-9 * max(1.0, abs(got))
@@ -82,5 +79,5 @@ def test_aiai_wide_real_grid():
         for x0 in x0s:
             got = aiai_real(x, x0).value
             ref = airy(x + x0).ai * airy(x).ai
-            assert _scaled(got, ref) <= 1e-8
+            assert scaled_diff(got, ref) <= 1e-8
             assert got.imag == 0.0
