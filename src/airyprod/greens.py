@@ -228,10 +228,10 @@ def _time_path(p: GreensParams):
         # leg resolves the sqrt weight, above it the linear tail is
         # smooth
         r_j = max(math.sqrt(abs(eprime) / (0.5 * dd)), 1.0 / (0.5 * dd), 1e-9)
-        # at E' = 0, or an E' whose inner radius underflows, the
-        # sqrt-measure criterion alone sets the span
-        r_min = abs(eprime) * sin_rot / lam
-        s_max = decay_span(r_j, r_min) if r_min > 0.0 else 2.0 * lam
+        # the sqrt weight has fallen by e^{-lam} at the span 2 lam, which
+        # caps it; at E' = 0, or where r_j / r_min overflows, the cap alone
+        # sets it
+        s_max = min(decay_span(r_j, abs(eprime) * sin_rot / lam), 2.0 * lam)
         if eprime >= 0.0:
             legs = [DecayLeg(-_ROT, r_j, s_max), ArcLeg(r_j, -_ROT, _ROT)]
         else:

@@ -18,11 +18,13 @@ without consulting a principal argument.
 
 Each panel is integrated with the 15-point Gauss-Kronrod rule; the
 embedded 7-point Gauss value provides the error estimate.  A seed pass
-allots panels from the phase and magnitude variation of e^{E} on 33
-probe points per leg (about half a period per panel), checks that
-every decay leg's integrand decays toward its inner end, and checks
-that e^{E} stays inside float64 on every probe.  Rounds of bisection
-then split every panel whose error exceeds its share of the budget.
+allots panels from the variation of f dk/dt on 33 probe points per leg:
+the phase of e^{E} (about half a period per panel) and the magnitude of
+e^{E} plus, on a decay leg, the e-fold ramp of its weight |k|^{1-p},
+in closed form.  It also checks that every decay leg's integrand decays
+toward its inner end, and that e^{E} stays inside float64 on every
+probe.  Rounds of bisection then split every panel whose error exceeds
+its share of the budget.
 The panels of all legs are held as arrays in path order, and each round
 makes one call of ``exponent`` over all their nodes.
 
@@ -252,11 +254,15 @@ _MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^{E} is finite up to Re E
 
 
 def _seed_counts(legs, coeffs, power):
-    """Initial panel count of every leg from E on its 33 ``_PROBE`` points.
+    """Initial panel count of every leg from f dk/dt on its 33 ``_PROBE``
+    points: e^{E}, plus the e-fold ramp of each decay leg's weight.
 
     Each initial panel spans about half a period of e^{E} and a bounded
-    change of log-magnitude.  On a ``DecayLeg``, a finite |f dk/dt| at
-    the inner end must sit far below the leg maximum over t = j/16 (every
+    change of log|f dk/dt|.  That log is Re E plus log|k^{-p} dk/dt|; on a
+    ``DecayLeg`` the weight is s_max |k|^{1-p}, whose log is a constant
+    minus (1 - p) s at depth s, and on the other legs its slower variation
+    is left to bisection.  On a ``DecayLeg``, a finite |f dk/dt| at the
+    inner end must sit far below the leg maximum over t = j/16 (every
     other probe), or DegenerateGeometry is raised.  None if e^{E} leaves
     float64 on any probe (Re E > log of the largest float64) or E is NaN
     there: no panel of such a path is worth evaluating.
@@ -266,7 +272,8 @@ def _seed_counts(legs, coeffs, power):
     with np.errstate(all="ignore"):
         maps = [leg.map(_PROBE) for leg in legs]
         ex = exponent(coeffs, np.concatenate([m[0] for m in maps])).reshape(len(legs), -1)
-        for leg, row, (k, dkdt, theta) in zip(legs, ex, maps):
+        re = ex.real.copy()
+        for leg, row, re_row, (k, dkdt, theta) in zip(legs, ex, re, maps):
             if isinstance(leg, DecayLeg):
                 vals = np.abs(_path_values(row[::2], k[::2], dkdt[::2], theta[::2], power))
                 inner = vals[0] if leg.outward else vals[-1]
@@ -274,13 +281,15 @@ def _seed_counts(legs, coeffs, power):
                 if inner > max(vals.max(), 1e-280) * 1e-2:
                     raise DegenerateGeometry("integrand does not decay toward the inner "
                                              f"end of the leg at angle {leg.theta:.6f}")
+                # the depth s of each probe, as the leg maps it
+                re_row -= (1.0 - power) * leg.s_max * (_PROBE[::-1] if leg.outward else _PROBE)
+        # the maximum is NaN if any Re E is
+        if not ex.real.max() <= _MAX_EXPONENT or np.isnan(ex.imag).any():
+            return None
         # variation more than ~45 e-folds below the leg maximum cannot
         # affect the result; clip so deep decay tails do not inflate the count
-        top = ex.real.max(axis=1, keepdims=True)
-        # the maximum is NaN if any Re E is
-        if not top.max() <= _MAX_EXPONENT or np.isnan(ex.imag).any():
-            return None
-        re = np.maximum(ex.real, top - 45.0)
+        top = re.max(axis=1, keepdims=True)
+        re = np.maximum(re, top - 45.0)
         alive = re > top - 44.0
         seg = alive[:, :-1] & alive[:, 1:]
         phase = (np.abs(ex.imag[:, 1:] - ex.imag[:, :-1]) * seg).sum(axis=1)
@@ -413,8 +422,16 @@ def _cubic_roots(p: float, q: float) -> tuple:
 TAIL_LAMBDA = -math.log(1e-13)
 
 
+def _largest_root(a: float, b: float, c: float, d: float) -> float:
+    """Largest real root of a x^3 + b x^2 + c x = d (a > 0), by the shift
+    x = y - b/(3a) that removes the quadratic term."""
+    s = b / (3.0 * a)
+    return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - d / a)[-1] - s
+
+
 def tail_radius(a: float, b: float, c: float, lam: float, cap: float) -> float:
-    """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0).
+    """Positive root x of a x^3 + b x^2 + c x = lam (a > 0, b >= 0, and
+    c >= 0 where b > 0).
 
     DegenerateGeometry when x would exceed ``cap``.  The cubic and
     quadratic terms must reach lam inside the cap on their own, without a
@@ -423,8 +440,12 @@ def tail_radius(a: float, b: float, c: float, lam: float, cap: float) -> float:
     # the left side stays below lam short of the root and above it beyond
     if (a * cap + b) * cap * cap + min(c, 0.0) * cap < lam:
         raise DegenerateGeometry(f"path tail would reach past radius {cap:g}")
-    s = b / (3.0 * a)  # x = y - s removes the quadratic term
-    return _cubic_roots(c / a - 3.0 * s * s, (2.0 * s * s - c / a) * s - lam / a)[-1] - s
+    x = _largest_root(a, b, c, lam)
+    # x = y - s cancels once the shift s = b/(3a) is above x (and y leaves
+    # float64 once s^3 does); the cubic in 1/x, lam y^3 - c y^2 - b y = a,
+    # has one positive root and the shift -c/(3 lam), which is 0 for c = 0
+    # and adds to y for c > 0
+    return x if x >= b / (3.0 * a) else 1.0 / _largest_root(lam, -c, -b, a)
 
 
 def check_reach(r: float, cap: float, legs, coeffs, power) -> None:

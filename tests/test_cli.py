@@ -137,17 +137,17 @@ _V4_DIGESTS = {
         "78853d3a670d0f711091faa658d18a808db6bfcd02b74ff8ccae4019cae9c1aa",
     "verify ode": "4d387ad1e75b14ac9b48cc6ac71cc6e6f18ea6ab3fd63c5fac0b97f641d52770",
     "verify routes --count 6 --seed 3":
-        "df73f263ea1b35aa96f4f72cc3df40311c2a7c40de2c5a49a6d7624764cca51b",
+        "24400329576aec90a865cb814e5f53fc4aa5e5a9428a9813e7859eb3c06f0e48",
     "verify routes": "2e6423a2c2dee79e257a324460e78d122f550983096f870a0a8674d4abb66c18",
     "verify identities --count 6 --seed 3":
         "a02a286b1f3fc67f08fd06ac5d52cad0fa20c6337b75e2c9297b1fb9b330a484",
     "verify identities": "59404786b87a00c73436c174bd26ba6aad86a2e82faf6f97b828d80e49b73d1d",
     "verify contour-relation --count 6 --seed 3":
-        "8e630f9272edad7592ce1dc248f4a963e8651b254755647229770b163b665465",
+        "efb5dc8b6215013c0429557eeef2686cfad1d29dc8d10a794daf91eafdd785a1",
     "verify contour-relation":
-        "35ddce875b50e920a6a82d1e499ab6675525ebde9df616d8dce062e1d1cfd264",
+        "f803391c28bcb1c908a776a6361a9e72e80a3ed21f1ad458599732962264abee",
     "verify greens --count 6 --seed 3":
-        "ef6ff947d6de18e9c5929180cdc078388c98beda3a389f781057b1f2330476d2",
+        "cb8bf7bfccd3d4a1a32600e5773f7420110a9b5ffcabd18ba79cd6dc8878e491",
     "verify greens": "a25e9b302d6dac80cb0b69b267982d1d130c19a6eb1f7184e8ab0927b35a2828",
     "eval u+ --z 1+0.5i --z0 0.3 --route contour":
         "7c1ce9fd0b5301774084d82e7a15132ca45f75c26ee8607fc3cd02fe952874ad",
@@ -174,14 +174,14 @@ _DIGESTS = {
             "68479de0a1e966b8998bcb5d715080387d96c9a16f3d213dcb739920b25d74df",
         "verify ode": "0384bbeca919f06e66eb423af5954182aae0f71b1a3bd3d7f60ae54e6d3f3ecb",
         "verify routes --count 6 --seed 3":
-            "da2dc106291758f50f519caac84d3cac5372e3e2c4ed8fb87afff3ffe704f72b",
+            "6de9a6182c982537a9f603ad838f4d9d2dbc5870257d3eb491d677eadd8321a3",
         "verify routes": "1e9701d5b4a09b931f0ef2aad7e1e0667e2302e9760ac0058b4e13428a22947e",
         "verify contour-relation --count 6 --seed 3":
-            "d1e34a7e60efd9bafa4cbd68ecb7ab52b50341da31ef200a827cb09b6199fd2e",
+            "05b6374f598b2399027f6466693ce23730c3b78f6fa300dde291d2a8c19141ac",
         "verify contour-relation":
-            "f3d2e02b81d8f8336f8728c9aa6d9d0c2f9807317804c4e1d661651b59887253",
+            "29b6d523873fb3806304f0ef879cba0ed42fbae81a86c992909d875f9cdbe9ad",
         "verify greens --count 6 --seed 3":
-            "cd04384121c9207991f993ee58fa5a742c2c62b026f88c94f73aa9e3a88d115b",
+            "37e3c9fa02121d2d0676a9f602a8318334898b3d67d7d9e37e117086f6a26876",
         "verify greens": "b4ff64b88487895934e9cb5a026efe179b043f5306bec3384620861d2d348450",
         "eval u+ --z 1+0.5i --z0 0.3 --route contour":
             "759a787455ec2ef649e53066e7ef8149a3ff99d3d081ab1729a6887fea734c74",
@@ -322,6 +322,17 @@ def test_greens_integral_method(capsys):
     g = greens_time_integral(GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0)), 1e-9)
     assert rec["method"] == "integral"
     assert (rec["re"], rec["im"]) == (format(g.real, ".17g"), format(g.imag, ".17g"))
+
+
+def test_greens_integral_zero_field_tiny_energy(capsys):
+    # at E = 1e-300 the decay leg's span log(r_j / r_min) overflows; capped
+    # at 2 lam it gives the free wave, which is 1/(2 pi |r - r'|) here
+    rc, out = _run(capsys, ["greens", "--energy", "1e-300", "--field", "0,0,0",
+                            "--r", "1e-5,0,0", "--r-prime", "0,0,0", "--method", "integral"])
+    assert rc == 0
+    rec = _fields(out.strip())
+    g = complex(float(rec["re"]), float(rec["im"]))
+    assert abs(g - 1.0 / (2.0 * math.pi * 1e-5)) <= 1e-8 / (2.0 * math.pi * 1e-5)
 
 
 def test_greens_closed_weak_field_exit(capsys):

@@ -158,6 +158,10 @@ def _tail_forms():
                     t_s = math.sqrt(8.0 * e) / f
                     yield (c3 * math.sin(3.0 * rot), 3.0 * c3 * t_s * math.sin(2.0 * rot),
                            0.0, lam, 1e8)
+    # quadratic terms whose shift b/(3a) dwarfs the root, up to one whose
+    # cube leaves float64
+    for b in (3e5, 3e6, 1e110):
+        yield 1.0, b, 0.0, 100.0, 1e300
 
 
 def test_tail_radius_solves_its_cubic():
@@ -167,7 +171,7 @@ def test_tail_radius_solves_its_cubic():
         # (with c <= 0), so the root lies beyond the cap exactly when the
         # cubic is still below lam there; a linear term c > 0 does not
         # count toward reaching lam
-        if a * cap ** 3 + b * cap ** 2 + min(c, 0.0) * cap < lam:
+        if a * cap * cap * cap + b * cap * cap + min(c, 0.0) * cap < lam:
             with pytest.raises(DegenerateGeometry, match=re.escape(f"past radius {cap:g}")):
                 tail_radius(a, b, c, lam, cap)
             raised += 1
@@ -176,10 +180,7 @@ def test_tail_radius_solves_its_cubic():
         assert 0.0 < x <= cap, (a, b, c, lam, cap)
         terms = a * x ** 3 + b * x ** 2 + abs(c) * x + lam
         resid = a * x ** 3 + b * x ** 2 + c * x - lam
-        # x = y - s with s = b/(3a) is as accurate as y, relative to s,
-        # and the slope of the cubic turns that into residual
-        slope = 3.0 * a * x * x + 2.0 * b * x + c
-        assert abs(resid) <= 1e-12 * (terms + abs(slope) * b / (3.0 * a)), (a, b, c, lam, cap)
+        assert abs(resid) <= 1e-12 * terms, (a, b, c, lam, cap)
         solved += 1
     assert raised > 10 and solved > 100
 
@@ -187,9 +188,11 @@ def test_tail_radius_solves_its_cubic():
 def test_legs_share_one_integrand_call_per_round(monkeypatch):
     # three k^(-1/2) endpoint legs on the rays at 0, pi/2 and pi: the seed
     # probes, the seed panels and each bisection round make one exponent
-    # call, covering every leg with points to evaluate
+    # call, covering every leg with points to evaluate.  The weight's ramp
+    # of 60 e-folds is clipped to 45 in the seed counts, so bisection
+    # follows the seed.
     angles = (0.0, 0.5 * math.pi, math.pi)
-    legs = [DecayLeg(th, 1.0, 70.0, outward=True) for th in angles]
+    legs = [DecayLeg(th, 1.0, 120.0, outward=True) for th in angles]
     calls = []
     real = quadrature.exponent
 
@@ -201,7 +204,7 @@ def test_legs_share_one_integrand_call_per_round(monkeypatch):
     res = integrate_legs(legs, _ZERO, 0.5, 1e-13, 50_000)
     assert res.converged
     assert len(calls[0]) == 3 * 33
-    assert len(calls[1]) == 3 * 2 * 15
+    assert len(calls[1]) == 3 * 13 * 15
     assert len(calls) > 2 and sum(len(k) for k in calls[1:]) == res.nodes
     assert len(np.unique(np.round(np.angle(calls[2]), 6))) == 3
     exact = sum(2.0 * cmath.exp(0.5j * th) for th in angles)
@@ -225,8 +228,8 @@ _NARROW_NODES = [
     (585, 750, 465, 615, 435), (510, 525, 540, 525, 510),
     (465, 570, 450, 495, 525), (720, 570, 555, 450, 510),
     (645, 540, 615, 495, 450), (750, 795, 480, 540, 480),
-    (855, 855, 450, 465, 450), (735, 780, 555, 525, 540),
-    (1380, 930, 1035, 495, 465), (645, 1020, 585, 960, 465),
+    (855, 855, 465, 480, 450), (735, 780, 555, 525, 540),
+    (1380, 930, 1035, 495, 465), (645, 1020, 600, 960, 465),
     (660, 1155, 450, 1005, 465), (765, 720, 705, 585, 450),
     (780, 810, 630, 735, 450), (585, 450, 570, 450, 480),
     (645, 810, 465, 705, 480), (450, 435, 510, 405, 720),
@@ -235,11 +238,11 @@ _NARROW_NODES = [
     (960, 1020, 855, 960, 510), (1365, 960, 915, 435, 510),
     (720, 630, 600, 495, 435), (645, 765, 540, 705, 480),
     (690, 600, 660, 555, 480), (480, 465, 465, 435, 465),
-    (1140, 735, 990, 660, 480), (435, 420, 555, 465, 645),
+    (1140, 735, 1005, 660, 480), (435, 420, 555, 465, 645),
     (1170, 1020, 630, 465, 540), (720, 645, 585, 570, 480),
-    (600, 630, 465, 435, 435), (840, 750, 540, 435, 210),
-    (570, 675, 450, 600, 210), (705, 645, 570, 480, 210),
-    (1350, 1050, 810, 375, 210), (720, 675, 435, 420, 210),
+    (600, 630, 495, 495, 525), (840, 750, 570, 495, 300),
+    (570, 675, 510, 660, 300), (705, 645, 570, 540, 300),
+    (1350, 1050, 840, 435, 300), (720, 675, 480, 465, 300),
 ]
 _WIDE_NODES = [
     (1125, 1335, 645, 915, 660), (990, 1230, 675, 630, 600),
@@ -259,11 +262,14 @@ _WIDE_NODES = [
     (780, 1050, 630, 1020, 495), (1050, 1455, 870, 945, 945),
     (1335, 1095, 720, 795, 660), (1080, 1395, 600, 915, 525),
     (795, 1170, 600, 765, 600), (1335, 1365, 810, 1005, 765),
-    (915, 1260, 660, 1110, 210), (810, 1290, 450, 990, 210),
-    (960, 1335, 420, 900, 210), (1455, 1020, 870, 435, 210),
-    (870, 735, 630, 525, 210), (1140, 1455, 600, 585, 210),
+    (915, 1260, 720, 1170, 300), (810, 1290, 495, 1065, 300),
+    (960, 1335, 480, 960, 300), (1455, 1020, 900, 495, 300),
+    (870, 735, 675, 570, 300), (1140, 1455, 720, 675, 300),
 ]
-_GREENS_NODES = [1380, 675, 1095, 1680, 1605, 390]
+_GREENS_NODES = [1380, 675, 1095, 1575, 1605, 390]
+# calls of quadrature._eval_panels over the integrals above: one for the
+# seed panels of each, one per bisection round
+_EVAL_CALLS = 502
 _GREENS_CONFIGS = (
     (0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0)),    # through the stationary point
     (-0.5, (0, 0, 0.05), (6, 0, 0), (0, 0, 0)),  # tunnelling: steepest ray
@@ -274,7 +280,16 @@ _GREENS_CONFIGS = (
 )
 
 
-def test_panel_schedule_pinned():
+def test_panel_schedule_pinned(monkeypatch):
+    calls = 0
+    real = quadrature._eval_panels
+
+    def eval_panels(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
     for (z, z0), pinned in ((shifted_grid(40, 41), _NARROW_NODES),
                             (shifted_grid(40, 42, z_radius=12.0, z0_radius=6.0),
                              _WIDE_NODES)):
@@ -285,6 +300,9 @@ def test_panel_schedule_pinned():
             assert got == want, (a, b)
     assert [greens._time_integral(GreensParams.make(*config), 1e-8).nodes
             for config in _GREENS_CONFIGS] == _GREENS_NODES
+    # the seed and bisection rounds of all 406 integrals: each round costs
+    # a fixed overhead whatever it evaluates
+    assert calls == _EVAL_CALLS
 
 
 # float.hex of (Re value, Im value, abs_err_est) at tol 1e-8, recorded once,
@@ -299,9 +317,9 @@ _BITS_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
 _CONTOUR_BITS = [
     ("0x1.63afdbd454d9bp+3", "-0x1.1606d7bd15c76p-2", "0x1.34de3bffae55ep-37"),
     ("0x1.0371cbc6f1792p+3", "-0x1.19b9bd51c8a38p+1", "0x1.a3ba5de8f0844p-45"),
-    ("-0x1.c8cc7feba32b7p-1", "-0x1.fe7c84652ffafp-1", "0x1.46e984d1e63c4p-36"),
-    ("0x1.ab9089ba284a7p-1", "0x1.67902002f7894p-1", "0x1.c0142e139e4a9p-39"),
-    ("-0x1.47c1fb9835490p+0", "-0x1.d75b9401c0990p-3", "0x1.073fcf236f7c6p-40"),
+    ("-0x1.c8cc7feba32b5p-1", "-0x1.fe7c84652ffacp-1", "0x1.1a74cf985507ep-36"),
+    ("0x1.ab9089ba284a3p-1", "0x1.67902002f7892p-1", "0x1.71ba6951bc6edp-41"),
+    ("-0x1.47c1fb9835490p+0", "-0x1.d75b9401c0997p-3", "0x1.073d5a098eb16p-40"),
     ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a82p-3", "0x1.a5de4f35c34c0p-32"),
     ("-0x1.ccf49d1768a34p+0", "-0x1.d83c90ebe8ae9p+1", "0x1.62a97960ba81fp-39"),
     ("0x1.06d3d9688fd6fp-1", "-0x1.250bfff48c6ecp+0", "0x1.3143f9ae5194dp-36"),
@@ -312,7 +330,7 @@ _GREENS_BITS = [
     ("-0x1.b7dc49beafd98p-2", "0x1.322b10b5e801bp+1", "0x1.28d8ff3eac67fp-38"),
     ("0x1.8ea1a770335fbp-11", "0x1.8ea791965783bp-11", "0x1.3f9aaa192d195p-31"),
     ("0x1.1041111a28d01p-1", "0x1.3e7bc6f5032f5p-1", "0x1.5b55e3672315dp-37"),
-    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a350p-1", "0x1.fdc4b68aabfbfp-33"),
+    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a350p-1", "0x1.fdc4b69280203p-33"),
     ("0x1.ad27aad2b6cd6p-2", "0x1.ad27aad2b6cd6p-2", "0x1.693afc35e4fbcp-36"),
     ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1fp-19", "0x1.2fdab618edc7bp-55"),
 ]
@@ -321,9 +339,9 @@ _GREENS_BITS = [
 _BASELINE_CONTOUR_BITS = [
     ("0x1.63afdbd454d9bp+3", "-0x1.1606d7bd15c82p-2", "0x1.34de2e6ad63a8p-37"),
     ("0x1.0371cbc6f1792p+3", "-0x1.19b9bd51c8a37p+1", "0x1.a3b576cd9aae6p-45"),
-    ("-0x1.c8cc7feba32b7p-1", "-0x1.fe7c84652ffafp-1", "0x1.46e98b52d3e32p-36"),
-    ("0x1.ab9089ba284a8p-1", "0x1.67902002f7894p-1", "0x1.c0141f1fdf635p-39"),
-    ("-0x1.47c1fb9835490p+0", "-0x1.d75b9401c0990p-3", "0x1.074002d7a4a1ap-40"),
+    ("-0x1.c8cc7feba32b5p-1", "-0x1.fe7c84652ffaep-1", "0x1.1a74db2e7312dp-36"),
+    ("0x1.ab9089ba284a3p-1", "0x1.67902002f7892p-1", "0x1.71ba35394a07cp-41"),
+    ("-0x1.47c1fb9835490p+0", "-0x1.d75b9401c0997p-3", "0x1.073d8dbe8cd0dp-40"),
     ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a82p-3", "0x1.a5de4ed959e47p-32"),
     ("-0x1.ccf49d1768a34p+0", "-0x1.d83c90ebe8aeap+1", "0x1.62a9905fa0860p-39"),
     ("0x1.06d3d9688fd6fp-1", "-0x1.250bfff48c6edp+0", "0x1.3143f36dae750p-36"),
@@ -334,7 +352,7 @@ _BASELINE_GREENS_BITS = [
     ("-0x1.b7dc49beafd97p-2", "0x1.322b10b5e801bp+1", "0x1.28d901f8bb254p-38"),
     ("0x1.8ea1a770335fap-11", "0x1.8ea791965783ap-11", "0x1.3f9aaa192d29dp-31"),
     ("0x1.1041111a28d02p-1", "0x1.3e7bc6f5032f6p-1", "0x1.5b55e367157edp-37"),
-    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a350p-1", "0x1.fdc4b8255c89ep-33"),
+    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a350p-1", "0x1.fdc4b82d30af6p-33"),
     ("0x1.ad27aad2b6cd6p-2", "0x1.ad27aad2b6cd6p-2", "0x1.693afe81f0134p-36"),
     ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1fp-19", "0x1.2fdac0b361cd5p-55"),
 ]
@@ -364,7 +382,7 @@ def test_contour_route_bits_pinned():
 # for criterion 6's samples and the seed-7 float64-edge configurations, in
 # that order, recorded once.  Every radius comes from ``math``, so the
 # digest is the same under numpy's X86_V4 and baseline loops.
-_TIME_PATHS_DIGEST = "97d406a61f5831fa0f395e3f8b1705c1d0c3d1a6d26aa6289a09ee6628bf0822"
+_TIME_PATHS_DIGEST = "545c21af9c9b5aae02b68882cf5a7cbe70bce3aff9f3ef4c66bb30367f030763"
 
 
 def _family(legs, power):
@@ -378,7 +396,6 @@ def test_time_paths_pinned():
     # no quadrature runs: each path is checked and hashed as built
     digest = hashlib.sha256()
     families = collections.Counter()
-    overflowing = 0
     samples = (p for _, p in greens_samples(100, 20240907))
     for p in itertools.chain(samples, float64_edges()):
         try:
@@ -387,18 +404,12 @@ def test_time_paths_pinned():
             continue
         families[_family(legs, power)] += 1
         digest.update(repr((legs, coeffs, power)).encode())
-        if ends_finite(legs):
-            assert path_is_connected(legs), p
-        else:
-            overflowing += 1
-    assert families == {("t", "chord"): 66, ("t", "rotated"): 67, ("t", "tunnelling"): 12,
+        # the zero-field decay legs whose span log(r_j / r_min) overflows
+        # (separations from 5e-152 to 7e-32) stop at their cap 2 lam, and
+        # the chords' tail_radius at E ~ 1e129 is finite
+        assert ends_finite(legs) and path_is_connected(legs), p
+    assert families == {("t", "chord"): 64, ("t", "rotated"): 67, ("t", "tunnelling"): 12,
                         ("u", "rotated"): 32, ("u", "tunnelling"): 6}
-    # the seed-7 paths of 11 configurations have a leg whose map is not
-    # finite at an end, and their quadrature stops as non_finite: 10
-    # zero-field decay legs whose
-    # span log(r_j / r_min) overflows at separations from 5e-152 to 7e-32,
-    # and one chord at E = 1e129 whose tail_radius comes back NaN
-    assert overflowing == 11
     if float_kernels() not in _BITS:
         pytest.skip(f"no pins recorded for numpy exp and power loops {float_kernels()}")
     assert digest.hexdigest() == _TIME_PATHS_DIGEST
