@@ -348,8 +348,10 @@ def laplace_integral(path: ContourPath, tol: float = 1e-10) -> QuadResult:
     """Evaluate I_C(z; z0) along a built path by adaptive quadrature of
     the exponent ``path.coeffs`` it was built for.
 
-    On success the result satisfies abs_err_est <= tol * max(1, |value|).
-    The k^(1/2) branch uses each leg's continuously tracked angle.
+    On success the GK15 error estimate met tol * max(1, |value|); the
+    reported abs_err_est is at least the rounding floor 50 eps times the
+    integral of |f dk|, so it may sit above that target where the integral
+    cancels.  The k^(1/2) branch uses each leg's continuously tracked angle.
 
     Raises
     ------

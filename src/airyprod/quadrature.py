@@ -12,21 +12,29 @@ in t and (|r-r'|^2/2, E', 0) in u = 1/t.  Paths are chains of straight
 radial rays, circular arcs, exponentially clustered "decay" rays that
 resolve an integrable endpoint at k = 0, and straight chords
 (``SegmentLeg``, the time integral's descent from its stationary point).
-Every leg carries the continuously tracked angle theta of its points, so
-k^{-p} = |k|^{-p} e^{-i p theta} is taken on the correct branch sheet
-without consulting a principal argument.
+Every leg maps t in [0, 1] to its points k and to
+
+    l = log(k^{-p} dk/dt),
+
+taken on the leg's branch: the continuously tracked angle of its points
+on rays, arcs and decay legs, without consulting a principal argument,
+and the principal logarithm on a chord.  l is affine in t on arcs and
+decay legs, -p ln r plus a constant on rays, and f dk/dt = exp(E(k) + l)
+is one complex exponential per node.
 
 Each panel is integrated with the 15-point Gauss-Kronrod rule; the
 embedded 7-point Gauss value provides the error estimate.  A seed pass
-allots panels from the variation of f dk/dt on 33 probe points per leg:
-the phase of e^{E} (about half a period per panel) and the magnitude of
-e^{E} plus, on a decay leg, the e-fold ramp of its weight |k|^{1-p},
-in closed form.  It also checks that every decay leg's integrand decays
-toward its inner end, and that e^{E} stays inside float64 on every
-probe.  Rounds of bisection then split every panel whose error exceeds
-its share of the budget.
+allots panels from g = E + l on 33 probe points per leg: about half a
+period of its phase, together with the turn of k, and a bounded change
+of its real part, log|f dk/dt|, per panel.  So the seed sees a leg's
+weight |k|^{-p} |dk/dt| as well as e^{E} on every leg.  It also checks
+that every decay leg's integrand decays toward its inner end, and that
+e^{E} stays inside float64 on every probe.  Rounds of bisection then
+split every panel whose error exceeds its share of the budget.
 The panels of all legs are held as arrays in path order, and each round
-makes one call of ``exponent`` over all their nodes.
+makes one call of ``exponent`` over all their nodes.  The reported
+error estimate is at least QUADPACK's rounding floor, 50 eps times the
+integral of |f dk/dt|; the stop rule reads the GK15 estimate alone.
 
 Both path builders, ``contours.build_contour`` and the time
 integral's ``greens._time_path``, take their tail rules from here: the
@@ -100,6 +108,11 @@ _WG[[5, 13]] = _WG_HALF[2]
 _WG[7] = _WG_HALF[3]
 
 
+def _log(x: float) -> float:
+    """ln x, with ln 0 = -inf: a zero-length leg has dk/dt = 0 and f = 0."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 @dataclass(frozen=True)
 class RayLeg:
     """Straight radial segment at fixed continued angle ``theta``.
@@ -111,11 +124,13 @@ class RayLeg:
     r_start: float
     r_end: float
 
-    def map(self, t):
-        r = self.r_start + (self.r_end - self.r_start) * np.asarray(t, dtype=float)
-        phase = complex(math.cos(self.theta), math.sin(self.theta))
-        return (r * phase, np.full(r.shape, (self.r_end - self.r_start) * phase),
-                np.full(r.shape, float(self.theta)))
+    def map(self, t, power):
+        dr = self.r_end - self.r_start
+        r = self.r_start + dr * np.asarray(t, dtype=float)
+        # log(k^{-p} dk/dt) = -p ln r + log(dr e^{i theta}) - i p theta
+        const = complex(_log(abs(dr)), (1.0 - power) * self.theta + (math.pi if dr < 0.0 else 0.0))
+        k = r * complex(math.cos(self.theta), math.sin(self.theta))
+        return k, const - power * np.log(r)
 
 
 @dataclass(frozen=True)
@@ -126,11 +141,13 @@ class ArcLeg:
     theta_start: float
     theta_end: float
 
-    def map(self, t):
-        th = self.theta_start + (self.theta_end - self.theta_start) * np.asarray(t, dtype=float)
-        k = self.radius * np.exp(1j * th)
-        dkdt = 1j * (self.theta_end - self.theta_start) * k
-        return k, dkdt, th
+    def map(self, t, power):
+        turn = self.theta_end - self.theta_start
+        ith = 1j * (self.theta_start + turn * np.asarray(t, dtype=float))
+        # k^{-p} dk/dt = i turn k^{1-p}, with k^{1-p} on the lift
+        const = complex(_log(abs(turn)) + (1.0 - power) * _log(self.radius),
+                        math.copysign(0.5 * math.pi, turn))
+        return self.radius * np.exp(ith), const + (1.0 - power) * ith
 
 
 @dataclass(frozen=True)
@@ -149,32 +166,33 @@ class DecayLeg:
     s_max: float
     outward: bool = True
 
-    def map(self, t):
+    def map(self, t, power):
         t = np.asarray(t, dtype=float)
         s = self.s_max * (1.0 - t) if self.outward else self.s_max * t
         phase = complex(math.cos(self.theta), math.sin(self.theta))
-        k = self.r_outer * np.exp(-s) * phase
-        sign = 1.0 if self.outward else -1.0
-        return k, sign * self.s_max * k, np.full(s.shape, float(self.theta))
+        # k^{-p} dk/dt = +-s_max k^{1-p}, whose log falls by (1 - p) s
+        const = complex(_log(self.s_max) + (1.0 - power) * _log(self.r_outer),
+                        (1.0 - power) * self.theta + (0.0 if self.outward else math.pi))
+        return self.r_outer * np.exp(-s) * phase, const - (1.0 - power) * s
 
 
 @dataclass(frozen=True)
 class SegmentLeg:
     """Straight chord between two points.
 
-    The tracked angle is the principal argument, which is continuous as
-    long as the chord does not cross the negative real axis; callers are
+    k^{-p} takes the principal logarithm, which is continuous as long as
+    the chord does not cross the negative real axis; callers are
     responsible for that placement.
     """
 
     k_start: complex
     k_end: complex
 
-    def map(self, t):
-        t = np.asarray(t, dtype=float)
-        k = self.k_start + (self.k_end - self.k_start) * t
-        dkdt = np.full_like(k, self.k_end - self.k_start)
-        return k, dkdt, np.angle(k)
+    def map(self, t, power):
+        dk = self.k_end - self.k_start
+        k = self.k_start + dk * np.asarray(t, dtype=float)
+        const = complex(_log(abs(dk)), math.atan2(dk.imag, dk.real))
+        return k, const - power * np.log(k)
 
 
 @dataclass
@@ -182,6 +200,9 @@ class QuadResult:
     """Integral value with an absolute error estimate, node count and the
     reason the adaptive loop stopped.
 
+    ``abs_err_est`` is the larger of the GK15 estimate and the rounding
+    floor 50 eps times the integral of |f dk/dt|, so where the integral
+    cancels it can sit above the target that the GK15 estimate met.
     ``stop`` is one of ``"converged"`` (the target was met),
     ``"node_ceiling"`` (the node count had reached ``max_nodes`` before the
     target was met; the ceiling is checked between bisection rounds, so
@@ -214,86 +235,100 @@ def exponent(coeffs, k):
     return 1j * (a * k + b / k + c * k * k * k / 12.0)
 
 
-def _path_values(ex, k, dkdt, theta, power):
-    """f dk/dt = e^{E - i p theta} |k|^{-p} dk/dt from ``ex`` = E(k)."""
-    return np.exp(ex - 1j * power * theta) / np.abs(k) ** power * dkdt
-
-
 def _eval_panels(legs, coeffs, power, leg, t0, t1):
     """GK15 on a batch of [t0, t1] panels; ``leg`` holds each panel's leg
     index in ascending order.
 
-    Each leg maps its own block of nodes and the exponent runs once on
-    all of them.  The error estimate is the QUADPACK rescaling of
-    |K15 - G7|, which credits the Kronrod value with its actual
-    convergence rate instead of the pessimistic raw difference.
+    Each leg maps its own block of nodes to k and l = log(k^{-p} dk/dt),
+    and f dk/dt = exp(E(k) + l) is one exponential over all of them.  The
+    error estimate is the QUADPACK rescaling of |K15 - G7|, which credits
+    the Kronrod value with its actual convergence rate instead of the
+    pessimistic raw difference.  The third array, resasc + |K15|, bounds
+    each panel's integral of |f dk/dt| from above.
     """
-    mid = 0.5 * (t0 + t1)
     hw = 0.5 * (t1 - t0)
-    ts = mid[:, None] + hw[:, None] * _XGK
+    ts = (t0 + hw)[:, None] + hw[:, None] * _XGK
     edges = leg.searchsorted(np.arange(len(legs) + 1)).tolist()
     # a value off float64 stays in a panel, which stops the loop as non_finite
     with np.errstate(all="ignore"):
-        maps = [legs[j].map(ts[lo:hi].ravel())
+        maps = [legs[j].map(ts[lo:hi].ravel(), power)
                 for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
-        k, dkdt, theta = (np.concatenate(part) for part in zip(*maps))
-        f = _path_values(exponent(coeffs, k), k, dkdt, theta, power).reshape(ts.shape)
+        k, ell = (np.concatenate(part) for part in zip(*maps))
+        f = np.exp(exponent(coeffs, k) + ell).reshape(ts.shape)
         resk = (f * _WGK).sum(axis=1)
         kron = resk * hw
-        raw = np.abs(resk - (f * _WG).sum(axis=1)) * hw
-        resasc = (np.abs(f - 0.5 * resk[:, None]) * _WGK).sum(axis=1) * hw
-        # a panel with raw or resasc at 0 keeps raw; its quotient is discarded
-        err = np.where((resasc > 0.0) & (raw > 0.0),
-                       resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5), raw)
-        return kron, np.maximum(err, 4e-16 * np.abs(kron))
+        size = np.abs(kron)
+        raw = np.abs(resk - (f * _WG).sum(axis=1))
+        resasc = (np.abs(f - 0.5 * resk[:, None]) * _WGK).sum(axis=1)
+        # both sums without the factor hw; fmin reads the quotient 0/0 as
+        # 1, so a panel whose f is constant (resasc 0) keeps only the
+        # rounding floor below
+        ratio = 200.0 * raw / resasc
+        resasc *= hw
+        err = resasc * np.fmin(1.0, ratio * np.sqrt(ratio))
+        return kron, np.maximum(err, 4e-16 * size), resasc + size
 
 
 _PROBE = np.linspace(0.0, 1.0, 33)
 _MAX_SEED_PANELS = 1200
 _MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^{E} is finite up to Re E ~ 709.78
+_DECAY_DROP = math.log(1e-2)  # the inner end of a decay leg sits this far below its top
+_LOG_TINY = math.log(1e-280)
+_ROUNDING = 50.0 * float(np.finfo(float).eps)
 
 
 def _seed_counts(legs, coeffs, power):
-    """Initial panel count of every leg from f dk/dt on its 33 ``_PROBE``
-    points: e^{E}, plus the e-fold ramp of each decay leg's weight.
+    """Initial panel count of every leg from g = E + l, the log of f dk/dt,
+    on its 33 ``_PROBE`` points.
 
-    Each initial panel spans about half a period of e^{E} and a bounded
-    change of log|f dk/dt|.  That log is Re E plus log|k^{-p} dk/dt|; on a
-    ``DecayLeg`` the weight is s_max |k|^{1-p}, whose log is a constant
-    minus (1 - p) s at depth s, and on the other legs its slower variation
-    is left to bisection.  On a ``DecayLeg``, a finite |f dk/dt| at the
-    inner end must sit far below the leg maximum over t = j/16 (every
-    other probe), or DegenerateGeometry is raised.  None if e^{E} leaves
-    float64 on any probe (Re E > log of the largest float64) or E is NaN
-    there: no panel of such a path is worth evaluating.
+    Each initial panel spans about half a period of f dk/dt (Im g) and a
+    bounded change of log|f dk/dt| (Re g), so the seed sees the weight
+    |k|^{-p} |dk/dt| of every leg as well as e^{E}: the ramp of a ray's
+    weight, the (1 - p) turn of an arc's phase and the (1 - p) s fall
+    of a decay leg's.  The turn of k itself counts as phase: every term
+    of g is a power of k or its log, and across a panel that turns k by
+    an angle y a term k^m grows by up to e^{m y} off the path, which its
+    values on the path do not show; so a full-turn arc gets about 2.5
+    panels more than its phase asks for.  A probe where g is not finite (a ray from
+    k = 0, a leg of length 0) is left out of the count.  On a
+    ``DecayLeg``, a finite f dk/dt at the inner end must sit at least
+    4.6 e-folds below the leg maximum over t = j/16 (every other probe),
+    or DegenerateGeometry is raised.  None if e^{E} leaves float64 on any
+    probe (Re E > log of the largest float64) or E is NaN there: no panel
+    of such a path is worth evaluating.
     """
     # a value off float64 raises nothing here: it passes the decay check,
     # and an exponent past _MAX_EXPONENT (or NaN) returns None
     with np.errstate(all="ignore"):
-        maps = [leg.map(_PROBE) for leg in legs]
-        ex = exponent(coeffs, np.concatenate([m[0] for m in maps])).reshape(len(legs), -1)
-        re = ex.real.copy()
-        for leg, row, re_row, (k, dkdt, theta) in zip(legs, ex, re, maps):
+        k, ell = (np.concatenate(part) for part in zip(*(leg.map(_PROBE, power)
+                                                           for leg in legs)))
+        ex = exponent(coeffs, k)
+        g = (ex + ell).reshape(len(legs), -1)
+        k = k.reshape(g.shape)
+        for leg, row in zip(legs, g.real):
             if isinstance(leg, DecayLeg):
-                vals = np.abs(_path_values(row[::2], k[::2], dkdt[::2], theta[::2], power))
-                inner = vals[0] if leg.outward else vals[-1]
-                # an infinite or NaN inner value compares false
-                if inner > max(vals.max(), 1e-280) * 1e-2:
+                inner = row[0] if leg.outward else row[-1]
+                # an infinite or NaN inner value compares false, and so
+                # does any value of a row with a NaN
+                if _MAX_EXPONENT >= inner > max(row[::2].max(), _LOG_TINY) + _DECAY_DROP:
                     raise DegenerateGeometry("integrand does not decay toward the inner "
                                              f"end of the leg at angle {leg.theta:.6f}")
-                # the depth s of each probe, as the leg maps it
-                re_row -= (1.0 - power) * leg.s_max * (_PROBE[::-1] if leg.outward else _PROBE)
         # the maximum is NaN if any Re E is
         if not ex.real.max() <= _MAX_EXPONENT or np.isnan(ex.imag).any():
             return None
         # variation more than ~45 e-folds below the leg maximum cannot
-        # affect the result; clip so deep decay tails do not inflate the count
-        top = re.max(axis=1, keepdims=True)
+        # affect the result; clip so deep decay tails do not inflate the
+        # count.  A probe where g is not finite is NaN here: fmax leaves
+        # it out of the top and turns the steps to it into 0.
+        re = np.where(np.isfinite(g.real), g.real, np.nan)
+        top = np.fmax.reduce(re, axis=1, keepdims=True)
         re = np.maximum(re, top - 45.0)
         alive = re > top - 44.0
         seg = alive[:, :-1] & alive[:, 1:]
-        phase = (np.abs(ex.imag[:, 1:] - ex.imag[:, :-1]) * seg).sum(axis=1)
-        mag = np.abs(re[:, 1:] - re[:, :-1]).sum(axis=1)
+        step = k[:, 1:] * k[:, :-1].conj()
+        turn = np.abs(np.arctan2(step.imag, step.real))
+        phase = ((np.abs(g.imag[:, 1:] - g.imag[:, :-1]) + turn) * seg).sum(axis=1)
+        mag = np.fmax(np.abs(re[:, 1:] - re[:, :-1]), 0.0).sum(axis=1)
         # fmin caps the count before the cast, which also keeps an
         # overflowed or NaN count from turning into a negative one
         return np.fmin(phase / 2.5 + mag / 4.0, _MAX_SEED_PANELS - 2).astype(int) + 2
@@ -306,9 +341,10 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
     ----------
     legs : sequence of leg objects
     coeffs : (a, b, c), the exponent E(k) = i(a k + b/k + c k^3/12)
-    power : real p; k^{-p} takes the branch of each leg's tracked angle
-    tol : relative tolerance; the target is
-        abs_err <= tol * max(1, |value|)
+    power : real p; k^{-p} takes the branch of each leg's map
+    tol : relative tolerance; the target is that the GK15 estimate
+        meets tol * max(1, |value|); the reported ``abs_err_est`` adds
+        the rounding floor of ``QuadResult`` and may sit above it
     max_nodes : no bisection round starts once the integrand has been
         evaluated on this many nodes; the round that reaches the ceiling
         runs to its end, so ``nodes`` may exceed it
@@ -351,7 +387,7 @@ def _bisect(legs, coeffs, power, tol, max_nodes, counts):
     t0 = pos * step
     t1 = (pos + 1) * step
     t1[ends - 1] = 1.0
-    vals, errs = _eval_panels(legs, coeffs, power, leg, t0, t1)
+    vals, errs, sizes = _eval_panels(legs, coeffs, power, leg, t0, t1)
     nodes = 15 * len(leg)
 
     stall = 0
@@ -362,15 +398,15 @@ def _bisect(legs, coeffs, power, tol, max_nodes, counts):
         if not (math.isfinite(err_tot) and cmath.isfinite(total)):
             return QuadResult(total, math.inf, nodes, "non_finite")
         goal = tol * max(1.0, abs(total))
-        if err_tot <= goal:
-            return QuadResult(total, err_tot, nodes, "converged")
-        if nodes >= max_nodes:
-            return QuadResult(total, err_tot, nodes, "node_ceiling")
         # rounding plateau: bisection no longer reduces the estimate, the
         # remaining error is the float64 floor of this path geometry
         stall = stall + 1 if err_tot > 0.7 * prev_err else 0
-        if stall >= 4:
-            return QuadResult(total, err_tot, nodes, "plateau")
+        stop = ("converged" if err_tot <= goal else "node_ceiling" if nodes >= max_nodes
+                else "plateau" if stall >= 4 else None)
+        if stop:
+            # the reported estimate is at least QUADPACK's rounding floor of
+            # a sum that cancels, 50 eps times the integral of |f dk/dt|
+            return QuadResult(total, max(err_tot, _ROUNDING * float(sizes.sum())), nodes, stop)
         prev_err = err_tot
 
         # err_tot > goal puts the largest error above goal / n, so at
@@ -382,12 +418,13 @@ def _bisect(legs, coeffs, power, tol, max_nodes, counts):
         tm = 0.5 * (t0[sel] + t1[sel])
         # the i-th split panel moves right by the i halves inserted before it
         first = sel + np.arange(len(sel))
-        leg, t0, t1, vals, errs = (a.repeat(split + 1) for a in (leg, t0, t1, vals, errs))
+        leg, t0, t1, vals, errs, sizes = (a.repeat(split + 1)
+                                          for a in (leg, t0, t1, vals, errs, sizes))
         t1[first] = tm
         t0[first + 1] = tm
         child = first.repeat(2)
         child[1::2] += 1
-        vals[child], errs[child] = _eval_panels(
+        vals[child], errs[child], sizes[child] = _eval_panels(
             legs, coeffs, power, leg[child], t0[child], t1[child])
         nodes += 15 * len(child)
 

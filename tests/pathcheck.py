@@ -22,11 +22,21 @@ def bits(res):
     return res.value.real.hex(), res.value.imag.hex(), res.abs_err_est.hex()
 
 
+def tracked(leg, t):
+    """k and the tracked angle of ``leg`` at the points t, both read from
+    its map: l = log(k^{-p} dk/dt) at p = 0 less l at p = 1 is log k on
+    the leg's branch."""
+    with np.errstate(all="ignore"):
+        k, ell_0 = leg.map(np.asarray(t, dtype=float), 0.0)
+        ell_1 = leg.map(np.asarray(t, dtype=float), 1.0)[1]
+    return k, (ell_0 - ell_1).imag
+
+
 def path_is_connected(legs, rtol=1e-9):
     """Check junction continuity of both position and tracked angle; a
     junction that leaves float64 is not continuous."""
-    ends = [leg.map([0.0, 1.0]) for leg in legs]
-    for (k_prev, _, th_prev), (k_next, _, th_next) in zip(ends[:-1], ends[1:]):
+    ends = [tracked(leg, [0.0, 1.0]) for leg in legs]
+    for (k_prev, th_prev), (k_next, th_next) in zip(ends[:-1], ends[1:]):
         k_end, k_start = k_prev[1], k_next[0]
         scale = max(abs(k_end), abs(k_start), 1e-30)
         if not abs(k_end - k_start) <= rtol * scale:
@@ -38,8 +48,7 @@ def path_is_connected(legs, rtol=1e-9):
 
 def ends_finite(legs):
     """Whether every leg's map is finite at both ends."""
-    with np.errstate(invalid="ignore"):
-        return all(np.isfinite(leg.map([0.0, 1.0])[0]).all() for leg in legs)
+    return all(np.isfinite(tracked(leg, [0.0, 1.0])[0]).all() for leg in legs)
 
 
 def r_inner(leg):
@@ -48,14 +57,15 @@ def r_inner(leg):
 
 
 def float_kernels():
-    """numpy's minor version and the SIMD targets of its float64 exp and power."""
+    """numpy's minor version and the SIMD targets of its float64 exp and log,
+    the two transcendentals of the quadrature's integrand."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:  # numpy < 2.0
         return None
-    info = opt_func_info(func_name="exp|power", signature="float64")
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")
     return (np.__version__.rsplit(".", 1)[0], info["exp"]["dd"]["current"],
-            info["power"]["ddd"]["current"])
+            info["log"]["dd"]["current"])
 
 
 def float64_edges():

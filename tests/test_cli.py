@@ -128,7 +128,7 @@ def test_eval_product_rotations(capsys):
 
 # SHA-256 of the stdout of each verify run below and of each README command
 # line, and of the table files those write.  The contour-route and
-# Green's-function digits follow numpy's float64 exp and power loops, so
+# Green's-function digits follow numpy's float64 exp and log loops, so
 # one set is recorded per ``float_kernels()`` key; under the baseline loops
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3") the
 # outputs not listed again keep their bytes.
@@ -137,24 +137,23 @@ _V4_DIGESTS = {
         "78853d3a670d0f711091faa658d18a808db6bfcd02b74ff8ccae4019cae9c1aa",
     "verify ode": "4d387ad1e75b14ac9b48cc6ac71cc6e6f18ea6ab3fd63c5fac0b97f641d52770",
     "verify routes --count 6 --seed 3":
-        "24400329576aec90a865cb814e5f53fc4aa5e5a9428a9813e7859eb3c06f0e48",
-    "verify routes": "2e6423a2c2dee79e257a324460e78d122f550983096f870a0a8674d4abb66c18",
+        "8cf892e73be067ef55229d6e9dfe941e62f4027e99edbc9552028a15891e969f",
+    "verify routes": "78b5fe59bd667e6310d3b00173af0e09368c7953d001612de87ad2f6d10a6c15",
     "verify identities --count 6 --seed 3":
         "a02a286b1f3fc67f08fd06ac5d52cad0fa20c6337b75e2c9297b1fb9b330a484",
     "verify identities": "59404786b87a00c73436c174bd26ba6aad86a2e82faf6f97b828d80e49b73d1d",
     "verify contour-relation --count 6 --seed 3":
-        "efb5dc8b6215013c0429557eeef2686cfad1d29dc8d10a794daf91eafdd785a1",
-    "verify contour-relation":
-        "f803391c28bcb1c908a776a6361a9e72e80a3ed21f1ad458599732962264abee",
+        "a173ae6cdc9d8ac79e464812d3ca2febbaf0f2c69dc19f2b25012dbd8dc1b754",
+    "verify contour-relation": "6c6e63b142d8c7de8d54d56c2362ea77952801e0d9fe783f2bbdb2b1775a054a",
     "verify greens --count 6 --seed 3":
-        "cb8bf7bfccd3d4a1a32600e5773f7420110a9b5ffcabd18ba79cd6dc8878e491",
-    "verify greens": "a25e9b302d6dac80cb0b69b267982d1d130c19a6eb1f7184e8ab0927b35a2828",
+        "4a0eafe5a27cd040028b7dbff34537f86d9946206f5c1eecb91669dd2dceb6a2",
+    "verify greens": "903ff78451324acc573a91e90ae248e4a2f8d13accce5ccc7c6bc1136455c683",
     "eval u+ --z 1+0.5i --z0 0.3 --route contour":
-        "7c1ce9fd0b5301774084d82e7a15132ca45f75c26ee8607fc3cd02fe952874ad",
+        "32c83b86296ac66b54e200afbf0e52a9ce69436772be2538b5de8d90d1062ebf",
     "eval w+ --z 0.7-0.4i --z0 -1.1+0.3i":
         "86bb85a9cc1ddbef751977ae0a81b25f425665c536bb2c2c0188f4ab1978e536",
     "eval w-real+ --x 0 --x0 1":
-        "a74ce5edd36d7b808435126e99d311e3ba6b39435f4815ad58db090c8b1f0187",
+        "0b83f22a17cb3c5a42aa0e49235e6f191f46d66081f558d46be5c0cac070e210",
     "verify identities --count 100 --seed 7":
         "b635e21af4c3c900a9b36c771238cb6066994f1251946e3080ed4430658c2d3e",
     "table product --out prod.csv --count-x 21 --count-x0 5":
@@ -174,19 +173,17 @@ _DIGESTS = {
             "68479de0a1e966b8998bcb5d715080387d96c9a16f3d213dcb739920b25d74df",
         "verify ode": "0384bbeca919f06e66eb423af5954182aae0f71b1a3bd3d7f60ae54e6d3f3ecb",
         "verify routes --count 6 --seed 3":
-            "6de9a6182c982537a9f603ad838f4d9d2dbc5870257d3eb491d677eadd8321a3",
-        "verify routes": "1e9701d5b4a09b931f0ef2aad7e1e0667e2302e9760ac0058b4e13428a22947e",
+            "a572d458457ae10630072eea802e1b05536e009c3d5d9aa6d16470c9988a044e",
+        "verify routes": "bd28ad28b7ab34676fcad79981ceb507bece12c8cf3efe8611775fbd824e68f3",
         "verify contour-relation --count 6 --seed 3":
-            "05b6374f598b2399027f6466693ce23730c3b78f6fa300dde291d2a8c19141ac",
+            "29242c6d03e7281d537c6729eece6275849eb7f95b8d3e78c4b8f0878d57f3fc",
         "verify contour-relation":
-            "29b6d523873fb3806304f0ef879cba0ed42fbae81a86c992909d875f9cdbe9ad",
+            "4c15cf61788f45a797bb129294d5e44489876dfc582dd3aba01de9f625156241",
         "verify greens --count 6 --seed 3":
-            "37e3c9fa02121d2d0676a9f602a8318334898b3d67d7d9e37e117086f6a26876",
-        "verify greens": "b4ff64b88487895934e9cb5a026efe179b043f5306bec3384620861d2d348450",
-        "eval u+ --z 1+0.5i --z0 0.3 --route contour":
-            "759a787455ec2ef649e53066e7ef8149a3ff99d3d081ab1729a6887fea734c74",
+            "4e4cd67ff94f9b89e2786450eb596aa88b4557424f364e09f4df3c7b116bdf58",
+        "verify greens": "802875d4ed56abc0e61e64652234d9a803c7c4017fdcda41c454dbbe53ea5cd8",
         "eval w-real+ --x 0 --x0 1":
-            "43921e6d85642305d5eb9182910b2416c6a9a27ca0ddea29771409b92b10817b",
+            "5970c4ee1160a4e5a482a0039073e78162ef81432b18224094ce6f1a7f6eceaf",
     },
 }
 
@@ -196,7 +193,7 @@ def _digests_match(outputs):
     is recorded for this host's numpy loops."""
     digests = _DIGESTS.get(float_kernels())
     if digests is None:
-        pytest.skip(f"no digests recorded for numpy exp and power loops {float_kernels()}")
+        pytest.skip(f"no digests recorded for numpy exp and log loops {float_kernels()}")
     for name, data in outputs:
         assert hashlib.sha256(data).hexdigest() == digests[name], name
 

@@ -317,7 +317,7 @@ def test_float64_edges_typed():
     # a tail or stationary point past t = 1e8), or a quadrature that stopped
     # (ToleranceNotMet, counted by its stop); the rest are rejected inputs,
     # among them every separation whose 1/|r - r'|^2 overflows
-    assert ends == {"value": 49, "non_finite": 30, "node_ceiling": 2,
+    assert ends == {"value": 53, "non_finite": 26, "node_ceiling": 2,
                     "DegenerateGeometry": 33, "NonFiniteInput": 286}
 
 

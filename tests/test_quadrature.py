@@ -185,6 +185,15 @@ def test_tail_radius_solves_its_cubic():
     assert raised > 10 and solved > 100
 
 
+def test_seed_reads_the_weight_of_a_ray():
+    # with E = 0 the integrand of a ray from r = 1e-6 to 1 is its weight
+    # r^{-p}, which varies by p ln(1e6) e-folds, so the seed gives the
+    # ray more panels the larger p is
+    leg = RayLeg(0.0, 1e-6, 1.0)
+    counts = [int(quadrature._seed_counts([leg], _ZERO, p)[0]) for p in (0.0, 0.5, 2.0)]
+    assert counts == [2, 3, 8]
+
+
 def test_legs_share_one_integrand_call_per_round(monkeypatch):
     # three k^(-1/2) endpoint legs on the rays at 0, pi/2 and pi: the seed
     # probes, the seed panels and each bisection round make one exponent
@@ -223,53 +232,53 @@ def test_path_connectivity_helper():
 # that keeps the schedule reproduces them exactly.  Rows are grid points,
 # columns the five contour kinds in ContourKind order, all at tol 1e-8.
 _NARROW_NODES = [
-    (1080, 1335, 465, 855, 540), (555, 705, 540, 795, 510),
-    (495, 600, 405, 525, 465), (750, 585, 690, 465, 495),
-    (585, 750, 465, 615, 435), (510, 525, 540, 525, 510),
-    (465, 570, 450, 495, 525), (720, 570, 555, 450, 510),
-    (645, 540, 615, 495, 450), (750, 795, 480, 540, 480),
-    (855, 855, 465, 480, 450), (735, 780, 555, 525, 540),
-    (1380, 930, 1035, 495, 465), (645, 1020, 600, 960, 465),
-    (660, 1155, 450, 1005, 465), (765, 720, 705, 585, 450),
-    (780, 810, 630, 735, 450), (585, 450, 570, 450, 480),
-    (645, 810, 465, 705, 480), (450, 435, 510, 405, 720),
-    (705, 585, 690, 495, 540), (645, 795, 480, 555, 495),
-    (945, 1020, 810, 960, 450), (735, 585, 690, 510, 540),
-    (960, 1020, 855, 960, 510), (1365, 960, 915, 435, 510),
-    (720, 630, 600, 495, 435), (645, 765, 540, 705, 480),
-    (690, 600, 660, 555, 480), (480, 465, 465, 435, 465),
-    (1140, 735, 1005, 660, 480), (435, 420, 555, 465, 645),
-    (1170, 1020, 630, 465, 540), (720, 645, 585, 570, 480),
-    (600, 630, 495, 495, 525), (840, 750, 570, 495, 300),
-    (570, 675, 510, 660, 300), (705, 645, 570, 540, 300),
-    (1350, 1050, 840, 435, 300), (720, 675, 480, 465, 300),
+    (1080, 1365, 480, 855, 585), (570, 735, 540, 810, 555),
+    (510, 600, 420, 555, 510), (765, 600, 705, 465, 525),
+    (615, 750, 480, 645, 480), (525, 525, 570, 525, 555),
+    (480, 585, 465, 495, 555), (720, 570, 585, 435, 555),
+    (660, 555, 645, 495, 495), (765, 825, 480, 540, 525),
+    (885, 855, 480, 480, 480), (765, 780, 555, 540, 570),
+    (1395, 930, 1050, 495, 495), (660, 1035, 600, 990, 495),
+    (675, 1185, 450, 1005, 510), (780, 720, 720, 600, 495),
+    (780, 810, 645, 720, 495), (600, 480, 585, 465, 510),
+    (645, 810, 465, 705, 525), (465, 450, 465, 420, 555),
+    (720, 600, 690, 510, 570), (645, 795, 510, 555, 540),
+    (930, 1020, 840, 945, 480), (735, 600, 705, 495, 570),
+    (975, 945, 825, 900, 555), (1350, 960, 930, 450, 555),
+    (705, 630, 615, 510, 480), (645, 780, 585, 705, 525),
+    (705, 600, 660, 585, 510), (495, 480, 480, 450, 510),
+    (1155, 735, 990, 675, 480), (450, 435, 450, 420, 540),
+    (1200, 1035, 645, 480, 570), (735, 660, 585, 600, 525),
+    (630, 645, 495, 495, 480), (855, 750, 555, 495, 345),
+    (585, 690, 510, 675, 345), (720, 660, 585, 555, 345),
+    (1380, 1065, 840, 450, 345), (735, 690, 480, 450, 345),
 ]
 _WIDE_NODES = [
-    (1125, 1335, 645, 915, 660), (990, 1230, 675, 630, 600),
-    (1545, 990, 1155, 540, 870), (945, 1545, 495, 1035, 510),
-    (570, 750, 405, 510, 480), (1185, 1710, 765, 705, 465),
-    (1590, 1890, 690, 855, 900), (870, 1605, 660, 1245, 720),
-    (1350, 1020, 885, 435, 525), (1080, 750, 645, 600, 660),
-    (1185, 975, 645, 675, 480), (1215, 915, 1200, 1035, 750),
-    (1380, 1215, 945, 570, 690), (1590, 1155, 900, 450, 600),
-    (1455, 960, 1065, 510, 630), (750, 750, 630, 570, 630),
-    (870, 990, 600, 750, 555), (795, 765, 540, 495, 465),
-    (1635, 1005, 825, 780, 480), (1725, 1215, 960, 1050, 900),
-    (1395, 1020, 1065, 660, 840), (735, 750, 735, 615, 750),
-    (1500, 1185, 900, 615, 525), (1440, 1440, 1005, 750, 870),
-    (1605, 1035, 1095, 450, 780), (645, 645, 600, 690, 690),
-    (960, 825, 720, 705, 645), (540, 675, 450, 600, 465),
-    (780, 1050, 630, 1020, 495), (1050, 1455, 870, 945, 945),
-    (1335, 1095, 720, 795, 660), (1080, 1395, 600, 915, 525),
-    (795, 1170, 600, 765, 600), (1335, 1365, 810, 1005, 765),
-    (915, 1260, 720, 1170, 300), (810, 1290, 495, 1065, 300),
-    (960, 1335, 480, 960, 300), (1455, 1020, 900, 495, 300),
-    (870, 735, 675, 570, 300), (1140, 1455, 720, 675, 300),
+    (1125, 1320, 645, 930, 705), (975, 1230, 675, 645, 645),
+    (1500, 990, 1125, 555, 915), (960, 1560, 510, 1020, 540),
+    (585, 750, 435, 510, 480), (1170, 1710, 780, 705, 510),
+    (1560, 1905, 705, 855, 945), (870, 1635, 675, 1260, 750),
+    (1305, 990, 900, 450, 555), (1095, 765, 660, 615, 705),
+    (1185, 975, 660, 660, 525), (1230, 915, 1215, 1065, 780),
+    (1350, 1215, 930, 585, 720), (1605, 1170, 900, 450, 645),
+    (1470, 960, 1065, 525, 660), (765, 750, 645, 585, 675),
+    (870, 1020, 600, 750, 585), (825, 780, 540, 510, 510),
+    (1635, 1005, 825, 795, 525), (1710, 1215, 930, 1065, 945),
+    (1425, 990, 1080, 675, 885), (750, 765, 735, 630, 780),
+    (1485, 1170, 900, 615, 570), (1425, 1440, 1065, 720, 915),
+    (1620, 1050, 1095, 450, 810), (660, 660, 615, 705, 735),
+    (975, 810, 720, 720, 690), (540, 705, 465, 615, 510),
+    (795, 1065, 660, 1020, 495), (1065, 1455, 900, 945, 975),
+    (1335, 1095, 720, 810, 705), (1095, 1410, 615, 930, 570),
+    (810, 1170, 615, 795, 630), (1335, 1350, 825, 1005, 795),
+    (930, 1275, 720, 1170, 345), (825, 1290, 495, 1065, 345),
+    (975, 1350, 480, 960, 345), (1470, 1035, 915, 510, 345),
+    (885, 750, 675, 570, 345), (1155, 1455, 735, 690, 345),
 ]
-_GREENS_NODES = [1380, 675, 1095, 1575, 1605, 390]
+_GREENS_NODES = [1335, 705, 1080, 1545, 1575, 390]
 # calls of quadrature._eval_panels over the integrals above: one for the
 # seed panels of each, one per bisection round
-_EVAL_CALLS = 502
+_EVAL_CALLS = 493
 _GREENS_CONFIGS = (
     (0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0)),    # through the stationary point
     (-0.5, (0, 0, 0.05), (6, 0, 0), (0, 0, 0)),  # tunnelling: steepest ray
@@ -309,52 +318,52 @@ def test_panel_schedule_pinned(monkeypatch):
 # so that no change moves a contour-route bit, and with it a CLI byte,
 # unnoticed.  Rows: the five kinds in ContourKind order at an inner-sector
 # and at an outer-sector point, then the _GREENS_CONFIGS time integrals.
-# The last bits of exp and power differ between numpy's SIMD targets, so
-# one row set is recorded per set of numpy's float64 exp and power loops
+# The last bits of exp and log differ between numpy's SIMD targets, so
+# one row set is recorded per set of numpy's float64 exp and log loops
 # (``_BITS``, keyed by ``float_kernels()``), and the pins hold where
 # numpy runs one of them.
 _BITS_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
 _CONTOUR_BITS = [
-    ("0x1.63afdbd454d9bp+3", "-0x1.1606d7bd15c76p-2", "0x1.34de3bffae55ep-37"),
-    ("0x1.0371cbc6f1792p+3", "-0x1.19b9bd51c8a38p+1", "0x1.a3ba5de8f0844p-45"),
-    ("-0x1.c8cc7feba32b5p-1", "-0x1.fe7c84652ffacp-1", "0x1.1a74cf985507ep-36"),
-    ("0x1.ab9089ba284a3p-1", "0x1.67902002f7892p-1", "0x1.71ba6951bc6edp-41"),
-    ("-0x1.47c1fb9835490p+0", "-0x1.d75b9401c0997p-3", "0x1.073d5a098eb16p-40"),
-    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a82p-3", "0x1.a5de4f35c34c0p-32"),
-    ("-0x1.ccf49d1768a34p+0", "-0x1.d83c90ebe8ae9p+1", "0x1.62a97960ba81fp-39"),
-    ("0x1.06d3d9688fd6fp-1", "-0x1.250bfff48c6ecp+0", "0x1.3143f9ae5194dp-36"),
-    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bdp-1", "0x1.91152135020d8p-51"),
-    ("-0x1.d109ffae69876p+1", "-0x1.c8722319bf0bdp+0", "0x1.ac399b8271b2ap-32"),
+    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c82p-2", "0x1.71e9140bd5cefp-43"),
+    ("0x1.0371cbc6f1793p+3", "-0x1.19b9bd51c8a37p+1", "0x1.1524e104ea484p-43"),
+    ("-0x1.c8cc7feba32b6p-1", "-0x1.fe7c84652ffadp-1", "0x1.ccdd84f6fec98p-41"),
+    ("0x1.ab9089ba284a4p-1", "0x1.67902002f7893p-1", "0x1.71ba422e64d04p-41"),
+    ("-0x1.47c1fb983548ep+0", "-0x1.d75b9401c09a7p-3", "0x1.073dc463b4075p-40"),
+    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a87p-3", "0x1.59e322f11735cp-43"),
+    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aecp+1", "0x1.62a9abb784b02p-39"),
+    ("0x1.06d3d9688fd71p-1", "-0x1.250bfff48c6edp+0", "0x1.0d26f3fb01b94p-45"),
+    ("0x1.602b87816a6acp+0", "0x1.123cd4a56b5bdp-1", "0x1.7d3e8e8ffd8bap-46"),
+    ("-0x1.d109ffae69874p+1", "-0x1.c8722319bf0bfp+0", "0x1.ac399b108ef30p-32"),
 ]
 _GREENS_BITS = [
-    ("-0x1.b7dc49beafd98p-2", "0x1.322b10b5e801bp+1", "0x1.28d8ff3eac67fp-38"),
-    ("0x1.8ea1a770335fbp-11", "0x1.8ea791965783bp-11", "0x1.3f9aaa192d195p-31"),
-    ("0x1.1041111a28d01p-1", "0x1.3e7bc6f5032f5p-1", "0x1.5b55e3672315dp-37"),
-    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a350p-1", "0x1.fdc4b69280203p-33"),
-    ("0x1.ad27aad2b6cd6p-2", "0x1.ad27aad2b6cd6p-2", "0x1.693afc35e4fbcp-36"),
-    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1fp-19", "0x1.2fdab618edc7bp-55"),
+    ("-0x1.b7dc49beafd9ap-2", "0x1.322b10b5e801cp+1", "0x1.b49e08f753292p-29"),
+    ("0x1.8ea1a7703364ep-11", "0x1.8ea7919657890p-11", "0x1.b8049d9e66f1bp-38"),
+    ("0x1.1041111a28d03p-1", "0x1.3e7bc6f5032f7p-1", "0x1.580157d289a10p-36"),
+    ("-0x1.bbd73bc826e4ep-1", "0x1.cf71a11c8a352p-1", "0x1.a3d5518e355eap-32"),
+    ("0x1.ad27aad2b6cd7p-2", "0x1.ad27aad2b6cd8p-2", "0x1.2cbec360d2643p-35"),
+    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1dp-19", "0x1.2fdaa83f9216fp-55"),
 ]
 # The same rows with numpy's X86_V4 and X86_V3 loops switched off
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3").
 _BASELINE_CONTOUR_BITS = [
-    ("0x1.63afdbd454d9bp+3", "-0x1.1606d7bd15c82p-2", "0x1.34de2e6ad63a8p-37"),
-    ("0x1.0371cbc6f1792p+3", "-0x1.19b9bd51c8a37p+1", "0x1.a3b576cd9aae6p-45"),
-    ("-0x1.c8cc7feba32b5p-1", "-0x1.fe7c84652ffaep-1", "0x1.1a74db2e7312dp-36"),
-    ("0x1.ab9089ba284a3p-1", "0x1.67902002f7892p-1", "0x1.71ba35394a07cp-41"),
-    ("-0x1.47c1fb9835490p+0", "-0x1.d75b9401c0997p-3", "0x1.073d8dbe8cd0dp-40"),
-    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a82p-3", "0x1.a5de4ed959e47p-32"),
-    ("-0x1.ccf49d1768a34p+0", "-0x1.d83c90ebe8aeap+1", "0x1.62a9905fa0860p-39"),
-    ("0x1.06d3d9688fd6fp-1", "-0x1.250bfff48c6edp+0", "0x1.3143f36dae750p-36"),
-    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bdp-1", "0x1.9115214168568p-51"),
-    ("-0x1.d109ffae69875p+1", "-0x1.c8722319bf0bep+0", "0x1.ac39a23efcdd2p-32"),
+    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c8ap-2", "0x1.71e9140bd5cefp-43"),
+    ("0x1.0371cbc6f1793p+3", "-0x1.19b9bd51c8a37p+1", "0x1.1524e104ea484p-43"),
+    ("-0x1.c8cc7feba32b6p-1", "-0x1.fe7c84652ffadp-1", "0x1.ccdd6c471b23dp-41"),
+    ("0x1.ab9089ba284a4p-1", "0x1.67902002f7893p-1", "0x1.71ba3b4c7a198p-41"),
+    ("-0x1.47c1fb983548ep+0", "-0x1.d75b9401c099fp-3", "0x1.073dbf56f3a5ap-40"),
+    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a87p-3", "0x1.59e2d62fffbfcp-43"),
+    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aecp+1", "0x1.62a9959cef6efp-39"),
+    ("0x1.06d3d9688fd71p-1", "-0x1.250bfff48c6edp+0", "0x1.0d26f3fb01b94p-45"),
+    ("0x1.602b87816a6acp+0", "0x1.123cd4a56b5bdp-1", "0x1.7d3e8e8ffd8bap-46"),
+    ("-0x1.d109ffae69874p+1", "-0x1.c8722319bf0bep+0", "0x1.ac3999e688077p-32"),
 ]
 _BASELINE_GREENS_BITS = [
-    ("-0x1.b7dc49beafd97p-2", "0x1.322b10b5e801bp+1", "0x1.28d901f8bb254p-38"),
-    ("0x1.8ea1a770335fap-11", "0x1.8ea791965783ap-11", "0x1.3f9aaa192d29dp-31"),
-    ("0x1.1041111a28d02p-1", "0x1.3e7bc6f5032f6p-1", "0x1.5b55e367157edp-37"),
-    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a350p-1", "0x1.fdc4b82d30af6p-33"),
-    ("0x1.ad27aad2b6cd6p-2", "0x1.ad27aad2b6cd6p-2", "0x1.693afe81f0134p-36"),
-    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1fp-19", "0x1.2fdac0b361cd5p-55"),
+    ("-0x1.b7dc49beafd9ap-2", "0x1.322b10b5e801cp+1", "0x1.b49e08f75327bp-29"),
+    ("0x1.8ea1a7703364ep-11", "0x1.8ea7919657890p-11", "0x1.b8049d9e67130p-38"),
+    ("0x1.1041111a28d03p-1", "0x1.3e7bc6f5032f6p-1", "0x1.580157d2820fap-36"),
+    ("-0x1.bbd73bc826e4ep-1", "0x1.cf71a11c8a352p-1", "0x1.a3d5518e355ebp-32"),
+    ("0x1.ad27aad2b6cd7p-2", "0x1.ad27aad2b6cd8p-2", "0x1.2cbec360d262dp-35"),
+    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1dp-19", "0x1.2fdaa8035c1a5p-55"),
 ]
 _BITS = {
     ("2.4", "X86_V4", "X86_V4"): (_CONTOUR_BITS, _GREENS_BITS),
@@ -364,7 +373,7 @@ _BITS = {
 
 
 @pytest.mark.skipif(float_kernels() not in _BITS,
-                    reason=f"no bits recorded for numpy exp and power loops {float_kernels()}")
+                    reason=f"no bits recorded for numpy exp and log loops {float_kernels()}")
 def test_contour_route_bits_pinned():
     contour_bits, greens_bits = _BITS[float_kernels()]
     got = []
@@ -411,5 +420,5 @@ def test_time_paths_pinned():
     assert families == {("t", "chord"): 64, ("t", "rotated"): 67, ("t", "tunnelling"): 12,
                         ("u", "rotated"): 32, ("u", "tunnelling"): 6}
     if float_kernels() not in _BITS:
-        pytest.skip(f"no pins recorded for numpy exp and power loops {float_kernels()}")
+        pytest.skip(f"no pins recorded for numpy exp and log loops {float_kernels()}")
     assert digest.hexdigest() == _TIME_PATHS_DIGEST
