@@ -59,7 +59,8 @@ which the time integral of ``greens`` shares:
 * an endpoint leg spans ``decay_span`` from 4 lambda r_arc in to |z0|^2,
   where the essential factor has fallen to e^{-lambda}, clipped at
   2 lambda + 4;
-* no bisection round starts once an integral has taken 600 000 nodes.
+* no round of panel splits starts once an integral has taken 600 000
+  nodes.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ VALLEY_SECTORS = ((0.0, _PI / 3.0), (-2.0 * _PI / 3.0, -_PI / 3.0), (-4.0 * _PI 
 _ZERO_SHIFT = 1e-300
 _BOUNDARY_TOL = 1e-12
 
-# contour numerics: no bisection round starts once an integral has taken
-# 600 000 nodes (the round that reaches them may pass that count), and no
+# contour numerics: no round of panel splits starts once an integral has
+# taken 600 000 nodes (the round that reaches them may pass that count), and no
 # contour reaches beyond radius 80; the cut depth is quadrature's
 _MAX_NODES = 600_000
 _TRUNCATION_CEILING = 80.0

@@ -20,9 +20,10 @@ class DegenerateGeometry(AiryprodError):
     would reach past its cap (radius 80 for a contour, which happens
     beyond |z + z0/2| = 231.03, and t = 1e8 for the time integral), by
     ``check_reach`` when the time integral's stationary point lies past
-    t = 1e8, and by the seed pass of ``integrate_legs`` when the
+    t = 1e8, and by the first round of ``integrate_legs`` when the
     integrand of a decay leg, of either integral, is finite at the leg's
-    inner end but does not decay there.
+    inner end but does not decay there (read on that round's nodes,
+    before any exponential).
     """
 
 

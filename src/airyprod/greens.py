@@ -330,7 +330,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
     finite integrand does not decay), and ToleranceNotMet when the
     quadrature stops short of ``tol``, including on a value that leaves
     float64 along the path (after 0 nodes when e^{E} already leaves it
-    on a seed probe).
+    on a node of the quadrature's first round).
     """
     pref = cmath.exp(-1j * math.pi / 4.0) / (2.0 * math.pi) ** 1.5
     return pref * _time_integral(p, tol).value

@@ -23,14 +23,17 @@ decay legs, -p ln r plus a constant on rays, and f dk/dt = exp(E(k) + l)
 is one complex exponential per node.
 
 Each panel is integrated with the 15-point Gauss-Kronrod rule; the
-embedded 7-point Gauss value provides the error estimate.  A seed pass
-allots panels from g = E + l on 33 probe points per leg: about half a
-period of its phase, together with the turn of k, and a bounded change
-of its real part, log|f dk/dt|, per panel.  So the seed sees a leg's
-weight |k|^{-p} |dk/dt| as well as e^{E} on every leg.  It also checks
-that every decay leg's integrand decays toward its inner end, and that
-e^{E} stays inside float64 on every probe.  Rounds of bisection then
-split every panel whose error exceeds its share of the budget.
+embedded 7-point Gauss value provides the error estimate.  There is no
+planning pass: the first round gives every leg ``_START_PANELS`` (12)
+even panels, and each later round splits every panel whose error exceeds
+its share of the budget into 2 + V/5 even children, at most
+``_MAX_CHILDREN`` (8), where V = sum |g_{i+1} - g_i| is the variation of
+g = E + l along the panel's own 15 nodes (held in ascending t).  So a
+panel over many periods of f dk/dt, or many e-folds of it, splits into
+many children at once, and one that is merely short of its share is
+halved.  The first round's nodes are also where the exponent is checked,
+before any exponential: e^{E} must stay inside float64, and every decay
+leg's integrand must decay toward its inner end.
 The panels of all legs are held as arrays in path order, and each round
 makes one call of ``exponent`` over all their nodes.  The reported
 error estimate is at least QUADPACK's rounding floor, 50 eps times the
@@ -47,14 +50,14 @@ decay leg into k = 0.
 A path integral fails in one of two ways, both raised in this module.
 DegenerateGeometry means no usable path exists: ``tail_radius`` and
 ``check_reach`` raise it for a path that would reach past its cap, and
-the seed pass for a decay leg whose integrand is finite at its inner
-end but does not decay there.  ToleranceNotMet means the adaptive loop stopped short of its
-target: ``integrate_legs`` raises it for every miss, with the
-unconverged result attached.  An exponent past the float64 range of
-e^{E} (or NaN) on a seed probe is the ``non_finite`` stop after 0 nodes.
-Leg maps, exponent and integrand run with numpy's floating-point
-warnings off, so a value that leaves float64 anywhere else on the path,
-the inner end of a decay leg included, ends the loop as the same stop.
+the first round for a decay leg whose integrand is finite at its inner
+end but does not decay there.  ToleranceNotMet means the adaptive loop
+stopped short of its target: ``integrate_legs`` raises it for every
+miss, with the unconverged result attached.  An exponent past the
+float64 range of e^{E} (or NaN) on a node of the first round is the
+``non_finite`` stop after 0 nodes.  Leg maps, exponent and integrand run
+with numpy's floating-point warnings off, so a value that leaves float64
+anywhere else on the path ends the loop as the same stop.
 """
 
 from __future__ import annotations
@@ -99,13 +102,11 @@ _WG_HALF = np.array([
     0.417959183673469387755102040816327,
 ])
 
-_XGK = np.concatenate([_XGK_HALF, -_XGK_HALF[:-1]])
-_WGK = np.concatenate([_WGK_HALF, _WGK_HALF[:-1]])
+# in ascending order, so a panel's nodes run along its path
+_XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
+_WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
-_WG[[1, 9]] = _WG_HALF[0]
-_WG[[3, 11]] = _WG_HALF[1]
-_WG[[5, 13]] = _WG_HALF[2]
-_WG[7] = _WG_HALF[3]
+_WG[1::2] = np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
 
 
 def _log(x: float) -> float:
@@ -205,11 +206,13 @@ class QuadResult:
     cancels it can sit above the target that the GK15 estimate met.
     ``stop`` is one of ``"converged"`` (the target was met),
     ``"node_ceiling"`` (the node count had reached ``max_nodes`` before the
-    target was met; the ceiling is checked between bisection rounds, so
-    the last round may take the count past it), ``"plateau"``
-    (bisection stopped reducing the error estimate: the float64 floor of
-    the path) or ``"non_finite"`` (a panel value or error is not finite,
-    or e^{E} is not finite on a seed probe, which stops it after 0 nodes).
+    target was met; the ceiling is checked between rounds, so the last
+    round may take the count past it, to below 9 * max_nodes),
+    ``"plateau"`` (splitting panels stopped reducing the error estimate:
+    the float64 floor of the path) or ``"non_finite"`` (a panel value or
+    error is not finite, or e^{E} is not finite on a node of the first
+    round, which stops it after 0 nodes, before any exponential is
+    formed).
     ``integrate_legs`` returns only converged results; the others ride on
     the ToleranceNotMet it raises.
     """
@@ -235,103 +238,97 @@ def exponent(coeffs, k):
     return 1j * (a * k + b / k + c * k * k * k / 12.0)
 
 
-def _eval_panels(legs, coeffs, power, leg, t0, t1):
-    """GK15 on a batch of [t0, t1] panels; ``leg`` holds each panel's leg
-    index in ascending order.
-
-    Each leg maps its own block of nodes to k and l = log(k^{-p} dk/dt),
-    and f dk/dt = exp(E(k) + l) is one exponential over all of them.  The
-    error estimate is the QUADPACK rescaling of |K15 - G7|, which credits
-    the Kronrod value with its actual convergence rate instead of the
-    pessimistic raw difference.  The third array, resasc + |K15|, bounds
-    each panel's integral of |f dk/dt| from above.
-    """
-    hw = 0.5 * (t1 - t0)
-    ts = (t0 + hw)[:, None] + hw[:, None] * _XGK
-    edges = leg.searchsorted(np.arange(len(legs) + 1)).tolist()
-    # a value off float64 stays in a panel, which stops the loop as non_finite
-    with np.errstate(all="ignore"):
-        maps = [legs[j].map(ts[lo:hi].ravel(), power)
-                for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
-        k, ell = (np.concatenate(part) for part in zip(*maps))
-        f = np.exp(exponent(coeffs, k) + ell).reshape(ts.shape)
-        resk = (f * _WGK).sum(axis=1)
-        kron = resk * hw
-        size = np.abs(kron)
-        raw = np.abs(resk - (f * _WG).sum(axis=1))
-        resasc = (np.abs(f - 0.5 * resk[:, None]) * _WGK).sum(axis=1)
-        # both sums without the factor hw; fmin reads the quotient 0/0 as
-        # 1, so a panel whose f is constant (resasc 0) keeps only the
-        # rounding floor below
-        ratio = 200.0 * raw / resasc
-        resasc *= hw
-        err = resasc * np.fmin(1.0, ratio * np.sqrt(ratio))
-        return kron, np.maximum(err, 4e-16 * size), resasc + size
-
-
-_PROBE = np.linspace(0.0, 1.0, 33)
-_MAX_SEED_PANELS = 1200
+_START_PANELS = 12  # even panels per leg in the first round
+_START_EDGES = np.linspace(0.0, 1.0, _START_PANELS + 1)
+_MAX_CHILDREN = 8  # of a panel split in one round
 _MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^{E} is finite up to Re E ~ 709.78
 _DECAY_DROP = math.log(1e-2)  # the inner end of a decay leg sits this far below its top
 _LOG_TINY = math.log(1e-280)
 _ROUNDING = 50.0 * float(np.finfo(float).eps)
 
 
-def _seed_counts(legs, coeffs, power):
-    """Initial panel count of every leg from g = E + l, the log of f dk/dt,
-    on its 33 ``_PROBE`` points.
+def _split(count, t0, t1):
+    """[t0, t1] of ``count`` even children of each panel [t0, t1], in path
+    order; the outer edges keep their bits."""
+    j = np.arange(count.sum()) - (count.cumsum() - count).repeat(count)
+    n, t0, t1 = (a.repeat(count) for a in (count, t0, t1))
+    width = (t1 - t0) / n
+    return t0 + j * width, np.where(j + 1 == n, t1, t0 + (j + 1) * width)
 
-    Each initial panel spans about half a period of f dk/dt (Im g) and a
-    bounded change of log|f dk/dt| (Re g), so the seed sees the weight
-    |k|^{-p} |dk/dt| of every leg as well as e^{E}: the ramp of a ray's
-    weight, the (1 - p) turn of an arc's phase and the (1 - p) s fall
-    of a decay leg's.  The turn of k itself counts as phase: every term
-    of g is a power of k or its log, and across a panel that turns k by
-    an angle y a term k^m grows by up to e^{m y} off the path, which its
-    values on the path do not show; so a full-turn arc gets about 2.5
-    panels more than its phase asks for.  A probe where g is not finite (a ray from
-    k = 0, a leg of length 0) is left out of the count.  On a
-    ``DecayLeg``, a finite f dk/dt at the inner end must sit at least
-    4.6 e-folds below the leg maximum over t = j/16 (every other probe),
-    or DegenerateGeometry is raised.  None if e^{E} leaves float64 on any
-    probe (Re E > log of the largest float64) or E is NaN there: no panel
-    of such a path is worth evaluating.
+
+def _log_integrand(legs, coeffs, power, leg, t0, t1):
+    """E and g = E + l, the log of f dk/dt, at the GK15 nodes of the
+    [t0, t1] panels, one row per panel; ``leg`` holds each panel's leg
+    index in ascending order.
+
+    Each leg maps its own block of nodes to k and l = log(k^{-p} dk/dt),
+    and one call of ``exponent`` covers all of them.  Run it with numpy's
+    floating-point warnings off: a value off float64 stays in its panel.
     """
-    # a value off float64 raises nothing here: it passes the decay check,
-    # and an exponent past _MAX_EXPONENT (or NaN) returns None
+    hw = 0.5 * (t1 - t0)
+    ts = (t0 + hw)[:, None] + hw[:, None] * _XGK
+    edges = leg.searchsorted(np.arange(len(legs) + 1)).tolist()
+    maps = [legs[j].map(ts[lo:hi].ravel(), power)
+            for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
+    k, ell = (np.concatenate(part).reshape(ts.shape) for part in zip(*maps))
+    ex = exponent(coeffs, k)
+    return ex, ex + ell
+
+
+def _eval_panels(t0, t1, g):
+    """GK15 on a batch of [t0, t1] panels from g = log(f dk/dt) at their
+    nodes, with f dk/dt = exp(g) one exponential over all of them.
+
+    The error estimate is the QUADPACK rescaling of |K15 - G7|, which
+    credits the Kronrod value with its actual convergence rate instead of
+    the pessimistic raw difference.  The third array, resasc + |K15|,
+    bounds each panel's integral of |f dk/dt| from above, and the fourth,
+    V = sum |g_{i+1} - g_i| along the panel's nodes, sizes its split.
+    """
+    hw = 0.5 * (t1 - t0)
+    f = np.exp(g)
+    resk = (f * _WGK).sum(axis=1)
+    kron = resk * hw
+    size = np.abs(kron)
+    raw = np.abs(resk - (f * _WG).sum(axis=1))
+    resasc = (np.abs(f - 0.5 * resk[:, None]) * _WGK).sum(axis=1)
+    # both sums without the factor hw; fmin reads the quotient 0/0 as 1,
+    # so a panel whose f is constant (resasc 0) keeps only the rounding
+    # floor below
+    ratio = 200.0 * raw / resasc
+    resasc *= hw
+    err = resasc * np.fmin(1.0, ratio * np.sqrt(ratio))
+    var = np.abs(g[:, 1:] - g[:, :-1]).sum(axis=1)
+    return kron, np.maximum(err, 4e-16 * size), resasc + size, var
+
+
+def _first_round(legs, coeffs, power):
+    """The first round's ``_START_PANELS`` even panels per leg, as (leg,
+    t0, t1, g), read before any exponential; None if e^{E} leaves float64
+    on one of their nodes (Re E > log of the largest float64) or E is NaN
+    there: no panel of such a path is worth evaluating.
+
+    On a ``DecayLeg``, a finite f dk/dt at the inner end must sit at least
+    4.6 e-folds below the leg maximum over these nodes, or
+    DegenerateGeometry is raised; the node next to the inner end stands
+    for it.
+    """
+    leg = np.arange(len(legs)).repeat(_START_PANELS)
+    t0, t1 = np.tile(_START_EDGES[:-1], len(legs)), np.tile(_START_EDGES[1:], len(legs))
     with np.errstate(all="ignore"):
-        k, ell = (np.concatenate(part) for part in zip(*(leg.map(_PROBE, power)
-                                                           for leg in legs)))
-        ex = exponent(coeffs, k)
-        g = (ex + ell).reshape(len(legs), -1)
-        k = k.reshape(g.shape)
-        for leg, row in zip(legs, g.real):
-            if isinstance(leg, DecayLeg):
-                inner = row[0] if leg.outward else row[-1]
-                # an infinite or NaN inner value compares false, and so
-                # does any value of a row with a NaN
-                if _MAX_EXPONENT >= inner > max(row[::2].max(), _LOG_TINY) + _DECAY_DROP:
-                    raise DegenerateGeometry("integrand does not decay toward the inner "
-                                             f"end of the leg at angle {leg.theta:.6f}")
-        # the maximum is NaN if any Re E is
-        if not ex.real.max() <= _MAX_EXPONENT or np.isnan(ex.imag).any():
-            return None
-        # variation more than ~45 e-folds below the leg maximum cannot
-        # affect the result; clip so deep decay tails do not inflate the
-        # count.  A probe where g is not finite is NaN here: fmax leaves
-        # it out of the top and turns the steps to it into 0.
-        re = np.where(np.isfinite(g.real), g.real, np.nan)
-        top = np.fmax.reduce(re, axis=1, keepdims=True)
-        re = np.maximum(re, top - 45.0)
-        alive = re > top - 44.0
-        seg = alive[:, :-1] & alive[:, 1:]
-        step = k[:, 1:] * k[:, :-1].conj()
-        turn = np.abs(np.arctan2(step.imag, step.real))
-        phase = ((np.abs(g.imag[:, 1:] - g.imag[:, :-1]) + turn) * seg).sum(axis=1)
-        mag = np.fmax(np.abs(re[:, 1:] - re[:, :-1]), 0.0).sum(axis=1)
-        # fmin caps the count before the cast, which also keeps an
-        # overflowed or NaN count from turning into a negative one
-        return np.fmin(phase / 2.5 + mag / 4.0, _MAX_SEED_PANELS - 2).astype(int) + 2
+        ex, g = _log_integrand(legs, coeffs, power, leg, t0, t1)
+    for lg, row in zip(legs, g.real.reshape(len(legs), -1)):
+        if isinstance(lg, DecayLeg):
+            inner = row[0] if lg.outward else row[-1]
+            # an infinite or NaN inner value compares false, and so does
+            # any value of a row with a NaN
+            if _MAX_EXPONENT >= inner > max(row.max(), _LOG_TINY) + _DECAY_DROP:
+                raise DegenerateGeometry("integrand does not decay toward the inner "
+                                         f"end of the leg at angle {lg.theta:.6f}")
+    # the maximum is NaN if any Re E is
+    if not ex.real.max() <= _MAX_EXPONENT or np.isnan(ex.imag).any():
+        return None
+    return leg, t0, t1, g
 
 
 def integrate_legs(legs, coeffs, power, tol, max_nodes):
@@ -345,9 +342,11 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
     tol : relative tolerance; the target is that the GK15 estimate
         meets tol * max(1, |value|); the reported ``abs_err_est`` adds
         the rounding floor of ``QuadResult`` and may sit above it
-    max_nodes : no bisection round starts once the integrand has been
-        evaluated on this many nodes; the round that reaches the ceiling
-        runs to its end, so ``nodes`` may exceed it
+    max_nodes : no round starts once the integrand has been evaluated on
+        this many nodes; the round that reaches the ceiling runs to its
+        end.  A round gives each live panel at most ``_MAX_CHILDREN`` (8)
+        children, so it adds fewer than 8 * max_nodes nodes (about 100
+        bytes each while it runs), and ``nodes`` stays below 9 * max_nodes
 
     Returns
     -------
@@ -359,37 +358,30 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
         if the loop stops short of the target; the unconverged QuadResult,
         whose ``stop`` says why, rides on the exception's ``result``.  An
         exponent with Re E past log(float64 max) ~ 709.78, or NaN, on a
-        seed probe stops it as ``non_finite`` before any panel is
-        evaluated (0 nodes).
+        node of the first round stops it as ``non_finite`` before any
+        exponential is formed (0 nodes).
     DegenerateGeometry
         if the integrand of a ``DecayLeg`` is finite at its inner end but
         does not decay toward it.
     """
-    counts = _seed_counts(legs, coeffs, power)
-    # with e^{E} off float64 on a probe, no panel is evaluated
-    res = (QuadResult(complex(math.nan, math.nan), math.inf, 0, "non_finite") if counts is None
-           else _bisect(legs, coeffs, power, tol, max_nodes, counts))
+    start = _first_round(legs, coeffs, power)
+    # a value off float64 stays in a panel, which stops the loop as non_finite
+    with np.errstate(all="ignore"):
+        res = (QuadResult(complex(math.nan, math.nan), math.inf, 0, "non_finite") if start is None
+               else _bisect(legs, coeffs, power, tol, max_nodes, *start))
     if not res.converged:
         raise ToleranceNotMet(f"error {res.abs_err_est:.3g} above target after {res.nodes} "
                               f"nodes (stop: {res.stop})", result=res)
     return res
 
 
-def _bisect(legs, coeffs, power, tol, max_nodes, counts):
-    """The adaptive loop of ``integrate_legs`` from ``counts`` seed panels
-    per leg, as a QuadResult of any ``stop``."""
+def _bisect(legs, coeffs, power, tol, max_nodes, leg, t0, t1, g):
+    """The adaptive loop of ``integrate_legs`` from the first round's
+    panels and their g, as a QuadResult of any ``stop``."""
     # panels live in path order, as arrays: leg index, [t0, t1], GK15
-    # value and error; the seed edges are those of np.linspace(0, 1, n + 1)
-    ends = counts.cumsum()
-    leg = np.arange(len(legs)).repeat(counts)
-    pos = np.arange(ends[-1]) - (ends - counts).repeat(counts)
-    step = (1.0 / counts)[leg]
-    t0 = pos * step
-    t1 = (pos + 1) * step
-    t1[ends - 1] = 1.0
-    vals, errs, sizes = _eval_panels(legs, coeffs, power, leg, t0, t1)
-    nodes = 15 * len(leg)
-
+    # value, error, bound of the integral of |f dk/dt| and variation of g
+    vals, errs, sizes, var = _eval_panels(t0, t1, g)
+    nodes = g.size
     stall = 0
     prev_err = math.inf
     while True:
@@ -398,35 +390,31 @@ def _bisect(legs, coeffs, power, tol, max_nodes, counts):
         if not (math.isfinite(err_tot) and cmath.isfinite(total)):
             return QuadResult(total, math.inf, nodes, "non_finite")
         goal = tol * max(1.0, abs(total))
-        # rounding plateau: bisection no longer reduces the estimate, the
-        # remaining error is the float64 floor of this path geometry
+        # rounding plateau: splitting no longer reduces the estimate,
+        # the remaining error is the float64 floor of this path geometry
         stall = stall + 1 if err_tot > 0.7 * prev_err else 0
         stop = ("converged" if err_tot <= goal else "node_ceiling" if nodes >= max_nodes
                 else "plateau" if stall >= 4 else None)
         if stop:
-            # the reported estimate is at least QUADPACK's rounding floor of
-            # a sum that cancels, 50 eps times the integral of |f dk/dt|
+            # the reported estimate is at least QUADPACK's rounding floor
+            # of a sum that cancels, 50 eps times the integral of |f dk/dt|
             return QuadResult(total, max(err_tot, _ROUNDING * float(sizes.sum())), nodes, stop)
         prev_err = err_tot
 
         # err_tot > goal puts the largest error above goal / n, so at
-        # least one panel splits
+        # least one panel splits, into 2 + V/5 even children (fmin caps
+        # them and reads a NaN V as the cap); each becomes its children
+        # in place, so the arrays stay in path order and every leg's
+        # panels stay contiguous
         split = errs > goal / (2.0 * len(errs))
-        # each split panel becomes its two halves in place, so the arrays
-        # stay in path order and every leg's panels stay contiguous
-        sel = split.nonzero()[0]
-        tm = 0.5 * (t0[sel] + t1[sel])
-        # the i-th split panel moves right by the i halves inserted before it
-        first = sel + np.arange(len(sel))
-        leg, t0, t1, vals, errs, sizes = (a.repeat(split + 1)
-                                          for a in (leg, t0, t1, vals, errs, sizes))
-        t1[first] = tm
-        t0[first + 1] = tm
-        child = first.repeat(2)
-        child[1::2] += 1
-        vals[child], errs[child], sizes[child] = _eval_panels(
-            legs, coeffs, power, leg[child], t0[child], t1[child])
-        nodes += 15 * len(child)
+        count = np.where(split, np.fmin(2.0 + var / 5.0, _MAX_CHILDREN), 1.0).astype(int)
+        child = split.repeat(count).nonzero()[0]
+        t0, t1 = _split(count, t0, t1)
+        leg, vals, errs, sizes, var = (a.repeat(count) for a in (leg, vals, errs, sizes, var))
+        g = _log_integrand(legs, coeffs, power, leg[child], t0[child], t1[child])[1]
+        vals[child], errs[child], sizes[child], var[child] = _eval_panels(
+            t0[child], t1[child], g)
+        nodes += g.size
 
 
 def _cubic_roots(p: float, q: float) -> tuple:
@@ -488,10 +476,12 @@ def tail_radius(a: float, b: float, c: float, lam: float, cap: float) -> float:
 def check_reach(r: float, cap: float, legs, coeffs, power) -> None:
     """DegenerateGeometry when the path ``legs`` must pass radius r > cap.
 
-    A path whose e^{E} already leaves float64 on a seed probe is left to
-    ``integrate_legs``, which stops it as ``non_finite`` after 0 nodes.
+    It reads the path's exponent on the nodes of the first round of
+    ``integrate_legs``, through the same helper: a path whose e^{E}
+    already leaves float64 there is left to ``integrate_legs``, which
+    stops it as ``non_finite`` after 0 nodes.
     """
-    if r > cap and _seed_counts(legs, coeffs, power) is not None:
+    if r > cap and _first_round(legs, coeffs, power) is not None:
         raise DegenerateGeometry(f"path would pass radius {r:g}, past its cap {cap:g}")
 
 

@@ -137,23 +137,23 @@ _V4_DIGESTS = {
         "78853d3a670d0f711091faa658d18a808db6bfcd02b74ff8ccae4019cae9c1aa",
     "verify ode": "4d387ad1e75b14ac9b48cc6ac71cc6e6f18ea6ab3fd63c5fac0b97f641d52770",
     "verify routes --count 6 --seed 3":
-        "8cf892e73be067ef55229d6e9dfe941e62f4027e99edbc9552028a15891e969f",
-    "verify routes": "78b5fe59bd667e6310d3b00173af0e09368c7953d001612de87ad2f6d10a6c15",
+        "cb50e05a0bc8ac686cfb272468733ba1f879ca02da300062a1abeabfa2d340ed",
+    "verify routes": "aeb861e91d8ef29d3a402fda98f86a8658a8667d9eb238d00dfc61a5aa58aa8b",
     "verify identities --count 6 --seed 3":
         "a02a286b1f3fc67f08fd06ac5d52cad0fa20c6337b75e2c9297b1fb9b330a484",
     "verify identities": "59404786b87a00c73436c174bd26ba6aad86a2e82faf6f97b828d80e49b73d1d",
     "verify contour-relation --count 6 --seed 3":
-        "a173ae6cdc9d8ac79e464812d3ca2febbaf0f2c69dc19f2b25012dbd8dc1b754",
-    "verify contour-relation": "6c6e63b142d8c7de8d54d56c2362ea77952801e0d9fe783f2bbdb2b1775a054a",
+        "bbcbbc9efb9d4b07dfc7aef83415248b276ea20f593338af02fe65ba43a4c938",
+    "verify contour-relation": "bb9a9d0a996985ce3e89dbb3f8316e33f19fed26d8b80afce02d6fc0cfbb4847",
     "verify greens --count 6 --seed 3":
-        "4a0eafe5a27cd040028b7dbff34537f86d9946206f5c1eecb91669dd2dceb6a2",
-    "verify greens": "903ff78451324acc573a91e90ae248e4a2f8d13accce5ccc7c6bc1136455c683",
+        "6739a8b67abbb3619500b25e348ef813e0d877bc9dbe7b0adae183895a411e38",
+    "verify greens": "4ceea197d30d3aa08b27a71dc53b2fa86afdee0e0d217e643cc364ed01b21b5b",
     "eval u+ --z 1+0.5i --z0 0.3 --route contour":
-        "32c83b86296ac66b54e200afbf0e52a9ce69436772be2538b5de8d90d1062ebf",
+        "4c9632a125f1b2cfa5f0710c3e3690d7b5378a072a2cca697b3f51d32ee15c64",
     "eval w+ --z 0.7-0.4i --z0 -1.1+0.3i":
         "86bb85a9cc1ddbef751977ae0a81b25f425665c536bb2c2c0188f4ab1978e536",
     "eval w-real+ --x 0 --x0 1":
-        "0b83f22a17cb3c5a42aa0e49235e6f191f46d66081f558d46be5c0cac070e210",
+        "a85a934b41da5a5bd3d7aa0cd411368148ca96712da4939eaf1cbe1dbf27ce91",
     "verify identities --count 100 --seed 7":
         "b635e21af4c3c900a9b36c771238cb6066994f1251946e3080ed4430658c2d3e",
     "table product --out prod.csv --count-x 21 --count-x0 5":
@@ -169,21 +169,23 @@ _DIGESTS = {
     ("2.4", "X86_V4", "X86_V4"): _V4_DIGESTS,
     ("2.4", "baseline(X86_V2)", "baseline(X86_V2)"): {
         **_V4_DIGESTS,
+        "eval u+ --z 1+0.5i --z0 0.3 --route contour":
+            "ed8c3333b8954dc4f60099c515782f9d0d39091f22512cc4d602f5f32abe90e2",
+        "eval w-real+ --x 0 --x0 1":
+            "5e6a9c1cfdde2349395c7b0632f3872f70d95932611751b750addb67a52ac039",
+        "verify contour-relation":
+            "9c31f68c28dc3f4c89fa9df936c765734341ef0bcfb00a30b168c4183823e478",
+        "verify contour-relation --count 6 --seed 3":
+            "807b5961cca53efb48b1dbd79239f81cbaee4e2bf301b966dc33f3c10d38df2f",
+        "verify greens --count 6 --seed 3":
+            "af282df58fb7d37681c64fae1e2dfe239d96f00cefe9556fc583fc7582dabc97",
+        "verify greens": "5d3b978bba1b82f4f09e5dd7383b9da0de0b25e7a4e7f8c57742002594fa210b",
         "verify ode --count 6 --seed 3":
             "68479de0a1e966b8998bcb5d715080387d96c9a16f3d213dcb739920b25d74df",
         "verify ode": "0384bbeca919f06e66eb423af5954182aae0f71b1a3bd3d7f60ae54e6d3f3ecb",
         "verify routes --count 6 --seed 3":
-            "a572d458457ae10630072eea802e1b05536e009c3d5d9aa6d16470c9988a044e",
-        "verify routes": "bd28ad28b7ab34676fcad79981ceb507bece12c8cf3efe8611775fbd824e68f3",
-        "verify contour-relation --count 6 --seed 3":
-            "29242c6d03e7281d537c6729eece6275849eb7f95b8d3e78c4b8f0878d57f3fc",
-        "verify contour-relation":
-            "4c15cf61788f45a797bb129294d5e44489876dfc582dd3aba01de9f625156241",
-        "verify greens --count 6 --seed 3":
-            "4e4cd67ff94f9b89e2786450eb596aa88b4557424f364e09f4df3c7b116bdf58",
-        "verify greens": "802875d4ed56abc0e61e64652234d9a803c7c4017fdcda41c454dbbe53ea5cd8",
-        "eval w-real+ --x 0 --x0 1":
-            "5970c4ee1160a4e5a482a0039073e78162ef81432b18224094ce6f1a7f6eceaf",
+            "14853882ad29d18420094bdc43f5f265e40a3b107d9202ca1fad1cc539ac2e39",
+        "verify routes": "ad07a7e933f385752356e3cb0326d70f54d713ad0b51c675deb24548504c6f6a",
     },
 }
 
@@ -340,8 +342,8 @@ def test_greens_closed_weak_field_exit(capsys):
 
 
 def test_greens_integral_overflow_on_path_exit(capsys):
-    # E = 1e100 is finite, but the integrand overflows on the seed probes:
-    # the quadrature stops as non_finite before it evaluates a panel
+    # E = 1e100 is finite, but the integrand overflows on the first round's
+    # nodes: the quadrature stops as non_finite before any exponential
     rc = main(["greens", "--energy", "1e100", "--field", "0,0,0.1", "--r", "1,0,0",
                "--r-prime", "0,0,0", "--method", "integral"])
     captured = capsys.readouterr()

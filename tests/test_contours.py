@@ -316,7 +316,8 @@ def test_endpoint_singularity_detected():
         )
 
     # at k = 0.5 e^{-5} the essential factor e^{|z0^2/(4k)|} is about
-    # e^297, finite: no usable path
+    # e^297, finite: no usable path (read on the first round's node next
+    # to the inner end)
     with pytest.raises(DegenerateGeometry, match="does not decay"):
         laplace_integral(bad(5.0), 1e-8)
     # at k = 0.5 e^{-30} it overflows, which stops the quadrature like

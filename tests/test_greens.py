@@ -160,12 +160,13 @@ def test_weak_field_closed_form_leaves_float64():
 
 def test_node_ceiling_is_checked_between_rounds():
     # the ceiling of 400 000 nodes stops the next round, not the running
-    # one: this weak-field integral reaches it in its last round
+    # one: this weak-field integral reaches it in its last round, which
+    # splits panels into up to 8 children and may pass it up to 9-fold
     p = GreensParams.make(1.0, (0, 0, 1e-5), (0.5, 0.5, 0), (0, 0, 0))
     with pytest.raises(ToleranceNotMet) as info:
         greens_time_integral(p, 1e-8)
     assert info.value.result.stop == "node_ceiling"
-    assert info.value.result.nodes == 494_010
+    assert info.value.result.nodes == 692_670
 
 
 def test_time_integral_rejects_nan_tol():
@@ -177,7 +178,7 @@ def test_time_integral_rejects_nan_tol():
 
 @pytest.mark.parametrize("tol", [1.0, 1e6, math.inf])
 def test_time_integral_rejects_loose_tol(tol):
-    # above 1e-4 the seed pass alone would pass for converged
+    # above 1e-4 the first round alone would pass for converged
     p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError, match="tol must be"):
         greens_time_integral(p, tol)
@@ -260,9 +261,9 @@ def test_separation_below_squared_underflow(r):
 
 
 def test_time_integral_overflow_evaluates_no_panel():
-    # E = 1e100 puts Re E near 1.9e99 on the seed probes of the first
-    # decay leg and the arc: e^{E} leaves float64 there, so the quadrature
-    # stops before it evaluates a panel
+    # E = 1e100 puts Re E near 1.9e99 on the first round's nodes of the
+    # first decay leg and the arc: e^{E} leaves float64 there, so the
+    # quadrature stops before it forms any exponential
     p = GreensParams.make(1e100, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
     with pytest.raises(ToleranceNotMet, match=r"after 0 nodes \(stop: non_finite\)") as info:
         greens_time_integral(p, 1e-8)

@@ -76,7 +76,8 @@ def test_sqrt_singularity_via_decay_leg():
 def test_non_decaying_decay_leg_raises():
     # e^{1/k} (b = -i) grows without bound toward k = 0 on the positive
     # ray, so the clustered substitution cannot regularize the endpoint; an
-    # inward leg is checked at its far end
+    # inward leg is checked at its far end, each on the first round's node
+    # next to the inner end
     for outward in (True, False):
         # e^{1/k} at k = e^{-6} is about 1e175: finite, so no usable path
         leg = DecayLeg(0.0, 1.0, 6.0, outward=outward)
@@ -101,18 +102,19 @@ def test_segment_leg_antiderivative():
 
 def test_node_ceiling_flags_not_converged():
     # integrable endpoint singularity on a plain linear panelization:
-    # bisection gains a fixed small factor per level (2^-0.1 on the end
-    # panel), so the stall detector fires below the 400-node ceiling
+    # splitting gains a fixed small factor per level (2^-0.1 on the end
+    # panel), so the stall detector fires below the 1000-node ceiling
     leg = RayLeg(0.0, 0.0, 1.0)
-    res = _miss([leg], _ZERO, 0.9, 1e-13, 400)
+    res = _miss([leg], _ZERO, 0.9, 1e-13, 1000)
     assert res.stop == "plateau"
-    assert res.nodes < 400
+    assert res.nodes < 1000
     assert res.abs_err_est > 0.0
 
 
 def test_stop_reason_non_finite():
     # e^{1000 k} (a = -1000i) overflows float64 at every node of k in [1, 2],
-    # so the seed pass stops the loop before any panel is evaluated
+    # so the first round's check of E stops the loop before any
+    # exponential is formed
     leg = RayLeg(0.0, 1.0, 2.0)
     res = _miss([leg], (-1000j, 0.0, 0.0), 0.0, 1e-8, 50_000)
     assert res.stop == "non_finite"
@@ -121,17 +123,17 @@ def test_stop_reason_non_finite():
 
 
 def test_stop_reason_node_ceiling():
-    # the seed pass alone (2 panels, 30 nodes) already exceeds the ceiling
-    # and leaves the endpoint singularity unresolved
+    # the first round alone (12 panels, 180 nodes) already exceeds the
+    # ceiling and leaves the endpoint singularity unresolved
     leg = RayLeg(0.0, 0.0, 1.0)
     res = _miss([leg], _ZERO, 0.9, 1e-12, 20)
     assert res.stop == "node_ceiling"
-    assert res.nodes == 30
+    assert res.nodes == 180
 
 
 def test_stop_reason_plateau():
     # 1e-17 lies below the 4e-16 relative panel floor of a smooth integrand,
-    # here e^k (a = -i), so bisection cannot reduce the estimate
+    # here e^k (a = -i), so splitting cannot reduce the estimate
     leg = RayLeg(0.0, 0.0, 1.0)
     res = _miss([leg], (-1j, 0.0, 0.0), 0.0, 1e-17, 10 ** 6)
     assert res.stop == "plateau"
@@ -185,21 +187,37 @@ def test_tail_radius_solves_its_cubic():
     assert raised > 10 and solved > 100
 
 
-def test_seed_reads_the_weight_of_a_ray():
-    # with E = 0 the integrand of a ray from r = 1e-6 to 1 is its weight
-    # r^{-p}, which varies by p ln(1e6) e-folds, so the seed gives the
-    # ray more panels the larger p is
-    leg = RayLeg(0.0, 1e-6, 1.0)
-    counts = [int(quadrature._seed_counts([leg], _ZERO, p)[0]) for p in (0.0, 0.5, 2.0)]
-    assert counts == [2, 3, 8]
+def test_split_sized_by_variation(monkeypatch):
+    # e^{400 i k} on k in [0, 1]: each of the 12 first-round panels spans
+    # about 33 rad of phase, so each splits into the capped 8 children at
+    # once, and the second round converges; halving would take two more
+    # rounds, which the same integral with the cap at 2 shows
+    rounds = []
+    real = quadrature._eval_panels
+
+    def eval_panels(t0, t1, g):
+        rounds.append(len(t0))
+        return real(t0, t1, g)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
+    leg = RayLeg(0.0, 0.0, 1.0)
+    exact = (cmath.exp(400j) - 1.0) / 400j
+    res = integrate_legs([leg], (400.0, 0.0, 0.0), 0.0, 1e-12, 200_000)
+    assert rounds == [12, 12 * 8] and res.nodes == 15 * 12 * 9
+    assert abs(res.value - exact) <= 1e-12
+    rounds.clear()
+    monkeypatch.setattr(quadrature, "_MAX_CHILDREN", 2)
+    res = integrate_legs([leg], (400.0, 0.0, 0.0), 0.0, 1e-12, 200_000)
+    assert rounds == [12, 24, 48, 96] and res.nodes == 15 * 180
+    assert abs(res.value - exact) <= 1e-12
 
 
 def test_legs_share_one_integrand_call_per_round(monkeypatch):
-    # three k^(-1/2) endpoint legs on the rays at 0, pi/2 and pi: the seed
-    # probes, the seed panels and each bisection round make one exponent
-    # call, covering every leg with points to evaluate.  The weight's ramp
-    # of 60 e-folds is clipped to 45 in the seed counts, so bisection
-    # follows the seed.
+    # three k^(-1/2) endpoint legs on the rays at 0, pi/2 and pi: the first
+    # round and each later round make one exponent call, covering every
+    # leg with panels to evaluate.  The weight's ramp of 60 e-folds over
+    # 12 even panels leaves each leg's inner panel short of its share, so
+    # a second round follows the first on all three legs.
     angles = (0.0, 0.5 * math.pi, math.pi)
     legs = [DecayLeg(th, 1.0, 120.0, outward=True) for th in angles]
     calls = []
@@ -212,10 +230,9 @@ def test_legs_share_one_integrand_call_per_round(monkeypatch):
     monkeypatch.setattr(quadrature, "exponent", exponent)
     res = integrate_legs(legs, _ZERO, 0.5, 1e-13, 50_000)
     assert res.converged
-    assert len(calls[0]) == 3 * 33
-    assert len(calls[1]) == 3 * 13 * 15
-    assert len(calls) > 2 and sum(len(k) for k in calls[1:]) == res.nodes
-    assert len(np.unique(np.round(np.angle(calls[2]), 6))) == 3
+    assert calls[0].size == 3 * 12 * 15
+    assert len(calls) > 1 and sum(k.size for k in calls) == res.nodes
+    assert len(np.unique(np.round(np.angle(calls[1]), 6))) == 3
     exact = sum(2.0 * cmath.exp(0.5j * th) for th in angles)
     assert abs(res.value - exact) <= 1e-12
 
@@ -227,58 +244,58 @@ def test_path_connectivity_helper():
     assert not path_is_connected(bad)
 
 
-# Per-integral node counts of the panel schedule (seeds, split rule, stop
-# rules, GK15 error formula), recorded once; a rewrite of the integrator
+# Per-integral node counts of the panel schedule (first round, split rule,
+# stop rules, GK15 error formula), recorded once; a rewrite of the integrator
 # that keeps the schedule reproduces them exactly.  Rows are grid points,
 # columns the five contour kinds in ContourKind order, all at tol 1e-8.
 _NARROW_NODES = [
-    (1080, 1365, 480, 855, 585), (570, 735, 540, 810, 555),
-    (510, 600, 420, 555, 510), (765, 600, 705, 465, 525),
-    (615, 750, 480, 645, 480), (525, 525, 570, 525, 555),
-    (480, 585, 465, 495, 555), (720, 570, 585, 435, 555),
-    (660, 555, 645, 495, 495), (765, 825, 480, 540, 525),
-    (885, 855, 480, 480, 480), (765, 780, 555, 540, 570),
-    (1395, 930, 1050, 495, 495), (660, 1035, 600, 990, 495),
-    (675, 1185, 450, 1005, 510), (780, 720, 720, 600, 495),
-    (780, 810, 645, 720, 495), (600, 480, 585, 465, 510),
-    (645, 810, 465, 705, 525), (465, 450, 465, 420, 555),
-    (720, 600, 690, 510, 570), (645, 795, 510, 555, 540),
-    (930, 1020, 840, 945, 480), (735, 600, 705, 495, 570),
-    (975, 945, 825, 900, 555), (1350, 960, 930, 450, 555),
-    (705, 630, 615, 510, 480), (645, 780, 585, 705, 525),
-    (705, 600, 660, 585, 510), (495, 480, 480, 450, 510),
-    (1155, 735, 990, 675, 480), (450, 435, 450, 420, 540),
-    (1200, 1035, 645, 480, 570), (735, 660, 585, 600, 525),
-    (630, 645, 495, 495, 480), (855, 750, 555, 495, 345),
-    (585, 690, 510, 675, 345), (720, 660, 585, 555, 345),
-    (1380, 1065, 840, 450, 345), (735, 690, 480, 450, 345),
+    (540, 765, 570, 540, 540), (540, 540, 540, 540, 540),
+    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
+    (540, 540, 540, 600, 540), (540, 540, 540, 540, 540),
+    (540, 540, 540, 540, 540), (540, 540, 570, 540, 540),
+    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
+    (660, 660, 540, 540, 540), (540, 540, 540, 570, 540),
+    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
+    (540, 540, 540, 735, 540), (600, 540, 570, 570, 540),
+    (540, 570, 600, 540, 540), (540, 540, 540, 540, 540),
+    (540, 600, 540, 540, 540), (540, 540, 540, 540, 540),
+    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
+    (540, 840, 600, 750, 540), (540, 540, 540, 540, 540),
+    (540, 825, 570, 795, 540), (540, 540, 630, 540, 540),
+    (600, 600, 540, 540, 540), (540, 600, 540, 540, 540),
+    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
+    (885, 540, 765, 630, 540), (540, 540, 540, 540, 540),
+    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
+    (540, 540, 600, 600, 600), (540, 540, 570, 570, 540),
+    (540, 540, 600, 600, 540), (540, 540, 600, 570, 540),
+    (540, 540, 630, 600, 540), (540, 540, 570, 570, 540),
 ]
 _WIDE_NODES = [
-    (1125, 1320, 645, 930, 705), (975, 1230, 675, 645, 645),
-    (1500, 990, 1125, 555, 915), (960, 1560, 510, 1020, 540),
-    (585, 750, 435, 510, 480), (1170, 1710, 780, 705, 510),
-    (1560, 1905, 705, 855, 945), (870, 1635, 675, 1260, 750),
-    (1305, 990, 900, 450, 555), (1095, 765, 660, 615, 705),
-    (1185, 975, 660, 660, 525), (1230, 915, 1215, 1065, 780),
-    (1350, 1215, 930, 585, 720), (1605, 1170, 900, 450, 645),
-    (1470, 960, 1065, 525, 660), (765, 750, 645, 585, 675),
-    (870, 1020, 600, 750, 585), (825, 780, 540, 510, 510),
-    (1635, 1005, 825, 795, 525), (1710, 1215, 930, 1065, 945),
-    (1425, 990, 1080, 675, 885), (750, 765, 735, 630, 780),
-    (1485, 1170, 900, 615, 570), (1425, 1440, 1065, 720, 915),
-    (1620, 1050, 1095, 450, 810), (660, 660, 615, 705, 735),
-    (975, 810, 720, 720, 690), (540, 705, 465, 615, 510),
-    (795, 1065, 660, 1020, 495), (1065, 1455, 900, 945, 975),
-    (1335, 1095, 720, 810, 705), (1095, 1410, 615, 930, 570),
-    (810, 1170, 615, 795, 630), (1335, 1350, 825, 1005, 795),
-    (930, 1275, 720, 1170, 345), (825, 1290, 495, 1065, 345),
-    (975, 1350, 480, 960, 345), (1470, 1035, 915, 510, 345),
-    (885, 750, 675, 570, 345), (1155, 1455, 735, 690, 345),
+    (540, 540, 600, 795, 540), (540, 540, 540, 585, 540),
+    (795, 795, 870, 600, 540), (540, 1215, 630, 945, 540),
+    (540, 540, 540, 540, 540), (540, 540, 540, 690, 540),
+    (1095, 1095, 615, 780, 540), (540, 1020, 615, 960, 645),
+    (660, 540, 690, 540, 540), (540, 540, 540, 540, 540),
+    (540, 540, 615, 540, 540), (960, 540, 960, 750, 540),
+    (720, 540, 720, 585, 540), (1200, 960, 780, 540, 540),
+    (1110, 540, 960, 585, 540), (540, 540, 540, 540, 540),
+    (540, 540, 585, 675, 540), (600, 600, 540, 540, 540),
+    (540, 540, 720, 540, 540), (540, 540, 735, 540, 540),
+    (915, 540, 960, 645, 960), (540, 540, 585, 540, 540),
+    (750, 750, 840, 600, 540), (540, 540, 540, 615, 540),
+    (930, 1020, 1020, 540, 540), (540, 540, 570, 570, 540),
+    (540, 540, 540, 585, 540), (540, 540, 540, 540, 540),
+    (540, 885, 600, 810, 540), (540, 540, 600, 765, 915),
+    (540, 540, 600, 540, 540), (540, 540, 630, 810, 540),
+    (540, 540, 540, 585, 540), (540, 540, 600, 540, 540),
+    (540, 930, 795, 990, 540), (540, 840, 600, 840, 540),
+    (540, 810, 600, 840, 540), (1005, 540, 855, 645, 540),
+    (540, 540, 600, 600, 540), (540, 540, 540, 675, 540),
 ]
-_GREENS_NODES = [1335, 705, 1080, 1545, 1575, 390]
+_GREENS_NODES = [945, 720, 630, 900, 720, 360]
 # calls of quadrature._eval_panels over the integrals above: one for the
-# seed panels of each, one per bisection round
-_EVAL_CALLS = 493
+# first round of each, one per later round
+_EVAL_CALLS = 568
 _GREENS_CONFIGS = (
     (0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0)),    # through the stationary point
     (-0.5, (0, 0, 0.05), (6, 0, 0), (0, 0, 0)),  # tunnelling: steepest ray
@@ -309,8 +326,8 @@ def test_panel_schedule_pinned(monkeypatch):
             assert got == want, (a, b)
     assert [greens._time_integral(GreensParams.make(*config), 1e-8).nodes
             for config in _GREENS_CONFIGS] == _GREENS_NODES
-    # the seed and bisection rounds of all 406 integrals: each round costs
-    # a fixed overhead whatever it evaluates
+    # the rounds of all 406 integrals: each round costs a fixed overhead
+    # whatever it evaluates
     assert calls == _EVAL_CALLS
 
 
@@ -324,46 +341,46 @@ def test_panel_schedule_pinned(monkeypatch):
 # numpy runs one of them.
 _BITS_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
 _CONTOUR_BITS = [
-    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c82p-2", "0x1.71e9140bd5cefp-43"),
-    ("0x1.0371cbc6f1793p+3", "-0x1.19b9bd51c8a37p+1", "0x1.1524e104ea484p-43"),
-    ("-0x1.c8cc7feba32b6p-1", "-0x1.fe7c84652ffadp-1", "0x1.ccdd84f6fec98p-41"),
-    ("0x1.ab9089ba284a4p-1", "0x1.67902002f7893p-1", "0x1.71ba422e64d04p-41"),
-    ("-0x1.47c1fb983548ep+0", "-0x1.d75b9401c09a7p-3", "0x1.073dc463b4075p-40"),
-    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a87p-3", "0x1.59e322f11735cp-43"),
-    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aecp+1", "0x1.62a9abb784b02p-39"),
-    ("0x1.06d3d9688fd71p-1", "-0x1.250bfff48c6edp+0", "0x1.0d26f3fb01b94p-45"),
-    ("0x1.602b87816a6acp+0", "0x1.123cd4a56b5bdp-1", "0x1.7d3e8e8ffd8bap-46"),
-    ("-0x1.d109ffae69874p+1", "-0x1.c8722319bf0bfp+0", "0x1.ac399b108ef30p-32"),
+    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c86p-2", "0x1.646cdf8ebcf32p-43"),
+    ("0x1.0371cbc6f1794p+3", "-0x1.19b9bd51c8a38p+1", "0x1.0e02e9f294d35p-43"),
+    ("-0x1.c8cc7feba32b7p-1", "-0x1.fe7c84652ffaep-1", "0x1.54a48a2c2c7a7p-43"),
+    ("0x1.ab9089ba284a5p-1", "0x1.67902002f7894p-1", "0x1.543274e5e63bep-43"),
+    ("-0x1.47c1fb983548ap+0", "-0x1.d75b9401c0999p-3", "0x1.5e896f149f902p-44"),
+    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a88p-3", "0x1.7fa19a8b7f0f4p-45"),
+    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aeap+1", "0x1.30255125993fap-44"),
+    ("0x1.06d3d9688fd70p-1", "-0x1.250bfff48c6ecp+0", "0x1.03f17d58ba6fbp-45"),
+    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bep-1", "0x1.86f4e655a5fd5p-46"),
+    ("-0x1.d109ffae69875p+1", "-0x1.c8722319bf0bep+0", "0x1.f9263198d69b4p-44"),
 ]
 _GREENS_BITS = [
-    ("-0x1.b7dc49beafd9ap-2", "0x1.322b10b5e801cp+1", "0x1.b49e08f753292p-29"),
-    ("0x1.8ea1a7703364ep-11", "0x1.8ea7919657890p-11", "0x1.b8049d9e66f1bp-38"),
-    ("0x1.1041111a28d03p-1", "0x1.3e7bc6f5032f7p-1", "0x1.580157d289a10p-36"),
-    ("-0x1.bbd73bc826e4ep-1", "0x1.cf71a11c8a352p-1", "0x1.a3d5518e355eap-32"),
-    ("0x1.ad27aad2b6cd7p-2", "0x1.ad27aad2b6cd8p-2", "0x1.2cbec360d2643p-35"),
-    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1dp-19", "0x1.2fdaa83f9216fp-55"),
+    ("-0x1.b7dc49beafd8bp-2", "0x1.322b10b5e801bp+1", "0x1.6dd55800ad279p-32"),
+    ("0x1.8ea1a7703364fp-11", "0x1.8ea7919657890p-11", "0x1.11ac2cd8c40f2p-56"),
+    ("0x1.1041111a28d0ap-1", "0x1.3e7bc6f5032f8p-1", "0x1.7825b599d67e3p-33"),
+    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a352p-1", "0x1.4851a94d5ced9p-30"),
+    ("0x1.ad27aad2b6cd9p-2", "0x1.ad27aad2b6cd7p-2", "0x1.3960f9fa968e5p-32"),
+    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1cp-19", "0x1.e44b5f9febd9ap-52"),
 ]
 # The same rows with numpy's X86_V4 and X86_V3 loops switched off
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3").
 _BASELINE_CONTOUR_BITS = [
-    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c8ap-2", "0x1.71e9140bd5cefp-43"),
-    ("0x1.0371cbc6f1793p+3", "-0x1.19b9bd51c8a37p+1", "0x1.1524e104ea484p-43"),
-    ("-0x1.c8cc7feba32b6p-1", "-0x1.fe7c84652ffadp-1", "0x1.ccdd6c471b23dp-41"),
-    ("0x1.ab9089ba284a4p-1", "0x1.67902002f7893p-1", "0x1.71ba3b4c7a198p-41"),
-    ("-0x1.47c1fb983548ep+0", "-0x1.d75b9401c099fp-3", "0x1.073dbf56f3a5ap-40"),
-    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a87p-3", "0x1.59e2d62fffbfcp-43"),
-    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aecp+1", "0x1.62a9959cef6efp-39"),
-    ("0x1.06d3d9688fd71p-1", "-0x1.250bfff48c6edp+0", "0x1.0d26f3fb01b94p-45"),
-    ("0x1.602b87816a6acp+0", "0x1.123cd4a56b5bdp-1", "0x1.7d3e8e8ffd8bap-46"),
-    ("-0x1.d109ffae69874p+1", "-0x1.c8722319bf0bep+0", "0x1.ac3999e688077p-32"),
+    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c8ap-2", "0x1.646cdf8ebcf32p-43"),
+    ("0x1.0371cbc6f1794p+3", "-0x1.19b9bd51c8a38p+1", "0x1.0e02e9f294d36p-43"),
+    ("-0x1.c8cc7feba32b6p-1", "-0x1.fe7c84652ffaep-1", "0x1.54a4f8eed50eap-43"),
+    ("0x1.ab9089ba284a5p-1", "0x1.67902002f7894p-1", "0x1.5432708108334p-43"),
+    ("-0x1.47c1fb983548ap+0", "-0x1.d75b9401c0995p-3", "0x1.5e896f149f902p-44"),
+    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a88p-3", "0x1.7fa19a8b7f0f4p-45"),
+    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aeap+1", "0x1.30255125993fap-44"),
+    ("0x1.06d3d9688fd71p-1", "-0x1.250bfff48c6ecp+0", "0x1.03f17d58ba6fbp-45"),
+    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bep-1", "0x1.86f4e655a5fd5p-46"),
+    ("-0x1.d109ffae69874p+1", "-0x1.c8722319bf0bep+0", "0x1.f9263198d69b4p-44"),
 ]
 _BASELINE_GREENS_BITS = [
-    ("-0x1.b7dc49beafd9ap-2", "0x1.322b10b5e801cp+1", "0x1.b49e08f75327bp-29"),
-    ("0x1.8ea1a7703364ep-11", "0x1.8ea7919657890p-11", "0x1.b8049d9e67130p-38"),
-    ("0x1.1041111a28d03p-1", "0x1.3e7bc6f5032f6p-1", "0x1.580157d2820fap-36"),
-    ("-0x1.bbd73bc826e4ep-1", "0x1.cf71a11c8a352p-1", "0x1.a3d5518e355ebp-32"),
-    ("0x1.ad27aad2b6cd7p-2", "0x1.ad27aad2b6cd8p-2", "0x1.2cbec360d262dp-35"),
-    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1dp-19", "0x1.2fdaa8035c1a5p-55"),
+    ("-0x1.b7dc49beafd8bp-2", "0x1.322b10b5e801bp+1", "0x1.6dd558108c823p-32"),
+    ("0x1.8ea1a7703364fp-11", "0x1.8ea7919657890p-11", "0x1.11ac2cd8c40f2p-56"),
+    ("0x1.1041111a28d0ap-1", "0x1.3e7bc6f5032f8p-1", "0x1.7825b5b070994p-33"),
+    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a352p-1", "0x1.4851a94d33f5fp-30"),
+    ("0x1.ad27aad2b6cd9p-2", "0x1.ad27aad2b6cd7p-2", "0x1.3960f9fa96906p-32"),
+    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1cp-19", "0x1.e44b5f9febc62p-52"),
 ]
 _BITS = {
     ("2.4", "X86_V4", "X86_V4"): (_CONTOUR_BITS, _GREENS_BITS),
