@@ -129,8 +129,9 @@ def test_eval_product_rotations(capsys):
 # SHA-256 of the stdout of each verify run below and of each README command
 # line, and of the table files those write.  The contour-route and
 # Green's-function digits follow numpy's float64 exp and log loops, so
-# one set is recorded per ``float_kernels()`` key; under the baseline loops
-# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3") the
+# one set is recorded per ``float_kernels()`` key; under the X86_V3 loops
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") and the baseline
+# loops (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3") the
 # outputs not listed again keep their bytes.
 _V4_DIGESTS = {
     "verify ode --count 6 --seed 3":
@@ -167,6 +168,16 @@ _V4_DIGESTS = {
 }
 _DIGESTS = {
     ("2.4", "X86_V4", "X86_V4"): _V4_DIGESTS,
+    ("2.4", "X86_V3", "X86_V3"): {
+        **_V4_DIGESTS,
+        "eval w-real+ --x 0 --x0 1":
+            "5e6a9c1cfdde2349395c7b0632f3872f70d95932611751b750addb67a52ac039",
+        "verify contour-relation":
+            "827196cdaca8d00fe810df488c6a2ef3dbbd8369a0bd6897516604d4937013b1",
+        "verify contour-relation --count 6 --seed 3":
+            "1a3a47158c4180c9adbd3f42dbd887d668eb01a870773500a55b45d5bc508ea7",
+        "verify greens": "bd55e134b7a9c426535e0fceb439a88484bd651f1a3dea2540eb02fdc0d9697a",
+    },
     ("2.4", "baseline(X86_V2)", "baseline(X86_V2)"): {
         **_V4_DIGESTS,
         "eval u+ --z 1+0.5i --z0 0.3 --route contour":
