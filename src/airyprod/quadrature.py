@@ -31,9 +31,14 @@ its share of the budget into 2 + V/5 even children, at most
 g = E + l along the panel's own 15 nodes (held in ascending t).  So a
 panel over many periods of f dk/dt, or many e-folds of it, splits into
 many children at once, and one that is merely short of its share is
-halved.  The first round's nodes are also where the exponent is checked,
-before any exponential: e^{E} must stay inside float64, and every decay
-leg's integrand must decay toward its inner end.
+halved.  V is formed only once the stop test has said that another round
+follows, for the panels just evaluated; older panels keep theirs.  The
+first round is the same on every leg, so its panels and each leg's 180
+nodes are read-only tables built at import, sized for the longest path
+(4 legs), and each leg maps the node table directly.  The first round's
+nodes are also where the exponent is checked, before any exponential:
+e^{E} must stay inside float64, and every decay leg's integrand must
+decay toward its inner end.
 The panels of all legs are held as arrays in path order, and each round
 makes one call of ``exponent`` over all their nodes.  The reported
 error estimate is at least QUADPACK's rounding floor, 50 eps times the
@@ -238,8 +243,22 @@ def exponent(coeffs, k):
     return 1j * (a * k + b / k + c * k * k * k / 12.0)
 
 
+def _nodes(t0, t1):
+    """The GK15 nodes of the [t0, t1] panels, one row per panel."""
+    hw = 0.5 * (t1 - t0)
+    return (t0 + hw)[:, None] + hw[:, None] * _XGK
+
+
 _START_PANELS = 12  # even panels per leg in the first round
 _START_EDGES = np.linspace(0.0, 1.0, _START_PANELS + 1)
+# the first round of the longest path, 4 legs (the time integral's chord
+# family), as read-only constants: (leg, t0, t1) of its panels in path
+# order, and the 180 nodes that each leg maps, in ascending t
+_START_LEG, _START_T0, _START_T1, _START_T = (
+    np.arange(4).repeat(_START_PANELS), np.tile(_START_EDGES[:-1], 4),
+    np.tile(_START_EDGES[1:], 4), _nodes(_START_EDGES[:-1], _START_EDGES[1:]).ravel())
+for _a in (_START_LEG, _START_T0, _START_T1, _START_T):
+    _a.flags.writeable = False
 _MAX_CHILDREN = 8  # of a panel split in one round
 _MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^{E} is finite up to Re E ~ 709.78
 _DECAY_DROP = math.log(1e-2)  # the inner end of a decay leg sits this far below its top
@@ -265,8 +284,7 @@ def _log_integrand(legs, coeffs, power, leg, t0, t1):
     and one call of ``exponent`` covers all of them.  Run it with numpy's
     floating-point warnings off: a value off float64 stays in its panel.
     """
-    hw = 0.5 * (t1 - t0)
-    ts = (t0 + hw)[:, None] + hw[:, None] * _XGK
+    ts = _nodes(t0, t1)
     edges = leg.searchsorted(np.arange(len(legs) + 1)).tolist()
     maps = [legs[j].map(ts[lo:hi].ravel(), power)
             for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
@@ -282,8 +300,9 @@ def _eval_panels(t0, t1, g):
     The error estimate is the QUADPACK rescaling of |K15 - G7|, which
     credits the Kronrod value with its actual convergence rate instead of
     the pessimistic raw difference.  The third array, resasc + |K15|,
-    bounds each panel's integral of |f dk/dt| from above, and the fourth,
-    V = sum |g_{i+1} - g_i| along the panel's nodes, sizes its split.
+    bounds each panel's integral of |f dk/dt| from above.  The variation
+    of g that sizes a split is left to ``_bisect``, which forms it only
+    where another round follows.
     """
     hw = 0.5 * (t1 - t0)
     f = np.exp(g)
@@ -298,8 +317,7 @@ def _eval_panels(t0, t1, g):
     ratio = 200.0 * raw / resasc
     resasc *= hw
     err = resasc * np.fmin(1.0, ratio * np.sqrt(ratio))
-    var = np.abs(g[:, 1:] - g[:, :-1]).sum(axis=1)
-    return kron, np.maximum(err, 4e-16 * size), resasc + size, var
+    return kron, np.maximum(err, 4e-16 * size), resasc + size
 
 
 def _first_round(legs, coeffs, power):
@@ -308,15 +326,21 @@ def _first_round(legs, coeffs, power):
     on one of their nodes (Re E > log of the largest float64) or E is NaN
     there: no panel of such a path is worth evaluating.
 
+    Each leg maps the constant node table ``_START_T`` straight to k and
+    l, and one call of ``exponent`` covers all legs; (leg, t0, t1) are
+    read-only slices of the constant tables, so a path has at most 4
+    legs.  Run it with numpy's floating-point warnings off.
+
     On a ``DecayLeg``, a finite f dk/dt at the inner end must sit at least
     4.6 e-folds below the leg maximum over these nodes, or
     DegenerateGeometry is raised; the node next to the inner end stands
     for it.
     """
-    leg = np.arange(len(legs)).repeat(_START_PANELS)
-    t0, t1 = np.tile(_START_EDGES[:-1], len(legs)), np.tile(_START_EDGES[1:], len(legs))
-    with np.errstate(all="ignore"):
-        ex, g = _log_integrand(legs, coeffs, power, leg, t0, t1)
+    n = len(legs) * _START_PANELS
+    k, ell = (np.concatenate(part).reshape(n, 15)
+              for part in zip(*(lg.map(_START_T, power) for lg in legs)))
+    ex = exponent(coeffs, k)
+    g = ex + ell
     for lg, row in zip(legs, g.real.reshape(len(legs), -1)):
         if isinstance(lg, DecayLeg):
             inner = row[0] if lg.outward else row[-1]
@@ -328,7 +352,7 @@ def _first_round(legs, coeffs, power):
     # the maximum is NaN if any Re E is
     if not ex.real.max() <= _MAX_EXPONENT or np.isnan(ex.imag).any():
         return None
-    return leg, t0, t1, g
+    return _START_LEG[:n], _START_T0[:n], _START_T1[:n], g
 
 
 def integrate_legs(legs, coeffs, power, tol, max_nodes):
@@ -364,9 +388,9 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
         if the integrand of a ``DecayLeg`` is finite at its inner end but
         does not decay toward it.
     """
-    start = _first_round(legs, coeffs, power)
     # a value off float64 stays in a panel, which stops the loop as non_finite
     with np.errstate(all="ignore"):
+        start = _first_round(legs, coeffs, power)
         res = (QuadResult(complex(math.nan, math.nan), math.inf, 0, "non_finite") if start is None
                else _bisect(legs, coeffs, power, tol, max_nodes, *start))
     if not res.converged:
@@ -377,10 +401,16 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
 
 def _bisect(legs, coeffs, power, tol, max_nodes, leg, t0, t1, g):
     """The adaptive loop of ``integrate_legs`` from the first round's
-    panels and their g, as a QuadResult of any ``stop``."""
+    panels and their g, as a QuadResult of any ``stop``.
+
+    The variation V that sizes a split is formed only once the stop test
+    has said that another round follows, for the panels the last round
+    evaluated; older panels keep the V of the round that made them.
+    """
     # panels live in path order, as arrays: leg index, [t0, t1], GK15
     # value, error, bound of the integral of |f dk/dt| and variation of g
-    vals, errs, sizes, var = _eval_panels(t0, t1, g)
+    vals, errs, sizes = _eval_panels(t0, t1, g)
+    var, child = np.empty(len(t0)), slice(None)
     nodes = g.size
     stall = 0
     prev_err = math.inf
@@ -400,6 +430,8 @@ def _bisect(legs, coeffs, power, tol, max_nodes, leg, t0, t1, g):
             # of a sum that cancels, 50 eps times the integral of |f dk/dt|
             return QuadResult(total, max(err_tot, _ROUNDING * float(sizes.sum())), nodes, stop)
         prev_err = err_tot
+        # the panels just evaluated, g in hand, get their variation
+        var[child] = np.abs(g[:, 1:] - g[:, :-1]).sum(axis=1)
 
         # err_tot > goal puts the largest error above goal / n, so at
         # least one panel splits, into 2 + V/5 even children (fmin caps
@@ -412,8 +444,7 @@ def _bisect(legs, coeffs, power, tol, max_nodes, leg, t0, t1, g):
         t0, t1 = _split(count, t0, t1)
         leg, vals, errs, sizes, var = (a.repeat(count) for a in (leg, vals, errs, sizes, var))
         g = _log_integrand(legs, coeffs, power, leg[child], t0[child], t1[child])[1]
-        vals[child], errs[child], sizes[child], var[child] = _eval_panels(
-            t0[child], t1[child], g)
+        vals[child], errs[child], sizes[child] = _eval_panels(t0[child], t1[child], g)
         nodes += g.size
 
 
@@ -481,8 +512,10 @@ def check_reach(r: float, cap: float, legs, coeffs, power) -> None:
     already leaves float64 there is left to ``integrate_legs``, which
     stops it as ``non_finite`` after 0 nodes.
     """
-    if r > cap and _first_round(legs, coeffs, power) is not None:
-        raise DegenerateGeometry(f"path would pass radius {r:g}, past its cap {cap:g}")
+    if r > cap:
+        with np.errstate(all="ignore"):
+            if _first_round(legs, coeffs, power) is not None:
+                raise DegenerateGeometry(f"path would pass radius {r:g}, past its cap {cap:g}")
 
 
 def decay_span(r: float, r_min: float) -> float:

@@ -237,6 +237,41 @@ def test_legs_share_one_integrand_call_per_round(monkeypatch):
     assert abs(res.value - exact) <= 1e-12
 
 
+# paths of 1 to 4 legs that mix all four leg types, as (legs, coeffs, power),
+# and two built ones: a contour and the time integral's chord family
+_R_PLUS = build_contour(ContourKind.R_PLUS, ShiftedArgs.make(1 + 0.5j, 0.3 - 0.2j))
+_FIRST_ROUND_PATHS = {
+    "segment": ([SegmentLeg(0.2 + 0.1j, 1.5 - 0.3j)], (1.3 + 0.2j, 0.0, 0.7), 0.5),
+    "decay-ray": ([DecayLeg(0.3, 1.2, 12.0), RayLeg(0.3, 1.2, 3.0)], (1.3 + 0.2j, 0.0, 0.7), 0.5),
+    "ray-arc-decay": ([RayLeg(0.5, 2.0, 1.0), ArcLeg(1.0, 0.5, -0.5),
+                       DecayLeg(-0.5, 1.0, 10.0, outward=False)], (-0.4, 0.0, 1.0), 0.5),
+    "decay-arc-ray-segment": ([DecayLeg(-0.4, 0.8, 14.0), ArcLeg(0.8, -0.4, 0.0),
+                               RayLeg(0.0, 0.8, 2.0), SegmentLeg(2.0, 2.5 + 1.0j)],
+                              (1.3 + 0.2j, 0.0, 0.7), 0.5),
+    "contour-R+": (_R_PLUS.segments, _R_PLUS.coeffs, 0.5),
+    "time-chord": greens._time_path(GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", _FIRST_ROUND_PATHS)
+def test_first_round_matches_general_path(name):
+    # the first round reads its panels and nodes from constant tables;
+    # (leg, t0, t1, g) must equal, bit for bit, what the general path of
+    # the later rounds gives on 12 even panels per leg from _START_EDGES
+    legs, coeffs, power = _FIRST_ROUND_PATHS[name]
+    n = len(legs)
+    leg = np.arange(n).repeat(12)
+    t0, t1 = np.tile(quadrature._START_EDGES[:-1], n), np.tile(quadrature._START_EDGES[1:], n)
+    with np.errstate(all="ignore"):
+        got = quadrature._first_round(legs, coeffs, power)
+        g = quadrature._log_integrand(legs, coeffs, power, leg, t0, t1)[1]
+    for a, want in zip(got, (leg, t0, t1, g)):
+        assert a.shape == want.shape and a.dtype == want.dtype
+        assert a.tobytes() == want.tobytes()
+    # the tables are shared by every call, so none of them can be written
+    assert not any(a.flags.writeable for a in got[:3])
+
+
 def test_path_connectivity_helper():
     good = [RayLeg(0.5, 2.0, 1.0), ArcLeg(1.0, 0.5, -0.5), RayLeg(-0.5, 1.0, 2.0)]
     assert path_is_connected(good)
