@@ -300,9 +300,7 @@ def _eval_panels(t0, t1, g):
     The error estimate is the QUADPACK rescaling of |K15 - G7|, which
     credits the Kronrod value with its actual convergence rate instead of
     the pessimistic raw difference.  The third array, resasc + |K15|,
-    bounds each panel's integral of |f dk/dt| from above.  The variation
-    of g that sizes a split is left to ``_bisect``, which forms it only
-    where another round follows.
+    bounds each panel's integral of |f dk/dt| from above.
     """
     hw = 0.5 * (t1 - t0)
     f = np.exp(g)
@@ -430,7 +428,8 @@ def _bisect(legs, coeffs, power, tol, max_nodes, leg, t0, t1, g):
             # of a sum that cancels, 50 eps times the integral of |f dk/dt|
             return QuadResult(total, max(err_tot, _ROUNDING * float(sizes.sum())), nodes, stop)
         prev_err = err_tot
-        # the panels just evaluated, g in hand, get their variation
+        # another round follows, so the panels just evaluated need the
+        # variation of g that sizes their split
         var[child] = np.abs(g[:, 1:] - g[:, :-1]).sum(axis=1)
 
         # err_tot > goal puts the largest error above goal / n, so at

@@ -257,11 +257,11 @@ _FIRST_ROUND_PATHS = {
 def test_first_round_matches_general_path(name):
     # the first round reads its panels and nodes from constant tables;
     # (leg, t0, t1, g) must equal, bit for bit, what the general path of
-    # the later rounds gives on 12 even panels per leg from _START_EDGES
+    # the later rounds gives on the even panels of _START_EDGES on each leg
     legs, coeffs, power = _FIRST_ROUND_PATHS[name]
-    n = len(legs)
-    leg = np.arange(n).repeat(12)
-    t0, t1 = np.tile(quadrature._START_EDGES[:-1], n), np.tile(quadrature._START_EDGES[1:], n)
+    n, edges = len(legs), quadrature._START_EDGES
+    leg = np.arange(n).repeat(len(edges) - 1)
+    t0, t1 = np.tile(edges[:-1], n), np.tile(edges[1:], n)
     with np.errstate(all="ignore"):
         got = quadrature._first_round(legs, coeffs, power)
         g = quadrature._log_integrand(legs, coeffs, power, leg, t0, t1)[1]
