@@ -251,12 +251,13 @@ def _nodes(t0, t1):
 
 _START_PANELS = 12  # even panels per leg in the first round
 _START_EDGES = np.linspace(0.0, 1.0, _START_PANELS + 1)
-# the first round of the longest path, 4 legs (the time integral's chord
-# family), as read-only constants: (leg, t0, t1) of its panels in path
-# order, and the 180 nodes that each leg maps, in ascending t
+_MAX_LEGS = 4  # the longest path, the time integral's chord family
+# the first round of the longest path as read-only constants: (leg, t0,
+# t1) of its panels in path order, and the 180 nodes that each leg maps,
+# in ascending t
 _START_LEG, _START_T0, _START_T1, _START_T = (
-    np.arange(4).repeat(_START_PANELS), np.tile(_START_EDGES[:-1], 4),
-    np.tile(_START_EDGES[1:], 4), _nodes(_START_EDGES[:-1], _START_EDGES[1:]).ravel())
+    np.arange(_MAX_LEGS).repeat(_START_PANELS), np.tile(_START_EDGES[:-1], _MAX_LEGS),
+    np.tile(_START_EDGES[1:], _MAX_LEGS), _nodes(_START_EDGES[:-1], _START_EDGES[1:]).ravel())
 for _a in (_START_LEG, _START_T0, _START_T1, _START_T):
     _a.flags.writeable = False
 _MAX_CHILDREN = 8  # of a panel split in one round
@@ -326,14 +327,17 @@ def _first_round(legs, coeffs, power):
 
     Each leg maps the constant node table ``_START_T`` straight to k and
     l, and one call of ``exponent`` covers all legs; (leg, t0, t1) are
-    read-only slices of the constant tables, so a path has at most 4
-    legs.  Run it with numpy's floating-point warnings off.
+    read-only slices of the constant tables, so a path has 1 to
+    ``_MAX_LEGS`` (4) legs, and any other count raises ValueError.  Run
+    it with numpy's floating-point warnings off.
 
     On a ``DecayLeg``, a finite f dk/dt at the inner end must sit at least
     4.6 e-folds below the leg maximum over these nodes, or
     DegenerateGeometry is raised; the node next to the inner end stands
     for it.
     """
+    if not 1 <= len(legs) <= _MAX_LEGS:
+        raise ValueError(f"a path has 1 to {_MAX_LEGS} legs, not {len(legs)}")
     n = len(legs) * _START_PANELS
     k, ell = (np.concatenate(part).reshape(n, 15)
               for part in zip(*(lg.map(_START_T, power) for lg in legs)))
@@ -358,7 +362,9 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
 
     Parameters
     ----------
-    legs : sequence of leg objects
+    legs : sequence of 1 to 4 leg objects, as many as the first round's
+        constant tables hold (the longest path built is 4 legs); another
+        count raises ValueError
     coeffs : (a, b, c), the exponent E(k) = i(a k + b/k + c k^3/12)
     power : real p; k^{-p} takes the branch of each leg's map
     tol : relative tolerance; the target is that the GK15 estimate

@@ -57,8 +57,15 @@ def r_inner(leg):
 
 
 def float_kernels():
-    """numpy's minor version and the SIMD targets of its float64 exp and log,
-    the two transcendentals of the quadrature's integrand."""
+    """numpy's minor version and the SIMD targets of its float64 exp and log.
+
+    The targets name the loop set that numpy dispatches to (X86_V4, X86_V3
+    or baseline), and the pinned bits follow more of its loops than these
+    two: exp and log round differently under X86_V4 and X86_V3, and under
+    the baseline loops complex multiply and complex absolute value do too
+    (``z * z0``, ``np.abs(z)`` and ``checks.ode_worst`` on
+    ``shifted_grid(60, 20240901)``, while ``airy_batch``'s Ai, Ai' and
+    ``est_rel_err`` keep their bytes under all three)."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:  # numpy < 2.0

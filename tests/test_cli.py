@@ -128,7 +128,9 @@ def test_eval_product_rotations(capsys):
 
 # SHA-256 of the stdout of each verify run below and of each README command
 # line, and of the table files those write.  The contour-route and
-# Green's-function digits follow numpy's float64 exp and log loops, so
+# Green's-function digits follow numpy's float64 exp and log loops, and
+# under the baseline loops the ODE residuals follow its complex multiply
+# and absolute value too (hence the baseline ``verify ode`` digests), so
 # one set is recorded per ``float_kernels()`` key; under the X86_V3 loops
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") and the baseline
 # loops (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3") the
@@ -206,7 +208,7 @@ def _digests_match(outputs):
     is recorded for this host's numpy loops."""
     digests = _DIGESTS.get(float_kernels())
     if digests is None:
-        pytest.skip(f"no digests recorded for numpy exp and log loops {float_kernels()}")
+        pytest.skip(f"no digests recorded for numpy loops {float_kernels()}")
     for name, data in outputs:
         assert hashlib.sha256(data).hexdigest() == digests[name], name
 

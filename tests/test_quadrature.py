@@ -272,6 +272,18 @@ def test_first_round_matches_general_path(name):
     assert not any(a.flags.writeable for a in got[:3])
 
 
+@pytest.mark.parametrize("count", [0, 5])
+def test_leg_count_outside_first_round_tables(count):
+    # the first round's constant tables hold 1 to 4 legs; another count is
+    # a ValueError that names the limit, from integrate_legs and from
+    # check_reach, which reads the same round
+    legs = [RayLeg(0.0, float(j), float(j + 1)) for j in range(count)]
+    with pytest.raises(ValueError, match=f"1 to 4 legs, not {count}"):
+        integrate_legs(legs, _ZERO, 0.0, 1e-12, 50_000)
+    with pytest.raises(ValueError, match=f"1 to 4 legs, not {count}"):
+        quadrature.check_reach(2.0, 1.0, legs, _ZERO, 0.0)
+
+
 def test_path_connectivity_helper():
     good = [RayLeg(0.5, 2.0, 1.0), ArcLeg(1.0, 0.5, -0.5), RayLeg(-0.5, 1.0, 2.0)]
     assert path_is_connected(good)
@@ -370,10 +382,11 @@ def test_panel_schedule_pinned(monkeypatch):
 # so that no change moves a contour-route bit, and with it a CLI byte,
 # unnoticed.  Rows: the five kinds in ContourKind order at an inner-sector
 # and at an outer-sector point, then the _GREENS_CONFIGS time integrals.
-# The last bits of exp and log differ between numpy's SIMD targets, so
-# one row set is recorded per set of numpy's float64 exp and log loops
-# (``_BITS``, keyed by ``float_kernels()``), and the pins hold where
-# numpy runs one of them.
+# The last bits of exp and log differ between numpy's X86_V4 and X86_V3
+# loops, and the baseline loops also round complex multiply and absolute
+# value differently, so one row set is recorded per loop set (``_BITS``,
+# keyed by ``float_kernels()``), and the pins hold where numpy runs one
+# of them.
 _BITS_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
 _CONTOUR_BITS = [
     ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c86p-2", "0x1.646cdf8ebcf32p-43"),
@@ -449,7 +462,7 @@ _BITS = {
 
 
 @pytest.mark.skipif(float_kernels() not in _BITS,
-                    reason=f"no bits recorded for numpy exp and log loops {float_kernels()}")
+                    reason=f"no bits recorded for numpy loops {float_kernels()}")
 def test_contour_route_bits_pinned():
     contour_bits, greens_bits = _BITS[float_kernels()]
     got = []
@@ -466,7 +479,7 @@ def test_contour_route_bits_pinned():
 # SHA-256 of repr((legs, coeffs, power)) over every time-integral path built
 # for criterion 6's samples and the seed-7 float64-edge configurations, in
 # that order, recorded once.  Every radius comes from ``math``, so the
-# digest does not depend on numpy's exp and log loops (it is the same
+# digest does not depend on numpy's SIMD loops (it is the same
 # under X86_V4, X86_V3 and the baseline loops); only another numpy minor
 # version may print a leg differently.
 _TIME_PATHS_DIGEST = "545c21af9c9b5aae02b68882cf5a7cbe70bce3aff9f3ef4c66bb30367f030763"
