@@ -59,8 +59,8 @@ which the time integral of ``greens`` shares:
 * an endpoint leg spans ``decay_span`` from 4 lambda r_arc in to |z0|^2,
   where the essential factor has fallen to e^{-lambda}, clipped at
   2 lambda + 4;
-* no round of panel splits starts once an integral has taken 600 000
-  nodes.
+* no round of panel splits starts once an integral has taken 400 000
+  nodes: one ceiling for both integrals, ``_MAX_NODES`` in ``quadrature``.
 """
 
 from __future__ import annotations
@@ -96,10 +96,8 @@ VALLEY_SECTORS = ((0.0, _PI / 3.0), (-2.0 * _PI / 3.0, -_PI / 3.0), (-4.0 * _PI 
 _ZERO_SHIFT = 1e-300
 _BOUNDARY_TOL = 1e-12
 
-# contour numerics: no round of panel splits starts once an integral has
-# taken 600 000 nodes (the round that reaches them may pass that count), and no
-# contour reaches beyond radius 80; the cut depth is quadrature's
-_MAX_NODES = 600_000
+# no contour reaches beyond radius 80; the cut depth and the node ceiling
+# are quadrature's
 _TRUNCATION_CEILING = 80.0
 
 
@@ -367,4 +365,4 @@ def laplace_integral(path: ContourPath, tol: float = 1e-10) -> QuadResult:
     """
     if not (1e-14 <= tol <= 1e-4):
         raise ValueError("laplace_integral: tol must lie in [1e-14, 1e-4]")
-    return integrate_legs(path.segments, path.coeffs, 0.5, tol, _MAX_NODES)
+    return integrate_legs(path.segments, path.coeffs, 0.5, tol)

@@ -300,7 +300,7 @@ def _time_integral(p: GreensParams, tol: float):
     the prefactor."""
     if not (1e-10 <= tol <= 1e-4):
         raise ValueError("greens_time_integral: tol must be in [1e-10, 1e-4]")
-    return integrate_legs(*_time_path(p), tol, 400_000)
+    return integrate_legs(*_time_path(p), tol)
 
 
 def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:

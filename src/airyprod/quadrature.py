@@ -40,7 +40,10 @@ nodes are also where the exponent is checked, before any exponential:
 e^{E} must stay inside float64, and every decay leg's integrand must
 decay toward its inner end.
 The panels of all legs are held as arrays in path order, and each round
-makes one call of ``exponent`` over all their nodes.  The reported
+makes one call of ``exponent`` over all their nodes.  One node ceiling
+serves both integrals: no round starts once an integral has taken
+``_MAX_NODES`` (400 000) nodes, and the round that reaches them runs to
+its end, to below 9 times the ceiling.  The reported
 error estimate is at least QUADPACK's rounding floor, 50 eps times the
 integral of |f dk/dt|; the stop rule reads the GK15 estimate alone.
 
@@ -210,9 +213,10 @@ class QuadResult:
     floor 50 eps times the integral of |f dk/dt|, so where the integral
     cancels it can sit above the target that the GK15 estimate met.
     ``stop`` is one of ``"converged"`` (the target was met),
-    ``"node_ceiling"`` (the node count had reached ``max_nodes`` before the
-    target was met; the ceiling is checked between rounds, so the last
-    round may take the count past it, to below 9 * max_nodes),
+    ``"node_ceiling"`` (the node count had reached the ceiling
+    ``_MAX_NODES`` (400 000) before the target was met; the ceiling is
+    checked between rounds, so the last round may take the count past it,
+    to below 9 times the ceiling),
     ``"plateau"`` (splitting panels stopped reducing the error estimate:
     the float64 floor of the path) or ``"non_finite"`` (a panel value or
     error is not finite, or e^{E} is not finite on a node of the first
@@ -261,6 +265,7 @@ _START_LEG, _START_T0, _START_T1, _START_T = (
 for _a in (_START_LEG, _START_T0, _START_T1, _START_T):
     _a.flags.writeable = False
 _MAX_CHILDREN = 8  # of a panel split in one round
+_MAX_NODES = 400_000  # no round starts past this count (see integrate_legs)
 _MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^{E} is finite up to Re E ~ 709.78
 _DECAY_DROP = math.log(1e-2)  # the inner end of a decay leg sits this far below its top
 _LOG_TINY = math.log(1e-280)
@@ -277,7 +282,7 @@ def _split(count, t0, t1):
 
 
 def _log_integrand(legs, coeffs, power, leg, t0, t1):
-    """E and g = E + l, the log of f dk/dt, at the GK15 nodes of the
+    """g = E + l, the log of f dk/dt, at the GK15 nodes of the
     [t0, t1] panels, one row per panel; ``leg`` holds each panel's leg
     index in ascending order.
 
@@ -290,8 +295,7 @@ def _log_integrand(legs, coeffs, power, leg, t0, t1):
     maps = [legs[j].map(ts[lo:hi].ravel(), power)
             for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])) if hi > lo]
     k, ell = (np.concatenate(part).reshape(ts.shape) for part in zip(*maps))
-    ex = exponent(coeffs, k)
-    return ex, ex + ell
+    return exponent(coeffs, k) + ell
 
 
 def _eval_panels(t0, t1, g):
@@ -357,7 +361,7 @@ def _first_round(legs, coeffs, power):
     return _START_LEG[:n], _START_T0[:n], _START_T1[:n], g
 
 
-def integrate_legs(legs, coeffs, power, tol, max_nodes):
+def integrate_legs(legs, coeffs, power, tol):
     """Adaptively integrate e^{E(k)} k^{-p} dk over a chain of legs.
 
     Parameters
@@ -370,11 +374,13 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
     tol : relative tolerance; the target is that the GK15 estimate
         meets tol * max(1, |value|); the reported ``abs_err_est`` adds
         the rounding floor of ``QuadResult`` and may sit above it
-    max_nodes : no round starts once the integrand has been evaluated on
-        this many nodes; the round that reaches the ceiling runs to its
-        end.  A round gives each live panel at most ``_MAX_CHILDREN`` (8)
-        children, so it adds fewer than 8 * max_nodes nodes (about 100
-        bytes each while it runs), and ``nodes`` stays below 9 * max_nodes
+
+    No round starts once the integrand has been evaluated on
+    ``_MAX_NODES`` (400 000) nodes, the one ceiling of both integrals; the
+    round that reaches it runs to its end.  A round gives each live panel
+    at most ``_MAX_CHILDREN`` (8) children, so it adds fewer than 8 times
+    the ceiling in nodes (about 100 bytes each while it runs), and
+    ``nodes`` stays below 9 times the ceiling.
 
     Returns
     -------
@@ -396,14 +402,14 @@ def integrate_legs(legs, coeffs, power, tol, max_nodes):
     with np.errstate(all="ignore"):
         start = _first_round(legs, coeffs, power)
         res = (QuadResult(complex(math.nan, math.nan), math.inf, 0, "non_finite") if start is None
-               else _bisect(legs, coeffs, power, tol, max_nodes, *start))
+               else _bisect(legs, coeffs, power, tol, *start))
     if not res.converged:
         raise ToleranceNotMet(f"error {res.abs_err_est:.3g} above target after {res.nodes} "
                               f"nodes (stop: {res.stop})", result=res)
     return res
 
 
-def _bisect(legs, coeffs, power, tol, max_nodes, leg, t0, t1, g):
+def _bisect(legs, coeffs, power, tol, leg, t0, t1, g):
     """The adaptive loop of ``integrate_legs`` from the first round's
     panels and their g, as a QuadResult of any ``stop``.
 
@@ -427,7 +433,7 @@ def _bisect(legs, coeffs, power, tol, max_nodes, leg, t0, t1, g):
         # rounding plateau: splitting no longer reduces the estimate,
         # the remaining error is the float64 floor of this path geometry
         stall = stall + 1 if err_tot > 0.7 * prev_err else 0
-        stop = ("converged" if err_tot <= goal else "node_ceiling" if nodes >= max_nodes
+        stop = ("converged" if err_tot <= goal else "node_ceiling" if nodes >= _MAX_NODES
                 else "plateau" if stall >= 4 else None)
         if stop:
             # the reported estimate is at least QUADPACK's rounding floor
@@ -448,7 +454,7 @@ def _bisect(legs, coeffs, power, tol, max_nodes, leg, t0, t1, g):
         child = split.repeat(count).nonzero()[0]
         t0, t1 = _split(count, t0, t1)
         leg, vals, errs, sizes, var = (a.repeat(count) for a in (leg, vals, errs, sizes, var))
-        g = _log_integrand(legs, coeffs, power, leg[child], t0[child], t1[child])[1]
+        g = _log_integrand(legs, coeffs, power, leg[child], t0[child], t1[child])
         vals[child], errs[child], sizes[child] = _eval_panels(t0[child], t1[child], g)
         nodes += g.size
 

@@ -298,6 +298,18 @@ def test_tolerance_not_met_carries_result():
     assert "(stop: plateau)" in str(exc.value)
 
 
+def test_contour_integrals_share_the_node_ceiling():
+    # near the geometry edge this integral cancels: its estimate stays two
+    # orders above its value, ~1e157, until the node ceiling of 400 000,
+    # the time integral's too, stops it; the last round gives each panel
+    # up to 8 children and may pass the ceiling
+    path = build_contour(ContourKind.L_MINUS, ShiftedArgs.make(-230, 5))
+    with pytest.raises(ToleranceNotMet) as exc:
+        laplace_integral(path, 1e-8)
+    assert exc.value.result.stop == "node_ceiling"
+    assert 400_000 <= exc.value.result.nodes < 9 * 400_000
+
+
 def test_endpoint_singularity_detected():
     # hand-built path whose inner ray points into the growth region of
     # the essential factor (anti-steepest direction)
