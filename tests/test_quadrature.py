@@ -284,6 +284,51 @@ def test_first_round_matches_general_path(name):
     assert not any(a.flags.writeable for a in got[:3])
 
 
+def _plant(monkeypatch, row, node, value):
+    """Wrap ``quadrature.exponent`` so that its first call, the first
+    round's, returns ``value`` at one node: (row, node) of its panels."""
+    real = quadrature.exponent
+    calls = []
+
+    def exponent(coeffs, k):
+        ex = real(coeffs, k)
+        if not calls:
+            ex = ex.copy()
+            ex[row, node] = value(ex[row, node])
+        calls.append(k.shape)
+        return ex
+
+    monkeypatch.setattr(quadrature, "exponent", exponent)
+    return calls
+
+
+@pytest.mark.parametrize("row, node, value", [
+    (17, 4, lambda e: complex(e.real, math.nan)),   # NaN in Im E only
+    (17, 4, lambda e: complex(math.nan, e.imag)),   # NaN in Re E only
+    (-3, 9, lambda e: complex(710.0, e.imag)),      # Re E = 710 on the last leg
+])
+def test_first_round_stops_on_one_planted_value(monkeypatch, row, node, value):
+    # one value of E on one node of the first round that e^{E} cannot
+    # hold stops the integral as non_finite before any exponential
+    legs, coeffs, power = _FIRST_ROUND_PATHS["contour-R+"]
+    calls = _plant(monkeypatch, row, node, value)
+    res = _miss(legs, coeffs, power, 1e-8)
+    assert (res.stop, res.nodes, res.abs_err_est) == ("non_finite", 0, math.inf)
+    assert calls == [(36, 15)]
+
+
+@pytest.mark.parametrize("outward", [True, False])
+def test_first_round_nan_in_decay_row_is_not_degenerate(monkeypatch, outward):
+    # the leg of test_non_decaying_decay_leg_raises, which raises
+    # DegenerateGeometry; a NaN in Re E on one of its middle nodes makes
+    # every comparison of the decay check false, and the integral stops
+    # as non_finite instead
+    leg = DecayLeg(0.0, 1.0, 6.0, outward=outward)
+    _plant(monkeypatch, 5, 7, lambda e: complex(math.nan, e.imag))
+    res = _miss([leg], (0.0, -1j, 0.0), 0.5, 1e-8)
+    assert (res.stop, res.nodes) == ("non_finite", 0)
+
+
 @pytest.mark.parametrize("count", [0, 5])
 def test_leg_count_outside_first_round_tables(count):
     # the first round's constant tables hold 1 to 4 legs; another count is
