@@ -115,6 +115,8 @@ _XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1::2] = np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
+# the weights as complex, so a complex product need not cast them
+_WGK_C, _WG_C = _WGK.astype(complex), _WG.astype(complex)
 
 
 def _log(x: float) -> float:
@@ -242,9 +244,11 @@ def exponent(coeffs, k):
     With b = 0 the b/k term is left out, so a path may start at k = 0.
     """
     a, b, c = coeffs
+    # c = 1 on every contour path, where 1 * k would repeat k's bits
+    cubic = k * k * k if c == 1.0 else c * k * k * k
     if b == 0.0:
-        return 1j * (a * k + c * k * k * k / 12.0)
-    return 1j * (a * k + b / k + c * k * k * k / 12.0)
+        return 1j * (a * k + cubic / 12.0)
+    return 1j * (a * k + b / k + cubic / 12.0)
 
 
 def _nodes(t0, t1):
@@ -309,10 +313,10 @@ def _eval_panels(t0, t1, g):
     """
     hw = 0.5 * (t1 - t0)
     f = np.exp(g)
-    resk = (f * _WGK).sum(axis=1)
+    resk = (f * _WGK_C).sum(axis=1)
     kron = resk * hw
     size = np.abs(kron)
-    raw = np.abs(resk - (f * _WG).sum(axis=1))
+    raw = np.abs(resk - (f * _WG_C).sum(axis=1))
     resasc = (np.abs(f - 0.5 * resk[:, None]) * _WGK).sum(axis=1)
     # both sums without the factor hw; fmin reads the quotient 0/0 as 1,
     # so a panel whose f is constant (resasc 0) keeps only the rounding
@@ -355,8 +359,10 @@ def _first_round(legs, coeffs, power):
             if _MAX_EXPONENT >= inner > max(row.max(), _LOG_TINY) + _DECAY_DROP:
                 raise DegenerateGeometry("integrand does not decay toward the inner "
                                          f"end of the leg at angle {lg.theta:.6f}")
-    # the maximum is NaN if any Re E is
-    if not ex.real.max() <= _MAX_EXPONENT or np.isnan(ex.imag).any():
+    # the complex maximum has the largest Re E, and is NaN if any Re E or
+    # Im E is
+    top = complex(ex.max())
+    if not top.real <= _MAX_EXPONENT or cmath.isnan(top):
         return None
     return _START_LEG[:n], _START_T0[:n], _START_T1[:n], g
 
@@ -505,7 +511,7 @@ def tail_radius(a: float, b: float, c: float, lam: float, cap: float) -> float:
     decaying linear term (c > 0); this keeps the solved cubic finite.
     """
     # the left side stays below lam short of the root and above it beyond
-    if (a * cap + b) * cap * cap + min(c, 0.0) * cap < lam:
+    if (a * cap + b) * cap * cap + (0.0 if c > 0.0 else c) * cap < lam:
         raise DegenerateGeometry(f"path tail would reach past radius {cap:g}")
     x = _largest_root(a, b, c, lam)
     # x = y - s cancels once the shift s = b/(3a) is above x (and y leaves
