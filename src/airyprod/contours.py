@@ -226,7 +226,9 @@ _TAIL_CANDIDATES = tuple(_tail_candidates(v) for v in VALLEY_SECTORS)
 # the cubic decay rate sin(3 theta) at the j-th candidate is the same in
 # every valley, and so is the truncation radius it implies
 _TAIL_DECAYS = tuple(math.sin(3.0 * th) for th, _, _ in _TAIL_CANDIDATES[0])
-_ARC_SWEEP = np.linspace(0.0, 1.0, 65)
+# complex, as are the candidate radii, so that no product of the sweep
+# casts an operand
+_ARC_SWEEP = np.linspace(0.0, 1.0, 65).astype(complex)
 
 
 def _tails(beta: complex):
@@ -235,7 +237,8 @@ def _tails(beta: complex):
     Without the z0 term, Re E along k = r e^{i theta} is -A r - B r^3 with
     A = |beta| sin(theta + arg beta) and B = sin(3 theta)/12 > 0 inside
     a valley, so the crest of the outgoing ray lies at 0 when A >= 0 and
-    at r* = sqrt(-A/3B), clipped to [0.2, R(theta)], otherwise.  Of seven
+    at r* = sqrt(-A/3B), raised to 0.2, otherwise; r* < R(theta), since
+    R^3 d/12 = lambda + |beta| R gives R^2 > 12|beta|/d >= 3 r*^2.  Of seven
     interior angles per valley the lowest crest + 0.02 R(theta) wins: the
     truncation radius comes from each angle's own cubic decay rate, so
     slow near-edge angles pay their real price.
@@ -251,7 +254,8 @@ def _tails(beta: complex):
             a = re * sin_th + im * cos_th
             score = 0.02 * r_tr
             if a < 0.0:  # the crest lies off the start of the ray
-                r = max(0.2, min(r_tr, math.sqrt(-4.0 * a / d)))
+                r = math.sqrt(-4.0 * a / d)
+                r = r if r > 0.2 else 0.2
                 score += -r * (a + d * r * r / 12.0)
             if score < best:
                 best, tail = score, (th, r_tr)
@@ -267,7 +271,8 @@ def _pick_arc_radius(coeffs, th_a, th_b, candidates):
     panelized rays, which adaptive bisection resolves slowly.
     """
     phases = np.exp(_ARC_SWEEP * (1j * (th_b - th_a)) + 1j * th_a)
-    crests = exponent(coeffs, np.multiply.outer(candidates, phases)).real.max(axis=1).tolist()
+    points = np.multiply.outer(np.array(candidates, complex), phases)
+    crests = exponent(coeffs, points).real.max(axis=1).tolist()
     lowest = min(crests)
     return max(r for r, m in zip(candidates, crests) if m <= lowest + 1.0)
 
@@ -277,7 +282,7 @@ def _ends(kind) -> tuple:
     if isinstance(kind, ContourKind):
         return _ENDS[kind]
     if (isinstance(kind, tuple) and len(kind) == 2 and kind[0] != kind[1]
-            and all(e in _END_NAMES for e in kind)):
+            and kind[0] in _END_NAMES and kind[1] in _END_NAMES):
         return kind
     raise ValueError(f"unknown contour kind: {kind!r}")
 
@@ -304,15 +309,14 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     a = _effective_shift_angle(args)
     coeffs = (args.z + 0.5 * args.z0, -args.z0 * args.z0 / 4.0, 1.0)
     tails = _tails(coeffs[0])
-    r_trunc = max(r for _, r in tails)
+    r_trunc = max(tails[0][1], tails[1][1], tails[2][1])
 
     # an end is (angle, radius): a valley's tail ray out to its truncation
     # radius, or radius 0 for k = 0 reached along the steepest descent ray
-    # of the essential factor, on either side of the cut
+    # of the essential factor, on either side of the cut; in _END_NAMES order
     theta_up = 2.0 * a + _PI / 2.0
-    ends = dict(zip(("V1", "V2", "V3"), tails), up=(theta_up, 0.0),
-                low=(theta_up - 2.0 * _PI, 0.0))
-    (th_a, r_a), (th_b, r_b) = ends[start], ends[end]
+    ends = (*tails, (theta_up, 0.0), (theta_up - 2.0 * _PI, 0.0))
+    (th_a, r_a), (th_b, r_b) = ends[_END_NAMES.index(start)], ends[_END_NAMES.index(end)]
     valley = r_a > 0.0 or r_b > 0.0
     origin = r_a == 0.0 or r_b == 0.0
 
@@ -328,7 +332,7 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     # essential/linear balance radius, and large radii only stretch its
     # endpoint leg
     cand = [c for c in cand if not (valley and c < 0.05 or origin and c > 3.0)]
-    r_arc = _pick_arc_radius(coeffs, th_a, th_b, cand)
+    r_arc = cand[0] if len(cand) == 1 else _pick_arc_radius(coeffs, th_a, th_b, cand)
 
     # run an endpoint leg until the essential factor falls below
     # e^{-lambda} along the steepest ray (|z0^2/(4k)| >= lambda); the
