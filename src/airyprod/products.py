@@ -230,8 +230,9 @@ def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
         raise ValueError(f"products support the DIRECT and CONTOUR routes, not {route}")
     args = ShiftedArgs.make(z, z0)
     pref, *paths = _CONTOUR[key]
-    val, err = _signed_sum((1, _contour_value(ends, args, tol))
-                           for ends in paths[args.z0_sector is Sector.OUTER])
+    paths = paths[args.z0_sector is Sector.OUTER]
+    val, err = (_contour_value(paths[0], args, tol) if len(paths) == 1
+                else _signed_sum((1, _contour_value(ends, args, tol)) for ends in paths))
     return ProductValue(pref * val, route, abs(pref) * err)
 
 
