@@ -301,14 +301,17 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     of a cubic, and the turn radius is one of the two saddle moduli
     |sqrt(z+z0) +- sqrt(z)| or a fixed floor, whichever keeps the crest
     of Re E along the arc lowest.  Raises ValueError for any other
-    ``kind``, and DegenerateGeometry when the required truncation
+    ``kind``, DegenerateGeometry when the required truncation
     radius exceeds the ceiling of 80, which happens beyond
-    |z + z0/2| = 231.03.
+    |z + z0/2| = 231.03, and NonFiniteInput when the coefficient
+    z0^2/4 of the exponent overflows float64 (|z0| above about 1.3e154).
     """
     start, end = _ends(kind)
     a = _effective_shift_angle(args)
     coeffs = (args.z + 0.5 * args.z0, -args.z0 * args.z0 / 4.0, 1.0)
     tails = _tails(coeffs[0])
+    if not cmath.isfinite(coeffs[1]):
+        raise NonFiniteInput("build_contour: z0^2/4 overflows float64")
     r_trunc = max(tails[0][1], tails[1][1], tails[2][1])
 
     # an end is (angle, radius): a valley's tail ray out to its truncation

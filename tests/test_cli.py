@@ -397,7 +397,9 @@ def test_greens_integral_overflow_on_path_exit(capsys):
                  id="table-greens-negative-eta"),
     pytest.param(["table", "greens", "--out", "g.csv", "--eta-min", "0"],
                  id="table-greens-zero-eta"),
-    # finite inputs that overflow float64 on the way to G
+    # finite inputs that overflow float64 on the way to a value
+    pytest.param(["eval", "w+", "--z", "-5e154", "--z0", "1e155", "--route", "contour"],
+                 id="eval-overflow-shift"),
     pytest.param(["greens", "--energy", "0.5", "--field", "0,0,1e200", "--r", "1,0,0",
                   "--r-prime", "0,0,0", "--method", "integral"], id="greens-overflow-field"),
     pytest.param(["greens", "--energy", "1e308", "--field", "0,0,0.1", "--r", "1,0,0",

@@ -71,6 +71,16 @@ def test_classify_rejects_nonfinite():
         w_pm_real(+1, math.nan, 1.0)
 
 
+def test_overflowing_shift_is_non_finite():
+    # z0 = 1e155 squares past float64 while z + z0/2 = 0 keeps every tail
+    # inside its cap: each kind raises NonFiniteInput, not an untyped error
+    z0 = 1e155 + 0j
+    args = ShiftedArgs.make(-z0 / 2.0, z0)
+    for kind in ContourKind:
+        with pytest.raises(NonFiniteInput, match="overflows float64"):
+            build_contour(kind, args)
+
+
 def test_zero_sector_threshold():
     assert classify_sector(1e-305) is Sector.ZERO
     assert classify_sector(1e-295) is Sector.INNER
