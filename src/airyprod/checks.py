@@ -3,10 +3,11 @@
 Each check compares two independent routes to one quantity, or tests an
 identity the products must satisfy.  A suite is a function of plain
 arguments, ``(count, seed, tol)``: the number of cases, the seed of its
-grid and the quadrature tolerance.  It returns one
-``(label, residual, bound)`` per case, and a case passes when
-residual <= bound.  The acceptance criteria call the same checks on
-their own points, seeds and tolerances, so each is written once.
+grid and the quadrature tolerance, passed unchanged to every quadrature
+it runs.  It returns one ``(label, residual, bound)`` per case, and a
+case passes when residual <= bound.  The acceptance criteria call the
+same checks on their own points, seeds and tolerances, so each is
+written once.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def ode_worst(z, z0):
 
 
 def five_contour_relation(z, z0, tol: float):
-    """Yield per point (|I_O - (I_R- + I_L- - I_L+ - I_R+)|, ten times the
-    sum of the five error estimates, |I_O|); the caller floors the bound."""
+    """Yield per point (|I_O - (I_R- + I_L- - I_L+ - I_R+)|, its bound): ten
+    times the sum of the five error estimates, but at least
+    1e-13 max(1, |I_O|)."""
     for zz, zz0 in zip(z, z0):
         args = ShiftedArgs.make(zz, zz0)
         res = {kind: laplace_integral(build_contour(kind, args), tol) for kind in ContourKind}
@@ -47,7 +49,7 @@ def five_contour_relation(z, z0, tol: float):
         rhs = (res[ContourKind.R_MINUS].value + res[ContourKind.L_MINUS].value
                - res[ContourKind.L_PLUS].value - res[ContourKind.R_PLUS].value)
         bound = 10.0 * sum(r.abs_err_est for r in res.values())
-        yield abs(lhs - rhs), bound, abs(lhs)
+        yield abs(lhs - rhs), max(bound, 1e-13 * max(1.0, abs(lhs)))
 
 
 def zero_shift_loop(z, tol: float):
@@ -129,13 +131,12 @@ def identities(count: int, seed: int, tol: float):
 
 
 def contour_relation(count: int, seed: int, tol: float):
-    """The five-contour relation per point, bound 10 x the summed error
-    estimates but at least 1e-12 max(1, |I_O|), then five zero-shift
-    loops at |Re z|, |Im z| <= 2 drawn from ``seed + 1``, bound 1e-10."""
+    """The five-contour relation per point, within the bound of
+    ``five_contour_relation``, then five zero-shift loops at
+    |Re z|, |Im z| <= 2 drawn from ``seed + 1``, bound 1e-10."""
     z, z0 = shifted_grid(count, seed)
-    relation = five_contour_relation(z, z0, tol)
-    cases = [(f"{_at(zz, zz0)} relation", resid, max(bound, 1e-12 * max(1.0, scale)))
-             for zz, zz0, (resid, bound, scale) in zip(z, z0, relation)]
+    cases = [(f"{_at(zz, zz0)} relation", resid, bound)
+             for zz, zz0, (resid, bound) in zip(z, z0, five_contour_relation(z, z0, tol))]
     rng = np.random.default_rng(seed + 1)
     loops = rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5)
     return cases + [(f"z={zz:.6g} loop-at-zero-shift", v, 1e-10)
@@ -143,11 +144,9 @@ def contour_relation(count: int, seed: int, tol: float):
 
 
 def greens(count: int, seed: int, tol: float):
-    """Closed form against time integral on ``greens_samples``, bound
-    1e-6, with ``tol`` raised to 1e-9 at least; then one weak-field case
-    against the free wave, bound 1e-3, and one operator residual, bound
-    1e-4."""
-    tol = max(tol, 1e-9)
+    """Closed form against time integral at ``tol`` on ``greens_samples``,
+    bound 1e-6; then one weak-field case against the free wave, bound
+    1e-3, and one operator residual, bound 1e-4."""
     cases = [(f"E={p.energy_E:.4g} F={p.field_F[2]:.4g} eta={eta:.4g}",
               greens_gap(p, tol), 1e-6) for eta, p in greens_samples(count, seed)]
     p = GreensParams.make(0.5, (0.0, 0.0, 1e-4), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -156,11 +155,11 @@ def greens(count: int, seed: int, tol: float):
     return cases + [("operator-residual", operator_residual(p), 1e-4)]
 
 
-#: name: (suite, default count, the bound its summary line prints as ``tol``)
+#: name: (suite, default count)
 SUITES = {
-    "ode": (ode, 60, 1e-10),
-    "routes": (routes, 16, 1e-7),
-    "identities": (identities, 60, 1e-10),
-    "contour-relation": (contour_relation, 16, 1e-10),
-    "greens": (greens, 12, 1e-6),
+    "ode": (ode, 60),
+    "routes": (routes, 16),
+    "identities": (identities, 60),
+    "contour-relation": (contour_relation, 16),
+    "greens": (greens, 12),
 }

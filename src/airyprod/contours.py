@@ -73,8 +73,8 @@ import math
 import numpy as np
 
 from .errors import NonFiniteInput
-from .quadrature import (TAIL_LAMBDA, ArcLeg, DecayLeg, QuadResult, RayLeg, decay_span, exponent,
-                         integrate_legs, tail_radius)
+from .quadrature import (TAIL_LAMBDA, TOL_RANGE, ArcLeg, DecayLeg, QuadResult, RayLeg,
+                         decay_span, exponent, integrate_legs, tail_radius)
 
 __all__ = [
     "Sector",
@@ -354,6 +354,8 @@ def laplace_integral(path: ContourPath, tol: float = 1e-10) -> QuadResult:
     """Evaluate I_C(z; z0) along a built path by adaptive quadrature of
     the exponent ``path.coeffs`` it was built for.
 
+    ``tol`` must lie in ``quadrature.TOL_RANGE``, [1e-14, 1e-4]
+    (ValueError otherwise, NaN included), as for ``greens_time_integral``.
     On success the GK15 error estimate met tol * max(1, |value|); the
     reported abs_err_est is at least the rounding floor 50 eps times the
     integral of |f dk|, so it may sit above that target where the integral
@@ -370,6 +372,6 @@ def laplace_integral(path: ContourPath, tol: float = 1e-10) -> QuadResult:
         why); the best estimate rides on the exception's ``result``
         attribute.
     """
-    if not (1e-14 <= tol <= 1e-4):
-        raise ValueError("laplace_integral: tol must lie in [1e-14, 1e-4]")
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise ValueError("laplace_integral: tol must lie in [%.0e, %.0e]" % TOL_RANGE)
     return integrate_legs(path.segments, path.coeffs, 0.5, tol)

@@ -51,8 +51,8 @@ import numpy as np
 
 from .errors import CoincidentPoints, NonFiniteInput, ZeroField
 from .oracle import _airy_raw_batch
-from .quadrature import (TAIL_LAMBDA, ArcLeg, DecayLeg, RayLeg, SegmentLeg, _cubic_roots,
-                         check_reach, decay_span, integrate_legs, tail_radius)
+from .quadrature import (TAIL_LAMBDA, TOL_RANGE, ArcLeg, DecayLeg, RayLeg, SegmentLeg,
+                         _cubic_roots, check_reach, decay_span, integrate_legs, tail_radius)
 
 __all__ = [
     "GreensParams",
@@ -298,17 +298,21 @@ def _time_path(p: GreensParams):
 def _time_integral(p: GreensParams, tol: float):
     """The ``QuadResult`` of the time integral along ``_time_path``, before
     the prefactor."""
-    if not (1e-10 <= tol <= 1e-4):
-        raise ValueError("greens_time_integral: tol must be in [1e-10, 1e-4]")
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise ValueError("greens_time_integral: tol must lie in [%.0e, %.0e]" % TOL_RANGE)
     return integrate_legs(*_time_path(p), tol)
 
 
-def greens_time_integral(p: GreensParams, tol: float = 1e-8) -> complex:
+def greens_time_integral(p: GreensParams, tol: float = 1e-10) -> complex:
     """G(r, r') by direct quadrature of the half-line time integral.
 
     Serves as the independent numerical check on ``greens_closed``;
     valid for F = 0 as well (where it reproduces the free form).  ``tol``
-    must lie in [1e-10, 1e-4].  The path is one of five families, each
+    must lie in ``quadrature.TOL_RANGE``, [1e-14, 1e-4], as for
+    ``laplace_integral`` (ValueError otherwise, NaN included), and is
+    used as given; it bounds the GK15 estimate by tol * max(1, |I|) for
+    the integral I before the prefactor e^{-i pi/4}/(2 pi)^{3/2}, so it is
+    absolute below |I| = 1.  The path is one of five families, each
     chosen by one condition on the effective energy E' = E - F.(r+r')/2
     and the tunnelling suppression (in e-folds):
 

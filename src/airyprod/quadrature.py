@@ -47,6 +47,12 @@ its end, to below 9 times the ceiling.  The reported
 error estimate is at least QUADPACK's rounding floor, 50 eps times the
 integral of |f dk/dt|; the stop rule reads the GK15 estimate alone.
 
+Both integrals, ``contours.laplace_integral`` and
+``greens.greens_time_integral``, and the command line's ``--tol`` accept
+a tolerance in ``TOL_RANGE``, [1e-14, 1e-4], and both default to 1e-10.
+``integrate_legs`` checks none, and no caller raises a tolerance it was
+given.
+
 Both path builders, ``contours.build_contour`` and the time
 integral's ``greens._time_path``, take their tail rules from here: the
 cut depth ``TAIL_LAMBDA`` (the integrand falls to 1e-13), the tail
@@ -488,6 +494,11 @@ def _cubic_roots(p: float, q: float) -> tuple:
     lo, hi = m * math.cos(phi + 2.0 * math.pi / 3.0), m * math.cos(phi)
     return lo, -q / (lo * hi), hi
 
+
+# the tolerances both integrals and the command line's --tol accept: below
+# 1e-14 the target nears the rounding floor 50 eps, above 1e-4 the first
+# round alone would pass for converged
+TOL_RANGE = (1e-14, 1e-4)
 
 # the tail rules of both integrals' paths: a tail is cut where the
 # integrand has fallen to e^{-TAIL_LAMBDA} = 1e-13 of its O(1) scale (the

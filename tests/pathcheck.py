@@ -1,13 +1,16 @@
 """Helpers shared by the test modules: path checks for the contour and
 quadrature tests, the key of the bit and digest pins, the seed-7
-float64-edge Green's-function configurations, and small numeric helpers."""
+float64-edge Green's-function configurations, both path integrals as
+functions of their tolerance, and small numeric helpers."""
 
 import cmath
+from functools import partial
 import math
 
 import numpy as np
 
-from airyprod import GreensParams
+from airyprod import (ContourKind, GreensParams, ShiftedArgs, build_contour, greens_time_integral,
+                      laplace_integral)
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -73,6 +76,14 @@ def float_kernels():
     info = opt_func_info(func_name="^(exp|log)$", signature="float64")
     return (np.__version__.rsplit(".", 1)[0], info["exp"]["dd"]["current"],
             info["log"]["dd"]["current"])
+
+
+def path_integrals():
+    """Both path integrals as functions of tol alone: I_L- at z = 1,
+    z0 = 0, and the time integral at E = 0.5, F = 0.1 z^, r = x^, r' = 0."""
+    path = build_contour(ContourKind.L_MINUS, ShiftedArgs.make(1.0, 0.0))
+    p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
+    return [partial(laplace_integral, path), partial(greens_time_integral, p)]
 
 
 def float64_edges():

@@ -137,20 +137,20 @@ def test_eval_product_rotations(capsys):
 # outputs not listed again keep their bytes.
 _V4_DIGESTS = {
     "verify ode --count 6 --seed 3":
-        "78853d3a670d0f711091faa658d18a808db6bfcd02b74ff8ccae4019cae9c1aa",
-    "verify ode": "4d387ad1e75b14ac9b48cc6ac71cc6e6f18ea6ab3fd63c5fac0b97f641d52770",
+        "e1fa4cbd56b6f7f6e0ff95eb1362df3993442335213092ea14dd002f59684f01",
+    "verify ode": "803c64577baa94ede02b7657ac3ff161f55ba73bd7e9e150b740f2e9cd10d11f",
     "verify routes --count 6 --seed 3":
-        "cb50e05a0bc8ac686cfb272468733ba1f879ca02da300062a1abeabfa2d340ed",
-    "verify routes": "aeb861e91d8ef29d3a402fda98f86a8658a8667d9eb238d00dfc61a5aa58aa8b",
+        "180e42ab4cc8ea888e9e43e2e4a69b0b74232134d907e122794c957504889f22",
+    "verify routes": "4315225f5366d6458a8a511fa3b33ba672d50aa2ef075884d586cb59439fe4c5",
     "verify identities --count 6 --seed 3":
-        "a02a286b1f3fc67f08fd06ac5d52cad0fa20c6337b75e2c9297b1fb9b330a484",
-    "verify identities": "59404786b87a00c73436c174bd26ba6aad86a2e82faf6f97b828d80e49b73d1d",
+        "c2375669999717def051c605d296e536e6176379c332fcd36550734bbc233f2a",
+    "verify identities": "5da63c9775b01a18e63676b8ea8a41434a9959ab73b01f21bedc126b981e41fa",
     "verify contour-relation --count 6 --seed 3":
-        "bbcbbc9efb9d4b07dfc7aef83415248b276ea20f593338af02fe65ba43a4c938",
-    "verify contour-relation": "bb9a9d0a996985ce3e89dbb3f8316e33f19fed26d8b80afce02d6fc0cfbb4847",
+        "a5311b50aee14b67ed338f95d9915f3e4bea050b11fd9746a7a844e047ce51e9",
+    "verify contour-relation": "ea43377c06ffdc138dc3644f888dc4ebfe30be0e0f1f37e8fb47407b0118abc3",
     "verify greens --count 6 --seed 3":
-        "6739a8b67abbb3619500b25e348ef813e0d877bc9dbe7b0adae183895a411e38",
-    "verify greens": "4ceea197d30d3aa08b27a71dc53b2fa86afdee0e0d217e643cc364ed01b21b5b",
+        "485bb2fcb758db8d158cf5469f01855fefc2fd4de65db7736c0339988dc63045",
+    "verify greens": "8e92acfc4b23eb4e1e9b02aa9a8200538a9be016182eb891bb3ee29c3216ad2b",
     "eval u+ --z 1+0.5i --z0 0.3 --route contour":
         "4c9632a125f1b2cfa5f0710c3e3690d7b5378a072a2cca697b3f51d32ee15c64",
     "eval w+ --z 0.7-0.4i --z0 -1.1+0.3i":
@@ -158,7 +158,7 @@ _V4_DIGESTS = {
     "eval w-real+ --x 0 --x0 1":
         "a85a934b41da5a5bd3d7aa0cd411368148ca96712da4939eaf1cbe1dbf27ce91",
     "verify identities --count 100 --seed 7":
-        "b635e21af4c3c900a9b36c771238cb6066994f1251946e3080ed4430658c2d3e",
+        "f03bc0c79c8e1299be9730dcfe7e76ee13b7f1ad153665db3f8ed09fe224676b",
     "table product --out prod.csv --count-x 21 --count-x0 5":
         "178592cd87bbd9185da12b168c41ccbaf8ffbab1b8ab6688bec358983bb36465",
     "prod.csv": "0c90c3b85ccafc282fab1c2211f036b226e785865ece34bddf6cae1cefe9a54f",
@@ -172,33 +172,31 @@ _DIGESTS = {
     ("2.4", "X86_V4", "X86_V4"): _V4_DIGESTS,
     ("2.4", "X86_V3", "X86_V3"): {
         **_V4_DIGESTS,
+        "verify contour-relation --count 6 --seed 3":
+            "582236d6bab600f0c58f12cb520e29542baf2d6e6e23e6a20b8beb3b29c3d1a6",
+        "verify contour-relation":
+            "890848aba3aa1cdfb1931fd62f6a90e1a3ebde73524f84d6290109b4133479aa",
+        "verify greens": "380b36c6d5da128d3093bfbae373ad928b8943ecef49df19acc2762a0407f1c8",
         "eval w-real+ --x 0 --x0 1":
             "5e6a9c1cfdde2349395c7b0632f3872f70d95932611751b750addb67a52ac039",
-        "verify contour-relation":
-            "827196cdaca8d00fe810df488c6a2ef3dbbd8369a0bd6897516604d4937013b1",
-        "verify contour-relation --count 6 --seed 3":
-            "1a3a47158c4180c9adbd3f42dbd887d668eb01a870773500a55b45d5bc508ea7",
-        "verify greens": "bd55e134b7a9c426535e0fceb439a88484bd651f1a3dea2540eb02fdc0d9697a",
     },
     ("2.4", "baseline(X86_V2)", "baseline(X86_V2)"): {
         **_V4_DIGESTS,
+        "verify ode --count 6 --seed 3":
+            "c982f07cd3cf5a7036ae69730935382e9856e892648ffbc23623dc93a2ddac48",
+        "verify ode": "4ec7257e6894c6251c7d8275149f05b17c157bc2ab04b0278b0220bf582d0151",
+        "verify routes --count 6 --seed 3":
+            "fb34dc4f952d178a66937419f7b43fb41071c6426af887ecb19867433016d727",
+        "verify routes": "a49eed661b7e9c0a0e40e5f7d1e398788c794f68d539ef50ee4d38ee87ed2b24",
+        "verify contour-relation --count 6 --seed 3":
+            "087a20b8b67dd2d64d9494695fd592d1fde8cfb5b4525bea9401487d4d3b6b8f",
+        "verify contour-relation":
+            "41c9bcdf455c7abe7d6a171cac863751bc0d1d279196cf3646e3b50a83c50caf",
+        "verify greens": "a98817da1472cf76a848cd7c98f42188175497ebacc3243806223a855b900cc3",
         "eval u+ --z 1+0.5i --z0 0.3 --route contour":
             "ed8c3333b8954dc4f60099c515782f9d0d39091f22512cc4d602f5f32abe90e2",
         "eval w-real+ --x 0 --x0 1":
             "5e6a9c1cfdde2349395c7b0632f3872f70d95932611751b750addb67a52ac039",
-        "verify contour-relation":
-            "9c31f68c28dc3f4c89fa9df936c765734341ef0bcfb00a30b168c4183823e478",
-        "verify contour-relation --count 6 --seed 3":
-            "807b5961cca53efb48b1dbd79239f81cbaee4e2bf301b966dc33f3c10d38df2f",
-        "verify greens --count 6 --seed 3":
-            "af282df58fb7d37681c64fae1e2dfe239d96f00cefe9556fc583fc7582dabc97",
-        "verify greens": "5d3b978bba1b82f4f09e5dd7383b9da0de0b25e7a4e7f8c57742002594fa210b",
-        "verify ode --count 6 --seed 3":
-            "68479de0a1e966b8998bcb5d715080387d96c9a16f3d213dcb739920b25d74df",
-        "verify ode": "0384bbeca919f06e66eb423af5954182aae0f71b1a3bd3d7f60ae54e6d3f3ecb",
-        "verify routes --count 6 --seed 3":
-            "14853882ad29d18420094bdc43f5f265e40a3b107d9202ca1fad1cc539ac2e39",
-        "verify routes": "ad07a7e933f385752356e3cb0326d70f54d713ad0b51c675deb24548504c6f6a",
     },
 }
 
@@ -326,14 +324,25 @@ def test_greens_point_and_zero_field_routing(capsys):
 
 
 def test_greens_integral_method(capsys):
-    # the time integral runs at --tol raised to 1e-9 at least
-    rc, out = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
-                            "--r", "1,0,0", "--r-prime", "0,0,0", "--method", "integral"])
+    # the time integral runs at --tol as given, over the whole accepted range
+    p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
+    for tol in ("1e-14", "1e-10", "1e-4"):
+        rc, out = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1,0,0",
+                                "--r-prime", "0,0,0", "--method", "integral", "--tol", tol])
+        assert rc == 0
+        rec = _fields(out.strip())
+        g = greens_time_integral(p, float(tol))
+        assert rec["method"] == "integral"
+        assert (rec["re"], rec["im"]) == (format(g.real, ".17g"), format(g.imag, ".17g")), tol
+
+
+def test_verify_greens_at_tightest_tol(capsys):
+    # verify passes --tol to the time integral unchanged, and at the
+    # tightest accepted tolerance every case still meets its bound
+    rc, out = _run(capsys, ["verify", "greens", "--count", "3", "--tol", "1e-14"])
     assert rc == 0
-    rec = _fields(out.strip())
-    g = greens_time_integral(GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0)), 1e-9)
-    assert rec["method"] == "integral"
-    assert (rec["re"], rec["im"]) == (format(g.real, ".17g"), format(g.imag, ".17g"))
+    summary = _fields(out.strip().splitlines()[-1])
+    assert (summary["failures"], summary["status"]) == ("0", "PASS")
 
 
 def test_greens_integral_zero_field_tiny_energy(capsys):
@@ -451,12 +460,13 @@ def test_verify_failure_exit(monkeypatch, capsys):
     def suite(count, seed, tol):
         return [("passing", 0.0, 0.5), ("failing", 1.0, 0.5)]
 
-    monkeypatch.setitem(checks.SUITES, "ode", (suite, 2, 0.5))
+    monkeypatch.setitem(checks.SUITES, "ode", (suite, 2))
     rc, out = _run(capsys, ["verify", "ode"])
     assert rc == 1
     records = [_fields(line) for line in out.splitlines()]
     assert [r["status"] for r in records] == ["pass", "FAIL", "FAIL"]
     assert records[-1]["failures"] == "1"
+    assert records[-1]["max_ratio"] == "2"
 
 
 def _readme_commands():

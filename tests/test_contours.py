@@ -33,7 +33,7 @@ from airyprod.contours import (
 )
 from airyprod.grids import shifted_grid
 from airyprod.quadrature import TAIL_LAMBDA, DecayLeg, RayLeg, _cubic_roots, tail_radius
-from pathcheck import path_is_connected, r_inner
+from pathcheck import path_integrals, path_is_connected, r_inner
 
 PI = math.pi
 
@@ -221,7 +221,7 @@ def test_frozen_zero_arg_value():
 
 
 def test_linear_relation_reference_point():
-    [(resid, bound, _)] = checks.five_contour_relation([1 + 0.3j], [0.7], 1e-11)
+    [(resid, bound)] = checks.five_contour_relation([1 + 0.3j], [0.7], 1e-11)
     assert resid <= bound
 
 
@@ -232,8 +232,8 @@ def test_linear_relation_reference_point():
     (-1.5, 0.0),            # zero
 ])
 def test_linear_relation_by_sector(z, z0):
-    [(resid, bound, _)] = checks.five_contour_relation([z], [z0], 1e-11)
-    assert resid <= max(bound, 1e-12)
+    [(resid, bound)] = checks.five_contour_relation([z], [z0], 1e-11)
+    assert resid <= bound
 
 
 @pytest.mark.parametrize("z", [0.0, 2.0, -3.0, 1 + 1j, -2j])
@@ -358,12 +358,12 @@ def test_path_carries_its_exponent():
 
 
 def test_laplace_tol_validation():
-    args = ShiftedArgs.make(1.0, 0.0)
-    path = build_contour(ContourKind.L_MINUS, args)
-    with pytest.raises(ValueError):
-        laplace_integral(path, 1e-15)
-    with pytest.raises(ValueError):
-        laplace_integral(path, 1e-3)
+    # both path integrals accept tol in quadrature.TOL_RANGE, [1e-14, 1e-4],
+    # and reject a tol just outside it
+    for integral in path_integrals():
+        for tol in (1e-15, 1e-3):
+            with pytest.raises(ValueError, match=r"tol must lie in \[1e-14, 1e-04\]"):
+                integral(tol)
 
 
 # ----------------------------------------------------------------------

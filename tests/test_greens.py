@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from airyprod import (
     scaled_vars,
 )
 from airyprod.grids import greens_samples
-from pathcheck import OMEGA, float64_edges
+from pathcheck import OMEGA, float64_edges, path_integrals
 
 
 def test_scaled_vars_symmetric_points():
@@ -134,7 +135,7 @@ def test_domain_errors():
         scaled_vars(GreensParams.make(0.5, (0, 0, 0), (1, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         greens_time_integral(
-            GreensParams.make(0.5, (0, 0, 1), (1, 0, 0), (0, 0, 0)), tol=1e-12)
+            GreensParams.make(0.5, (0, 0, 1), (1, 0, 0), (0, 0, 0)), tol=1e-15)
 
 
 @pytest.mark.parametrize("field, r, r_prime, name", [
@@ -170,18 +171,20 @@ def test_node_ceiling_is_checked_between_rounds():
 
 
 def test_time_integral_rejects_nan_tol():
-    # NaN fails every comparison, so the range check must be written to reject it
-    p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError, match="tol must be"):
-        greens_time_integral(p, math.nan)
+    # NaN fails every comparison, so the range check of both path integrals
+    # must be written to reject it
+    for integral in path_integrals():
+        with pytest.raises(ValueError, match="tol must lie in"):
+            integral(math.nan)
 
 
 @pytest.mark.parametrize("tol", [1.0, 1e6, math.inf])
 def test_time_integral_rejects_loose_tol(tol):
-    # above 1e-4 the first round alone would pass for converged
-    p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError, match="tol must be"):
-        greens_time_integral(p, tol)
+    # above 1e-4 the first round alone would pass for converged, on either
+    # path integral
+    for integral in path_integrals():
+        with pytest.raises(ValueError, match="tol must lie in"):
+            integral(tol)
 
 
 def test_deep_tunneling_regime():
@@ -223,6 +226,48 @@ def test_time_integral_at_small_separations():
             gc = greens_closed(p)
             assert abs(gi - gc) <= 1e-13 * max(1.0, abs(gc)), (e, d)
     assert signs == {True, False}
+
+
+def _closed_reference(mp, p):
+    """G by the closed form in mpmath, with xi and eta formed from p's floats."""
+    f, r, rp = ([mp.mpf(v) for v in vec] for vec in (p.field_F, p.r, p.r_prime))
+    d = mp.sqrt(sum((a - b) ** 2 for a, b in zip(r, rp)))
+    field = mp.sqrt(sum(v * v for v in f))
+    xi = ((sum(fv * (a + b) for fv, a, b in zip(f, r, rp)) - 2 * mp.mpf(p.energy_E))
+          / mp.cbrt(2 * field) ** 2)
+    eta = mp.cbrt(field / 4) * d
+    w = mp.exp(2j * mp.pi / 3)
+    a, b = xi + eta, w * (xi - eta)
+    deriv = mp.airyai(a, 1) * mp.airyai(b) - w * mp.airyai(a) * mp.airyai(b, 1)
+    return complex(-mp.exp(1j * mp.pi / 6) / d * deriv)
+
+
+def _free_reference(mp, p):
+    """The free wave e^{ik|r - r'|}/(2 pi |r - r'|), k = sqrt(2E), in mpmath."""
+    d = mp.sqrt(sum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(p.r, p.r_prime)))
+    return complex(mp.exp(1j * mp.sqrt(2 * mp.mpf(p.energy_E)) * d) / (2 * mp.pi * d))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+def test_time_integral_error_estimate_at_tight_tol(tol):
+    # at tolerances tighter than the default the error estimate still
+    # bounds the error: every 5th of criterion 6's samples against the
+    # closed form and five zero-field configurations against the free
+    # wave, at 30 digits
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    cases = [(p, _closed_reference(mp, p))
+             for _, p in itertools.islice(greens_samples(100, 20240907), 0, None, 5)]
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        u = rng.normal(size=3)
+        p = GreensParams.make(rng.uniform(-1.0, 1.0), (0, 0, 0),
+                              u / np.linalg.norm(u) * rng.uniform(0.1, 5.0), (0, 0, 0))
+        cases.append((p, _free_reference(mp, p)))
+    pref = (2.0 * math.pi) ** -1.5
+    for p, ref in cases:
+        est = greens._time_integral(p, tol).abs_err_est
+        assert abs(greens_time_integral(p, tol) - ref) <= pref * est, p
 
 
 @pytest.mark.parametrize("e, f, d", [(-0.02, 1e-8, 1.0), (-0.3, 1e-6, 5.0),
