@@ -2,8 +2,9 @@
 
 Builds all five contours for one (z, z0), prints the four exact saddles
 k = +-i(sqrt(z+z0) +- sqrt(z)) of the exponent that place them, each
-contour's leg structure and turn radius (the continuously tracked angles
-are the branch lift of k^(1/2)), and verifies the linear relation
+contour's leg structure, turn radius and reach into its valleys (the
+continuously tracked angles are the branch lift of k^(1/2)), and
+verifies the linear relation
 
     I_O = I_R- + I_L- - I_L+ - I_R+
 
@@ -35,6 +36,14 @@ def describe(path):
     return "  +  ".join(parts)
 
 
+def reach(path):
+    """How far the path runs out into its valleys: the largest end radius
+    of its rays; O joins k = 0 to itself and has none."""
+    radii = [max(leg.r_start, leg.r_end) for leg in path.segments
+             if type(leg).__name__ == "RayLeg"]
+    return f"reaches |k| = {max(radii):.2f}" if radii else "no valley tail"
+
+
 def main():
     z, z0 = 1 + 0.3j, 0.7
     args = ShiftedArgs.make(z, z0)
@@ -50,7 +59,7 @@ def main():
         err += res.abs_err_est
         print(f"\n{kind.value:3s} cut at {path.cut_angle:.3f} rad, "
               f"turn radius {path.endpoint_scale:.3g}, "
-              f"truncated at |k| = {path.truncation_radius:.2f}, "
+              f"{reach(path)}, "
               f"{res.nodes} nodes")
         print("    ", describe(path))
         print(f"     I = {res.value:.12g}")

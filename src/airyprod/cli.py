@@ -41,7 +41,7 @@ from .products import (
     w_pm,
     w_pm_real,
 )
-from .quadrature import TOL_RANGE
+from .quadrature import DEFAULT_TOL, TOL_RANGE
 
 _ROT_NAMES = {"0": Rotation.NONE, "+": Rotation.PLUS, "-": Rotation.MINUS}
 
@@ -227,7 +227,7 @@ def _cmd_greens(ns) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     tol_flag = argparse.ArgumentParser(add_help=False)
-    tol_flag.add_argument("--tol", type=_tolerance, default=1e-10,
+    tol_flag.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                           help="quadrature tolerance, in [%.0e, %.0e]" % TOL_RANGE)
     table_flags = argparse.ArgumentParser(add_help=False)
     table_flags.add_argument("--out", required=True, help="path of the table file")

@@ -73,7 +73,7 @@ import math
 import numpy as np
 
 from .errors import NonFiniteInput
-from .quadrature import (TAIL_LAMBDA, TOL_RANGE, ArcLeg, DecayLeg, QuadResult, RayLeg,
+from .quadrature import (DEFAULT_TOL, TAIL_LAMBDA, ArcLeg, DecayLeg, QuadResult, RayLeg,
                          decay_span, exponent, integrate_legs, tail_radius)
 
 __all__ = [
@@ -175,8 +175,12 @@ class ContourPath:
     ``kind`` is what the path was built from, a ``ContourKind`` or a
     (start, end) pair of end names; ``segments`` is the ordered leg
     chain; ``cut_angle`` records the branch-cut ray used to anchor the
-    k^(1/2) lift; ``endpoint_scale`` is the radius at which endpoint legs
-    cluster exponentially toward k = 0 (for L contours, the turn radius);
+    k^(1/2) lift; ``truncation_radius`` is the largest of the three
+    valley tail radii, whichever valleys the path joins: it caps the
+    turn-radius candidates at 0.85 of it, while the path's own rays end
+    at the tail radii of the valleys it joins (O has no ray);
+    ``endpoint_scale`` is the radius at which endpoint legs cluster
+    exponentially toward k = 0 (for L contours, the turn radius);
     ``coeffs`` are the (a, b, c) = (z + z0/2, -z0^2/4, 1) of the exponent
     the path was built for.
     """
@@ -229,6 +233,7 @@ _TAIL_DECAYS = tuple(math.sin(3.0 * th) for th, _, _ in _TAIL_CANDIDATES[0])
 # complex, as are the candidate radii, so that no product of the sweep
 # casts an operand
 _ARC_SWEEP = np.linspace(0.0, 1.0, 65).astype(complex)
+_ARC_SWEEP.flags.writeable = False
 
 
 def _tails(beta: complex):
@@ -350,12 +355,13 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     return ContourPath(kind, _PI / 2.0 + a, legs, r_trunc, r_arc, coeffs)
 
 
-def laplace_integral(path: ContourPath, tol: float = 1e-10) -> QuadResult:
+def laplace_integral(path: ContourPath, tol: float = DEFAULT_TOL) -> QuadResult:
     """Evaluate I_C(z; z0) along a built path by adaptive quadrature of
     the exponent ``path.coeffs`` it was built for.
 
-    ``tol`` must lie in ``quadrature.TOL_RANGE``, [1e-14, 1e-4]
-    (ValueError otherwise, NaN included), as for ``greens_time_integral``.
+    ``tol`` defaults to ``quadrature.DEFAULT_TOL`` (1e-10), and
+    ``integrate_legs`` rejects it outside ``quadrature.TOL_RANGE``,
+    [1e-14, 1e-4] (ValueError, NaN included), as for every path integral.
     On success the GK15 error estimate met tol * max(1, |value|); the
     reported abs_err_est is at least the rounding floor 50 eps times the
     integral of |f dk|, so it may sit above that target where the integral
@@ -363,6 +369,8 @@ def laplace_integral(path: ContourPath, tol: float = 1e-10) -> QuadResult:
 
     Raises
     ------
+    ValueError
+        if ``tol`` lies outside ``quadrature.TOL_RANGE`` or is NaN.
     DegenerateGeometry
         if the integrand is finite at the inner end of an endpoint leg
         but does not decay toward k = 0 there (a path whose inner ray
@@ -372,6 +380,4 @@ def laplace_integral(path: ContourPath, tol: float = 1e-10) -> QuadResult:
         why); the best estimate rides on the exception's ``result``
         attribute.
     """
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise ValueError("laplace_integral: tol must lie in [%.0e, %.0e]" % TOL_RANGE)
     return integrate_legs(path.segments, path.coeffs, 0.5, tol)

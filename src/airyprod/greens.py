@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import CoincidentPoints, NonFiniteInput, ZeroField
 from .oracle import _airy_raw_batch
-from .quadrature import (TAIL_LAMBDA, TOL_RANGE, ArcLeg, DecayLeg, RayLeg, SegmentLeg,
+from .quadrature import (DEFAULT_TOL, TAIL_LAMBDA, ArcLeg, DecayLeg, RayLeg, SegmentLeg,
                          _cubic_roots, check_reach, decay_span, integrate_legs, tail_radius)
 
 __all__ = [
@@ -204,12 +204,9 @@ def _time_path(p: GreensParams):
     # many e-folds to keep the truncation bias relatively small
     suppress = 0.0
     if eprime < 0.0:
-        kappa_d = math.sqrt(-2.0 * eprime) * d
-        if f > 0.0:
-            barrier = (2.0 / 3.0) * (-2.0 * eprime) ** 1.5 / f
-            suppress = min(kappa_d, barrier)
-        else:
-            suppress = kappa_d
+        suppress = math.sqrt(-2.0 * eprime) * d
+        if f > 0.0:  # saturated by the field barrier
+            suppress = min(suppress, (2.0 / 3.0) * (-2.0 * eprime) ** 1.5 / f)
     lam = TAIL_LAMBDA + 25.0 + min(suppress, 150.0)
 
     sin_rot = math.sin(_ROT)
@@ -295,26 +292,20 @@ def _time_path(p: GreensParams):
             RayLeg(-_ROT, r_j, max(r_t, 2.0 * r_j))], coeffs, power
 
 
-def _time_integral(p: GreensParams, tol: float):
-    """The ``QuadResult`` of the time integral along ``_time_path``, before
-    the prefactor."""
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise ValueError("greens_time_integral: tol must lie in [%.0e, %.0e]" % TOL_RANGE)
-    return integrate_legs(*_time_path(p), tol)
-
-
-def greens_time_integral(p: GreensParams, tol: float = 1e-10) -> complex:
+def greens_time_integral(p: GreensParams, tol: float = DEFAULT_TOL) -> complex:
     """G(r, r') by direct quadrature of the half-line time integral.
 
     Serves as the independent numerical check on ``greens_closed``;
     valid for F = 0 as well (where it reproduces the free form).  ``tol``
-    must lie in ``quadrature.TOL_RANGE``, [1e-14, 1e-4], as for
-    ``laplace_integral`` (ValueError otherwise, NaN included), and is
-    used as given; it bounds the GK15 estimate by tol * max(1, |I|) for
-    the integral I before the prefactor e^{-i pi/4}/(2 pi)^{3/2}, so it is
-    absolute below |I| = 1.  The path is one of five families, each
-    chosen by one condition on the effective energy E' = E - F.(r+r')/2
-    and the tunnelling suppression (in e-folds):
+    defaults to ``quadrature.DEFAULT_TOL`` (1e-10), and ``integrate_legs``
+    rejects it outside ``quadrature.TOL_RANGE``, [1e-14, 1e-4]
+    (ValueError, NaN included), as for ``laplace_integral``; ``p`` is
+    checked first, as the path is built.  It is used as given: it bounds
+    the GK15 estimate by tol * max(1, |I|) for the integral I before the
+    prefactor e^{-i pi/4}/(2 pi)^{3/2}, so it is absolute below |I| = 1.
+    The path is one of five families, each chosen by one condition on
+    the effective energy E' = E - F.(r+r')/2 and the tunnelling
+    suppression (in e-folds):
 
     - F > 0, suppression > 5 and the real saddle |r - r'|/sqrt(-2E')
       within 0.95 of the barrier crest sqrt(-8E')/F: the steepest
@@ -337,7 +328,7 @@ def greens_time_integral(p: GreensParams, tol: float = 1e-10) -> complex:
     on a node of the quadrature's first round).
     """
     pref = cmath.exp(-1j * math.pi / 4.0) / (2.0 * math.pi) ** 1.5
-    return pref * _time_integral(p, tol).value
+    return pref * integrate_legs(*_time_path(p), tol).value
 
 
 def operator_residual(p: GreensParams) -> float:

@@ -75,6 +75,7 @@ import numpy as np
 
 from .errors import NegativeShift
 from .oracle import airy, airy_batch
+from .quadrature import DEFAULT_TOL
 
 __all__ = [
     "Route",
@@ -92,7 +93,6 @@ __all__ = [
 
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
 _PREF_NORM = 4.0 * math.pi ** 1.5
-_DEFAULT_TOL = 1e-10
 _EPS = 2.0 ** -52  # float64 machine epsilon
 
 
@@ -237,13 +237,13 @@ def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
 
 
 def u_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
-         tol: float = _DEFAULT_TOL) -> ProductValue:
+         tol: float = DEFAULT_TOL) -> ProductValue:
     """U+-(z; z0) = Ai(e^{+-2i pi/3}(z+z0)) Ai(e^{+-2i pi/3} z)."""
     return _evaluate((Rotation(_check_sign(sign)),) * 2, z, z0, route, tol)
 
 
 def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
-         tol: float = _DEFAULT_TOL) -> ProductValue:
+         tol: float = DEFAULT_TOL) -> ProductValue:
     """W+-(z; z0) = Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
     On the contour route this is the integral over R+- for
@@ -254,7 +254,7 @@ def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
 
 
 def product(rot1: Rotation, rot2: Rotation, z: complex, z0: complex,
-            route: Route = Route.DIRECT, tol: float = _DEFAULT_TOL) -> ProductValue:
+            route: Route = Route.DIRECT, tol: float = DEFAULT_TOL) -> ProductValue:
     """Any of the nine products v1(z+z0) v2(z).
 
     ``rot1``/``rot2`` select the solutions: v(z) = Ai(e^{r 2i pi/3} z).
@@ -272,7 +272,7 @@ def product(rot1: Rotation, rot2: Rotation, z: complex, z0: complex,
 
 
 def difference_identity(sign: int, z: complex, z0: complex,
-                        route: Route = Route.CONTOUR, tol: float = _DEFAULT_TOL) -> ProductValue:
+                        route: Route = Route.CONTOUR, tol: float = DEFAULT_TOL) -> ProductValue:
     """Ai(e^{+-2i pi/3}(z+z0)) Ai(z) - Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
     This antisymmetric combination is proportional to the origin-loop
@@ -288,7 +288,7 @@ def difference_identity(sign: int, z: complex, z0: complex,
     return _evaluate(("diff", _check_sign(sign)), z, z0, route, tol)
 
 
-def w_pm_real(sign: int, x: float, x0: float, tol: float = _DEFAULT_TOL) -> ProductValue:
+def w_pm_real(sign: int, x: float, x0: float, tol: float = DEFAULT_TOL) -> ProductValue:
     """W+-(x; x0) for real x and real shift x0 >= 0 via the half-line form
 
         e^{+-i pi/12}/(4 pi^{3/2}) *
@@ -309,7 +309,7 @@ def w_pm_real(sign: int, x: float, x0: float, tol: float = _DEFAULT_TOL) -> Prod
     return replace(pv, route=Route.REAL_AXIS)
 
 
-def aiai_real(x: float, x0: float, tol: float = _DEFAULT_TOL) -> ProductValue:
+def aiai_real(x: float, x0: float, tol: float = DEFAULT_TOL) -> ProductValue:
     """Ai(x+x0) Ai(x) for any real x, x0 via the cosine half-line form
 
         (1/(2 pi^{3/2})) *

@@ -47,11 +47,13 @@ its end, to below 9 times the ceiling.  The reported
 error estimate is at least QUADPACK's rounding floor, 50 eps times the
 integral of |f dk/dt|; the stop rule reads the GK15 estimate alone.
 
-Both integrals, ``contours.laplace_integral`` and
-``greens.greens_time_integral``, and the command line's ``--tol`` accept
-a tolerance in ``TOL_RANGE``, [1e-14, 1e-4], and both default to 1e-10.
-``integrate_legs`` checks none, and no caller raises a tolerance it was
-given.
+The tolerance contract of both integrals lives here too:
+``integrate_legs`` accepts a tolerance in ``TOL_RANGE``, [1e-14, 1e-4],
+and raises ValueError for any other, NaN included, before its first
+round maps a node.  Every entry that reaches it, and the command line's
+``--tol``, defaults to ``DEFAULT_TOL`` (1e-10), and no caller raises a
+tolerance it was given.  The command line also checks ``--tol`` against
+``TOL_RANGE`` as it parses it, since some commands reach no quadrature.
 
 Both path builders, ``contours.build_contour`` and the time
 integral's ``greens._time_path``, take their tail rules from here: the
@@ -272,8 +274,12 @@ _MAX_LEGS = 4  # the longest path, the time integral's chord family
 _START_LEG, _START_T0, _START_T1, _START_T = (
     np.arange(_MAX_LEGS).repeat(_START_PANELS), np.tile(_START_EDGES[:-1], _MAX_LEGS),
     np.tile(_START_EDGES[1:], _MAX_LEGS), _nodes(_START_EDGES[:-1], _START_EDGES[1:]).ravel())
-for _a in (_START_LEG, _START_T0, _START_T1, _START_T):
+# every integral shares the rule and the first-round tables, so none can be
+# written
+for _a in (_XGK_HALF, _WGK_HALF, _WG_HALF, _XGK, _WGK, _WG, _WGK_C, _WG_C, _START_EDGES,
+           _START_LEG, _START_T0, _START_T1, _START_T):
     _a.flags.writeable = False
+del _a
 _MAX_CHILDREN = 8  # of a panel split in one round
 _MAX_NODES = 400_000  # no round starts past this count (see integrate_legs)
 _MAX_EXPONENT = float(np.log(np.finfo(float).max))  # e^{E} is finite up to Re E ~ 709.78
@@ -383,9 +389,10 @@ def integrate_legs(legs, coeffs, power, tol):
         count raises ValueError
     coeffs : (a, b, c), the exponent E(k) = i(a k + b/k + c k^3/12)
     power : real p; k^{-p} takes the branch of each leg's map
-    tol : relative tolerance; the target is that the GK15 estimate
-        meets tol * max(1, |value|); the reported ``abs_err_est`` adds
-        the rounding floor of ``QuadResult`` and may sit above it
+    tol : relative tolerance in ``TOL_RANGE``, [1e-14, 1e-4]; the target
+        is that the GK15 estimate meets tol * max(1, |value|); the
+        reported ``abs_err_est`` adds the rounding floor of ``QuadResult``
+        and may sit above it
 
     No round starts once the integrand has been evaluated on
     ``_MAX_NODES`` (400 000) nodes, the one ceiling of both integrals; the
@@ -400,6 +407,9 @@ def integrate_legs(legs, coeffs, power, tol):
 
     Raises
     ------
+    ValueError
+        if ``tol`` lies outside ``TOL_RANGE`` or is NaN, before any node
+        is mapped.
     ToleranceNotMet
         if the loop stops short of the target; the unconverged QuadResult,
         whose ``stop`` says why, rides on the exception's ``result``.  An
@@ -410,6 +420,9 @@ def integrate_legs(legs, coeffs, power, tol):
         if the integrand of a ``DecayLeg`` is finite at its inner end but
         does not decay toward it.
     """
+    # NaN fails both comparisons, so it is rejected too
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        raise ValueError("tol must lie in [%.0e, %.0e]" % TOL_RANGE)
     # a value off float64 stays in a panel, which stops the loop as non_finite
     with np.errstate(all="ignore"):
         start = _first_round(legs, coeffs, power)
@@ -495,10 +508,11 @@ def _cubic_roots(p: float, q: float) -> tuple:
     return lo, -q / (lo * hi), hi
 
 
-# the tolerances both integrals and the command line's --tol accept: below
+# the tolerances integrate_legs and the command line's --tol accept: below
 # 1e-14 the target nears the rounding floor 50 eps, above 1e-4 the first
-# round alone would pass for converged
+# round alone would pass for converged; every entry defaults to DEFAULT_TOL
 TOL_RANGE = (1e-14, 1e-4)
+DEFAULT_TOL = 1e-10
 
 # the tail rules of both integrals' paths: a tail is cut where the
 # integrand has fallen to e^{-TAIL_LAMBDA} = 1e-13 of its O(1) scale (the

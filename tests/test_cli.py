@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from airyprod import (GreensParams, __version__, airy, checks, cli, errors, greens_time_integral,
-                      scaled_vars)
+                      quadrature, scaled_vars)
 from airyprod.cli import main, parse_complex
 from pathcheck import float_kernels
 
@@ -527,6 +527,13 @@ def test_omitted_flags_take_defaults(tmp_path, monkeypatch, capsys):
         assert rc == 0
         tables.append((tmp_path / "p.csv").read_bytes())
     assert tables[0] == tables[1]
+    # an omitted --tol is the library's one default, on every command that
+    # takes it
+    for argv in (["eval", "u+", "--z", "1", "--z0", "0"], ["verify", "routes"],
+                 ["table", "product", "--out", "p.csv"],
+                 ["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1,0,0",
+                  "--r-prime", "0,0,0"]):
+        assert cli._build_parser().parse_args(argv).tol is quadrature.DEFAULT_TOL, argv
 
 
 @pytest.mark.parametrize("argv,attached", [

@@ -33,7 +33,7 @@ from airyprod.contours import (
 )
 from airyprod.grids import shifted_grid
 from airyprod.quadrature import TAIL_LAMBDA, DecayLeg, RayLeg, _cubic_roots, tail_radius
-from pathcheck import path_integrals, path_is_connected, r_inner
+from pathcheck import path_is_connected, r_inner
 
 PI = math.pi
 
@@ -355,15 +355,6 @@ def test_path_carries_its_exponent():
     for kind in ContourKind:
         coeffs = build_contour(kind, args).coeffs
         assert coeffs == (args.z + 0.5 * args.z0, -args.z0 * args.z0 / 4.0, 1.0)
-
-
-def test_laplace_tol_validation():
-    # both path integrals accept tol in quadrature.TOL_RANGE, [1e-14, 1e-4],
-    # and reject a tol just outside it
-    for integral in path_integrals():
-        for tol in (1e-15, 1e-3):
-            with pytest.raises(ValueError, match=r"tol must lie in \[1e-14, 1e-04\]"):
-                integral(tol)
 
 
 # ----------------------------------------------------------------------

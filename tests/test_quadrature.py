@@ -3,16 +3,22 @@ reason the adaptive loop stops, and the pinned panel schedule."""
 
 import cmath
 import collections
+from functools import partial
 import hashlib
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
-from airyprod import (ContourKind, Sector, ShiftedArgs, build_contour, greens,
-                      laplace_integral, quadrature)
+import airyprod
+from airyprod import (ContourKind, Sector, ShiftedArgs, aiai_real, build_contour,
+                      difference_identity, greens, greens_time_integral, laplace_integral,
+                      product, quadrature, u_pm, w_pm, w_pm_real)
 from airyprod.errors import AiryprodError, DegenerateGeometry, ToleranceNotMet
 from airyprod.greens import GreensParams
 from airyprod.grids import greens_samples, shifted_grid
@@ -25,7 +31,8 @@ from airyprod.quadrature import (
     integrate_legs,
     tail_radius,
 )
-from pathcheck import bits, ends_finite, float64_edges, float_kernels, path_is_connected
+from pathcheck import (bits, ends_finite, float64_edges, float_kernels, path_integrals,
+                       path_is_connected)
 
 
 # (a, b, c) of the exponent E(k) = i(a k + b/k + c k^3/12)
@@ -144,12 +151,56 @@ def test_stop_reason_node_ceiling(monkeypatch):
 
 
 def test_stop_reason_plateau():
-    # 1e-17 lies below the 4e-16 relative panel floor of a smooth integrand,
-    # here e^k (a = -i), so splitting cannot reduce the estimate
-    leg = RayLeg(0.0, 0.0, 1.0)
-    res = _miss([leg], (-1j, 0.0, 0.0), 0.0, 1e-17)
+    # e^{ik} (a = 1) over about 16 periods at the tightest tol the gate
+    # accepts: rounding keeps the GK15 estimate above the target 1e-14, so
+    # splitting stops reducing it; the value still lies within 1e-14 and
+    # within the reported estimate, the rounding floor 50 eps * 100
+    leg = RayLeg(0.0, 0.0, 100.0)
+    res = _miss([leg], (1.0, 0.0, 0.0), 0.0, 1e-14)
     assert res.stop == "plateau"
-    assert abs(res.value - (math.e - 1.0)) <= 1e-15
+    err = abs(res.value - (cmath.exp(100j) - 1.0) / 1j)
+    assert err <= 1e-14 and err <= res.abs_err_est
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-3, math.nan, 1.0, 1e6, math.inf])
+@pytest.mark.parametrize("integral", [
+    partial(integrate_legs, [RayLeg(0.0, 0.0, 1.0)], _ZERO, 0.0), *path_integrals()],
+    ids=["integrate_legs", "laplace_integral", "greens_time_integral"])
+def test_tol_outside_range_rejected(monkeypatch, integral, tol):
+    # integrate_legs is the one gate of every path integral: below 1e-14 the
+    # target nears the rounding floor, above 1e-4 the first round alone
+    # would pass for converged, and NaN fails every comparison; it raises
+    # before its first round maps a node
+    calls = []
+    real = quadrature.exponent
+
+    def exponent(coeffs, k):
+        calls.append(k)
+        return real(coeffs, k)
+
+    monkeypatch.setattr(quadrature, "exponent", exponent)
+    with pytest.raises(ValueError, match=r"^tol must lie in \[1e-14, 1e-04\]$"):
+        integral(tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("fn", [laplace_integral, greens_time_integral, u_pm, w_pm, product,
+                                difference_identity, w_pm_real, aiai_real],
+                         ids=lambda fn: fn.__name__)
+def test_every_entry_defaults_to_one_tol(fn):
+    # the same object, so that a re-typed 1e-10 literal fails
+    assert inspect.signature(fn).parameters["tol"].default is quadrature.DEFAULT_TOL
+
+
+def test_module_arrays_read_only():
+    # every integral shares the module-level tables, so a stray write
+    # would corrupt all of them
+    writable = []
+    for info in pkgutil.iter_modules(airyprod.__path__):
+        module = importlib.import_module(f"airyprod.{info.name}")
+        writable += [f"{info.name}.{name}" for name, value in vars(module).items()
+                     if isinstance(value, np.ndarray) and value.flags.writeable]
+    assert writable == []
 
 
 def _tail_forms():
@@ -428,7 +479,7 @@ def test_panel_schedule_pinned(monkeypatch):
             got = tuple(laplace_integral(build_contour(kind, args), 1e-8).nodes
                         for kind in ContourKind)
             assert got == want, (a, b)
-    assert [greens._time_integral(GreensParams.make(*config), 1e-8).nodes
+    assert [integrate_legs(*greens._time_path(GreensParams.make(*config)), 1e-8).nodes
             for config in _GREENS_CONFIGS] == _GREENS_NODES
     # the rounds of all 406 integrals: each round costs a fixed overhead
     # whatever it evaluates
@@ -529,7 +580,7 @@ def test_contour_route_bits_pinned():
         got += [bits(laplace_integral(build_contour(kind, args), 1e-8))
                 for kind in ContourKind]
     assert got == contour_bits
-    assert [bits(greens._time_integral(GreensParams.make(*config), 1e-8))
+    assert [bits(integrate_legs(*greens._time_path(GreensParams.make(*config)), 1e-8))
             for config in _GREENS_CONFIGS] == greens_bits
 
 
