@@ -57,8 +57,7 @@ def main():
         res = laplace_integral(path, 1e-11)
         vals[kind] = res.value
         err += res.abs_err_est
-        print(f"\n{kind.value:3s} cut at {path.cut_angle:.3f} rad, "
-              f"turn radius {path.endpoint_scale:.3g}, "
+        print(f"\n{kind.value:3s} turn radius {path.segments[1].radius:.3g}, "
               f"{reach(path)}, "
               f"{res.nodes} nodes")
         print("    ", describe(path))

@@ -35,7 +35,8 @@ construction uniformly accurate up to |arg z0| = pi/2, where the
 near-cut region of the internal valley degenerates.  One builder makes
 every path from its ends: a ray in from the start valley or a decay leg
 out of k = 0, one arc at the turn radius, and a ray out to the end
-valley or a decay leg into k = 0.
+valley or a decay leg into k = 0.  A built path (``ContourPath``) is
+those three legs and the coefficients of its exponent, nothing more.
 
 The geometry is closed-form.  With beta = z + z0/2 the exponent
 E(k) = i(beta k - z0^2/(4k) + k^3/12), the coefficients
@@ -101,6 +102,14 @@ _BOUNDARY_TOL = 1e-12
 _TRUNCATION_CEILING = 80.0
 
 
+def _modulus(w: complex) -> float:
+    """|w|, and inf where finite parts give a modulus past float64."""
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.inf
+
+
 class Sector(Enum):
     """Classification of the shift z0 by |arg z0|."""
 
@@ -144,7 +153,7 @@ def classify_sector(z0: complex) -> Sector:
     z0 = complex(z0)
     if not cmath.isfinite(z0):
         raise NonFiniteInput("classify_sector: z0 must be finite")
-    if abs(z0) < _ZERO_SHIFT:
+    if _modulus(z0) < _ZERO_SHIFT:
         return Sector.ZERO
     a = abs(cmath.phase(z0))
     if abs(a - _PI / 2.0) <= _BOUNDARY_TOL:
@@ -172,24 +181,14 @@ class ShiftedArgs:
 class ContourPath:
     """An immutable, fully built integration path.
 
-    ``kind`` is what the path was built from, a ``ContourKind`` or a
-    (start, end) pair of end names; ``segments`` is the ordered leg
-    chain; ``cut_angle`` records the branch-cut ray used to anchor the
-    k^(1/2) lift; ``truncation_radius`` is the largest of the three
-    valley tail radii, whichever valleys the path joins: it caps the
-    turn-radius candidates at 0.85 of it, while the path's own rays end
-    at the tail radii of the valleys it joins (O has no ray);
-    ``endpoint_scale`` is the radius at which endpoint legs cluster
-    exponentially toward k = 0 (for L contours, the turn radius);
-    ``coeffs`` are the (a, b, c) = (z + z0/2, -z0^2/4, 1) of the exponent
-    the path was built for.
+    ``segments`` is the ordered leg chain, each leg with its continuously
+    tracked angle; the middle leg is the arc, whose radius is the turn
+    radius.  ``coeffs`` are the (a, b, c) = (z + z0/2, -z0^2/4, 1) of the
+    exponent the path was built for.  ``laplace_integral`` reads these two
+    alone; the kind and (z, z0) stay with the caller.
     """
 
-    kind: ContourKind | tuple
-    cut_angle: float
     segments: tuple
-    truncation_radius: float
-    endpoint_scale: float
     coeffs: tuple
 
 
@@ -249,7 +248,7 @@ def _tails(beta: complex):
     slow near-edge angles pay their real price.
     """
     # (R^3/12) d = lambda + |beta| R, times 12
-    c, lam = -12.0 * abs(beta), 12.0 * TAIL_LAMBDA
+    c, lam = -12.0 * _modulus(beta), 12.0 * TAIL_LAMBDA
     radii = [tail_radius(d, 0.0, c, lam, _TRUNCATION_CEILING) for d in _TAIL_DECAYS]
     re, im = beta.real, beta.imag
     out = []
@@ -352,7 +351,7 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
         ArcLeg(r_arc, th_a, th_b),
         RayLeg(th_b, r_arc, r_b) if r_b > 0.0 else DecayLeg(th_b, r_arc, s_max, outward=False),
     )
-    return ContourPath(kind, _PI / 2.0 + a, legs, r_trunc, r_arc, coeffs)
+    return ContourPath(legs, coeffs)
 
 
 def laplace_integral(path: ContourPath, tol: float = DEFAULT_TOL) -> QuadResult:

@@ -27,7 +27,7 @@ def shifted_grid(n: int, seed: int, z_radius: float = 4.0, z0_radius: float = 3.
     """(z, z0) arrays with sector quotas (inner, outer, boundary, zero).
 
     z is uniform over the disk |z| <= z_radius; z0 magnitudes are uniform
-    in (0, z0_radius] with arguments drawn per sector.  Boundary points
+    in [0.05, z0_radius) with arguments drawn per sector.  Boundary points
     sit within 1e-13 of |arg z0| = pi/2; zero points have z0 = 0 exactly.
     """
     rng = np.random.default_rng(seed)

@@ -639,7 +639,11 @@ def airy(z: complex) -> AiryValue:
         if |z| > 50 (the documented accuracy envelope).
     """
     z = complex(z)
-    _check_envelope(cmath.isfinite(z), abs(z))
+    try:
+        radius = abs(z)
+    except OverflowError:  # finite parts whose modulus leaves float64
+        radius = math.inf
+    _check_envelope(cmath.isfinite(z), radius)
     # python floats on both branches, in the upper half plane and with
     # the branch rule of _airy_raw_batch, so both entry points agree bit
     # for bit

@@ -63,6 +63,15 @@ def test_eval_contour_beyond_geometry_edge_exit(capsys):
     assert rc == 2 and out == ""
 
 
+def test_eval_contour_modulus_overflow_exit(capsys):
+    # finite parts whose modulus |z0| leaves float64: the geometry error of
+    # the neighbouring --z0 1e308+1e308i, not an OverflowError traceback
+    rc = main(["eval", "u+", "--z", "1", "--z0", "1.5e308+1.5e308i", "--route", "contour"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_eval_contour_miss_exit(capsys):
     # a real quadrature miss, not a patched one: exit 3 and no data
     rc = main(["eval", "u+", "--z=-10+0.5i", "--z0", "0", "--route", "contour",

@@ -10,11 +10,13 @@ import pytest
 from airyprod import (
     ContourKind,
     DegenerateGeometry,
+    EnvelopeExceeded,
     NonFiniteInput,
     Route,
     Sector,
     ShiftedArgs,
     ToleranceNotMet,
+    airy,
     airy_batch,
     build_contour,
     checks,
@@ -32,7 +34,8 @@ from airyprod.contours import (
     _effective_shift_angle,
 )
 from airyprod.grids import shifted_grid
-from airyprod.quadrature import TAIL_LAMBDA, DecayLeg, RayLeg, _cubic_roots, tail_radius
+from airyprod.quadrature import (TAIL_LAMBDA, ArcLeg, DecayLeg, RayLeg, _cubic_roots, exponent,
+                                 tail_radius)
 from pathcheck import path_is_connected, r_inner
 
 PI = math.pi
@@ -81,6 +84,27 @@ def test_overflowing_shift_is_non_finite():
             build_contour(kind, args)
 
 
+# finite parts whose modulus leaves float64, so abs() of it overflows
+_HUGE = 1.5e308 + 1.5e308j
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: airy(_HUGE), EnvelopeExceeded),
+    (lambda: airy_batch([_HUGE]), EnvelopeExceeded),
+    # classified as its neighbour 1e308+1e308j is, so the contour route
+    # fails as that neighbour does
+    (lambda: ShiftedArgs.make(1, _HUGE).z0_sector, Sector.INNER),
+    (lambda: build_contour(ContourKind.L_PLUS, ShiftedArgs.make(_HUGE, 0)), DegenerateGeometry),
+    (lambda: u_pm(+1, 1, _HUGE, Route.CONTOUR), DegenerateGeometry),
+], ids=["airy", "airy_batch", "ShiftedArgs.make", "build_contour", "u_pm"])
+def test_modulus_overflow_typed(call, outcome):
+    if isinstance(outcome, Sector):
+        assert call() is outcome is ShiftedArgs.make(1, 1e308 + 1e308j).z0_sector
+    else:
+        with pytest.raises(outcome):
+            call()
+
+
 def test_zero_sector_threshold():
     assert classify_sector(1e-305) is Sector.ZERO
     assert classify_sector(1e-295) is Sector.INNER
@@ -95,6 +119,23 @@ def _in_valley(theta, valley):
     return lo < theta < hi
 
 
+def _tail_excess(path, z0):
+    """Re E at the far end R of each valley ray of ``path``, less the bound
+    -lambda + |z0|^2/(4R) of the tail rule, in units of the size of the
+    terms of E there.  ``_tails`` solves R^3 sin(3 theta)/12 - |beta| R =
+    lambda, so the beta and cubic terms add to at most -lambda, and the
+    z0 term adds at most |z0|^2/(4R)."""
+    beta = path.coeffs[0]
+    out = []
+    for leg in path.segments:
+        if isinstance(leg, RayLeg):
+            r = max(leg.r_start, leg.r_end)
+            essential = abs(z0) ** 2 / (4.0 * r)
+            excess = exponent(path.coeffs, cmath.rect(r, leg.theta)).real + TAIL_LAMBDA - essential
+            out.append(excess / (abs(beta) * r + r ** 3 / 12.0 + essential))
+    return out
+
+
 @pytest.mark.parametrize("z0", [0.9, 0.4 + 0.6j, -1.2, 2j, 0.0, -0.3 + 1.1j])
 def test_path_invariants_all_kinds(z0):
     args = ShiftedArgs.make(0.8 - 0.3j, z0)
@@ -102,17 +143,16 @@ def test_path_invariants_all_kinds(z0):
     for kind in ContourKind:
         path = build_contour(kind, args)
         assert isinstance(path, ContourPath)
-        assert path.cut_angle == pytest.approx(PI / 2 + a_eff)
-        assert path_is_connected(path.segments)
-        assert path.truncation_radius > 0
-        assert path.endpoint_scale > 0
-
         legs = path.segments
+        assert path_is_connected(legs)
+        assert isinstance(legs[1], ArcLeg) and legs[1].radius > 0
+        # each valley ray reaches the tail cut, up to rounding
+        assert all(e <= 1e-13 for e in _tail_excess(path, z0))
+
         if kind in (ContourKind.L_PLUS, ContourKind.L_MINUS):
             start_valley = VALLEY_SECTORS[2] if kind is ContourKind.L_PLUS else VALLEY_SECTORS[0]
             assert _in_valley(legs[0].theta, start_valley)
             assert _in_valley(legs[-1].theta, VALLEY_SECTORS[1])
-            assert legs[0].r_start == pytest.approx(path.truncation_radius, rel=0.3)
         elif kind in (ContourKind.R_MINUS, ContourKind.R_PLUS):
             inner = legs[0]
             assert isinstance(inner, DecayLeg)
@@ -130,12 +170,22 @@ def test_path_invariants_all_kinds(z0):
             assert isinstance(first, DecayLeg) and isinstance(last, DecayLeg)
             # both ends at k ~ 0, lifts a full turn apart (opposite cut
             # sides), both inside the internal valley mod 2 pi
-            assert r_inner(first) < 1e-2 * path.endpoint_scale
-            assert r_inner(last) < 1e-2 * path.endpoint_scale
+            assert r_inner(first) < 1e-2 * legs[1].radius
+            assert r_inner(last) < 1e-2 * legs[1].radius
             assert first.theta - last.theta == pytest.approx(2.0 * PI)
             for th in (first.theta, last.theta):
                 frac = (th - 2.0 * a_eff) % (2.0 * PI)
                 assert 0.0 < frac < PI or frac == pytest.approx(PI / 2)
+
+
+@pytest.mark.parametrize("z_radius,z0_radius", [(4.0, 3.0), (12.0, 6.0), (30.0, 15.0)])
+def test_valley_rays_reach_the_tail_cut(z_radius, z0_radius):
+    # 1800 rays per grid, no quadrature: every valley ray ends where the
+    # tail rule cuts the integrand, wherever the wide domain puts it
+    excess = [e for z, z0 in zip(*shifted_grid(300, 5, z_radius=z_radius, z0_radius=z0_radius))
+              for kind in ContourKind
+              for e in _tail_excess(build_contour(kind, ShiftedArgs.make(z, z0)), z0)]
+    assert len(excess) == 1800 and max(excess) <= 1e-13
 
 
 def test_lift_offsets_between_r_contours():
@@ -328,12 +378,8 @@ def test_endpoint_singularity_detected():
 
     def bad(s_max):
         return ContourPath(
-            kind=ContourKind.R_MINUS,
-            cut_angle=PI / 2,
             segments=(DecayLeg(bad_theta, 0.5, s_max, outward=True),
                       RayLeg(bad_theta, 0.5, 6.0)),
-            truncation_radius=6.0,
-            endpoint_scale=0.5,
             coeffs=(1.5, -1.0, 1.0),  # (z + z0/2, -z0^2/4, 1)
         )
 

@@ -623,13 +623,14 @@ def test_time_paths_pinned():
     assert digest.hexdigest() == _TIME_PATHS_DIGEST
 
 
-# SHA-256 of repr(build_contour(kind, ShiftedArgs.make(z, z0))) for the five
-# kinds, in ContourKind order, over shifted_grid(200, 41), shifted_grid(200,
-# 42, 12, 6) and _BITS_POINTS, in that order, recorded once.  The turn
-# radius is chosen from numpy's ``exponent`` on the arc sweep, yet the
-# digest is the same under X86_V4, X86_V3 and the baseline loops; another
-# numpy minor version may print a leg differently.
-_CONTOUR_PATHS_DIGEST = "87e68c414322e9d179ee7ef3da2a7a4abb2811960aa2461537ae8e1080cb2bf6"
+# SHA-256 of repr((path.segments, path.coeffs)) of path = build_contour(kind,
+# ShiftedArgs.make(z, z0)) for the five kinds, in ContourKind order, over
+# shifted_grid(200, 41), shifted_grid(200, 42, 12, 6) and _BITS_POINTS, in
+# that order: the legs and exponent of every path, recorded once.  The
+# turn radius is chosen from numpy's ``exponent`` on the arc sweep, yet
+# the digest is the same under X86_V4, X86_V3 and the baseline loops;
+# another numpy minor version may print a leg differently.
+_CONTOUR_PATHS_DIGEST = "346be60262c55d824e92ec909ba800e5ac7874af160f3764ba8e76d03691a1c8"
 
 
 def test_contour_paths_pinned():
@@ -641,7 +642,8 @@ def test_contour_paths_pinned():
     for z, z0 in points:
         args = ShiftedArgs.make(z, z0)
         for kind in ContourKind:
-            digest.update(repr(build_contour(kind, args)).encode())
+            path = build_contour(kind, args)
+            digest.update(repr((path.segments, path.coeffs)).encode())
     if np.__version__.rsplit(".", 1)[0] != "2.4":
         pytest.skip(f"no contour-path digest recorded for numpy {np.__version__}")
     assert digest.hexdigest() == _CONTOUR_PATHS_DIGEST
