@@ -115,7 +115,7 @@ def _cmd_eval(ns) -> int:
         pv = _SIGNED[name[:-1]](+1 if name[-1] == "+" else -1, *args)
     _emit([("name", name), *point,
            ("sector", classify_sector(z0).value),
-           ("route", pv.route.value),
+           ("route", "real-axis" if name in _REAL_NAMES else ns.route),
            ("re", _g(pv.value.real)), ("im", _g(pv.value.imag)),
            ("abs_err", _g(pv.abs_err_est))])
     return 0

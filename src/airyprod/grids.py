@@ -71,7 +71,7 @@ def greens_samples(n: int, seed):
         yield eta, GreensParams.make(e, (0.0, 0.0, f0), half + shift, -half + shift)
 
 
-def real_grid(n_x: int, n_x0: int, x_range=(-5.0, 5.0), x0_range=(0.0, 4.0)):
+def real_grid(n_x: int, n_x0: int, x_range, x0_range):
     """Tensor grid of real (x, x0) pairs, flattened row-major."""
     xs = np.linspace(*x_range, n_x)
     x0s = np.linspace(*x0_range, n_x0)

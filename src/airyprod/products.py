@@ -59,7 +59,7 @@ it is the half-line formula of the real axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 import cmath
@@ -73,7 +73,7 @@ from .contours import (
 )
 import numpy as np
 
-from .errors import NegativeShift
+from .errors import EnvelopeExceeded, NegativeShift, NonFiniteInput
 from .oracle import airy, airy_batch
 from .quadrature import DEFAULT_TOL
 
@@ -99,7 +99,6 @@ _EPS = 2.0 ** -52  # float64 machine epsilon
 class Route(Enum):
     DIRECT = "direct"
     CONTOUR = "contour"
-    REAL_AXIS = "real-axis"
 
 
 class Rotation(Enum):
@@ -119,7 +118,6 @@ class Rotation(Enum):
 @dataclass(frozen=True)
 class ProductValue:
     value: complex
-    route: Route
     abs_err_est: float
 
 
@@ -222,10 +220,15 @@ def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
     z, z0 = complex(z), complex(z0)
     if route is Route.DIRECT:
         zs = z + z0
-        val, err = _signed_sum(
-            (c, _direct_product(zs if f1 is None else f1 * zs, z if f2 is None else f2 * z))
-            for c, f1, f2 in _DIRECT[key])
-        return ProductValue(val, route, err)
+        try:
+            return ProductValue(*_signed_sum(
+                (c, _direct_product(zs if f1 is None else f1 * zs, z if f2 is None else f2 * z))
+                for c, f1, f2 in _DIRECT[key]))
+        except NonFiniteInput:
+            if cmath.isfinite(z) and cmath.isfinite(z0):
+                # a sum or rotation of finite inputs left float64
+                raise EnvelopeExceeded("direct route: an Airy argument overflows float64") from None
+            raise
     if route is not Route.CONTOUR:
         raise ValueError(f"products support the DIRECT and CONTOUR routes, not {route}")
     args = ShiftedArgs.make(z, z0)
@@ -233,7 +236,7 @@ def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
     paths = paths[args.z0_sector is Sector.OUTER]
     val, err = (_contour_value(paths[0], args, tol) if len(paths) == 1
                 else _signed_sum((1, _contour_value(ends, args, tol)) for ends in paths))
-    return ProductValue(pref * val, route, abs(pref) * err)
+    return ProductValue(pref * val, abs(pref) * err)
 
 
 def u_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
@@ -305,8 +308,7 @@ def w_pm_real(sign: int, x: float, x0: float, tol: float = DEFAULT_TOL) -> Produ
     if x0 < 0.0:
         raise NegativeShift("w_pm_real requires x0 >= 0; use aiai_real or w_pm instead")
     # x0 >= 0 never lies in the outer sector, so this is the single R+- integral
-    pv = w_pm(sign, x, x0, Route.CONTOUR, tol)
-    return replace(pv, route=Route.REAL_AXIS)
+    return w_pm(sign, x, x0, Route.CONTOUR, tol)
 
 
 def aiai_real(x: float, x0: float, tol: float = DEFAULT_TOL) -> ProductValue:
@@ -320,7 +322,7 @@ def aiai_real(x: float, x0: float, tol: float = DEFAULT_TOL) -> ProductValue:
     carries zero imaginary part by construction.
     """
     pv = _evaluate("aiai", float(x), float(x0), Route.CONTOUR, tol)
-    return ProductValue(complex(pv.value.real, 0.0), Route.REAL_AXIS, pv.abs_err_est)
+    return ProductValue(complex(pv.value.real, 0.0), pv.abs_err_est)
 
 
 def _derivative_stack(zz, rot: complex):

@@ -1,16 +1,21 @@
-"""Helpers shared by the test modules: path checks for the contour and
-quadrature tests, the key of the bit and digest pins, the seed-7
-float64-edge Green's-function configurations, both path integrals as
-functions of their tolerance, and small numeric helpers."""
+"""Helpers shared by the test modules: the pins of ``pins.json`` with
+their one lookup and one comparison, path checks for the contour and
+quadrature tests, the seed-7 float64-edge Green's-function
+configurations, both path integrals as functions of their tolerance, and
+small numeric helpers."""
 
 import cmath
 from functools import partial
+import json
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from airyprod import (ContourKind, GreensParams, ShiftedArgs, build_contour, greens_time_integral,
-                      laplace_integral)
+from airyprod import (ContourKind, GreensParams, ShiftedArgs, airy_batch, build_contour,
+                      greens_time_integral, laplace_integral)
+from airyprod.errors import AiryprodError, ToleranceNotMet
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -20,9 +25,12 @@ def scaled_diff(a, b):
     return abs(a - b) / max(1.0, abs(b))
 
 
-def bits(res):
-    """float.hex of (Re value, Im value, abs_err_est) of a result."""
-    return res.value.real.hex(), res.value.imag.hex(), res.abs_err_est.hex()
+def connection_residuals(z):
+    """|Ai(z) + w Ai(w z) + w* Ai(w* z)| over the largest of the three
+    terms, w = e^{2 i pi/3}, at each point of the array z."""
+    terms = (airy_batch(z)[0], OMEGA * airy_batch(OMEGA * z)[0],
+             np.conj(OMEGA) * airy_batch(z / OMEGA)[0])
+    return np.abs(sum(terms)) / np.maximum.reduce([np.abs(t) for t in terms])
 
 
 def tracked(leg, t):
@@ -60,7 +68,8 @@ def r_inner(leg):
 
 
 def float_kernels():
-    """numpy's minor version and the SIMD targets of its float64 exp and log.
+    """The scope of ``pins.json`` that numpy's minor version and the SIMD
+    targets of its float64 exp and log name.
 
     The targets name the loop set that numpy dispatches to (X86_V4, X86_V3
     or baseline), and the pinned bits follow more of its loops than these
@@ -69,13 +78,85 @@ def float_kernels():
     (``z * z0``, ``np.abs(z)`` and ``checks.ode_worst`` on
     ``shifted_grid(60, 20240901)``, while ``airy_batch``'s Ai, Ai' and
     ``est_rel_err`` keep their bytes under all three)."""
+    minor = np.__version__.rsplit(".", 1)[0]
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:  # numpy < 2.0
-        return None
+        return f"numpy {minor} loops unknown"
     info = opt_func_info(func_name="^(exp|log)$", signature="float64")
-    return (np.__version__.rsplit(".", 1)[0], info["exp"]["dd"]["current"],
-            info["log"]["dd"]["current"])
+    return f"numpy {minor} exp {info['exp']['dd']['current']} log {info['log']['dd']['current']}"
+
+
+# The pins: every value that tier-1 compares bit for bit, recorded by
+# ``record_pins.py`` from the row functions the pin tests call.  Each is
+# recorded in one scope: on every host (values of real +, -, * and
+# sqrt, counts and outcomes), per numpy minor version (the printed path
+# digests) or per ``float_kernels()`` key (values through numpy's exp,
+# log and complex loops).
+PINS = Path(__file__).with_name("pins.json")
+
+
+def scopes():
+    """The scopes whose pins hold on this host, widest first."""
+    return ["every host", f"numpy {np.__version__.rsplit('.', 1)[0]}", float_kernels()]
+
+
+def assert_pinned(name, got):
+    """Assert that ``got`` equals pin ``name``, as ``pins.json`` records it
+    for this host, bit for bit; a skip where none is recorded."""
+    table = json.loads(PINS.read_text())
+    for scope in scopes():
+        if name in table.get(scope, {}):
+            report = compare(table[scope][name], got, name)
+            assert not any(report), report
+            return
+    pytest.skip(f"no {name} recorded for {float_kernels()}")
+
+
+def integral_row(integral, *args):
+    """The pin row of ``integral(*args)``: its value and ``abs_err_est`` as
+    float.hex, nodes and stop, or the error it raises and its stop."""
+    try:
+        res = integral(*args)
+    except AiryprodError as exc:
+        stop = exc.result.stop if isinstance(exc, ToleranceNotMet) else None
+        return {"raises": type(exc).__name__, "stop": stop}
+    return {"value": [res.value.real.hex(), res.value.imag.hex()],
+            "abs_err_est": res.abs_err_est.hex(), "nodes": res.nodes, "stop": res.stop}
+
+
+def _value(row):
+    return complex(*map(float.fromhex, row["value"]))
+
+
+def compare(old, new, name):
+    """What changed from ``old`` to ``new``, the values of pin ``name``, as
+    three lists.  Refused, as (name, reason): an integral row (a dict with
+    a ``stop``) whose outcome or stop changed, or whose value moved by more
+    than its old plus new ``abs_err_est``.  Moved, as (name, that ratio):
+    any other integral row that changed.  Changed, as (name, old, new):
+    every other value that differs.  Dicts compare key by key."""
+    report = refused, moved, changed = [], [], []
+    if old == new:
+        pass
+    elif isinstance(old, dict) and "stop" in old:
+        if "value" not in old or "value" not in (new or {}) or old["stop"] != new["stop"]:
+            refused.append((name, f"outcome {old} became {new}"))
+        else:
+            move = abs(_value(new) - _value(old))
+            total = float.fromhex(old["abs_err_est"]) + float.fromhex(new["abs_err_est"])
+            ratio = move / total if total else math.inf if move else 0.0
+            if ratio > 1.0:
+                refused.append((name, f"moved {ratio:.3g} times its summed estimates"))
+            else:
+                moved.append((name, ratio))
+    elif isinstance(old, dict) and isinstance(new, dict):
+        for key in dict.fromkeys([*old, *new]):
+            for mine, theirs in zip(report, compare(old.get(key), new.get(key), f"{name}/{key}")):
+                mine += theirs
+    else:
+        changed.append((name, old, new))
+    return report
 
 
 def path_integrals():

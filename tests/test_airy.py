@@ -16,7 +16,7 @@ from airyprod import (
 )
 from airyprod import oracle
 from airyprod.oracle import CROSSOVER_RADIUS, _asym_batch, _series_batch
-from pathcheck import OMEGA
+from pathcheck import OMEGA, assert_pinned, connection_residuals
 
 # independent closed forms for the origin values
 AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
@@ -32,21 +32,12 @@ def test_origin_values_match_gamma_form():
     assert v.ai_prime.real == pytest.approx(-0.25881940379280680, abs=1e-16)
 
 
-def _connection_residuals(z):
-    a0 = airy_batch(z)[0]
-    ap = airy_batch(OMEGA * z)[0]
-    am = airy_batch(z / OMEGA)[0]
-    res = np.abs(a0 + OMEGA * ap + np.conj(OMEGA) * am)
-    scale = np.maximum.reduce([np.abs(a0), np.abs(ap), np.abs(am)])
-    return res / scale
-
-
 def test_connection_identity_disk():
     rng = np.random.default_rng(11)
     z = (rng.uniform(-1, 1, 260) + 1j * rng.uniform(-1, 1, 260)) * 10
     z = z[np.abs(z) <= 10][:200]
     assert len(z) == 200
-    assert np.max(_connection_residuals(z)) <= 1e-11
+    assert np.max(connection_residuals(z)) <= 1e-11
 
 
 def test_wronskian_constant_over_z():
@@ -108,20 +99,27 @@ def test_error_estimate_envelope():
     assert np.max(est) <= 1e-12
 
 
-def test_against_mpmath_sample():
+def _assert_near_mpmath(z):
+    """Ai and Ai' of ``airy_batch`` at each z within 60 times its
+    est_rel_err (at least 1e-16) of mpmath at 30 digits, each relative to
+    the larger of the pair's scales."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-    rng = np.random.default_rng(19)
-    z = (rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60)) * 24
-    z = np.concatenate([z[np.abs(z) <= 24][:40], [6.0, 9.0, -9.0, 20.0, 8.9 + 0.1j]])
     ai, aip, est = airy_batch(z)
     for zz, a, ap, e in zip(z, ai, aip, est):
         ra = complex(mp.airyai(complex(zz)))
         rp = complex(mp.airyai(complex(zz), derivative=1))
         scale = max(abs(ra), abs(rp) / (1.0 + abs(zz) ** 0.5), 1e-300)
-        assert abs(a - ra) <= 60.0 * max(e, 1e-16) * scale + 1e-250
+        assert abs(a - ra) <= 60.0 * max(e, 1e-16) * scale + 1e-250, zz
         scale_p = max(abs(rp), abs(ra) * (1.0 + abs(zz) ** 0.5), 1e-300)
-        assert abs(ap - rp) <= 60.0 * max(e, 1e-16) * scale_p + 1e-250
+        assert abs(ap - rp) <= 60.0 * max(e, 1e-16) * scale_p + 1e-250, zz
+
+
+def test_against_mpmath_sample():
+    rng = np.random.default_rng(19)
+    z = (rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60)) * 24
+    _assert_near_mpmath(np.concatenate([z[np.abs(z) <= 24][:40],
+                                        [6.0, 9.0, -9.0, 20.0, 8.9 + 0.1j]]))
 
 
 @pytest.mark.parametrize("radius", [9.5, 20.0, 35.0, 49.0])
@@ -177,7 +175,7 @@ def test_ode_residual_examples(z, h, bound):
 @settings(max_examples=30, deadline=None)
 @given(st.complex_numbers(max_magnitude=9.5, allow_nan=False, allow_infinity=False))
 def test_connection_identity_property(z):
-    res = _connection_residuals(np.array([z]))
+    res = connection_residuals(np.array([z]))
     assert res[0] <= 1e-11
 
 
@@ -253,124 +251,47 @@ def test_scalar_series_reflection_and_real_axis():
 
 
 def test_series_dense_against_mpmath():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
     rng = np.random.default_rng(37)
     disk = CROSSOVER_RADIUS * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(
         1j * rng.uniform(-np.pi, np.pi, 200))
     # the recessive sector |arg z| < pi/3, where the series cancels most
     recessive = rng.uniform(4.0, CROSSOVER_RADIUS, 100) * np.exp(
         1j * rng.uniform(-np.pi / 3, np.pi / 3, 100))
-    z = np.concatenate([disk, recessive, [CROSSOVER_RADIUS, 8.99]])
-    ai, aip, est = airy_batch(z)
-    for zz, a, ap, e in zip(z, ai, aip, est):
-        ra = complex(mp.airyai(complex(zz)))
-        rp = complex(mp.airyai(complex(zz), derivative=1))
-        scale = max(abs(ra), abs(rp) / (1.0 + abs(zz) ** 0.5), 1e-300)
-        assert abs(a - ra) <= 60.0 * max(e, 1e-16) * scale + 1e-250, zz
-        scale_p = max(abs(rp), abs(ra) * (1.0 + abs(zz) ** 0.5), 1e-300)
-        assert abs(ap - rp) <= 60.0 * max(e, 1e-16) * scale_p + 1e-250, zz
+    _assert_near_mpmath(np.concatenate([disk, recessive, [CROSSOVER_RADIUS, 8.99]]))
 
 
-# (z, Re Ai, Im Ai, Re Ai', Im Ai') as float.hex, recorded from the series
-# kernel at seeded points of the disk |z| <= 9, both half planes, both
-# axes and the crossover circle
-_SERIES_PINS = (
-    ((7.106444-4.510353j), '0x1.c96fc35f07ba4p-19', '-0x1.914f5c5809085p-21',
-     '-0x1.2d88298f758d1p-17', '0x1.42aba80ae2842p-18'),
-    ((-3.272336+4.534998j), '0x1.8e00b58dbfa5dp+9', '0x1.8eb8c3b10796cp+9',
-     '0x1.96bf297024e60p+9', '-0x1.36496953cd319p+11'),
-    ((1.655265-0.136313j), '0x1.d2dbc33f9ebaap-5', '0x1.6b5710176bfddp-7',
-     '-0x1.4b3869fd2110ap-4', '-0x1.abff640ba4e44p-7'),
-    ((-4.16417+6.490054j), '0x1.c59e9c0fe6d01p+17', '0x1.c96fcd632d911p+16',
-     '-0x1.67cc06f9465bfp+14', '-0x1.5c42b376fa830p+19'),
-    ((-0.080706-8.341136j), '0x1.228dce4f13c94p+13', '-0x1.b4766549d726cp+13',
-     '0x1.23bf8ed86f616p+13', '0x1.70a2f094fcba0p+15'),
-    ((-7.820696-1.096803j), '0x1.7ad5f7b597169p+0', '-0x1.a73530c7b38e4p+1',
-     '0x1.21bec75db2f6cp+3', '0x1.2abc63746592bp+2'),
-    ((1.980296+7.074596j), '0x1.65be3f50384e1p+4', '-0x1.21049d2f86db6p+1',
-     '-0x1.a11aae11b1b2dp+5', '-0x1.efde743b3ac51p+4'),
-    ((-1.158473-0.401262j), '0x1.2934623d5abf1p-1', '-0x1.c54a7f58307dep-6',
-     '0x1.64328409a4440p-5', '0x1.05e546d39114ep-2'),
-    ((0.433103-0.028106j), '0x1.f9c0fc52e04dbp-3', '0x1.ac0ea67e13583p-8',
-     '-0x1.dc0502b91229ap-3', '-0x1.8a484743fd916p-9'),
-    ((8.413692+2.777867j), '-0x1.22ad034b2237dp-27', '-0x1.ba511ec9127b6p-26',
-     '0x1.c344807370b9dp-27', '0x1.58c23632c775ep-24'),
-    ((6.323352+5.510284j), '-0x1.5f70dbac32554p-16', '-0x1.2d479469172ddp-14',
-     '-0x1.e0ec9e0fb4aaep-17', '0x1.c7c01e3e1b860p-13'),
-    ((4.21992+6.402356j), '-0x1.423e0034044aap-7', '-0x1.838c74fc86367p-5',
-     '-0x1.2ca5f7a27b3e2p-5', '0x1.07edaa2097733p-3'),
-    ((2.813417+2.167629j), '-0x1.a5fd216d4cf09p-7', '0x1.788393bfd44a7p-7',
-     '0x1.ef722574f5503p-6', '-0x1.c3d839f647815p-7'),
-    ((-2.930498+3.367984j), '0x1.c65c52c27d557p+4', '0x1.31783654b5200p+6',
-     '0x1.defb05b72c176p+6', '-0x1.d47a3536f27f3p+6'),
-    ((3.082707+0.202275j), '0x1.5c5b10a3f8509p-8', '-0x1.0e4b894f23194p-9',
-     '-0x1.425d20e1a7b9ep-7', '0x1.c97c18d80496bp-9'),
-    ((-0.598638+7.927657j), '-0x1.2dd361589fbbfp+14', '0x1.6a1aaf2514512p+12',
-     '0x1.7d306ec13cccep+15', '0x1.b8eebbca33de9p+14'),
-    ((-6.08847-4.974366j), '0x1.26cb231cafe79p+15', '-0x1.edc4aa6c9e1e3p+14',
-     '0x1.78f9a5cec10e0p+15', '0x1.f366277e34e7bp+16'),
-    ((-3.492135-1.380935j), '-0x1.5560191905045p+1', '0x1.5c8ff66a8e352p-1',
-     '-0x1.02e180bc8bbdep-1', '-0x1.4ad89d6b7003fp+2'),
-    ((-1.302518+0.706564j), '0x1.61c17af372f33p-1', '0x1.a2e9ef8d4ed2ap-4',
-     '0x1.37d63df974f84p-4', '-0x1.15f9614d4bf0fp-1'),
-    ((4.931076-6.477665j), '-0x1.17cb0656bb317p-7', '0x1.3e6f624bff6bep-9',
-     '0x1.36d901a00c368p-6', '-0x1.146ca95c1128ap-6'),
-    ((2.145443+2.52711j), '-0x1.57eb4012af7c9p-5', '0x1.d446feff7a74ap-5',
-     '0x1.cc1c58469e41dp-4', '-0x1.1435e754add39p-4'),
-    ((-2.273414-0.64989j), '0x1.488eda319c719p-4', '-0x1.0de077e5ba8cep-1',
-     '0x1.0c02568df7349p+0', '0x1.361ad11b00a6ep-3'),
-    ((1.567602-2.680867j), '-0x1.3482d1b3c4983p-3', '-0x1.1ebc2d4f67674p-3',
-     '0x1.67a2bb65beb53p-2', '0x1.91747d75a3108p-4'),
-    ((0.967837+3.261534j), '-0x1.a437e8ae09e37p-2', '0x1.913b16bc22855p-1',
-     '0x1.6db7d515810f2p+0', '-0x1.832a650baae08p-1'),
-    ((0.75+0j), '0x1.6f47df7821461p-3', '0x0.0p+0',
-     '-0x1.8b9f7189a67bfp-3', '0x0.0p+0'),
-    ((3.5+0j), '0x1.52b3f78f3be24p-9', '0x0.0p+0',
-     '-0x1.47f82253f7ef5p-8', '0x0.0p+0'),
-    ((6.25+0j), '0x1.641202c0a3caap-18', '0x0.0p+0',
-     '-0x1.c3f2cdb61ee61p-17', '0x0.0p+0'),
-    ((-2.5+0j), '-0x1.cc155ec43247dp-4', '0x0.0p+0',
-     '0x1.5b9295e8ef584p-1', '0x0.0p+0'),
-    ((-5.75+0j), '-0x1.82bfa57a7c26cp-3', '0x0.0p+0',
-     '0x1.7a73ecc8b9b11p-1', '0x0.0p+0'),
-    ((-8.5+0j), '-0x1.52379aa33d405p-2', '0x0.0p+0',
-     '-0x1.08b600c36ac3cp-5', '0x0.0p+0'),
-    (1.25j, '0x1.2dfb1d7ae891ap-2', '-0x1.beea6f12c748bp-2',
-     '-0x1.0ac1d4218abacp-1', '0x1.a22078711d368p-3'),
-    (4.5j, '0x1.8016d20840652p+1', '0x1.14f2e3b7eea01p+4',
-     '0x1.4731d0647c7e9p+4', '-0x1.e58c406683809p+4'),
-    (-3j, '-0x1.31f9799e6dc86p+1', '0x1.914013d7698c3p-1',
-     '0x1.07ed5ca92c073p+1', '-0x1.d76f83f6d029dp+1'),
-    (-7.75j, '-0x1.d3c72aeb846cep+10', '-0x1.f62e2375dcbadp+11',
-     '0x1.66262b6aa6c52p+13', '0x1.0c1929f5eb1eep+12'),
-    (9.0, '0x1.53a28272eaba3p-29', '0x0.0p+0',
-     '-0x1.01086ae331e68p-27', '0x0.0p+0'),
-    (-9.0, '-0x1.6aa38e8bd0844p-6', '0x0.0p+0',
-     '-0x1.f38a3ab3ed723p-1', '0x0.0p+0'),
-    (9j, '0x1.6e45b1accdbf3p+15', '-0x1.c28ce083d7c2dp+14',
-     '-0x1.382bac9c902b6p+17', '-0x1.20a632f814cc7p+15'),
-    (-9j, '0x1.6e45b1accdbf3p+15', '0x1.c28ce083d7c2dp+14',
-     '-0x1.382bac9c902b6p+17', '0x1.20a632f814cc7p+15'),
-    ((4.5+7.794228j), '0x1.14d560c15b30dp-3', '0x1.7400e170c5aedp-4',
-     '-0x1.c0a27c492d9c6p-3', '-0x1.bf4f0af47c639p-2'),
-    ((-6.36396-6.36396j), '0x1.4cd497788ac33p+21', '-0x1.350de50eb3846p+15',
-     '-0x1.6a11e320e6353p+21', '0x1.cca809699fad3p+22'),
-)
+# seeded points of the disk |z| <= 9, both half planes, both axes and the
+# crossover circle, at which the series kernel's bits are pinned
+_SERIES_POINTS = (7.106444-4.510353j, -3.272336+4.534998j, 1.655265-0.136313j, -4.16417+6.490054j,
+                  -0.080706-8.341136j, -7.820696-1.096803j, 1.980296+7.074596j,
+                  -1.158473-0.401262j, 0.433103-0.028106j, 8.413692+2.777867j, 6.323352+5.510284j,
+                  4.21992+6.402356j, 2.813417+2.167629j, -2.930498+3.367984j, 3.082707+0.202275j,
+                  -0.598638+7.927657j, -6.08847-4.974366j, -3.492135-1.380935j,
+                  -1.302518+0.706564j, 4.931076-6.477665j, 2.145443+2.52711j, -2.273414-0.64989j,
+                  1.567602-2.680867j, 0.967837+3.261534j, 0.75+0j, 3.5+0j, 6.25+0j, -2.5+0j,
+                  -5.75+0j, -8.5+0j, 1.25j, 4.5j, -3j, -7.75j, 9.0, -9.0, 9j, -9j, 4.5+7.794228j,
+                  -6.36396-6.36396j)
+
+
+def _hex_parts(a, ap):
+    return [float(x).hex() for x in (a.real, a.imag, ap.real, ap.imag)]
+
+
+def series_values():
+    """float.hex of (Re Ai, Im Ai, Re Ai', Im Ai') at each _SERIES_POINTS,
+    from one call per point."""
+    return {str(z): _hex_parts(v.ai, v.ai_prime) for z, v in zip(_SERIES_POINTS,
+                                                                  map(airy, _SERIES_POINTS))}
 
 
 def test_series_values_pinned():
     # the series uses real +, -, * only, so these bits hold on any host,
     # for scalar calls and arrays alike (est_rel_err uses exp and is not
     # pinned)
-    z = np.array([row[0] for row in _SERIES_PINS])
-    ai, aip, _ = airy_batch(z)
-    for (zz, *want), a, ap in zip(_SERIES_PINS, ai, aip):
-        v = airy(zz)
-        got = [v.ai.real, v.ai.imag, v.ai_prime.real, v.ai_prime.imag]
-        assert [x.hex() for x in got] == want, zz
-        got = [a.real, a.imag, ap.real, ap.imag]
-        assert [float(x).hex() for x in got] == want, zz
+    rows = series_values()
+    assert_pinned("series_values", rows)
+    ai, aip, _ = airy_batch(np.array(_SERIES_POINTS))
+    assert [_hex_parts(a, ap) for a, ap in zip(ai, aip)] == list(rows.values())
 
 
 def _digest_points():
@@ -397,14 +318,15 @@ def _digest_points():
 def _hex_digest(pairs):
     h = hashlib.sha256()
     for a, ap in pairs:
-        parts = (a.real, a.imag, ap.real, ap.imag)
-        h.update(" ".join(float(x).hex() for x in parts).encode())
+        h.update(" ".join(_hex_parts(a, ap)).encode())
     return h.hexdigest()
 
 
-# SHA-256 of the float.hex of Ai and Ai' at _digest_points(), recorded
-# from the series kernel of the nested double-double primitives
-_SERIES_DIGEST = "057be9f04d7e879b66462c965238f42d82c5fb86ddb5b5bc57b35cdfb6440e26"
+def series_digest():
+    """SHA-256 of the float.hex of Ai and Ai' at _digest_points(), from
+    one array call."""
+    ai, aip, _ = airy_batch(_digest_points())
+    return _hex_digest(zip(ai, aip))
 
 
 def test_series_digest_pinned():
@@ -412,10 +334,8 @@ def test_series_digest_pinned():
     # and one 4000-point array alike
     z = _digest_points()
     assert len(z) == 4000 and np.all(np.abs(z) < CROSSOVER_RADIUS)
-    ai, aip, _ = airy_batch(z)
-    assert _hex_digest(zip(ai, aip)) == _SERIES_DIGEST
-    values = [airy(complex(w)) for w in z]
-    assert _hex_digest((v.ai, v.ai_prime) for v in values) == _SERIES_DIGEST
+    assert_pinned("series_digest", series_digest())
+    assert_pinned("series_digest", _hex_digest((v.ai, v.ai_prime) for v in map(airy, z)))
 
 
 _WALK_TABLE = oracle._series_tables(64)

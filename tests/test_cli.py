@@ -1,7 +1,9 @@
 """Command-line interface: records, exit codes, tables, flag parsing."""
 
 import cmath
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,13 +11,14 @@ from pathlib import Path
 import shlex
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 from airyprod import (GreensParams, __version__, airy, checks, cli, errors, greens_time_integral,
                       quadrature, scaled_vars)
 from airyprod.cli import main, parse_complex
-from pathcheck import float_kernels
+from pathcheck import assert_pinned
 
 
 def _fields(line):
@@ -32,10 +35,25 @@ def _run(capsys, argv):
     return rc, out
 
 
-def test_eval_zero_point(capsys):
-    rc, out = _run(capsys, ["eval", "u+", "--z", "0+0i", "--z0", "0+0i"])
+def _failure(capsys, argv, code):
+    """The stderr of ``airyprod argv``, which must exit with ``code`` and
+    print nothing on stdout."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == code and captured.out == ""
+    return captured.err
+
+
+def _record(capsys, argv):
+    """The fields of the last record that ``airyprod argv`` prints; it
+    must exit 0."""
+    rc, out = _run(capsys, argv)
     assert rc == 0
-    rec = _fields(out.strip())
+    return _fields(out.strip().splitlines()[-1])
+
+
+def test_eval_zero_point(capsys):
+    rec = _record(capsys, ["eval", "u+", "--z", "0+0i", "--z0", "0+0i"])
     assert rec["sector"] == "zero"
     assert rec["route"] == "direct"
     assert float(rec["re"]) == pytest.approx(airy(0).ai.real ** 2, abs=1e-15)
@@ -45,46 +63,46 @@ def test_eval_zero_point(capsys):
 
 
 def test_eval_difference_vanishes_at_zero_shift(capsys):
-    rc, out = _run(capsys, ["eval", "diff+", "--z", "1+0i", "--z0", "0+0i",
-                            "--route", "contour"])
-    assert rc == 0
-    rec = _fields(out.strip())
+    rec = _record(capsys, ["eval", "diff+", "--z", "1+0i", "--z0", "0+0i",
+                           "--route", "contour"])
     assert math.hypot(float(rec["re"]), float(rec["im"])) <= 1e-10
 
 
 def test_eval_negative_shift_exit_code(capsys):
-    rc, _ = _run(capsys, ["eval", "w-real+", "--x", "0", "--x0", "-1"])
-    assert rc == 2
+    _failure(capsys, ["eval", "w-real+", "--x", "0", "--x0", "-1"], 2)
 
 
 def test_eval_contour_beyond_geometry_edge_exit(capsys):
     # |z + z0/2| = 232 lies past the contour geometry's edge at 231.03
-    rc, out = _run(capsys, ["eval", "u+", "--z", "232", "--z0", "0", "--route", "contour"])
-    assert rc == 2 and out == ""
+    _failure(capsys, ["eval", "u+", "--z", "232", "--z0", "0", "--route", "contour"], 2)
 
 
 def test_eval_contour_modulus_overflow_exit(capsys):
     # finite parts whose modulus |z0| leaves float64: the geometry error of
     # the neighbouring --z0 1e308+1e308i, not an OverflowError traceback
-    rc = main(["eval", "u+", "--z", "1", "--z0", "1.5e308+1.5e308i", "--route", "contour"])
-    captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    err = _failure(capsys, ["eval", "u+", "--z", "1", "--z0", "1.5e308+1.5e308i", "--route",
+                            "contour"], 2)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_direct_argument_overflow_exit(capsys):
+    # z + z0 leaves float64 for finite --z and --z0: past the oracle's
+    # envelope, not a non-finite argument
+    err = _failure(capsys, ["eval", "u+", "--z", "1e308", "--z0", "1e308"], 2)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" not in err
 
 
 def test_eval_contour_miss_exit(capsys):
     # a real quadrature miss, not a patched one: exit 3 and no data
-    rc = main(["eval", "u+", "--z=-10+0.5i", "--z0", "0", "--route", "contour",
-               "--tol", "1e-14"])
-    captured = capsys.readouterr()
-    assert rc == 3 and captured.out == ""
-    assert captured.err.startswith("quadrature failure:")
-    assert "(stop: plateau)" in captured.err
+    err = _failure(capsys, ["eval", "u+", "--z=-10+0.5i", "--z0", "0", "--route", "contour",
+                            "--tol", "1e-14"], 3)
+    assert err.startswith("quadrature failure:")
+    assert "(stop: plateau)" in err
 
 
 def test_eval_requires_arguments(capsys):
-    rc, _ = _run(capsys, ["eval", "u+"])
-    assert rc == 2
+    _failure(capsys, ["eval", "u+"], 2)
 
 
 @pytest.mark.parametrize("z,z0", [("0.7-0.4i", "-1.1+0.3i"), ("-0.7-0.4i", "-2"),
@@ -127,111 +145,61 @@ def test_error_exit_codes(monkeypatch, capsys, exc, code):
 
 
 def test_eval_product_rotations(capsys):
-    rc, out = _run(capsys, ["eval", "product", "--rot1", "+", "--rot2", "-",
-                            "--z", "2i", "--z0", "1", "--route", "contour"])
-    assert rc == 0
-    rec = _fields(out.strip())
+    rec = _record(capsys, ["eval", "product", "--rot1", "+", "--rot2", "-",
+                           "--z", "2i", "--z0", "1", "--route", "contour"])
     assert rec["route"] == "contour"
     assert abs(float(rec["abs_err"])) < 1e-8
 
 
-# SHA-256 of the stdout of each verify run below and of each README command
-# line, and of the table files those write.  The contour-route and
-# Green's-function digits follow numpy's float64 exp and log loops, and
-# under the baseline loops the ODE residuals follow its complex multiply
-# and absolute value too (hence the baseline ``verify ode`` digests), so
-# one set is recorded per ``float_kernels()`` key; under the X86_V3 loops
-# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") and the baseline
-# loops (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3") the
-# outputs not listed again keep their bytes.
-_V4_DIGESTS = {
-    "verify ode --count 6 --seed 3":
-        "e1fa4cbd56b6f7f6e0ff95eb1362df3993442335213092ea14dd002f59684f01",
-    "verify ode": "803c64577baa94ede02b7657ac3ff161f55ba73bd7e9e150b740f2e9cd10d11f",
-    "verify routes --count 6 --seed 3":
-        "180e42ab4cc8ea888e9e43e2e4a69b0b74232134d907e122794c957504889f22",
-    "verify routes": "4315225f5366d6458a8a511fa3b33ba672d50aa2ef075884d586cb59439fe4c5",
-    "verify identities --count 6 --seed 3":
-        "c2375669999717def051c605d296e536e6176379c332fcd36550734bbc233f2a",
-    "verify identities": "5da63c9775b01a18e63676b8ea8a41434a9959ab73b01f21bedc126b981e41fa",
-    "verify contour-relation --count 6 --seed 3":
-        "a5311b50aee14b67ed338f95d9915f3e4bea050b11fd9746a7a844e047ce51e9",
-    "verify contour-relation": "ea43377c06ffdc138dc3644f888dc4ebfe30be0e0f1f37e8fb47407b0118abc3",
-    "verify greens --count 6 --seed 3":
-        "485bb2fcb758db8d158cf5469f01855fefc2fd4de65db7736c0339988dc63045",
-    "verify greens": "8e92acfc4b23eb4e1e9b02aa9a8200538a9be016182eb891bb3ee29c3216ad2b",
-    "eval u+ --z 1+0.5i --z0 0.3 --route contour":
-        "4c9632a125f1b2cfa5f0710c3e3690d7b5378a072a2cca697b3f51d32ee15c64",
-    "eval w+ --z 0.7-0.4i --z0 -1.1+0.3i":
-        "86bb85a9cc1ddbef751977ae0a81b25f425665c536bb2c2c0188f4ab1978e536",
-    "eval w-real+ --x 0 --x0 1":
-        "a85a934b41da5a5bd3d7aa0cd411368148ca96712da4939eaf1cbe1dbf27ce91",
-    "verify identities --count 100 --seed 7":
-        "f03bc0c79c8e1299be9730dcfe7e76ee13b7f1ad153665db3f8ed09fe224676b",
-    "table product --out prod.csv --count-x 21 --count-x0 5":
-        "178592cd87bbd9185da12b168c41ccbaf8ffbab1b8ab6688bec358983bb36465",
-    "prod.csv": "0c90c3b85ccafc282fab1c2211f036b226e785865ece34bddf6cae1cefe9a54f",
-    "table greens --out g.json --format json --xi 0 --field 0.1":
-        "a489580443cf2e04b6f9f96a8409ec4e9a67b50cbbc6b0fa86bdb0cce41993fb",
-    "g.json": "456fa2add0f5b2dcc68f5016aeec348c62d6588094826e971819f7679753623f",
-    "greens --energy 0.5 --field 0,0,0.1 --r 1,0,0 --r-prime 0,0,0":
-        "989f166312cba084ec32d2b458fc6c2a89177dd14f55dbf29908fa79c8c2c991",
-}
-_DIGESTS = {
-    ("2.4", "X86_V4", "X86_V4"): _V4_DIGESTS,
-    ("2.4", "X86_V3", "X86_V3"): {
-        **_V4_DIGESTS,
-        "verify contour-relation --count 6 --seed 3":
-            "582236d6bab600f0c58f12cb520e29542baf2d6e6e23e6a20b8beb3b29c3d1a6",
-        "verify contour-relation":
-            "890848aba3aa1cdfb1931fd62f6a90e1a3ebde73524f84d6290109b4133479aa",
-        "verify greens": "380b36c6d5da128d3093bfbae373ad928b8943ecef49df19acc2762a0407f1c8",
-        "eval w-real+ --x 0 --x0 1":
-            "5e6a9c1cfdde2349395c7b0632f3872f70d95932611751b750addb67a52ac039",
-    },
-    ("2.4", "baseline(X86_V2)", "baseline(X86_V2)"): {
-        **_V4_DIGESTS,
-        "verify ode --count 6 --seed 3":
-            "c982f07cd3cf5a7036ae69730935382e9856e892648ffbc23623dc93a2ddac48",
-        "verify ode": "4ec7257e6894c6251c7d8275149f05b17c157bc2ab04b0278b0220bf582d0151",
-        "verify routes --count 6 --seed 3":
-            "fb34dc4f952d178a66937419f7b43fb41071c6426af887ecb19867433016d727",
-        "verify routes": "a49eed661b7e9c0a0e40e5f7d1e398788c794f68d539ef50ee4d38ee87ed2b24",
-        "verify contour-relation --count 6 --seed 3":
-            "087a20b8b67dd2d64d9494695fd592d1fde8cfb5b4525bea9401487d4d3b6b8f",
-        "verify contour-relation":
-            "41c9bcdf455c7abe7d6a171cac863751bc0d1d279196cf3646e3b50a83c50caf",
-        "verify greens": "a98817da1472cf76a848cd7c98f42188175497ebacc3243806223a855b900cc3",
-        "eval u+ --z 1+0.5i --z0 0.3 --route contour":
-            "ed8c3333b8954dc4f60099c515782f9d0d39091f22512cc4d602f5f32abe90e2",
-        "eval w-real+ --x 0 --x0 1":
-            "5e6a9c1cfdde2349395c7b0632f3872f70d95932611751b750addb67a52ac039",
-    },
-}
+def cli_run(argv):
+    """``airyprod argv`` in a new temporary directory: its exit code, its
+    stdout, and the SHA-256 of its stdout and of each file it writes, by
+    name."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            contextlib.redirect_stdout(out):
+        rc = main(argv)
+        outputs = {" ".join(argv): out.getvalue().encode(),
+                   **{path.name: path.read_bytes() for path in Path(tmp).iterdir()}}
+    return rc, out.getvalue(), {name: hashlib.sha256(data).hexdigest()
+                                for name, data in outputs.items()}
 
 
-def _digests_match(outputs):
-    """Each (name, bytes) against its recorded digest; a skip where none
-    is recorded for this host's numpy loops."""
-    digests = _DIGESTS.get(float_kernels())
-    if digests is None:
-        pytest.skip(f"no digests recorded for numpy loops {float_kernels()}")
-    for name, data in outputs:
-        assert hashlib.sha256(data).hexdigest() == digests[name], name
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert commands and all(argv[0] == "airyprod" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+_VERIFY_RUNS = (["--count", "6", "--seed", "3"], [])
+
+
+def cli_digests():
+    """The SHA-256 of the stdout of each verify suite at a short and at its
+    default count and of each README command line, and of the table files
+    those write: the contour-route and Green's-function digits follow
+    numpy's float64 exp and log loops, and under the baseline loops the
+    ODE residuals follow its complex multiply and absolute value too."""
+    commands = [["verify", suite, *extra] for suite in sorted(checks.SUITES)
+                for extra in _VERIFY_RUNS] + _readme_commands()
+    return {name: digest for argv in commands for name, digest in cli_run(argv)[2].items()}
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
-def test_verify_suites_pass(capsys, suite):
-    outputs = []
-    for extra in (["--count", "6", "--seed", "3"], []):
-        argv = ["verify", suite, *extra]
-        rc, out = _run(capsys, argv)
+def test_verify_suites_pass(suite):
+    digests = {}
+    for extra in _VERIFY_RUNS:
+        rc, out, run = cli_run(["verify", suite, *extra])
         assert rc == 0
         summary = _fields(out.strip().splitlines()[-1])
         assert summary["status"] == "PASS"
         assert int(summary["failures"]) == 0
-        outputs.append((" ".join(argv), out.encode()))
-    _digests_match(outputs)
+        digests.update(run)
+    for name, digest in digests.items():
+        assert_pinned(name, digest)
 
 
 def test_verify_deterministic(capsys):
@@ -313,22 +281,16 @@ def test_table_greens_abs_err_bounds_mpmath(tmp_path, capsys, xi, field, count):
 
 
 def test_table_bad_path_exit_code(tmp_path, capsys):
-    rc, _ = _run(capsys, ["table", "product", "--out",
-                          str(tmp_path / "nodir" / "x.csv")])
-    assert rc == 4
+    _failure(capsys, ["table", "product", "--out", str(tmp_path / "nodir" / "x.csv")], 4)
 
 
 def test_greens_point_and_zero_field_routing(capsys):
-    rc, out = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
-                            "--r", "1,0,0", "--r-prime", "0,0,0"])
-    assert rc == 0
-    rec = _fields(out.strip())
+    rec = _record(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
+                           "--r", "1,0,0", "--r-prime", "0,0,0"])
     assert rec["method"] == "closed"
     assert "xi" in rec and "eta" in rec
-    rc, out = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0",
-                            "--r", "1,0,0", "--r-prime", "0,0,0"])
-    assert rc == 0
-    rec = _fields(out.strip())
+    rec = _record(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0",
+                           "--r", "1,0,0", "--r-prime", "0,0,0"])
     assert rec["method"] == "free"  # zero field routes to the free form
 
 
@@ -336,10 +298,8 @@ def test_greens_integral_method(capsys):
     # the time integral runs at --tol as given, over the whole accepted range
     p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
     for tol in ("1e-14", "1e-10", "1e-4"):
-        rc, out = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1,0,0",
-                                "--r-prime", "0,0,0", "--method", "integral", "--tol", tol])
-        assert rc == 0
-        rec = _fields(out.strip())
+        rec = _record(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1", "--r", "1,0,0",
+                               "--r-prime", "0,0,0", "--method", "integral", "--tol", tol])
         g = greens_time_integral(p, float(tol))
         assert rec["method"] == "integral"
         assert (rec["re"], rec["im"]) == (format(g.real, ".17g"), format(g.imag, ".17g")), tol
@@ -348,39 +308,32 @@ def test_greens_integral_method(capsys):
 def test_verify_greens_at_tightest_tol(capsys):
     # verify passes --tol to the time integral unchanged, and at the
     # tightest accepted tolerance every case still meets its bound
-    rc, out = _run(capsys, ["verify", "greens", "--count", "3", "--tol", "1e-14"])
-    assert rc == 0
-    summary = _fields(out.strip().splitlines()[-1])
+    summary = _record(capsys, ["verify", "greens", "--count", "3", "--tol", "1e-14"])
     assert (summary["failures"], summary["status"]) == ("0", "PASS")
 
 
 def test_greens_integral_zero_field_tiny_energy(capsys):
     # at E = 1e-300 the decay leg's span log(r_j / r_min) overflows; capped
     # at 2 lam it gives the free wave, which is 1/(2 pi |r - r'|) here
-    rc, out = _run(capsys, ["greens", "--energy", "1e-300", "--field", "0,0,0",
-                            "--r", "1e-5,0,0", "--r-prime", "0,0,0", "--method", "integral"])
-    assert rc == 0
-    rec = _fields(out.strip())
+    rec = _record(capsys, ["greens", "--energy", "1e-300", "--field", "0,0,0",
+                           "--r", "1e-5,0,0", "--r-prime", "0,0,0", "--method", "integral"])
     g = complex(float(rec["re"]), float(rec["im"]))
     assert abs(g - 1.0 / (2.0 * math.pi * 1e-5)) <= 1e-8 / (2.0 * math.pi * 1e-5)
 
 
 def test_greens_closed_weak_field_exit(capsys):
     # the closed form leaves float64 at xi = 175 (EnvelopeExceeded)
-    rc, out = _run(capsys, ["greens", "--energy", "-0.3", "--field", "0,0,1e-4",
-                            "--r", "1,0,0", "--r-prime", "0,0,0", "--method", "closed"])
-    assert rc == 2 and out == ""
+    _failure(capsys, ["greens", "--energy", "-0.3", "--field", "0,0,1e-4",
+                      "--r", "1,0,0", "--r-prime", "0,0,0", "--method", "closed"], 2)
 
 
 def test_greens_integral_overflow_on_path_exit(capsys):
     # E = 1e100 is finite, but the integrand overflows on the first round's
     # nodes: the quadrature stops as non_finite before any exponential
-    rc = main(["greens", "--energy", "1e100", "--field", "0,0,0.1", "--r", "1,0,0",
-               "--r-prime", "0,0,0", "--method", "integral"])
-    captured = capsys.readouterr()
-    assert rc == 3 and captured.out == ""
-    assert captured.err.startswith("quadrature failure: ")
-    assert captured.err.endswith("after 0 nodes (stop: non_finite)\n")
+    err = _failure(capsys, ["greens", "--energy", "1e100", "--field", "0,0,0.1", "--r", "1,0,0",
+                            "--r-prime", "0,0,0", "--method", "integral"], 3)
+    assert err.startswith("quadrature failure: ")
+    assert err.endswith("after 0 nodes (stop: non_finite)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,8 +387,7 @@ def test_greens_integral_overflow_on_path_exit(capsys):
 ])
 def test_validation_exits(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    rc, out = _run(capsys, argv)
-    assert rc == 2 and out == ""
+    _failure(capsys, argv, 2)
     assert not any(tmp_path.iterdir())
 
 
@@ -450,11 +402,9 @@ def test_validation_exits(tmp_path, monkeypatch, capsys, argv):
 def test_unknown_flag_reports_its_subcommand_usage(tmp_path, monkeypatch, capsys, argv,
                                                    usage):
     monkeypatch.chdir(tmp_path)
-    rc = main(argv)
-    captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
-    assert captured.err.startswith(usage)
-    assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+    err = _failure(capsys, argv, 2)
+    assert err.startswith(usage)
+    assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in err
     assert not any(tmp_path.iterdir())
 
 
@@ -478,49 +428,31 @@ def test_verify_failure_exit(monkeypatch, capsys):
     assert records[-1]["max_ratio"] == "2"
 
 
-def _readme_commands():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line) for line in block.splitlines()]
-    assert commands and all(argv[0] == "airyprod" for argv in commands)
-    return [argv[1:] for argv in commands]
-
-
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[:2]))
-def test_readme_command_lines(tmp_path, monkeypatch, capsys, argv):
-    # the table lines write their files into the working directory
-    monkeypatch.chdir(tmp_path)
-    rc, out = _run(capsys, argv)
+def test_readme_command_lines(argv):
+    rc, out, digests = cli_run(argv)
     assert rc == 0 and out.endswith("\n")
-    outputs = [(" ".join(argv), out.encode())]
-    if argv[0] == "table":
-        path = tmp_path / _fields(out)["path"]
-        outputs.append((path.name, path.read_bytes()))
-    _digests_match(outputs)
+    for name, digest in digests.items():
+        assert_pinned(name, digest)
 
 
 def test_greens_underflowing_separation(capsys):
     # |r - r'|^2 = 1e-340 underflows but |r - r'| does not: G is the near
     # field 1/(2 pi |r - r'|)
-    rc, out = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
-                            "--r", "1e-170,0,0", "--r-prime", "0,0,0"])
-    assert rc == 0
-    rec = _fields(out.strip())
+    rec = _record(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
+                           "--r", "1e-170,0,0", "--r-prime", "0,0,0"])
     assert float(rec["separation"]) == 1e-170
     assert float(rec["re"]) == pytest.approx(1.0 / (2.0 * math.pi * 1e-170), rel=1e-13)
 
 
 def test_greens_coincident_points_exit(capsys):
-    rc, _ = _run(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
-                          "--r", "1,0,0", "--r-prime", "1,0,0"])
-    assert rc == 2
+    _failure(capsys, ["greens", "--energy", "0.5", "--field", "0,0,0.1",
+                      "--r", "1,0,0", "--r-prime", "1,0,0"], 2)
 
 
 def test_greens_non_finite_energy_exit(capsys):
-    rc, out = _run(capsys, ["greens", "--energy", "nan", "--field", "0,0,0.1",
-                            "--r", "1,0,0", "--r-prime", "0,0,0", "--method", "free"])
-    assert rc == 2 and out == ""
+    _failure(capsys, ["greens", "--energy", "nan", "--field", "0,0,0.1",
+                      "--r", "1,0,0", "--r-prime", "0,0,0", "--method", "free"], 2)
 
 
 def test_omitted_flags_take_defaults(tmp_path, monkeypatch, capsys):

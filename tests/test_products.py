@@ -1,8 +1,10 @@
 """Basis products: route equivalence, linear closures, product-ODE residuals."""
 
 import cmath
+from functools import partial
 import inspect
 import math
+from unittest import mock
 
 import airyprod
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from airyprod import (
     ContourKind,
+    EnvelopeExceeded,
+    NonFiniteInput,
     Rotation,
     Route,
     ToleranceNotMet,
@@ -26,7 +30,7 @@ from airyprod import (
     w_pm,
 )
 from airyprod.contours import _ENDS
-from pathcheck import bits, scaled_diff
+from pathcheck import scaled_diff
 
 THIRD = cmath.exp(1j * math.pi / 3)
 
@@ -55,13 +59,11 @@ def test_translation_symmetry(z, z0, sign):
 @pytest.mark.parametrize("z,z0", [(1.0, 1.0), (2j, 1.0), (0.5, -0.8),
                                   (0.3, 1.7j), (-1.2, 2.5j), (1.5 - 1j, -0.6 - 0.9j)])
 def test_route_equivalence_sample_points(z, z0):
-    for sign in (+1, -1):
-        d = u_pm(sign, z, z0).value
-        c = u_pm(sign, z, z0, Route.CONTOUR).value
-        assert scaled_diff(c, d) <= 1e-8
-        d = w_pm(sign, z, z0).value
-        c = w_pm(sign, z, z0, Route.CONTOUR).value
-        assert scaled_diff(c, d) <= 1e-8
+    for fn in (u_pm, w_pm):
+        for sign in (+1, -1):
+            d = fn(sign, z, z0).value
+            c = fn(sign, z, z0, Route.CONTOUR).value
+            assert scaled_diff(c, d) <= 1e-8, (fn.__name__, sign)
 
 
 def test_outer_sector_w_route():
@@ -91,13 +93,7 @@ def test_all_nine_products_contour_route():
 
 @pytest.mark.parametrize("z0", [0.7, -0.8 + 0.3j, 0.0])
 def test_contour_route_evaluates_each_integral_once(monkeypatch, z0):
-    calls = []
-    real = products._contour_value
-
-    def spy(ends, *args, **kwargs):
-        calls.append(ends)
-        return real(ends, *args, **kwargs)
-
+    spy = mock.Mock(wraps=products._contour_value)
     monkeypatch.setattr(products, "_contour_value", spy)
     route = Route.CONTOUR
     evaluations = [lambda: aiai_real(0.4, z0.real)]
@@ -108,14 +104,15 @@ def test_contour_route_evaluates_each_integral_once(monkeypatch, z0):
     evaluations += [lambda r1=r1, r2=r2: product(r1, r2, 0.4, z0, route)
                     for r1 in Rotation for r2 in Rotation if (r1, r2) != (Rotation.NONE,) * 2]
     for evaluate in evaluations:
-        calls.clear()
+        spy.reset_mock()
         evaluate()
-        assert len(calls) == 1, calls
+        assert spy.call_count == 1, spy.call_args_list
     # the origin loops of the two W terms cancel in Ai(z+z0) Ai(z), which
     # is the one row of two paths
-    calls.clear()
+    spy.reset_mock()
     product(Rotation.NONE, Rotation.NONE, 0.4, z0, route)
-    assert sorted(calls) == sorted(_ENDS[k] for k in (ContourKind.R_PLUS, ContourKind.R_MINUS))
+    assert (sorted(c.args[0] for c in spy.call_args_list)
+            == sorted(_ENDS[k] for k in (ContourKind.R_PLUS, ContourKind.R_MINUS)))
 
 
 @pytest.mark.parametrize("z,z0", [(0.7, 1.3), (0.2 - 0.8j, -1.1 + 0.4j),
@@ -205,8 +202,9 @@ def test_u_and_w_are_product_rows():
         for route in (Route.DIRECT, Route.CONTOUR):
             for s in (+1, -1):
                 rot = Rotation(s)
-                assert bits(u_pm(s, z, z0, route)) == bits(product(rot, rot, z, z0, route))
-                assert bits(w_pm(s, z, z0, route)) == bits(
+                # repr: every bit, signed zeros included
+                assert repr(u_pm(s, z, z0, route)) == repr(product(rot, rot, z, z0, route))
+                assert repr(w_pm(s, z, z0, route)) == repr(
                     product(Rotation.NONE, rot, z, z0, route))
 
 
@@ -240,12 +238,26 @@ def test_public_surface():
 
 
 def test_route_argument_validation():
+    # a route is a Route member, not its value
     with pytest.raises(ValueError):
-        u_pm(+1, 0, 0, Route.REAL_AXIS)
+        u_pm(+1, 0, 0, "contour")
     with pytest.raises(ValueError):
         u_pm(0, 0, 0)
     with pytest.raises(ValueError):
         w_pm(2, 0, 0)
+
+
+@pytest.mark.parametrize("fn", [u_pm, w_pm, partial(product, Rotation.PLUS), difference_identity],
+                         ids=["u_pm", "w_pm", "product", "difference_identity"])
+@pytest.mark.parametrize("z, z0, error", [
+    # finite inputs whose sum or rotated argument leaves float64, then
+    # non-finite ones
+    (1, 1.5e308 + 1.5e308j, EnvelopeExceeded), (1.5e308 + 1.5e308j, 1, EnvelopeExceeded),
+    (1e308, 1e308, EnvelopeExceeded), (math.nan, 1, NonFiniteInput), (1, math.inf, NonFiniteInput)])
+def test_direct_argument_overflow_typed(fn, z, z0, error):
+    for sign in (+1, -1):
+        with pytest.raises(error):
+            fn(sign, z, z0, Route.DIRECT)
 
 
 def test_error_estimates_cover_route_gap():

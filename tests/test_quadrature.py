@@ -11,6 +11,7 @@ import itertools
 import math
 import pkgutil
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,12 +32,19 @@ from airyprod.quadrature import (
     integrate_legs,
     tail_radius,
 )
-from pathcheck import (bits, ends_finite, float64_edges, float_kernels, path_integrals,
+from pathcheck import (assert_pinned, ends_finite, float64_edges, integral_row, path_integrals,
                        path_is_connected)
 
 
 # (a, b, c) of the exponent E(k) = i(a k + b/k + c k^3/12)
 _ZERO = (0.0, 0.0, 0.0)
+
+
+def _spy(monkeypatch, name):
+    """A wrapper around ``quadrature.<name>`` that records each call."""
+    spy = mock.Mock(wraps=getattr(quadrature, name))
+    monkeypatch.setattr(quadrature, name, spy)
+    return spy
 
 
 def _miss(*args):
@@ -171,17 +179,10 @@ def test_tol_outside_range_rejected(monkeypatch, integral, tol):
     # target nears the rounding floor, above 1e-4 the first round alone
     # would pass for converged, and NaN fails every comparison; it raises
     # before its first round maps a node
-    calls = []
-    real = quadrature.exponent
-
-    def exponent(coeffs, k):
-        calls.append(k)
-        return real(coeffs, k)
-
-    monkeypatch.setattr(quadrature, "exponent", exponent)
+    spy = _spy(monkeypatch, "exponent")
     with pytest.raises(ValueError, match=r"^tol must lie in \[1e-14, 1e-04\]$"):
         integral(tol)
-    assert calls == []
+    spy.assert_not_called()
 
 
 @pytest.mark.parametrize("fn", [laplace_integral, greens_time_integral, u_pm, w_pm, product,
@@ -255,24 +256,17 @@ def test_split_sized_by_variation(monkeypatch):
     # about 33 rad of phase, so each splits into the capped 8 children at
     # once, and the second round converges; halving would take two more
     # rounds, which the same integral with the cap at 2 shows
-    rounds = []
-    real = quadrature._eval_panels
-
-    def eval_panels(t0, t1, g):
-        rounds.append(len(t0))
-        return real(t0, t1, g)
-
-    monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
+    spy = _spy(monkeypatch, "_eval_panels")
     leg = RayLeg(0.0, 0.0, 1.0)
     exact = (cmath.exp(400j) - 1.0) / 400j
     res = integrate_legs([leg], (400.0, 0.0, 0.0), 0.0, 1e-12)
-    assert rounds == [12, 12 * 8] and res.nodes == 15 * 12 * 9
-    assert abs(res.value - exact) <= 1e-12
-    rounds.clear()
+    assert [len(c.args[0]) for c in spy.call_args_list] == [12, 12 * 8]
+    assert res.nodes == 15 * 12 * 9 and abs(res.value - exact) <= 1e-12
+    spy.reset_mock()
     monkeypatch.setattr(quadrature, "_MAX_CHILDREN", 2)
     res = integrate_legs([leg], (400.0, 0.0, 0.0), 0.0, 1e-12)
-    assert rounds == [12, 24, 48, 96] and res.nodes == 15 * 180
-    assert abs(res.value - exact) <= 1e-12
+    assert [len(c.args[0]) for c in spy.call_args_list] == [12, 24, 48, 96]
+    assert res.nodes == 15 * 180 and abs(res.value - exact) <= 1e-12
 
 
 def test_legs_share_one_integrand_call_per_round(monkeypatch):
@@ -283,16 +277,10 @@ def test_legs_share_one_integrand_call_per_round(monkeypatch):
     # a second round follows the first on all three legs.
     angles = (0.0, 0.5 * math.pi, math.pi)
     legs = [DecayLeg(th, 1.0, 120.0, outward=True) for th in angles]
-    calls = []
-    real = quadrature.exponent
-
-    def exponent(coeffs, k):
-        calls.append(k)
-        return real(coeffs, k)
-
-    monkeypatch.setattr(quadrature, "exponent", exponent)
+    spy = _spy(monkeypatch, "exponent")
     res = integrate_legs(legs, _ZERO, 0.5, 1e-13)
     assert res.converged
+    calls = [c.args[1] for c in spy.call_args_list]
     assert calls[0].size == 3 * 12 * 15
     assert len(calls) > 1 and sum(k.size for k in calls) == res.nodes
     assert len(np.unique(np.round(np.angle(calls[1]), 6))) == 3
@@ -399,58 +387,12 @@ def test_path_connectivity_helper():
     assert not path_is_connected(bad)
 
 
-# Per-integral node counts of the panel schedule (first round, split rule,
-# stop rules, GK15 error formula), recorded once; a rewrite of the integrator
-# that keeps the schedule reproduces them exactly.  Rows are grid points,
-# columns the five contour kinds in ContourKind order, all at tol 1e-8.
-_NARROW_NODES = [
-    (540, 765, 570, 540, 540), (540, 540, 540, 540, 540),
-    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
-    (540, 540, 540, 600, 540), (540, 540, 540, 540, 540),
-    (540, 540, 540, 540, 540), (540, 540, 570, 540, 540),
-    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
-    (660, 660, 540, 540, 540), (540, 540, 540, 570, 540),
-    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
-    (540, 540, 540, 735, 540), (600, 540, 570, 570, 540),
-    (540, 570, 600, 540, 540), (540, 540, 540, 540, 540),
-    (540, 600, 540, 540, 540), (540, 540, 540, 540, 540),
-    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
-    (540, 840, 600, 750, 540), (540, 540, 540, 540, 540),
-    (540, 825, 570, 795, 540), (540, 540, 630, 540, 540),
-    (600, 600, 540, 540, 540), (540, 600, 540, 540, 540),
-    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
-    (885, 540, 765, 630, 540), (540, 540, 540, 540, 540),
-    (540, 540, 540, 540, 540), (540, 540, 540, 540, 540),
-    (540, 540, 600, 600, 600), (540, 540, 570, 570, 540),
-    (540, 540, 600, 600, 540), (540, 540, 600, 570, 540),
-    (540, 540, 630, 600, 540), (540, 540, 570, 570, 540),
-]
-_WIDE_NODES = [
-    (540, 540, 600, 795, 540), (540, 540, 540, 585, 540),
-    (795, 795, 870, 600, 540), (540, 1215, 630, 945, 540),
-    (540, 540, 540, 540, 540), (540, 540, 540, 690, 540),
-    (1095, 1095, 615, 780, 540), (540, 1020, 615, 960, 645),
-    (660, 540, 690, 540, 540), (540, 540, 540, 540, 540),
-    (540, 540, 615, 540, 540), (960, 540, 960, 750, 540),
-    (720, 540, 720, 585, 540), (1200, 960, 780, 540, 540),
-    (1110, 540, 960, 585, 540), (540, 540, 540, 540, 540),
-    (540, 540, 585, 675, 540), (600, 600, 540, 540, 540),
-    (540, 540, 720, 540, 540), (540, 540, 735, 540, 540),
-    (915, 540, 960, 645, 960), (540, 540, 585, 540, 540),
-    (750, 750, 840, 600, 540), (540, 540, 540, 615, 540),
-    (930, 1020, 1020, 540, 540), (540, 540, 570, 570, 540),
-    (540, 540, 540, 585, 540), (540, 540, 540, 540, 540),
-    (540, 885, 600, 810, 540), (540, 540, 600, 765, 915),
-    (540, 540, 600, 540, 540), (540, 540, 630, 810, 540),
-    (540, 540, 540, 585, 540), (540, 540, 600, 540, 540),
-    (540, 930, 795, 990, 540), (540, 840, 600, 840, 540),
-    (540, 810, 600, 840, 540), (1005, 540, 855, 645, 540),
-    (540, 540, 600, 600, 540), (540, 540, 540, 675, 540),
-]
-_GREENS_NODES = [945, 720, 630, 900, 720, 360]
-# calls of quadrature._eval_panels over the integrals above: one for the
-# first round of each, one per later round
-_EVAL_CALLS = 568
+# The integrals whose node counts, bits and paths are pinned: the five
+# contour kinds on two grids and at an inner- and an outer-sector point,
+# and the time integral at six configurations, all at tol 1e-8.
+_SCHEDULE_GRIDS = {"narrow": shifted_grid(40, 41),
+                   "wide": shifted_grid(40, 42, z_radius=12.0, z0_radius=6.0)}
+_SECTOR_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
 _GREENS_CONFIGS = (
     (0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0)),    # through the stationary point
     (-0.5, (0, 0, 0.05), (6, 0, 0), (0, 0, 0)),  # tunnelling: steepest ray
@@ -461,147 +403,66 @@ _GREENS_CONFIGS = (
 )
 
 
-def test_panel_schedule_pinned(monkeypatch):
-    calls = 0
-    real = quadrature._eval_panels
-
-    def eval_panels(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
-    for (z, z0), pinned in ((shifted_grid(40, 41), _NARROW_NODES),
-                            (shifted_grid(40, 42, z_radius=12.0, z0_radius=6.0),
-                             _WIDE_NODES)):
-        for a, b, want in zip(z, z0, pinned):
-            args = ShiftedArgs.make(a, b)
-            got = tuple(laplace_integral(build_contour(kind, args), 1e-8).nodes
-                        for kind in ContourKind)
-            assert got == want, (a, b)
-    assert [integrate_legs(*greens._time_path(GreensParams.make(*config)), 1e-8).nodes
-            for config in _GREENS_CONFIGS] == _GREENS_NODES
-    # the rounds of all 406 integrals: each round costs a fixed overhead
-    # whatever it evaluates
-    assert calls == _EVAL_CALLS
+def _time_integral(config):
+    return partial(integrate_legs, *greens._time_path(GreensParams.make(*config)), 1e-8)
 
 
-# float.hex of (Re value, Im value, abs_err_est) at tol 1e-8, recorded once,
-# so that no change moves a contour-route bit, and with it a CLI byte,
-# unnoticed.  Rows: the five kinds in ContourKind order at an inner-sector
-# and at an outer-sector point, then the _GREENS_CONFIGS time integrals.
-# The last bits of exp and log differ between numpy's X86_V4 and X86_V3
-# loops, and the baseline loops also round complex multiply and absolute
-# value differently, so one row set is recorded per loop set (``_BITS``,
-# keyed by ``float_kernels()``), and the pins hold where numpy runs one
-# of them.
-_BITS_POINTS = ((1 + 0.5j, 0.3 - 0.2j), (0.7 - 0.4j, -1.1 + 0.3j))
-_CONTOUR_BITS = [
-    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c86p-2", "0x1.646cdf8ebcf32p-43"),
-    ("0x1.0371cbc6f1794p+3", "-0x1.19b9bd51c8a38p+1", "0x1.0e02e9f294d35p-43"),
-    ("-0x1.c8cc7feba32b7p-1", "-0x1.fe7c84652ffaep-1", "0x1.54a48a2c2c7a7p-43"),
-    ("0x1.ab9089ba284a5p-1", "0x1.67902002f7894p-1", "0x1.543274e5e63bep-43"),
-    ("-0x1.47c1fb983548ap+0", "-0x1.d75b9401c0999p-3", "0x1.5e896f149f902p-44"),
-    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a88p-3", "0x1.7fa19a8b7f0f4p-45"),
-    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aeap+1", "0x1.30255125993fap-44"),
-    ("0x1.06d3d9688fd70p-1", "-0x1.250bfff48c6ecp+0", "0x1.03f17d58ba6fbp-45"),
-    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bep-1", "0x1.86f4e655a5fd5p-46"),
-    ("-0x1.d109ffae69875p+1", "-0x1.c8722319bf0bep+0", "0x1.f9263198d69b4p-44"),
-]
-_GREENS_BITS = [
-    ("-0x1.b7dc49beafd8bp-2", "0x1.322b10b5e801bp+1", "0x1.6dd55800ad279p-32"),
-    ("0x1.8ea1a7703364fp-11", "0x1.8ea7919657890p-11", "0x1.11ac2cd8c40f2p-56"),
-    ("0x1.1041111a28d0ap-1", "0x1.3e7bc6f5032f8p-1", "0x1.7825b599d67e3p-33"),
-    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a352p-1", "0x1.4851a94d5ced9p-30"),
-    ("0x1.ad27aad2b6cd9p-2", "0x1.ad27aad2b6cd7p-2", "0x1.3960f9fa968e5p-32"),
-    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1cp-19", "0x1.e44b5f9febd9ap-52"),
-]
-# The same rows with numpy's X86_V4 and X86_V3 loops switched off
-# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3").
-_BASELINE_CONTOUR_BITS = [
-    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c8ap-2", "0x1.646cdf8ebcf32p-43"),
-    ("0x1.0371cbc6f1794p+3", "-0x1.19b9bd51c8a38p+1", "0x1.0e02e9f294d36p-43"),
-    ("-0x1.c8cc7feba32b6p-1", "-0x1.fe7c84652ffaep-1", "0x1.54a4f8eed50eap-43"),
-    ("0x1.ab9089ba284a5p-1", "0x1.67902002f7894p-1", "0x1.5432708108334p-43"),
-    ("-0x1.47c1fb983548ap+0", "-0x1.d75b9401c0995p-3", "0x1.5e896f149f902p-44"),
-    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a88p-3", "0x1.7fa19a8b7f0f4p-45"),
-    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aeap+1", "0x1.30255125993fap-44"),
-    ("0x1.06d3d9688fd71p-1", "-0x1.250bfff48c6ecp+0", "0x1.03f17d58ba6fbp-45"),
-    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bep-1", "0x1.86f4e655a5fd5p-46"),
-    ("-0x1.d109ffae69874p+1", "-0x1.c8722319bf0bep+0", "0x1.f9263198d69b4p-44"),
-]
-_BASELINE_GREENS_BITS = [
-    ("-0x1.b7dc49beafd8bp-2", "0x1.322b10b5e801bp+1", "0x1.6dd558108c823p-32"),
-    ("0x1.8ea1a7703364fp-11", "0x1.8ea7919657890p-11", "0x1.11ac2cd8c40f2p-56"),
-    ("0x1.1041111a28d0ap-1", "0x1.3e7bc6f5032f8p-1", "0x1.7825b5b070994p-33"),
-    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a352p-1", "0x1.4851a94d33f5fp-30"),
-    ("0x1.ad27aad2b6cd9p-2", "0x1.ad27aad2b6cd7p-2", "0x1.3960f9fa96906p-32"),
-    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1cp-19", "0x1.e44b5f9febc62p-52"),
-]
-# The same rows with only numpy's X86_V4 loops switched off
-# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), as on a host
-# without AVX-512.
-_V3_CONTOUR_BITS = [
-    ("0x1.63afdbd454d9ap+3", "-0x1.1606d7bd15c86p-2", "0x1.646cdf8ebcf32p-43"),
-    ("0x1.0371cbc6f1794p+3", "-0x1.19b9bd51c8a38p+1", "0x1.0e02e9f294d35p-43"),
-    ("-0x1.c8cc7feba32b7p-1", "-0x1.fe7c84652ffaep-1", "0x1.54a48a2f7fc06p-43"),
-    ("0x1.ab9089ba284a5p-1", "0x1.67902002f7894p-1", "0x1.543274e5f9ac8p-43"),
-    ("-0x1.47c1fb983548ap+0", "-0x1.d75b9401c0995p-3", "0x1.5e896f149f902p-44"),
-    ("0x1.58f07e8946756p+1", "-0x1.cee4a3b681a88p-3", "0x1.7fa19a8b7f0f4p-45"),
-    ("-0x1.ccf49d1768a33p+0", "-0x1.d83c90ebe8aeap+1", "0x1.30255125993fap-44"),
-    ("0x1.06d3d9688fd70p-1", "-0x1.250bfff48c6ecp+0", "0x1.03f17d58ba6fbp-45"),
-    ("0x1.602b87816a6abp+0", "0x1.123cd4a56b5bep-1", "0x1.86f4e655a5fd5p-46"),
-    ("-0x1.d109ffae69875p+1", "-0x1.c8722319bf0bep+0", "0x1.f9263198d69b4p-44"),
-]
-_V3_GREENS_BITS = [
-    ("-0x1.b7dc49beafd8bp-2", "0x1.322b10b5e801bp+1", "0x1.6dd558108bff1p-32"),
-    ("0x1.8ea1a7703364fp-11", "0x1.8ea7919657890p-11", "0x1.11ac2cd8c40f2p-56"),
-    ("0x1.1041111a28d0ap-1", "0x1.3e7bc6f5032f8p-1", "0x1.7825b57bf330ap-33"),
-    ("-0x1.bbd73bc826e4dp-1", "0x1.cf71a11c8a352p-1", "0x1.4851a94d33f5fp-30"),
-    ("0x1.ad27aad2b6cd9p-2", "0x1.ad27aad2b6cd7p-2", "0x1.3960f9fa96906p-32"),
-    ("0x1.6aec1c3960d1dp-19", "0x1.6aec1c3960d1cp-19", "0x1.e44b5f9febc62p-52"),
-]
-_BITS = {
-    ("2.4", "X86_V4", "X86_V4"): (_CONTOUR_BITS, _GREENS_BITS),
-    ("2.4", "X86_V3", "X86_V3"): (_V3_CONTOUR_BITS, _V3_GREENS_BITS),
-    ("2.4", "baseline(X86_V2)", "baseline(X86_V2)"):
-        (_BASELINE_CONTOUR_BITS, _BASELINE_GREENS_BITS),
-}
+def _kind_nodes(z, z0):
+    args = ShiftedArgs.make(z, z0)
+    return [laplace_integral(build_contour(kind, args), 1e-8).nodes for kind in ContourKind]
 
 
-@pytest.mark.skipif(float_kernels() not in _BITS,
-                    reason=f"no bits recorded for numpy loops {float_kernels()}")
-def test_contour_route_bits_pinned():
-    contour_bits, greens_bits = _BITS[float_kernels()]
-    got = []
-    for (z, z0), sector in zip(_BITS_POINTS, (Sector.INNER, Sector.OUTER)):
+def panel_schedule():
+    """Node counts of the five kinds (in ContourKind order) at each point
+    of the schedule grids and of the _GREENS_CONFIGS time integrals, and
+    the calls of ``quadrature._eval_panels`` that all 406 integrals make:
+    one for the first round of each, one per later round."""
+    with mock.patch.object(quadrature, "_eval_panels", wraps=quadrature._eval_panels) as spy:
+        counts = {name: {f"{a}, {b}": _kind_nodes(a, b) for a, b in zip(*grid)}
+                  for name, grid in _SCHEDULE_GRIDS.items()}
+        counts["greens"] = [_time_integral(config)().nodes for config in _GREENS_CONFIGS]
+    return {**counts, "eval_calls": spy.call_count}
+
+
+def test_panel_schedule_pinned():
+    # the first round, split rule, stop rules and GK15 error formula: a
+    # rewrite of the integrator that keeps the schedule reproduces these
+    # counts, and each round costs a fixed overhead whatever it evaluates
+    assert_pinned("panel_schedule", panel_schedule())
+
+
+def integral_rows():
+    """The pin rows of the five kinds at the inner- and the outer-sector
+    point of _SECTOR_POINTS, then of the _GREENS_CONFIGS time integrals."""
+    rows = {}
+    for (z, z0), sector in zip(_SECTOR_POINTS, (Sector.INNER, Sector.OUTER)):
         args = ShiftedArgs.make(z, z0)
         assert args.z0_sector is sector
-        got += [bits(laplace_integral(build_contour(kind, args), 1e-8))
-                for kind in ContourKind]
-    assert got == contour_bits
-    assert [bits(integrate_legs(*greens._time_path(GreensParams.make(*config)), 1e-8))
-            for config in _GREENS_CONFIGS] == greens_bits
+        for kind in ContourKind:
+            rows[f"{kind.name} at {z}, {z0}"] = integral_row(
+                laplace_integral, build_contour(kind, args), 1e-8)
+    for config in _GREENS_CONFIGS:
+        rows[f"time integral at {config}"] = integral_row(_time_integral(config))
+    return rows
 
 
-# SHA-256 of repr((legs, coeffs, power)) over every time-integral path built
-# for criterion 6's samples and the seed-7 float64-edge configurations, in
-# that order, recorded once.  Every radius comes from ``math``, so the
-# digest does not depend on numpy's SIMD loops (it is the same
-# under X86_V4, X86_V3 and the baseline loops); only another numpy minor
-# version may print a leg differently.
-_TIME_PATHS_DIGEST = "545c21af9c9b5aae02b68882cf5a7cbe70bce3aff9f3ef4c66bb30367f030763"
+def test_contour_route_bits_pinned():
+    # no change moves a contour-route bit, and with it a CLI byte,
+    # unnoticed; the last bits follow numpy's SIMD loops
+    assert_pinned("integrals", integral_rows())
 
 
 def _family(legs, power):
-    plane = "t" if power == 1.5 else "u"
-    if abs(legs[0].theta) == math.pi / 2.0:
-        return plane, "tunnelling"
-    return plane, "chord" if isinstance(legs[-1], SegmentLeg) else "rotated"
+    family = ("tunnelling" if abs(legs[0].theta) == math.pi / 2.0
+              else "chord" if isinstance(legs[-1], SegmentLeg) else "rotated")
+    return f"{'t' if power == 1.5 else 'u'} {family}"
 
 
-def test_time_paths_pinned():
-    # no quadrature runs: each path is checked and hashed as built
+def time_paths():
+    """The family counts of every time-integral path built for criterion
+    6's samples and the seed-7 float64-edge configurations, and the SHA-256
+    of repr((legs, coeffs, power)) over them in that order.  No quadrature
+    runs: each path is checked and hashed as built."""
     digest = hashlib.sha256()
     families = collections.Counter()
     samples = (p for _, p in greens_samples(100, 20240907))
@@ -616,34 +477,34 @@ def test_time_paths_pinned():
         # (separations from 5e-152 to 7e-32) stop at their cap 2 lam, and
         # the chords' tail_radius at E ~ 1e129 is finite
         assert ends_finite(legs) and path_is_connected(legs), p
-    assert families == {("t", "chord"): 64, ("t", "rotated"): 67, ("t", "tunnelling"): 12,
-                        ("u", "rotated"): 32, ("u", "tunnelling"): 6}
-    if np.__version__.rsplit(".", 1)[0] != "2.4":
-        pytest.skip(f"no time-path digest recorded for numpy {np.__version__}")
-    assert digest.hexdigest() == _TIME_PATHS_DIGEST
+    return dict(families), digest.hexdigest()
 
 
-# SHA-256 of repr((path.segments, path.coeffs)) of path = build_contour(kind,
-# ShiftedArgs.make(z, z0)) for the five kinds, in ContourKind order, over
-# shifted_grid(200, 41), shifted_grid(200, 42, 12, 6) and _BITS_POINTS, in
-# that order: the legs and exponent of every path, recorded once.  The
-# turn radius is chosen from numpy's ``exponent`` on the arc sweep, yet
-# the digest is the same under X86_V4, X86_V3 and the baseline loops;
-# another numpy minor version may print a leg differently.
-_CONTOUR_PATHS_DIGEST = "346be60262c55d824e92ec909ba800e5ac7874af160f3764ba8e76d03691a1c8"
+def test_time_paths_pinned():
+    # every radius comes from ``math``, so the digest holds under every
+    # loop set of one numpy minor version, which may print a leg its own way
+    families, digest = time_paths()
+    assert_pinned("time_path_families", families)
+    assert_pinned("time_paths", digest)
 
 
-def test_contour_paths_pinned():
-    # no quadrature runs: each path is hashed as built
+def contour_paths():
+    """SHA-256 of repr((path.segments, path.coeffs)) of the five kinds, in
+    ContourKind order, over shifted_grid(200, 41), shifted_grid(200, 42,
+    12, 6) and _SECTOR_POINTS, in that order.  No quadrature runs."""
     digest = hashlib.sha256()
     points = itertools.chain(zip(*shifted_grid(200, 41)),
                              zip(*shifted_grid(200, 42, z_radius=12.0, z0_radius=6.0)),
-                             _BITS_POINTS)
+                             _SECTOR_POINTS)
     for z, z0 in points:
         args = ShiftedArgs.make(z, z0)
         for kind in ContourKind:
             path = build_contour(kind, args)
             digest.update(repr((path.segments, path.coeffs)).encode())
-    if np.__version__.rsplit(".", 1)[0] != "2.4":
-        pytest.skip(f"no contour-path digest recorded for numpy {np.__version__}")
-    assert digest.hexdigest() == _CONTOUR_PATHS_DIGEST
+    return digest.hexdigest()
+
+
+def test_contour_paths_pinned():
+    # the turn radius is chosen from numpy's ``exponent`` on the arc
+    # sweep, yet the digest holds under every loop set
+    assert_pinned("contour_paths", contour_paths())

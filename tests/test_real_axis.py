@@ -14,7 +14,6 @@ def test_zero_shift_reduces_to_unshifted_representation():
             got = w_pm_real(sign, x, 0.0)
             ref = w_pm(sign, x, 0.0).value
             assert scaled_diff(got.value, ref) <= 1e-10
-            assert got.route is Route.REAL_AXIS
 
 
 def test_reference_point_matches_direct():
@@ -31,8 +30,7 @@ def test_half_line_grid(x, x0):
         ref = w_pm(sign, x, x0).value
         assert scaled_diff(got.value, ref) <= 1e-8
         # x0 >= 0 is the inner or zero sector: the same single R+- integral
-        contour = w_pm(sign, x, x0, Route.CONTOUR)
-        assert (got.value, got.abs_err_est) == (contour.value, contour.abs_err_est)
+        assert got == w_pm(sign, x, x0, Route.CONTOUR)
 
 
 def test_negative_shift_rejected():
