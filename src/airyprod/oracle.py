@@ -25,7 +25,10 @@ complex multiply-adds and one complex double-double multiply.  The loop
 body is one straight line: every Dekker split, exact product and two-sum
 (Dekker, Numer. Math. 18, 1971) is written out with the sums in local
 variables, so a term makes no helper call.  The number of terms depends
-on |z| alone and is looked up in a table of radii.  The kernel uses plain
+on |z| alone and is looked up in a table of radii: the sum stops where its
+terms fall below 1e-22 over the largest term, at most about 1e-20 of the
+smallest envelope of Ai on the circle |z| = r, so a longer sum gives Ai
+and Ai' the same float64 bits.  The kernel uses plain
 arithmetic operators only: ``airy_batch`` runs it on float arrays, and a
 scalar ``airy`` call inside the crossover radius runs the same code on
 python floats, with bit-identical results.
@@ -233,29 +236,32 @@ def _series_tables(count):
 
 
 #: Term counts by radius.  The series stops at the first power k >= 1 of
-#: z^3 whose four terms at |z| = r all fall below 1e-35 of the larger of 1
-#: and the largest term so far, well under the double-double rounding of
-#: that term.  Term magnitudes depend on |z| only, so the count is a step
+#: z^3 whose four terms at |z| = r all fall below 1e-22 over the larger of
+#: 1 and the largest term so far (term * peak < 1e-22: multiplications
+#: only, so the table is the same on every host).  For r <= 9 the envelope
+#: e^zeta, zeta = (2/3) r^(3/2), is at most 19 times the largest term, so
+#: the last kept term is below 2e-21 e^-zeta, about 1.2e-20 of Ai's
+#: smallest envelope e^-zeta / (2 sqrt(pi) r^(1/4)) on |z| = r: far under
+#: half an ulp of Ai and Ai', whose bits equal those of a sum through the
+#: last row.  Term magnitudes depend on |z| only, so the count is a step
 #: function of r: _TERM_RADII[k - 2] is the smallest float r whose count is
 #: at least k, for k = 2..48.  The radii come from bisection over float64
 #: bit patterns on that rule, which the tests keep as its definition.
 _TERM_RADII = (
-    4.875750501391233e-12, 3.7502130780950666e-06, 0.00038249934023250754,
-    0.004076037037424463, 0.01741243352298093, 0.046847074518644415,
-    0.09648078561781612, 0.1678142388159818, 0.2604641575407179,
-    0.37294874311068194, 0.5032670382252543, 0.6492624991096558,
-    0.8088283297761069, 0.9800113859414613, 1.161055735581502,
-    1.3504123426660275, 1.5467309379573615, 1.7488434514779612,
-    1.9557442899191053, 2.166570313510362, 2.386612371170755,
-    2.6142279100657193, 2.8484373393888056, 3.086819996073577,
-    3.3266137910574414, 3.5698813915433045, 3.813254548890747,
-    4.062896016156415, 4.312104380558745, 4.563559451511703,
-    4.814752627400713, 5.070108337880164, 5.324992048690857,
-    5.580181608635868, 5.837432406423255, 6.094776137221436,
-    6.352672532769034, 6.6112098588606685, 6.870114748652645,
-    7.129254222996274, 7.388878222712485, 7.64858381646967,
-    7.907865501292963, 8.168298124499218, 8.42818320451973,
-    8.687239505394102, 8.947732657733974,
+    1.0504486020137624e-07, 0.0005504560009454646, 0.010643271355019857,
+    0.04938231608434268, 0.12809321852474326, 0.24711818052890705,
+    0.4013178253193143, 0.5841111197934536, 0.7892770047187949,
+    1.0115386494354472, 1.246630881137754, 1.491184669645178,
+    1.7425678119501933, 1.9987336812579062, 2.258093689645253,
+    2.5035660304461906, 2.748234487837181, 2.986595628630556,
+    3.2253358629266304, 3.4614102470670103, 3.69623039355349,
+    3.927532149029806, 4.154977154188166, 4.381044674341568, 4.604354632064996,
+    4.825984028366359, 5.042731214043552, 5.258466037414692, 5.471356869586818,
+    5.683030827471047, 5.890191272741286, 6.096392285326237, 6.30008611290396,
+    6.502528812797199, 6.701225766857603, 6.898898371915492, 7.094510933965084,
+    7.288651512923043, 7.4798853128086265, 7.669986729892266,
+    7.858477403121113, 8.04521365644385, 8.229840197929365, 8.413214711349989,
+    8.595393090921041, 8.775526080355434, 8.954268933398922,
 )
 
 # rows k = 0..48: the most terms any radius up to the crossover needs
@@ -431,7 +437,9 @@ def _series_core(x, y, n):
 def _series_err(x, y, n):
     """A-priori bound at z = x + iy, for python floats or float arrays as
     in ``_asym_core``: rounding at double-double precision amplified by
-    the cancellation condition number exp(2 max(Re zeta, 0))."""
+    the cancellation condition number exp(2 max(Re zeta, 0)).  The
+    truncation after n terms, at most about 1e-20 relative (see
+    ``_TERM_RADII``), sits under the 5e-16 floor."""
     sr, si = _parts(np.sqrt(x + 1j * y))
     zeta_re = (2.0 / 3.0) * x * sr - (2.0 / 3.0) * y * si
     cond = np.exp(2.0 * np.maximum(zeta_re, 0.0))

@@ -344,8 +344,8 @@ _WALK_TABLE = oracle._series_tables(64)
 def _walk_terms(r):
     """The series term count for each radius in the array r, by the rule
     itself: walk a longer coefficient table and stop at the first power
-    k >= 1 whose four terms all fall below 1e-35 of the larger of 1 and
-    the largest term so far."""
+    k >= 1 whose four terms all fall below 1e-22 over the larger of 1 and
+    the largest term so far, tested by multiplication as term * peak."""
     r3, power, peak = r * r * r, np.ones_like(r), np.ones_like(r)
     count = np.full(r.shape, len(_WALK_TABLE) - 1)
     running = np.ones(r.shape, dtype=bool)
@@ -354,7 +354,7 @@ def _walk_terms(r):
                                           c[0] * r * r, np.full_like(r, d[0])])
         peak = np.maximum(peak, term)
         if k:
-            stop = running & (term < 1e-35 * peak)
+            stop = running & (term * peak < 1e-22)
             count[stop] = k
             running &= ~stop
         power = power * r3
@@ -386,6 +386,39 @@ def test_series_terms_matches_walk():
                         [0.0, CROSSOVER_RADIUS]])
     got = np.array([oracle._series_terms(x) for x in r.tolist()])
     assert np.array_equal(got, _walk_terms(r))
+
+
+def test_last_kept_term_under_envelope():
+    # Ai is at least about e^{-zeta} / (2 sqrt(pi) r^(1/4)) in modulus on
+    # |z| = r, zeta = (2/3) r^(3/2), and the last term the series keeps
+    # (every later one is smaller still) lies below 2e-20 e^{-zeta} at
+    # every threshold and one ulp either side, far under half an ulp
+    bits = np.array(oracle._TERM_RADII).view(np.int64)
+    for r in (bits[:, None] + np.arange(-1, 2)).ravel().view(np.float64).tolist():
+        k = oracle._series_terms(r)
+        a, b, c, d = (row[0] for row in _WALK_TABLE[k])
+        last = r ** (3 * k) * max(a, b * r, c * r * r, d)
+        assert last < 2e-20 * math.exp(-(2.0 / 3.0) * r ** 1.5), r
+
+
+def test_trimmed_series_keeps_every_bit():
+    # for each count k of the table, seeded points whose radius gets
+    # count k: summing through (z^3)^k gives the same Ai and Ai' bits as
+    # summing through the last row, on Python floats and on one array
+    # per k
+    rng = np.random.default_rng(67)
+    edges = [0.0, *oracle._TERM_RADII, CROSSOVER_RADIUS]
+    top = len(oracle._SERIES) - 1
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:]), 1):
+        r = lo + (hi - lo) * rng.uniform(0.05, 0.95, 6)
+        th = rng.uniform(-np.pi, np.pi, 6)
+        x, y = r * np.cos(th), r * np.sin(th)
+        trimmed, full = oracle._series_core(x, y, k), oracle._series_core(x, y, top)
+        assert _hex_digest(zip(*trimmed)) == _hex_digest(zip(*full)), k
+        for xx, yy in zip(x.tolist(), y.tolist()):
+            assert oracle._series_terms(math.sqrt(xx * xx + yy * yy)) == k
+            assert (_hex_parts(*oracle._series_core(xx, yy, k))
+                    == _hex_parts(*oracle._series_core(xx, yy, top))), (k, xx, yy)
 
 
 @pytest.mark.parametrize("z", [12 + 4j, -15 - 2j, -20.0, 30.0, 9.5j, -9.2 + 0.1j])
