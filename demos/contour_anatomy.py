@@ -9,7 +9,7 @@ verifies the linear relation
     I_O = I_R- + I_L- - I_L+ - I_R+
 
 to combined quadrature error.  At z0 = 0 the loop integral collapses to
-zero, which is also shown.
+zero, which is also shown, along a loop whose ends reach k = 0 exactly.
 
 Run:  python demos/contour_anatomy.py
 """
@@ -31,8 +31,10 @@ def describe(path):
             parts.append(f"ray(theta={leg.theta:+.3f}, r={leg.r_start:.3g}->{leg.r_end:.3g})")
         elif name == "ArcLeg":
             parts.append(f"arc(r={leg.radius:.3g}, theta={leg.theta_start:+.3f}->{leg.theta_end:+.3f})")
-        else:
+        elif name == "DecayLeg":
             parts.append(f"decay(theta={leg.theta:+.3f}, r<={leg.r_outer:.3g}, s_max={leg.s_max:.1f})")
+        else:
+            parts.append(f"origin(theta={leg.theta:+.3f}, 0<=r<={leg.r_outer:.3g})")
     return "  +  ".join(parts)
 
 
@@ -70,9 +72,12 @@ def main():
           f"= {abs(lhs - rhs):.2e}  (combined err budget {err:.2e})")
 
     args0 = ShiftedArgs.make(z, 0.0)
-    res = laplace_integral(build_contour(ContourKind.O, args0), 1e-12)
-    print(f"loop integral at z0 = 0: |I_O| = {abs(res.value):.2e} "
+    loop = build_contour(ContourKind.O, args0)
+    res = laplace_integral(loop, 1e-12)
+    print(f"\nloop integral at z0 = 0: |I_O| = {abs(res.value):.2e} "
           "(contractible, vanishes)")
+    # no essential factor at z0 = 0: both ends reach k = 0 exactly
+    print("    ", describe(loop))
 
 
 if __name__ == "__main__":

@@ -53,9 +53,10 @@ def five_contour_relation(z, z0, tol: float):
 
 
 def zero_shift_loop(z, tol: float):
-    """|I_O| at z0 = 0 for each z: the closed loop then encircles nothing."""
-    return [abs(laplace_integral(build_contour(ContourKind.O, ShiftedArgs.make(zz, 0.0)),
-                                 tol).value) for zz in z]
+    """I_O at z0 = 0 for each z, as its ``QuadResult``: the closed loop then
+    encircles nothing, so its value is 0 up to its error estimate."""
+    return [laplace_integral(build_contour(ContourKind.O, ShiftedArgs.make(zz, 0.0)), tol)
+            for zz in z]
 
 
 def greens_gap(p: GreensParams, tol: float) -> float:
@@ -132,15 +133,16 @@ def identities(count: int, seed: int, tol: float):
 
 def contour_relation(count: int, seed: int, tol: float):
     """The five-contour relation per point, within the bound of
-    ``five_contour_relation``, then five zero-shift loops at
-    |Re z|, |Im z| <= 2 drawn from ``seed + 1``, bound 1e-10."""
+    ``five_contour_relation``, then five zero-shift loops |I_O| at
+    |Re z|, |Im z| <= 2 drawn from ``seed + 1``, each bounded by 1e-10 and
+    by its own error estimate."""
     z, z0 = shifted_grid(count, seed)
     cases = [(f"{_at(zz, zz0)} relation", resid, bound)
              for zz, zz0, (resid, bound) in zip(z, z0, five_contour_relation(z, z0, tol))]
     rng = np.random.default_rng(seed + 1)
     loops = rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5)
-    return cases + [(f"z={zz:.6g} loop-at-zero-shift", v, 1e-10)
-                    for zz, v in zip(loops, zero_shift_loop(loops, tol))]
+    return cases + [(f"z={zz:.6g} loop-at-zero-shift", abs(r.value), min(1e-10, r.abs_err_est))
+                    for zz, r in zip(loops, zero_shift_loop(loops, tol))]
 
 
 def greens(count: int, seed: int, tol: float):

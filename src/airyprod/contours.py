@@ -32,11 +32,16 @@ the essential factor (the center of the internal valley, lifted to the
 below, where R+ starts and O ends), which makes the endpoint integrand
 decay purely exponentially with no oscillation and keeps the
 construction uniformly accurate up to |arg z0| = pi/2, where the
-near-cut region of the internal valley degenerates.  One builder makes
-every path from its ends: a ray in from the start valley or a decay leg
-out of k = 0, one arc at the turn radius, and a ray out to the end
-valley or a decay leg into k = 0.  A built path (``ContourPath``) is
-those three legs and the coefficients of its exponent, nothing more.
+near-cut region of the internal valley degenerates.  At zero shift
+(b = -z0^2/4 == 0) there is no essential factor, the integrand is
+finite at k = 0 but for the k^(-1/2) weight, and an end leg reaches
+k = 0 exactly along the same lifted angle (``OriginLeg``, k = r u^2,
+which absorbs the weight); elsewhere it is a decay leg cut where the
+essential factor has fallen to e^{-lambda}.  One builder makes every
+path from its ends: a ray in from the start valley or an end leg out of
+k = 0, one arc at the turn radius, and a ray out to the end valley or
+an end leg into k = 0.  A built path (``ContourPath``) is those three
+legs and the coefficients of its exponent, nothing more.
 
 The geometry is closed-form.  With beta = z + z0/2 the exponent
 E(k) = i(beta k - z0^2/(4k) + k^3/12), the coefficients
@@ -45,8 +50,9 @@ E(k) = i(beta k - z0^2/(4k) + k^3/12), the coefficients
 k = +-i(sqrt(z+z0) +- sqrt(z)) (``saddles``).  Each valley's tail angle
 minimizes the exact crest of Re E along its ray (the z0 term dropped),
 the truncation radius is the positive root of a cubic, and each turn
-radius is a saddle modulus or a fixed floor, whichever keeps the crest
-of Re E along the arc lowest.
+radius is a saddle modulus or a fixed floor: on a path with a valley
+ray the largest whose crest of Re E along the arc lies within two
+e-folds of the lowest, on the origin loop the one with the lowest crest.
 
 The numerics are fixed, and the tail rules are those of ``quadrature``,
 which the time integral of ``greens`` shares:
@@ -57,9 +63,9 @@ which the time integral of ``greens`` shares:
   d R^3 - 12|beta| R = 12 lambda, d = sin(3 theta), capped at 80, so
   building a contour raises DegenerateGeometry beyond
   |z + z0/2| = 231.03;
-* an endpoint leg spans ``decay_span`` from 4 lambda r_arc in to |z0|^2,
-  where the essential factor has fallen to e^{-lambda}, clipped at
-  2 lambda + 4;
+* at z0 != 0 an endpoint decay leg spans ``decay_span`` from
+  4 lambda r_arc in to |z0|^2, where the essential factor has fallen to
+  e^{-lambda}, clipped at 2 lambda + 4; at zero shift nothing is cut;
 * no round of panel splits starts once an integral has taken 400 000
   nodes: one ceiling for both integrals, ``_MAX_NODES`` in ``quadrature``.
 """
@@ -68,14 +74,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 import cmath
 import math
 
 import numpy as np
 
 from .errors import NonFiniteInput
-from .quadrature import (DEFAULT_TOL, TAIL_LAMBDA, ArcLeg, DecayLeg, QuadResult, RayLeg,
-                         decay_span, exponent, integrate_legs, tail_radius)
+from .quadrature import (DEFAULT_TOL, TAIL_LAMBDA, ArcLeg, DecayLeg, OriginLeg, QuadResult,
+                         RayLeg, decay_span, exponent, integrate_legs, tail_radius)
 
 __all__ = [
     "Sector",
@@ -267,18 +274,23 @@ def _tails(beta: complex):
     return out
 
 
-def _pick_arc_radius(coeffs, th_a, th_b, candidates):
-    """Arc radius minimizing the largest Re E over the angular sweep.
+def _pick_arc_radius(coeffs, th_a, th_b, candidates, margin):
+    """The largest arc radius whose crest, the largest Re E over the
+    angular sweep, lies within ``margin`` e-folds of the lowest crest.
 
-    Among radii within one e-fold of the lowest crest the largest one
-    wins: needlessly small arcs push the k^(-1/2) slope onto linearly
-    panelized rays, which adaptive bisection resolves slowly.
+    ``build_contour`` passes two e-folds for a path with a valley ray:
+    needlessly small arcs push the k^(-1/2) slope onto linearly
+    panelized rays, which adaptive bisection resolves slowly, and within
+    one e-fold the panel next to the arc still split on many paths in a
+    later round.  A path between two ends at k = 0 has no ray and gets 0:
+    a larger arc only raises the float64 floor of the loop, whose value
+    vanishes at zero shift.
     """
     phases = np.exp(_ARC_SWEEP * (1j * (th_b - th_a)) + 1j * th_a)
     points = np.multiply.outer(np.array(candidates, complex), phases)
     crests = exponent(coeffs, points).real.max(axis=1).tolist()
     lowest = min(crests)
-    return max(r for r, m in zip(candidates, crests) if m <= lowest + 1.0)
+    return max(r for r, m in zip(candidates, crests) if m <= lowest + margin)
 
 
 def _ends(kind) -> tuple:
@@ -298,13 +310,18 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     ``V1``, ``V2``, ``V3``, ``up`` and ``low``, with start != end.  Every
     path is defined in every shift sector (Outer uses the cut and origin
     contours of -z0), and each joins its two ends with a ray in from the
-    start (or a decay leg out of k = 0), one arc, and a ray out to the
-    end (or a decay leg into k = 0).  The geometry is closed-form: in
-    each valley the tail angle minimizes the exact crest of Re E without
-    the z0 term along its ray, the truncation radius is the positive root
-    of a cubic, and the turn radius is one of the two saddle moduli
-    |sqrt(z+z0) +- sqrt(z)| or a fixed floor, whichever keeps the crest
-    of Re E along the arc lowest.  Raises ValueError for any other
+    start (or an end leg out of k = 0), one arc, and a ray out to the
+    end (or an end leg into k = 0).  An end leg reaches k = 0 exactly
+    (``OriginLeg``) where the exponent has no b/k term, b = -z0^2/4 == 0,
+    and is a ``DecayLeg`` cut where the essential factor has fallen to
+    e^{-lambda} everywhere else.  The geometry is closed-form: in each
+    valley the tail angle minimizes the exact crest of Re E without the
+    z0 term along its ray, the truncation radius is the positive root of
+    a cubic, and the turn radius is one of the two saddle moduli
+    |sqrt(z+z0) +- sqrt(z)| and a fixed floor: on a path with a valley
+    end the largest whose crest of Re E along the arc lies within two
+    e-folds of the lowest, and on a path between two ends at k = 0 the
+    one with the lowest crest.  Raises ValueError for any other
     ``kind``, DegenerateGeometry when the required truncation
     radius exceeds the ceiling of 80, which happens beyond
     |z + z0/2| = 231.03, and NonFiniteInput when the coefficient
@@ -339,17 +356,24 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     # essential/linear balance radius, and large radii only stretch its
     # endpoint leg
     cand = [c for c in cand if not (valley and c < 0.05 or origin and c > 3.0)]
-    r_arc = cand[0] if len(cand) == 1 else _pick_arc_radius(coeffs, th_a, th_b, cand)
+    r_arc = (cand[0] if len(cand) == 1
+             else _pick_arc_radius(coeffs, th_a, th_b, cand, 2.0 if valley else 0.0))
 
-    # run an endpoint leg until the essential factor falls below
-    # e^{-lambda} along the steepest ray (|z0^2/(4k)| >= lambda); the
-    # sqrt-measure criterion alone caps the stub when z0 ~ 0
-    s_max = min(decay_span(4.0 * TAIL_LAMBDA * r_arc, abs(args.z0) ** 2),
-                2.0 * TAIL_LAMBDA + 4.0)
+    if coeffs[1] == 0.0:
+        # no essential factor: the integrand is finite at k = 0, where an
+        # end leg arrives exactly
+        end_leg = partial(OriginLeg, r_outer=r_arc)
+    else:
+        # run an endpoint leg until the essential factor falls below
+        # e^{-lambda} along the steepest ray (|z0^2/(4k)| >= lambda); the
+        # sqrt-measure criterion alone caps the stub when z0 ~ 0
+        s_max = min(decay_span(4.0 * TAIL_LAMBDA * r_arc, abs(args.z0) ** 2),
+                    2.0 * TAIL_LAMBDA + 4.0)
+        end_leg = partial(DecayLeg, r_outer=r_arc, s_max=s_max)
     legs = (
-        RayLeg(th_a, r_a, r_arc) if r_a > 0.0 else DecayLeg(th_a, r_arc, s_max, outward=True),
+        RayLeg(th_a, r_a, r_arc) if r_a > 0.0 else end_leg(th_a, outward=True),
         ArcLeg(r_arc, th_a, th_b),
-        RayLeg(th_b, r_arc, r_b) if r_b > 0.0 else DecayLeg(th_b, r_arc, s_max, outward=False),
+        RayLeg(th_b, r_arc, r_b) if r_b > 0.0 else end_leg(th_b, outward=False),
     )
     return ContourPath(legs, coeffs)
 
@@ -371,8 +395,8 @@ def laplace_integral(path: ContourPath, tol: float = DEFAULT_TOL) -> QuadResult:
     ValueError
         if ``tol`` lies outside ``quadrature.TOL_RANGE`` or is NaN.
     DegenerateGeometry
-        if the integrand is finite at the inner end of an endpoint leg
-        but does not decay toward k = 0 there (a path whose inner ray
+        if the integrand is finite at the inner end of an endpoint decay
+        leg but does not decay toward k = 0 there (a path whose inner ray
         points outside the internal valley).
     ToleranceNotMet
         if the quadrature stops short of the target (its ``stop`` says

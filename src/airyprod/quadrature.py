@@ -10,17 +10,20 @@ so callers pass the coefficients (a, b, c) and the power p as data:
 I_C has (beta, -z0^2/4, 1), the time integral (E', |r-r'|^2/2, -F^2/2)
 in t and (|r-r'|^2/2, E', 0) in u = 1/t.  Paths are chains of straight
 radial rays, circular arcs, exponentially clustered "decay" rays that
-resolve an integrable endpoint at k = 0, and straight chords
-(``SegmentLeg``, the time integral's descent from its stationary point).
+resolve an integrable endpoint at k = 0 where e^{b/k} decays, "origin"
+rays that reach k = 0 exactly where b = 0 (``OriginLeg``, k = r u^2,
+which absorbs a k^{-1/2} weight), and straight chords (``SegmentLeg``,
+the time integral's descent from its stationary point).
 Every leg maps t in [0, 1] to its points k and to
 
     l = log(k^{-p} dk/dt),
 
 taken on the leg's branch: the continuously tracked angle of its points
-on rays, arcs and decay legs, without consulting a principal argument,
-and the principal logarithm on a chord.  l is affine in t on arcs and
-decay legs, -p ln r plus a constant on rays, and f dk/dt = exp(E(k) + l)
-is one complex exponential per node.
+on rays, arcs, decay and origin legs, without consulting a principal
+argument, and the principal logarithm on a chord.  l is affine in t on
+arcs and decay legs, -p ln r plus a constant on rays, (1 - 2p) ln u plus
+a constant on origin legs (a constant at p = 1/2), and
+f dk/dt = exp(E(k) + l) is one complex exponential per node.
 
 Each panel is integrated with the 15-point Gauss-Kronrod rule; the
 embedded 7-point Gauss value provides the error estimate.  There is no
@@ -37,8 +40,9 @@ first round is the same on every leg, so its panels and each leg's 180
 nodes are read-only tables built at import, sized for the longest path
 (4 legs), and each leg maps the node table directly.  The first round's
 nodes are also where the exponent is checked, before any exponential:
-e^{E} must stay inside float64, and every decay leg's integrand must
-decay toward its inner end.
+e^{E} must stay inside float64, and every ``DecayLeg``'s integrand must
+decay toward its inner end.  An ``OriginLeg`` is not checked: it serves
+an exponent without the b/k term, whose e^{E} is 1 at k = 0.
 The panels of all legs are held as arrays in path order, and each round
 makes one call of ``exponent`` over all their nodes.  One node ceiling
 serves both integrals: no round starts once an integral has taken
@@ -86,8 +90,8 @@ import numpy as np
 
 from .errors import DegenerateGeometry, ToleranceNotMet
 
-__all__ = ["RayLeg", "ArcLeg", "DecayLeg", "SegmentLeg", "QuadResult", "exponent",
-           "integrate_legs"]
+__all__ = ["RayLeg", "ArcLeg", "DecayLeg", "OriginLeg", "SegmentLeg", "QuadResult",
+           "exponent", "integrate_legs"]
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss weights
 # (QUADPACK dqk15 constants).
@@ -125,6 +129,9 @@ _WG = np.zeros(15)
 _WG[1::2] = np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
 # the weights as complex, so a complex product need not cast them
 _WGK_C, _WG_C = _WGK.astype(complex), _WG.astype(complex)
+
+
+_LOG_2 = math.log(2.0)
 
 
 def _log(x: float) -> float:
@@ -193,6 +200,35 @@ class DecayLeg:
         const = complex(_log(self.s_max) + (1.0 - power) * _log(self.r_outer),
                         (1.0 - power) * self.theta + (0.0 if self.outward else math.pi))
         return self.r_outer * np.exp(-s) * phase, const - (1.0 - power) * s
+
+
+@dataclass(frozen=True)
+class OriginLeg:
+    """Radial segment that reaches k = 0 exactly.
+
+    Points are k = r_outer u^2 e^{i theta} with u = t (``outward=True``,
+    from k = 0 out to r_outer) or u = 1 - t.  Then k^{-p} dk/dt is
+    +-2 r_outer^{1-p} u^{1-2p} e^{i(1-p) theta}: at p = 1/2 the k^{-1/2}
+    endpoint is absorbed exactly and l is constant, so nothing is cut.
+    It serves an exponent without the b/k term, finite at k = 0.
+    """
+
+    theta: float
+    r_outer: float
+    outward: bool = True
+
+    def map(self, t, power):
+        t = np.asarray(t, dtype=float)
+        u = t if self.outward else 1.0 - t
+        phase = complex(math.cos(self.theta), math.sin(self.theta))
+        # log(k^{-p} dk/dt) = log 2 + (1 - p) ln r_outer + (1 - 2p) ln u
+        #                     + i(1 - p) theta, plus i pi inward
+        const = complex(_LOG_2 + (1.0 - power) * _log(self.r_outer),
+                        (1.0 - power) * self.theta + (0.0 if self.outward else math.pi))
+        k = self.r_outer * (u * u) * phase
+        if power == 0.5:  # no ln u, so u = 0 maps without a warning
+            return k, np.full(k.shape, const)
+        return k, const + (1.0 - 2.0 * power) * np.log(u)
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def test_criterion_3_contour_relation():
     z, z0 = shifted_grid(4 * per_sector, SEED + 3, quotas=(0.25, 0.25, 0.25, 0.25))
     worst_ratio = max(resid / bound
                       for resid, bound in checks.five_contour_relation(z, z0, 1e-10))
-    worst_loop = max(checks.zero_shift_loop(
+    worst_loop = max(abs(loop.value) for loop in checks.zero_shift_loop(
         rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20), 1e-11))
     ok = worst_ratio <= 1.0 and worst_loop <= 1e-10
     _report(3, "five-contour linear relation", ok,

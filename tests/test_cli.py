@@ -95,8 +95,8 @@ def test_eval_direct_argument_overflow_exit(capsys):
 
 def test_eval_contour_miss_exit(capsys):
     # a real quadrature miss, not a patched one: exit 3 and no data
-    err = _failure(capsys, ["eval", "u+", "--z=-10+0.5i", "--z0", "0", "--route", "contour",
-                            "--tol", "1e-14"], 3)
+    err = _failure(capsys, ["eval", "u+", "--z=3.454227064669872+6.2517801904203925i", "--z0",
+                            "0", "--route", "contour", "--tol", "1e-14"], 3)
     assert err.startswith("quadrature failure:")
     assert "(stop: plateau)" in err
 

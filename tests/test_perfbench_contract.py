@@ -57,7 +57,8 @@ def test_raised_miss_is_traced(monkeypatch):
     # the exception's result
     tracing = _tracing(monkeypatch)
     tracer = tracing.Tracer()
-    path = contours.build_contour(ContourKind.L_PLUS, ShiftedArgs.make(-10 + 0.5j, 0))
+    path = contours.build_contour(ContourKind.L_PLUS,
+                                  ShiftedArgs.make(3.454227064669872 + 6.2517801904203925j, 0))
     with tracing.rebound(tracer), pytest.raises(ToleranceNotMet) as info:
         contours.laplace_integral(path, 1e-14)
     assert tracing.all_restored()

@@ -28,6 +28,7 @@ from airyprod import (
     products,
     u_pm,
     w_pm,
+    w_pm_real,
 )
 from airyprod.contours import _ENDS
 from pathcheck import scaled_diff
@@ -268,13 +269,30 @@ def test_error_estimates_cover_route_gap():
             assert abs(c.value - d.value) <= 50.0 * (c.abs_err_est + d.abs_err_est) + 1e-13
 
 
+# U+ at index 92 of shifted_grid(100, 4242, 12, 6): its L+ integral has a
+# float64 floor near 1e-11, far above the target 1e-14 * |value| ~ 2e-14
+PLATEAU_Z = 3.454227064669872 + 6.2517801904203925j
+
+
 def test_contour_miss_raises():
     # 1e-14 lies below the rounding floor of this integral: the quadrature
     # stops on a plateau, and the value comes only with the exception
     with pytest.raises(ToleranceNotMet) as exc:
-        u_pm(+1, -10 + 0.5j, 0, Route.CONTOUR, 1e-14)
+        u_pm(+1, PLATEAU_Z, 0, Route.CONTOUR, 1e-14)
     assert exc.value.result.stop == "plateau"
     assert math.isfinite(abs(exc.value.result.value))
+
+
+def test_contour_tightest_tol_within_estimate():
+    # U+ at z = -10 + 0.5i, z0 = 0 converges at 1e-14 on the largest turn
+    # radius whose crest lies within two e-folds of the lowest (on the
+    # largest within one it stops on a plateau), and its estimate bounds
+    # the error against mpmath
+    mp = pytest.importorskip("mpmath")
+    pv = u_pm(+1, -10 + 0.5j, 0, Route.CONTOUR, 1e-14)
+    with mp.workdps(30):
+        ref = complex(mp.airyai(mp.exp(2j * mp.pi / 3) * mp.mpc(-10, 0.5)) ** 2)
+    assert abs(pv.value - ref) <= pv.abs_err_est
 
 
 @pytest.mark.parametrize("z,z0,bound", [
@@ -329,6 +347,34 @@ def test_contour_error_estimate_bounds_mpmath():
                               (w_pm(sign, zz, zz0, Route.CONTOUR, 1e-8), (ms, w * mz))):
                 ref = complex(mp.airyai(exact[0]) * mp.airyai(exact[1]))
                 assert abs(pv.value - ref) <= pv.abs_err_est, (zz, zz0, sign)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+def test_zero_shift_contour_error_estimate_bounds_mpmath(tol):
+    # every contour row with an end at k = 0, at z0 = 0, where those ends
+    # reach k = 0 exactly: the seven products other than U+-, both terms
+    # of Ai(z) Ai(z) among them, on the 60 zero-shift points of
+    # shifted_grid(200, 41) and (200, 42), index 194 of the first among
+    # them; and aiai_real and w_pm_real at x = Re z.  No value may lie
+    # off mpmath (30 digits) by more than its abs_err_est
+    mp = pytest.importorskip("mpmath")
+    rows = [(r1, r2) for r1 in Rotation for r2 in Rotation
+            if Rotation.NONE in (r1, r2) or r1 is not r2]
+    z = [complex(zz) for seed in (41, 42) for zz, zz0 in zip(*grids.shifted_grid(200, seed))
+         if zz0 == 0]
+    assert len(z) == 60 and complex(grids.shifted_grid(200, 41)[0][194]) in z
+    with mp.workdps(30):
+        for zz in z:
+            rot = {r: mp.exp(2j * mp.pi * r.value / 3) for r in Rotation}
+            ai = {r: mp.airyai(rot[r] * mp.mpc(zz)) for r in Rotation}
+            ai_x = {r: mp.airyai(rot[r] * zz.real) for r in Rotation}
+            cases = [(product(r1, r2, zz, 0, Route.CONTOUR, tol), ai[r1] * ai[r2])
+                     for r1, r2 in rows]
+            cases.append((aiai_real(zz.real, 0, tol), ai_x[Rotation.NONE] ** 2))
+            cases += [(w_pm_real(s, zz.real, 0, tol), ai_x[Rotation.NONE] * ai_x[Rotation(s)])
+                      for s in (+1, -1)]
+            for pv, ref in cases:
+                assert abs(pv.value - complex(ref)) <= pv.abs_err_est, (zz, pv)
 
 
 def test_direct_error_estimate_bounds_mpmath():

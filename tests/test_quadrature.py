@@ -27,6 +27,7 @@ from airyprod.quadrature import (
     TAIL_LAMBDA,
     ArcLeg,
     DecayLeg,
+    OriginLeg,
     RayLeg,
     SegmentLeg,
     integrate_legs,
@@ -288,9 +289,52 @@ def test_legs_share_one_integrand_call_per_round(monkeypatch):
     assert abs(res.value - exact) <= 1e-12
 
 
-# paths of 1 to 4 legs that mix all four leg types, as (legs, coeffs, power),
-# and two built ones: a contour and the time integral's chord family
+def test_origin_leg_absorbs_the_weight():
+    # int_0^1 k^(-1/2) dk = 2 along k = u^2 e^{i theta}: at p = 1/2 the
+    # integrand in u is the constant 2 e^{i theta/2}, exact on one panel
+    # of the first round; t = 0 maps to k = 0 itself, with no warning
+    for theta in (0.0, 0.5 * math.pi, -1.5 * math.pi):
+        for outward in (True, False):
+            leg = OriginLeg(theta, 1.0, outward)
+            res = integrate_legs([leg], _ZERO, 0.5, 1e-14)
+            want = 2.0 * cmath.exp(0.5j * theta) * (1.0 if outward else -1.0)
+            assert abs(res.value - want) <= 1e-15 and res.nodes == 12 * 15
+            k = leg.map(np.array([0.0, 1.0]), 0.5)[0]
+            assert k[0 if outward else 1] == 0.0
+    # at p = -1/2 the weight k^{1/2} is carried by ln u: int_0^4 k^(1/2) dk
+    res = integrate_legs([OriginLeg(0.0, 4.0)], _ZERO, -0.5, 1e-12)
+    assert abs(res.value - 16.0 / 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_zero_shift_end_legs_finish_in_the_first_round(monkeypatch, tol):
+    # at z0 = 0 every end at k = 0 is an OriginLeg, smooth in u: the first
+    # round's 12 even panels resolve it, and no later round evaluates a
+    # panel on it (the rounds after the first call _log_integrand), over
+    # the five kinds on a narrow and a wide seeded grid
+    spy = _spy(monkeypatch, "_log_integrand")
+    z = [*shifted_grid(100, 901)[0], *shifted_grid(100, 902, z_radius=12.0, z0_radius=6.0)[0]]
+    ends = 0
+    for zz in z:
+        args = ShiftedArgs.make(zz, 0.0)
+        for kind in ContourKind:
+            path = build_contour(kind, args)
+            ends += sum(isinstance(leg, OriginLeg) for leg in path.segments)
+            try:
+                laplace_integral(path, tol)
+            except ToleranceNotMet:  # a plateau on a valley ray; its panels count too
+                pass
+    assert ends == 4 * len(z)  # R+ and R- have one end at k = 0, O two
+    assert spy.call_count > 0  # later rounds split the other legs
+    assert not any(isinstance(c.args[0][j], OriginLeg)
+                   for c in spy.call_args_list for j in c.args[3].tolist())
+
+
+# paths of 1 to 4 legs that mix all five leg types, as (legs, coeffs, power),
+# and three built ones: a contour at z0 != 0 and at z0 = 0, and the time
+# integral's chord family
 _R_PLUS = build_contour(ContourKind.R_PLUS, ShiftedArgs.make(1 + 0.5j, 0.3 - 0.2j))
+_O_ZERO = build_contour(ContourKind.O, ShiftedArgs.make(1 + 0.5j, 0.0))
 _FIRST_ROUND_PATHS = {
     "segment": ([SegmentLeg(0.2 + 0.1j, 1.5 - 0.3j)], (1.3 + 0.2j, 0.0, 0.7), 0.5),
     "decay-ray": ([DecayLeg(0.3, 1.2, 12.0), RayLeg(0.3, 1.2, 3.0)], (1.3 + 0.2j, 0.0, 0.7), 0.5),
@@ -300,6 +344,8 @@ _FIRST_ROUND_PATHS = {
                                RayLeg(0.0, 0.8, 2.0), SegmentLeg(2.0, 2.5 + 1.0j)],
                               (1.3 + 0.2j, 0.0, 0.7), 0.5),
     "contour-R+": (_R_PLUS.segments, _R_PLUS.coeffs, 0.5),
+    "contour-O-zero-shift": (_O_ZERO.segments, _O_ZERO.coeffs, 0.5),
+    "origin-ray": ([OriginLeg(0.3, 1.2), RayLeg(0.3, 1.2, 3.0)], (1.3 + 0.2j, 0.0, 0.7), 1.5),
     "time-chord": greens._time_path(GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))),
 }
 
