@@ -4,7 +4,7 @@ Walks one (z, z0) pair per shift sector through the four basis functions,
 computing each value twice: directly from the Airy evaluator, and from
 its half-line contour representation.  The two agree far below the
 documented 1e-7 verification tolerance everywhere, including the outer
-sector, where the W+- path starts on the other side of the cut.
+sector, where the W+- path R+- starts on the cut of -z0.
 
 Run:  python demos/two_routes_tour.py
 """

@@ -144,21 +144,17 @@ def _cmd_verify(ns) -> int:
 # ----------------------------------------------------------------------
 
 def _write_table(ns, header, rows) -> int:
-    try:
-        if ns.format == "csv":
-            with open(ns.out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_g(v) for v in row])
-        else:
-            records = [dict(zip(header, (float(_g(v)) for v in row))) for row in rows]
-            with open(ns.out, "w", encoding="utf-8") as fh:
-                json.dump(records, fh, indent=1)
-                fh.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    if ns.format == "csv":
+        with open(ns.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_g(v) for v in row])
+    else:
+        records = [dict(zip(header, (float(_g(v)) for v in row))) for row in rows]
+        with open(ns.out, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
     _emit([("table", ns.target), ("rows", len(rows)), ("path", ns.out),
            ("format", ns.format)])
     return 0

@@ -99,7 +99,9 @@ class AiryValue:
     ``est_rel_err`` is conservative and relative to the natural magnitude
     scale of the result (the modulus of the dominant asymptotic envelope),
     not to the possibly vanishing value itself.  It stays below 1e-12
-    throughout |z| <= 20.  For real z the imaginary parts are exactly zero.
+    throughout the envelope |z| <= 50 (4.19e-13 at most, on the negative
+    real axis near x = -50).  For real z the imaginary parts are exactly
+    zero.
     """
 
     ai: complex

@@ -26,15 +26,16 @@ value is computable two ways:
   "near" be the side where R+- starts (low for +, up for -), "far" the
   other side, and V = V3 for + and V1 for -.  The rows are
 
-      value          m     |arg z0| <= pi/2     |arg z0| > pi/2
-      U+-           -+1    V -> V2              V -> V2
-      W+-           +-1    near -> V            far -> V
-      diff+-        +-1    far -> near          near -> far
-      (+-, 0)       +-1    far -> V             near -> V
-      (+-, -+)       0     far -> V2            near -> V2
+      value          m     path
+      U+-           -+1    V -> V2
+      W+-           +-1    near -> V      (R+-)
+      diff+-        +-1    far -> near    (+-O)
+      (+-, 0)       +-1    far -> V
+      (+-, -+)       0     far -> V2
 
-  The ends change with the sector because for |arg z0| > pi/2 the cut
-  and the origin ends are those of -z0.  The mixed products are the
+  for every z0: ``contours`` names the sides of the cut so that each end
+  continues analytically in z0, so W+- and diff+- are the prefactor times
+  I_{R+-} and +-I_O at every shift.  The mixed products are the
   combinations
 
       Ai(e^{+-}(z+z0)) Ai(z)         = U-+ + e^{-+i pi/3} (U+- - W-+)
@@ -47,11 +48,9 @@ value is computable two ways:
 
 Both routes read one table, one row per value: ``_DIRECT`` lists the
 evaluator products to add or subtract and ``_CONTOUR`` the prefactor and
-the path of each sector, for the nine products (U+- and W+- among
-them), the antisymmetric ``difference_identity`` (the origin loop, one
-way round or the other) and ``aiai_real``.  The sector dispatch lives
-in the table, not in the contour engine, because the formula choice is
-a property of the representation rather than of path geometry.
+the path, for the nine products (U+- and W+- among them), the
+antisymmetric ``difference_identity`` (the origin loop, one way round or
+the other) and ``aiai_real``.
 
 ``w_pm_real`` (shift >= 0 only) is the W+- row on real arguments, where
 it is the half-line formula of the real axis.
@@ -65,12 +64,7 @@ from functools import reduce
 import cmath
 import math
 
-from .contours import (
-    Sector,
-    ShiftedArgs,
-    build_contour,
-    laplace_integral,
-)
+from .contours import ShiftedArgs, build_contour, laplace_integral
 import numpy as np
 
 from .errors import EnvelopeExceeded, NegativeShift, NonFiniteInput
@@ -131,20 +125,20 @@ def _rows(s: int):
 
     ``_DIRECT`` terms are (c, f1, f2) for c Ai(f1 (z+z0)) Ai(f2 z), where
     f = None takes the argument as it is.  ``_CONTOUR`` rows are a
-    prefactor and the paths for |arg z0| <= pi/2 and for |arg z0| > pi/2,
-    each a tuple of (start, end) pairs whose integrals are added.  U+-
-    is the row (rot, rot) and W+- the row (NONE, rot).
+    prefactor and the paths, a tuple of (start, end) pairs whose
+    integrals are added.  U+- is the row (rot, rot) and W+- the row
+    (NONE, rot).
     """
     rot = Rotation(s)
     w = rot.factor
     near, far = ("low", "up") if s > 0 else ("up", "low")
     v = "V3" if s > 0 else "V1"
     direct = {("diff", s): ((1, w, None), (-1, None, w))}
-    contour = {("diff", s): (_pref(s), ((far, near),), ((near, far),)),
-               (rot, rot): (_pref(-s), ((v, "V2"),), ((v, "V2"),)),
-               (Rotation.NONE, rot): (_pref(s), ((near, v),), ((far, v),)),
-               (rot, Rotation.NONE): (_pref(s), ((far, v),), ((near, v),)),
-               (rot, Rotation(-s)): (_pref(0), ((far, "V2"),), ((near, "V2"),))}
+    contour = {("diff", s): (_pref(s), ((far, near),)),
+               (rot, rot): (_pref(-s), ((v, "V2"),)),
+               (Rotation.NONE, rot): (_pref(s), ((near, v),)),
+               (rot, Rotation.NONE): (_pref(s), ((far, v),)),
+               (rot, Rotation(-s)): (_pref(0), ((far, "V2"),))}
     return direct, contour
 
 
@@ -153,16 +147,15 @@ def _direct_factor(rot: Rotation):
     return None if rot is Rotation.NONE else rot.factor
 
 
-# R+ and R-: the origin loops of e^{-i pi/3} W+ + e^{+i pi/3} W- cancel
-# in every sector
+# R+ and R-: the paths of e^{-i pi/3} W+ and e^{+i pi/3} W-
 _R_PAIR = (("low", "V3"), ("up", "V1"))
 _DIRECT = {(r1, r2): ((1, _direct_factor(r1), _direct_factor(r2)),)
            for r1 in Rotation for r2 in Rotation}
 _CONTOUR = {
-    (Rotation.NONE, Rotation.NONE): (_pref(0), _R_PAIR, _R_PAIR),
+    (Rotation.NONE, Rotation.NONE): (_pref(0), _R_PAIR),
     # the row above on the real axis, where its two terms are complex
     # conjugates: twice the real part of the R- term
-    "aiai": (2.0 * _pref(0), _R_PAIR[1:], _R_PAIR[1:]),
+    "aiai": (2.0 * _pref(0), _R_PAIR[1:]),
 }
 for _s in (+1, -1):
     _d, _c = _rows(_s)
@@ -213,9 +206,9 @@ def _signed_sum(terms) -> tuple[complex, float]:
 def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
     """The value of one table row along ``route``.
 
-    The contour route integrates over the row's path for the sector of
-    z0 (over both paths of Ai(z+z0) Ai(z)), and bounds the error by
-    |prefactor| times the estimate.
+    The contour route integrates over the row's path (over both paths
+    of Ai(z+z0) Ai(z)), and bounds the error by |prefactor| times the
+    estimate.
     """
     z, z0 = complex(z), complex(z0)
     if route is Route.DIRECT:
@@ -232,8 +225,7 @@ def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
     if route is not Route.CONTOUR:
         raise ValueError(f"products support the DIRECT and CONTOUR routes, not {route}")
     args = ShiftedArgs.make(z, z0)
-    pref, *paths = _CONTOUR[key]
-    paths = paths[args.z0_sector is Sector.OUTER]
+    pref, paths = _CONTOUR[key]
     val, err = (_contour_value(paths[0], args, tol) if len(paths) == 1
                 else _signed_sum((1, _contour_value(ends, args, tol)) for ends in paths))
     return ProductValue(pref * val, abs(pref) * err)
@@ -249,9 +241,8 @@ def w_pm(sign: int, z: complex, z0: complex, route: Route = Route.DIRECT,
          tol: float = DEFAULT_TOL) -> ProductValue:
     """W+-(z; z0) = Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
-    On the contour route this is the integral over R+- for
-    |arg z0| <= pi/2 (and z0 = 0); beyond, the path starts at k = 0 on
-    the other side of the cut, which adds the origin loop +-I_O.
+    On the contour route this is e^{i pi/4 +- i pi/3} / (4 pi^{3/2})
+    times the integral over R+-, at every shift.
     """
     return _evaluate((Rotation.NONE, Rotation(_check_sign(sign))), z, z0, route, tol)
 
@@ -279,10 +270,9 @@ def difference_identity(sign: int, z: complex, z0: complex,
     """Ai(e^{+-2i pi/3}(z+z0)) Ai(z) - Ai(z+z0) Ai(e^{+-2i pi/3} z).
 
     This antisymmetric combination is proportional to the origin-loop
-    integral alone, taken in the direction that gives the sign below,
+    integral alone, at every shift,
 
-        +- e^{i pi/4 +- i pi/3} / (4 pi^{3/2}) * I_O    (|arg z0| <= pi/2)
-        -+ e^{i pi/4 +- i pi/3} / (4 pi^{3/2}) * I_O    (|arg z0| >  pi/2)
+        +- e^{i pi/4 +- i pi/3} / (4 pi^{3/2}) * I_O,
 
     and vanishes identically at z0 = 0.  Default route is the loop
     integral (the quantity this operation exists to expose); the direct
@@ -307,7 +297,6 @@ def w_pm_real(sign: int, x: float, x0: float, tol: float = DEFAULT_TOL) -> Produ
     x, x0 = float(x), float(x0)
     if x0 < 0.0:
         raise NegativeShift("w_pm_real requires x0 >= 0; use aiai_real or w_pm instead")
-    # x0 >= 0 never lies in the outer sector, so this is the single R+- integral
     return w_pm(sign, x, x0, Route.CONTOUR, tol)
 
 
@@ -317,9 +306,9 @@ def aiai_real(x: float, x0: float, tol: float = DEFAULT_TOL) -> ProductValue:
         (1/(2 pi^{3/2})) *
             Int_0^inf cos[k(x+x0/2) - x0^2/(4k) + k^3/12 + pi/4] dk/sqrt(k).
 
-    Valid for x0 < 0 as well (the origin-loop contributions of the two
-    underlying W terms cancel in this symmetric combination); the result
-    carries zero imaginary part by construction.
+    Valid for x0 < 0 as well: the two terms of Ai(z+z0) Ai(z), over R+
+    and R-, are complex conjugates on the real axis at every real shift.
+    The result carries zero imaginary part by construction.
     """
     pv = _evaluate("aiai", float(x), float(x0), Route.CONTOUR, tol)
     return ProductValue(complex(pv.value.real, 0.0), pv.abs_err_est)

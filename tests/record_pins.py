@@ -14,6 +14,18 @@ loop sets reach (every host, one numpy minor version) differs between
 them.  Otherwise it writes the file and prints the moved integral rows,
 the largest move over the summed estimates, and every changed digest
 and count.
+
+A change that renames an integral, so that a pinned row now names
+another path, moves that row by O(1) and is refused.  Re-pin such rows
+by hand, in three steps:
+
+1. check each new row against the old rows by the identity that relates
+   the two paths, within the summed estimates of all its terms; when
+   the sides of the cut are renamed, for example, new R+- = old R+- +-
+   old O and new O = -old O;
+2. delete the stale rows from ``pins.json`` and run this script again,
+   which records them as new pins;
+3. list the rows, and each identity's ratio, in CHANGES.md.
 """
 
 import json

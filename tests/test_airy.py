@@ -91,11 +91,14 @@ def test_raw_batch_gate_is_warning_free(z):
         oracle._airy_raw_batch(np.array([0.5, z]))
 
 
-def test_error_estimate_envelope():
+@pytest.mark.parametrize("radius", [20.0, 50.0])
+def test_error_estimate_envelope(radius):
+    # over the whole envelope |z| <= 50 the largest est_rel_err, 4.19e-13,
+    # lies on the negative real axis, at x = -49.95
     rng = np.random.default_rng(7)
-    z = (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)) * 20
-    z = z[np.abs(z) <= 20]
-    est = airy_batch(z)[2]
+    z = (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)) * radius
+    z = np.concatenate([z, np.linspace(-50.0, -20.0, 601)])
+    est = airy_batch(z[np.abs(z) <= radius])[2]
     assert np.max(est) <= 1e-12
 
 

@@ -150,10 +150,19 @@ def _assert_origin_end(leg, t, arc, z0):
         assert r_inner(leg) < 1e-2 * arc.radius
 
 
-@pytest.mark.parametrize("z0", [0.9, 0.4 + 0.6j, -1.2, 2j, 0.0, -0.3 + 1.1j])
+def _lift_gap(theta, lift):
+    """How far the angle ``theta`` lies from ``lift`` mod 4 pi."""
+    return abs((theta - lift + 2.0 * PI) % (4.0 * PI) - 2.0 * PI)
+
+
+@pytest.mark.parametrize("z0", [0.9, 0.4 + 0.6j, -1.2, 2j, 0.0, -0.3 + 1.1j,
+                                cmath.rect(1.3, PI / 2), -1.3j, -0.7 - 0.2j])
 def test_path_invariants_all_kinds(z0):
     args = ShiftedArgs.make(0.8 - 0.3j, z0)
     a_eff = _effective_shift_angle(args)
+    # one naming rule in every sector: R- starts at lift 2 arg z0 + pi/2
+    # ("up"), R+ one turn below ("low"), both mod 4 pi
+    up, low = 2.0 * cmath.phase(z0) + PI / 2, 2.0 * cmath.phase(z0) - 1.5 * PI
     for kind in ContourKind:
         path = build_contour(kind, args)
         assert isinstance(path, ContourPath)
@@ -172,8 +181,7 @@ def test_path_invariants_all_kinds(z0):
             _assert_origin_end(inner, 0.0, legs[1], z0)
             # start direction is the essential factor's steepest descent,
             # lifted to the side of the cut this contour starts on
-            lift = 0.0 if kind is ContourKind.R_MINUS else -2.0 * PI
-            assert inner.theta == pytest.approx(2 * a_eff + PI / 2 + lift)
+            assert _lift_gap(inner.theta, up if kind is ContourKind.R_MINUS else low) <= 1e-12
             mod = inner.theta % (2.0 * PI)
             lo = (2.0 * a_eff) % (2.0 * PI)
             assert (mod - lo) % (2.0 * PI) < PI  # inside internal valley
@@ -181,11 +189,12 @@ def test_path_invariants_all_kinds(z0):
             assert _in_valley(legs[-1].theta, tail)
         else:
             first, last = legs[0], legs[-1]
-            # both ends at k = 0, lifts a full turn apart (opposite cut
-            # sides), both inside the internal valley mod 2 pi
+            # both ends at k = 0, from R-'s start to R+'s: a full turn
+            # apart mod 4 pi (opposite cut sides), both inside the
+            # internal valley mod 2 pi
             _assert_origin_end(first, 0.0, legs[1], z0)
             _assert_origin_end(last, 1.0, legs[1], z0)
-            assert first.theta - last.theta == pytest.approx(2.0 * PI)
+            assert _lift_gap(first.theta, up) <= 1e-12 and _lift_gap(last.theta, low) <= 1e-12
             for th in (first.theta, last.theta):
                 frac = (th - 2.0 * a_eff) % (2.0 * PI)
                 assert 0.0 < frac < PI or frac == pytest.approx(PI / 2)
@@ -357,16 +366,16 @@ def test_path_independence_under_perturbation():
                 assert abs(value - base) <= 10.0 * tol * max(1.0, abs(base))
 
 
-def test_boundary_continuity():
-    # inner-limit construction just below |arg z0| = pi/2 matches the
-    # outer construction just above, once the loop correction is added
-    z = 0.7 + 0.2j
-    for sign, kind in [(+1, ContourKind.R_PLUS), (-1, ContourKind.R_MINUS)]:
-        z0a = cmath.rect(1.3, PI / 2 - 1e-6)
-        z0b = cmath.rect(1.3, PI / 2 + 1e-6)
-        ia = _integral(kind, z, z0a).value
-        ib = _integral(kind, z, z0b).value + sign * _integral(ContourKind.O, z, z0b).value
-        assert abs(ia - ib) <= 1e-5 * abs(ia)
+def test_named_integrals_continuous_across_sector_edges():
+    # the ends continue analytically in z0, so every named integral does
+    # too: no origin loop is added or dropped where |arg z0| crosses pi/2
+    # or arg z0 wraps at pi
+    for edge in (PI / 2, -PI / 2, PI):
+        for z in (0.7 + 0.2j, -1.5 + 0.4j, 2 - 1j):
+            for kind in ContourKind:
+                ia, ib = (_integral(kind, z, cmath.rect(1.3, edge + d), 1e-12).value
+                          for d in (-1e-6, 1e-6))
+                assert abs(ia - ib) <= 1e-5 * abs(ia), (edge, z, kind)
 
 
 def test_tolerance_not_met_carries_result():

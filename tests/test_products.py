@@ -334,19 +334,20 @@ def test_closure_property(z, z0):
 def test_contour_error_estimate_bounds_mpmath():
     # at tol 1e-8 on |z| <= 10, |z0| <= 5 the contour integrals cancel, and
     # the GK15 estimate alone misses their rounding; the reported estimate
-    # carries the rounding floor 50 eps times the integral of |f dk|
+    # carries the rounding floor 50 eps times the integral of |f dk|.  All
+    # nine product rows, U+- and W+- among them, in every sector
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     z, z0 = grids.shifted_grid(16, 45, z_radius=10.0, z0_radius=5.0)
+    rot = {r: mp.exp(2j * mp.pi * r.value / 3) for r in Rotation}
     for zz, zz0 in zip(z.tolist(), z0.tolist()):
         mz = mp.mpc(zz)
         ms = mz + mp.mpc(zz0)
-        for sign in (+1, -1):
-            w = mp.exp(sign * 2j * mp.pi / 3)
-            for pv, exact in ((u_pm(sign, zz, zz0, Route.CONTOUR, 1e-8), (w * ms, w * mz)),
-                              (w_pm(sign, zz, zz0, Route.CONTOUR, 1e-8), (ms, w * mz))):
-                ref = complex(mp.airyai(exact[0]) * mp.airyai(exact[1]))
-                assert abs(pv.value - ref) <= pv.abs_err_est, (zz, zz0, sign)
+        for r1 in Rotation:
+            for r2 in Rotation:
+                pv = product(r1, r2, zz, zz0, Route.CONTOUR, 1e-8)
+                ref = complex(mp.airyai(rot[r1] * ms) * mp.airyai(rot[r2] * mz))
+                assert abs(pv.value - ref) <= pv.abs_err_est, (zz, zz0, r1, r2)
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
