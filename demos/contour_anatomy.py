@@ -1,10 +1,11 @@
 """Anatomy of the integration contours and the five-integral relation.
 
-Builds all five contours for one (z, z0), prints the four exact saddles
-k = +-i(sqrt(z+z0) +- sqrt(z)) of the exponent that place them, each
-contour's leg structure, turn radius and reach into its valleys (the
-continuously tracked angles are the branch lift of k^(1/2)), and
-verifies the linear relation
+Builds all five contours for one (z, z0), prints the lifts of the two
+sides of the cut where the ends at k = 0 lie (R-'s and R+'s first-leg
+angles), the four exact saddles k = +-i(sqrt(z+z0) +- sqrt(z)) of the
+exponent that place the contours, each contour's leg structure, turn
+radius and reach into its valleys (the continuously tracked angles are
+the branch lift of k^(1/2)), and verifies the linear relation
 
     I_O = I_R- + I_L- - I_L+ - I_R+
 
@@ -14,13 +15,7 @@ zero, which is also shown, along a loop whose ends reach k = 0 exactly.
 Run:  python demos/contour_anatomy.py
 """
 
-from airyprod import (
-    ContourKind,
-    ShiftedArgs,
-    build_contour,
-    laplace_integral,
-    saddles,
-)
+from airyprod import ContourKind, build_contour, laplace_integral, saddles
 
 
 def describe(path):
@@ -48,14 +43,15 @@ def reach(path):
 
 def main():
     z, z0 = 1 + 0.3j, 0.7
-    args = ShiftedArgs.make(z, z0)
-    print(f"z = {z}, z0 = {z0}  (sector: {args.z0_sector.value})")
+    up, low = (build_contour(kind, z, z0).segments[0].theta
+               for kind in (ContourKind.R_MINUS, ContourKind.R_PLUS))
+    print(f"z = {z}, z0 = {z0}  (cut sides: up {up:+.3f}, low {low:+.3f})")
     print("saddles of the exponent: "
-          + ", ".join(f"{k:.4g}" for k in saddles(args)))
+          + ", ".join(f"{k:.4g}" for k in saddles(z, z0)))
 
     vals, err = {}, 0.0
     for kind in ContourKind:
-        path = build_contour(kind, args)
+        path = build_contour(kind, z, z0)
         res = laplace_integral(path, 1e-11)
         vals[kind] = res.value
         err += res.abs_err_est
@@ -71,8 +67,7 @@ def main():
     print(f"\nlinear relation residual |I_O - (I_R- + I_L- - I_L+ - I_R+)| "
           f"= {abs(lhs - rhs):.2e}  (combined err budget {err:.2e})")
 
-    args0 = ShiftedArgs.make(z, 0.0)
-    loop = build_contour(ContourKind.O, args0)
+    loop = build_contour(ContourKind.O, z, 0.0)
     res = laplace_integral(loop, 1e-12)
     print(f"\nloop integral at z0 = 0: |I_O| = {abs(res.value):.2e} "
           "(contractible, vanishes)")

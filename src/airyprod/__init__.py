@@ -22,10 +22,7 @@ __version__ = "0.1.0"
 from .contours import (
     ContourKind,
     ContourPath,
-    Sector,
-    ShiftedArgs,
     build_contour,
-    classify_sector,
     laplace_integral,
     saddles,
 )
@@ -66,8 +63,7 @@ from .quadrature import QuadResult
 
 __all__ = [
     "AiryValue", "airy", "airy_batch",
-    "Sector", "ContourKind", "ShiftedArgs", "ContourPath",
-    "classify_sector", "build_contour", "laplace_integral", "saddles",
+    "ContourKind", "ContourPath", "build_contour", "laplace_integral", "saddles",
     "QuadResult",
     "Route", "Rotation", "ProductValue",
     "u_pm", "w_pm", "product", "difference_identity",

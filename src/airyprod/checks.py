@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .contours import ContourKind, ShiftedArgs, build_contour, laplace_integral
+from .contours import ContourKind, build_contour, laplace_integral
 from .greens import (GreensParams, greens_closed, greens_free, greens_time_integral,
                      operator_residual)
 from .grids import greens_samples, shifted_grid
@@ -43,8 +43,7 @@ def five_contour_relation(z, z0, tol: float):
     times the sum of the five error estimates, but at least
     1e-13 max(1, |I_O|)."""
     for zz, zz0 in zip(z, z0):
-        args = ShiftedArgs.make(zz, zz0)
-        res = {kind: laplace_integral(build_contour(kind, args), tol) for kind in ContourKind}
+        res = {kind: laplace_integral(build_contour(kind, zz, zz0), tol) for kind in ContourKind}
         lhs = res[ContourKind.O].value
         rhs = (res[ContourKind.R_MINUS].value + res[ContourKind.L_MINUS].value
                - res[ContourKind.L_PLUS].value - res[ContourKind.R_PLUS].value)
@@ -55,8 +54,7 @@ def five_contour_relation(z, z0, tol: float):
 def zero_shift_loop(z, tol: float):
     """I_O at z0 = 0 for each z, as its ``QuadResult``: the closed loop then
     encircles nothing, so its value is 0 up to its error estimate."""
-    return [laplace_integral(build_contour(ContourKind.O, ShiftedArgs.make(zz, 0.0)), tol)
-            for zz in z]
+    return [laplace_integral(build_contour(ContourKind.O, zz, 0.0), tol) for zz in z]
 
 
 def greens_gap(p: GreensParams, tol: float) -> float:

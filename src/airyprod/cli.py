@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .checks import SUITES
-from .contours import classify_sector
 from .errors import AiryprodError, ToleranceNotMet
 from .greens import GreensParams, greens_closed, greens_free, greens_time_integral, scaled_vars
 from .grids import real_grid
@@ -102,11 +101,11 @@ def _cmd_eval(ns) -> int:
     name, tol = ns.name, ns.tol
     if name in _REAL_NAMES:
         point = [("x", _g(ns.x)), ("x0", _g(ns.x0))]
-        z0, args = complex(ns.x0), (ns.x, ns.x0, tol)
+        args = (ns.x, ns.x0, tol)
     else:
         point = [("z", f"{_g(ns.z.real)}{ns.z.imag:+.17g}i"),
                  ("z0", f"{_g(ns.z0.real)}{ns.z0.imag:+.17g}i")]
-        z0, args = ns.z0, (ns.z, ns.z0, Route(ns.route), tol)
+        args = (ns.z, ns.z0, Route(ns.route), tol)
     if name == "aiai-real":
         pv = aiai_real(*args)
     elif name == "product":
@@ -114,7 +113,6 @@ def _cmd_eval(ns) -> int:
     else:  # u+-, w+-, diff+-, w-real+-
         pv = _SIGNED[name[:-1]](+1 if name[-1] == "+" else -1, *args)
     _emit([("name", name), *point,
-           ("sector", classify_sector(z0).value),
            ("route", "real-axis" if name in _REAL_NAMES else ns.route),
            ("re", _g(pv.value.real)), ("im", _g(pv.value.imag)),
            ("abs_err", _g(pv.abs_err_est))])

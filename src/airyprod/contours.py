@@ -12,8 +12,8 @@ in continued arg-k coordinates, and/or the origin, where the essential
 factor e^{-i z0^2/(4k)} decays inside the "internal valley" of angles
 (2 arg z0, 2 arg z0 + pi) mod 2pi.  The branch of k^(1/2) is anchored by
 arg k = 0 on the positive real axis with a cut along
-arg k = pi/2 + arg z0 (for |arg z0| <= pi/2; for larger |arg z0| the cut
-is that of -z0).  Every leg carries its angle as a continuous lift, so
+arg k = pi/2 + arg z0, or along that of -z0 where the ends lie on the cut
+of -z0 (below).  Every leg carries its angle as a continuous lift, so
 crossing the cut ray while tracking the lift is an allowed, value-neutral
 deformation; what is forbidden, and checked, is a discontinuous jump of
 the lift.
@@ -35,20 +35,22 @@ lift 2 arg z0 + pi/2 and "low", where R+ starts and O ends, at
 2 arg z0 - 3 pi/2, both mod 4 pi.  The lifts matter only mod 4 pi: in
 s = k^(1/2) the integrand 2 e^{E(s^2)} is even, so two turns around
 k = 0 integrate to zero.  So each named integral is one analytic
-function of z0, and the products are one formula at every shift.  For
-|arg z0| > pi/2 the ends are those of the cut of -z0 with their names
-swapped, up at 2 arg(-z0) - 3 pi/2 and low one turn above it; the lifts
-of the cut of z0 itself, the same mod 4 pi, take up to 82% more nodes
-there.  At zero shift
-(b = -z0^2/4 == 0) there is no essential factor, the integrand is
-finite at k = 0 but for the k^(-1/2) weight, and an end leg reaches
-k = 0 exactly along the same lifted angle (``OriginLeg``, k = r u^2,
-which absorbs the weight); elsewhere it is a decay leg cut where the
-essential factor has fallen to e^{-lambda}.  One builder makes every
-path from its ends: a ray in from the start valley or an end leg out of
-k = 0, one arc at the turn radius, and a ray out to the end valley or
-an end leg into k = 0.  A built path (``ContourPath``) is those three
-legs and the coefficients of its exponent, nothing more.
+function of z0, and the products are one formula at every shift.
+Which cut the ends lie on is one comparison.  At zero shift
+(b = -z0^2/4 == 0, every z0 whose square underflows included) the
+angle is 0: up at pi/2, low at -3 pi/2.  Any other shift keeps the cut
+of z0 unless |arg z0| - pi/2 > 1e-12, where the ends lie on the cut of
+-z0 with their names swapped, up at 2 arg(-z0) - 3 pi/2 and low one turn
+above it; the lifts of the cut of z0 itself, the same mod 4 pi, take up
+to 82% more nodes there.  At zero shift there is no essential factor,
+the integrand is finite at k = 0 but for the k^(-1/2) weight, and an end
+leg reaches k = 0 exactly along the same lifted angle (``OriginLeg``,
+k = r u^2, which absorbs the weight); elsewhere it is a decay leg cut
+where the essential factor has fallen to e^{-lambda}.  One builder
+makes every path from its ends: a ray in from the start valley or an
+end leg out of k = 0, one arc at the turn radius, and a ray out to the
+end valley or an end leg into k = 0.  A built path (``ContourPath``) is
+those three legs and the coefficients of its exponent, nothing more.
 
 The geometry is closed-form.  With beta = z + z0/2 the exponent
 E(k) = i(beta k - z0^2/(4k) + k^3/12), the coefficients
@@ -92,11 +94,8 @@ from .quadrature import (DEFAULT_TOL, TAIL_LAMBDA, ArcLeg, DecayLeg, OriginLeg, 
                          RayLeg, decay_span, exponent, integrate_legs, tail_radius)
 
 __all__ = [
-    "Sector",
     "ContourKind",
-    "ShiftedArgs",
     "ContourPath",
-    "classify_sector",
     "build_contour",
     "laplace_integral",
     "saddles",
@@ -108,8 +107,11 @@ _PI = math.pi
 #: Asymptotic valleys of e^{i k^3/12} in continued arg-k coordinates.
 VALLEY_SECTORS = ((0.0, _PI / 3.0), (-2.0 * _PI / 3.0, -_PI / 3.0), (-4.0 * _PI / 3.0, -_PI))
 
-_ZERO_SHIFT = 1e-300
-_BOUNDARY_TOL = 1e-12
+# the ends move to the cut of -z0 where |arg z0| passes pi/2 by more than
+# this.  shifted_grid's boundary points sit within 1e-13 of
+# |arg z0| = pi/2, on both sides of the switch; the margin keeps every
+# one of them on the cut of z0, on the paths their values were pinned on
+_CUT_SWITCH_MARGIN = 1e-12
 
 # no contour reaches beyond radius 80; the cut depth and the node ceiling
 # are quadrature's
@@ -122,15 +124,6 @@ def _modulus(w: complex) -> float:
         return abs(w)
     except OverflowError:
         return math.inf
-
-
-class Sector(Enum):
-    """Classification of the shift z0 by |arg z0|."""
-
-    ZERO = "zero"
-    INNER = "inner"
-    BOUNDARY = "boundary"
-    OUTER = "outer"
 
 
 class ContourKind(Enum):
@@ -157,38 +150,12 @@ _ENDS = {
 }
 
 
-def classify_sector(z0: complex) -> Sector:
-    """Classify z0 into Zero / Inner / Boundary / Outer.
-
-    Boundary means |arg z0| within 1e-12 of pi/2; it is dispatched like
-    Inner everywhere downstream (the representations connect there by
-    continuity in z0).
-    """
-    z0 = complex(z0)
-    if not cmath.isfinite(z0):
-        raise NonFiniteInput("classify_sector: z0 must be finite")
-    if _modulus(z0) < _ZERO_SHIFT:
-        return Sector.ZERO
-    a = abs(cmath.phase(z0))
-    if abs(a - _PI / 2.0) <= _BOUNDARY_TOL:
-        return Sector.BOUNDARY
-    return Sector.INNER if a < _PI / 2.0 else Sector.OUTER
-
-
-@dataclass(frozen=True)
-class ShiftedArgs:
-    """The pair (z, z0) with its cached shift-sector classification."""
-
-    z: complex
-    z0: complex
-    z0_sector: Sector
-
-    @classmethod
-    def make(cls, z: complex, z0: complex) -> "ShiftedArgs":
-        z, z0 = complex(z), complex(z0)
-        if not (cmath.isfinite(z) and cmath.isfinite(z0)):
-            raise NonFiniteInput("ShiftedArgs: arguments must be finite")
-        return cls(z, z0, classify_sector(z0))
+def _finite_pair(name: str, z, z0) -> tuple[complex, complex]:
+    """(z, z0) as complex numbers; NonFiniteInput if either is not finite."""
+    z, z0 = complex(z), complex(z0)
+    if not (cmath.isfinite(z) and cmath.isfinite(z0)):
+        raise NonFiniteInput(f"{name}: arguments must be finite")
+    return z, z0
 
 
 @dataclass(frozen=True)
@@ -206,16 +173,7 @@ class ContourPath:
     coeffs: tuple
 
 
-def _effective_shift_angle(args: ShiftedArgs) -> float:
-    """arg z0 for Inner/Boundary/Zero, arg(-z0) for Outer."""
-    if args.z0_sector is Sector.ZERO:
-        return 0.0
-    if args.z0_sector is Sector.OUTER:
-        return cmath.phase(-args.z0)
-    return cmath.phase(args.z0)
-
-
-def saddles(args: ShiftedArgs) -> tuple:
+def saddles(z: complex, z0: complex) -> tuple:
     """The four roots k = +-i(sqrt(z+z0) +- sqrt(z)) of k^4 + 4 beta k^2 + z0^2.
 
     That quartic is 4k^2 E'(k)/i for the exponent
@@ -223,9 +181,11 @@ def saddles(args: ShiftedArgs) -> tuple:
     nonzero roots are the saddles of the integrand.  At z0 = 0 the pair
     i(sqrt(z+z0) - sqrt(z)) collapses onto k = 0, which is then no saddle.
     Order: i(s+ + s), i(s+ - s), -i(s+ + s), -i(s+ - s), where s+ and s are
-    the principal square roots of z + z0 and z.
+    the principal square roots of z + z0 and z.  Raises NonFiniteInput for
+    a non-finite z or z0.
     """
-    s_shift, s = cmath.sqrt(args.z + args.z0), cmath.sqrt(args.z)
+    z, z0 = _finite_pair("saddles", z, z0)
+    s_shift, s = cmath.sqrt(z + z0), cmath.sqrt(z)
     outer, inner = 1j * (s_shift + s), 1j * (s_shift - s)
     return outer, inner, -outer, -inner
 
@@ -310,16 +270,17 @@ def _ends(kind) -> tuple:
     raise ValueError(f"unknown contour kind: {kind!r}")
 
 
-def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
+def build_contour(kind: ContourKind | tuple, z: complex, z0: complex) -> ContourPath:
     """Construct the path of ``kind`` for the given (z, z0).
 
     ``kind`` is a ``ContourKind`` or a (start, end) pair of the end names
     ``V1``, ``V2``, ``V3``, ``up`` and ``low``, with start != end.  Every
     path is defined at every shift, and its ends continue analytically
-    in z0 (Outer places them on the cut of -z0 with its sides swapped);
-    each joins its two ends with a ray in from the
-    start (or an end leg out of k = 0), one arc, and a ray out to the
-    end (or an end leg into k = 0).  An end leg reaches k = 0 exactly
+    in z0.  They lie on the cut of z0, at angle 0 where b = -z0^2/4 == 0,
+    and on the cut of -z0 with its sides swapped where
+    |arg z0| - pi/2 > 1e-12.  Each path joins its two ends with a ray in
+    from the start (or an end leg out of k = 0), one arc, and a ray out
+    to the end (or an end leg into k = 0).  An end leg reaches k = 0 exactly
     (``OriginLeg``) where the exponent has no b/k term, b = -z0^2/4 == 0,
     and is a ``DecayLeg`` cut where the essential factor has fallen to
     e^{-lambda} everywhere else.  The geometry is closed-form: in each
@@ -332,12 +293,13 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     one with the lowest crest.  Raises ValueError for any other
     ``kind``, DegenerateGeometry when the required truncation
     radius exceeds the ceiling of 80, which happens beyond
-    |z + z0/2| = 231.03, and NonFiniteInput when the coefficient
-    z0^2/4 of the exponent overflows float64 (|z0| above about 1.3e154).
+    |z + z0/2| = 231.03, and NonFiniteInput for a non-finite z or z0 and
+    when the coefficient z0^2/4 of the exponent overflows float64 (|z0|
+    above about 1.3e154).
     """
     start, end = _ends(kind)
-    a = _effective_shift_angle(args)
-    coeffs = (args.z + 0.5 * args.z0, -args.z0 * args.z0 / 4.0, 1.0)
+    z, z0 = _finite_pair("build_contour", z, z0)
+    coeffs = (z + 0.5 * z0, -z0 * z0 / 4.0, 1.0)
     tails = _tails(coeffs[0])
     if not cmath.isfinite(coeffs[1]):
         raise NonFiniteInput("build_contour: z0^2/4 overflows float64")
@@ -346,9 +308,11 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
     # an end is (angle, radius): a valley's tail ray out to its truncation
     # radius, or radius 0 for k = 0 reached along the steepest descent ray
     # of the essential factor, on either side of the cut; in _END_NAMES order
-    theta_up = 2.0 * a + _PI / 2.0
+    a = 0.0 if coeffs[1] == 0.0 else cmath.phase(z0)
+    swap = abs(a) - _PI / 2.0 > _CUT_SWITCH_MARGIN
+    theta_up = 2.0 * (cmath.phase(-z0) if swap else a) + _PI / 2.0
     sides = ((theta_up, 0.0), (theta_up - 2.0 * _PI, 0.0))
-    if args.z0_sector is Sector.OUTER:
+    if swap:
         # -z0's cut with its sides swapped: each end continues in z0
         sides = sides[::-1]
     ends = (*tails, *sides)
@@ -358,7 +322,7 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
 
     # candidate turn radii: the saddle moduli and the floor of the path
     # family; the floor keeps a usable arc when both saddles sit at k ~ 0
-    outer, inner = saddles(args)[:2]
+    outer, inner = saddles(z, z0)[:2]
     floor = 0.5 if origin else 1.0
     # r_trunc >= (12 lambda)^(1/3) ~ 7.1, so the clip keeps the floor, and
     # the floor passes the filter below: no candidate list is ever empty
@@ -379,7 +343,7 @@ def build_contour(kind: ContourKind | tuple, args: ShiftedArgs) -> ContourPath:
         # run an endpoint leg until the essential factor falls below
         # e^{-lambda} along the steepest ray (|z0^2/(4k)| >= lambda); the
         # sqrt-measure criterion alone caps the stub when z0 ~ 0
-        s_max = min(decay_span(4.0 * TAIL_LAMBDA * r_arc, abs(args.z0) ** 2),
+        s_max = min(decay_span(4.0 * TAIL_LAMBDA * r_arc, abs(z0) ** 2),
                     2.0 * TAIL_LAMBDA + 4.0)
         end_leg = partial(DecayLeg, r_outer=r_arc, s_max=s_max)
     legs = (

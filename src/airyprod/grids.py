@@ -1,7 +1,7 @@
 """Deterministic pseudo-random sample grids for verification runs.
 
-The identity and route checks need (z, z0) samples that cover all four
-shift sectors (inner / outer / boundary / zero) with controlled radii,
+The identity and route checks need (z, z0) samples that cover every
+kind of shift (inner / outer / boundary / zero) with controlled radii,
 and the Green's-function checks need field configurations over a range
 of scaled separations.  Given the same seed the grids are bit-identical,
 which keeps report files byte-stable.
@@ -24,11 +24,14 @@ def _disk(rng, n, radius):
 
 def shifted_grid(n: int, seed: int, z_radius: float = 4.0, z0_radius: float = 3.0,
                  quotas=(0.4, 0.3, 0.15, 0.15)):
-    """(z, z0) arrays with sector quotas (inner, outer, boundary, zero).
+    """(z, z0) arrays with quotas of shifts (inner, outer, boundary, zero).
 
     z is uniform over the disk |z| <= z_radius; z0 magnitudes are uniform
-    in [0.05, z0_radius) with arguments drawn per sector.  Boundary points
-    sit within 1e-13 of |arg z0| = pi/2; zero points have z0 = 0 exactly.
+    in [0.05, z0_radius) with arguments drawn per quota: inner
+    |arg z0| < pi/2, outer |arg z0| > pi/2.  Boundary points sit within
+    1e-13 of |arg z0| = pi/2, on both sides of the switch to the cut of
+    -z0 that ``contours.build_contour`` makes there, so that the paths
+    next to it are sampled; zero points have z0 = 0 exactly.
     """
     rng = np.random.default_rng(seed)
     z = _disk(rng, n, z_radius)

@@ -64,7 +64,7 @@ from functools import reduce
 import cmath
 import math
 
-from .contours import ShiftedArgs, build_contour, laplace_integral
+from .contours import build_contour, laplace_integral
 import numpy as np
 
 from .errors import EnvelopeExceeded, NegativeShift, NonFiniteInput
@@ -183,9 +183,9 @@ def _direct_product(f1: complex, f2: complex) -> tuple[complex, float]:
                + 2.0 * _EPS * args)
 
 
-def _contour_value(ends: tuple, args: ShiftedArgs, tol):
+def _contour_value(ends: tuple, z: complex, z0: complex, tol):
     """I_C over the path between ``ends`` and its error estimate."""
-    res = laplace_integral(build_contour(ends, args), tol)
+    res = laplace_integral(build_contour(ends, z, z0), tol)
     return res.value, res.abs_err_est
 
 
@@ -224,10 +224,9 @@ def _evaluate(key, z, z0, route: Route, tol) -> ProductValue:
             raise
     if route is not Route.CONTOUR:
         raise ValueError(f"products support the DIRECT and CONTOUR routes, not {route}")
-    args = ShiftedArgs.make(z, z0)
     pref, paths = _CONTOUR[key]
-    val, err = (_contour_value(paths[0], args, tol) if len(paths) == 1
-                else _signed_sum((1, _contour_value(ends, args, tol)) for ends in paths))
+    val, err = (_contour_value(paths[0], z, z0, tol) if len(paths) == 1
+                else _signed_sum((1, _contour_value(ends, z, z0, tol)) for ends in paths))
     return ProductValue(pref * val, abs(pref) * err)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airyprod import (ContourKind, GreensParams, ShiftedArgs, airy_batch, build_contour,
+from airyprod import (ContourKind, GreensParams, airy_batch, build_contour,
                       greens_time_integral, laplace_integral)
 from airyprod.errors import AiryprodError, ToleranceNotMet
 
@@ -162,7 +162,7 @@ def compare(old, new, name):
 def path_integrals():
     """Both path integrals as functions of tol alone: I_L- at z = 1,
     z0 = 0, and the time integral at E = 0.5, F = 0.1 z^, r = x^, r' = 0."""
-    path = build_contour(ContourKind.L_MINUS, ShiftedArgs.make(1.0, 0.0))
+    path = build_contour(ContourKind.L_MINUS, 1.0, 0.0)
     p = GreensParams.make(0.5, (0, 0, 0.1), (1, 0, 0), (0, 0, 0))
     return [partial(laplace_integral, path), partial(greens_time_integral, p)]
 

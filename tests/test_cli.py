@@ -54,7 +54,6 @@ def _record(capsys, argv):
 
 def test_eval_zero_point(capsys):
     rec = _record(capsys, ["eval", "u+", "--z", "0+0i", "--z0", "0+0i"])
-    assert rec["sector"] == "zero"
     assert rec["route"] == "direct"
     assert float(rec["re"]) == pytest.approx(airy(0).ai.real ** 2, abs=1e-15)
     assert float(rec["im"]) == 0.0

@@ -13,26 +13,18 @@ from airyprod import (
     EnvelopeExceeded,
     NonFiniteInput,
     Route,
-    Sector,
-    ShiftedArgs,
     ToleranceNotMet,
     airy,
     airy_batch,
     build_contour,
     checks,
-    classify_sector,
     laplace_integral,
     saddles,
     u_pm,
     w_pm,
     w_pm_real,
 )
-from airyprod.contours import (
-    _ENDS,
-    VALLEY_SECTORS,
-    ContourPath,
-    _effective_shift_angle,
-)
+from airyprod.contours import _ENDS, VALLEY_SECTORS, ContourPath
 from airyprod.grids import shifted_grid
 from airyprod.quadrature import (TAIL_LAMBDA, ArcLeg, DecayLeg, OriginLeg, RayLeg, _cubic_roots,
                                  exponent, tail_radius)
@@ -42,32 +34,42 @@ PI = math.pi
 
 
 def _integral(kind, z, z0, tol=1e-11):
-    args = ShiftedArgs.make(z, z0)
-    return laplace_integral(build_contour(kind, args), tol)
+    return laplace_integral(build_contour(kind, z, z0), tol)
 
 
 # ----------------------------------------------------------------------
-# sector classification
+# which cut the ends lie on
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("z0,expected", [
-    (1.0, Sector.INNER),
-    (-1.0, Sector.OUTER),
-    (0.0, Sector.ZERO),
-    (2j, Sector.BOUNDARY),
-    (-3j, Sector.BOUNDARY),
-    (1e-8 + 1j, Sector.INNER),
-    (-1e-8 + 1j, Sector.OUTER),
-    (cmath.rect(2.0, PI / 2 + 5e-13), Sector.BOUNDARY),
+@pytest.mark.parametrize("z0,own_cut", [
+    (1.0, True),
+    (-1.0, False),
+    (0.0, True),
+    (2j, True),
+    (-3j, True),
+    (1e-8 + 1j, True),
+    (-1e-8 + 1j, False),
+    (cmath.rect(2.0, PI / 2 + 5e-13), True),  # past pi/2 by less than 1e-12
 ])
-def test_classify_sector(z0, expected):
-    assert classify_sector(z0) is expected
+def test_cut_side(z0, own_cut):
+    # R- starts at "up": on the cut of z0 at lift 2 arg z0 + pi/2, and on
+    # the cut of -z0, where |arg z0| passes pi/2 by more than 1e-12, at
+    # 2 arg(-z0) - 3 pi/2.  Compared as lifts, not mod 4 pi: the two
+    # differ by 4 pi at the last point, so this pins the margin
+    theta = build_contour(ContourKind.R_MINUS, 0.8 - 0.3j, z0).segments[0].theta
+    want = (2.0 * cmath.phase(z0) + PI / 2 if own_cut
+            else 2.0 * cmath.phase(-z0) - 1.5 * PI)
+    assert theta == pytest.approx(want, abs=1e-12)
 
 
-def test_classify_rejects_nonfinite():
-    with pytest.raises(NonFiniteInput):
-        classify_sector(complex("nan"))
-    # a non-finite z with a finite z0 reaches ShiftedArgs.make
+def test_nonfinite_rejected():
+    for z, z0 in ((math.nan, 0.3), (1.0, complex(0.0, math.nan)),
+                  (math.inf, 0.0), (0.5j, -math.inf)):
+        with pytest.raises(NonFiniteInput):
+            build_contour(ContourKind.O, z, z0)
+        with pytest.raises(NonFiniteInput):
+            saddles(z, z0)
+    # a non-finite z with a finite z0 reaches build_contour
     with pytest.raises(NonFiniteInput):
         u_pm(+1, math.nan, 0.3, Route.CONTOUR)
     with pytest.raises(NonFiniteInput):
@@ -78,10 +80,9 @@ def test_overflowing_shift_is_non_finite():
     # z0 = 1e155 squares past float64 while z + z0/2 = 0 keeps every tail
     # inside its cap: each kind raises NonFiniteInput, not an untyped error
     z0 = 1e155 + 0j
-    args = ShiftedArgs.make(-z0 / 2.0, z0)
     for kind in ContourKind:
         with pytest.raises(NonFiniteInput, match="overflows float64"):
-            build_contour(kind, args)
+            build_contour(kind, -z0 / 2.0, z0)
 
 
 # finite parts whose modulus leaves float64, so abs() of it overflows
@@ -91,23 +92,26 @@ _HUGE = 1.5e308 + 1.5e308j
 @pytest.mark.parametrize("call, outcome", [
     (lambda: airy(_HUGE), EnvelopeExceeded),
     (lambda: airy_batch([_HUGE]), EnvelopeExceeded),
-    # classified as its neighbour 1e308+1e308j is, so the contour route
-    # fails as that neighbour does
-    (lambda: ShiftedArgs.make(1, _HUGE).z0_sector, Sector.INNER),
-    (lambda: build_contour(ContourKind.L_PLUS, ShiftedArgs.make(_HUGE, 0)), DegenerateGeometry),
+    (lambda: build_contour(ContourKind.L_PLUS, _HUGE, 0), DegenerateGeometry),
+    # the tails of z + z0/2 fail before z0^2/4 overflows, as for the
+    # neighbour 1e308+1e308j
     (lambda: u_pm(+1, 1, _HUGE, Route.CONTOUR), DegenerateGeometry),
-], ids=["airy", "airy_batch", "ShiftedArgs.make", "build_contour", "u_pm"])
+], ids=["airy", "airy_batch", "build_contour", "u_pm"])
 def test_modulus_overflow_typed(call, outcome):
-    if isinstance(outcome, Sector):
-        assert call() is outcome is ShiftedArgs.make(1, 1e308 + 1e308j).z0_sector
-    else:
-        with pytest.raises(outcome):
-            call()
+    with pytest.raises(outcome):
+        call()
 
 
-def test_zero_sector_threshold():
-    assert classify_sector(1e-305) is Sector.ZERO
-    assert classify_sector(1e-295) is Sector.INNER
+@pytest.mark.parametrize("z0", [-0.0 + 0j, 1e-200j, -1e-250, (-1 - 1j) * 1e-295])
+def test_underflowing_shift_takes_the_zero_shift_path(z0):
+    # z0^2/4 underflows to 0, so the exponent has no b/k term: every kind
+    # is the z0 = 0 path, ends reaching k = 0 exactly at angle 0, and
+    # takes its nodes to its value
+    for kind in ContourKind:
+        path, zero = (build_contour(kind, 0.8 - 0.3j, w) for w in (z0, 0.0))
+        assert path.segments == zero.segments, kind
+        res, ref = (laplace_integral(p, 1e-12) for p in (path, zero))
+        assert (res.nodes, res.value) == (ref.nodes, ref.value) and ref.nodes == 540, kind
 
 
 # ----------------------------------------------------------------------
@@ -158,13 +162,11 @@ def _lift_gap(theta, lift):
 @pytest.mark.parametrize("z0", [0.9, 0.4 + 0.6j, -1.2, 2j, 0.0, -0.3 + 1.1j,
                                 cmath.rect(1.3, PI / 2), -1.3j, -0.7 - 0.2j])
 def test_path_invariants_all_kinds(z0):
-    args = ShiftedArgs.make(0.8 - 0.3j, z0)
-    a_eff = _effective_shift_angle(args)
     # one naming rule in every sector: R- starts at lift 2 arg z0 + pi/2
     # ("up"), R+ one turn below ("low"), both mod 4 pi
     up, low = 2.0 * cmath.phase(z0) + PI / 2, 2.0 * cmath.phase(z0) - 1.5 * PI
     for kind in ContourKind:
-        path = build_contour(kind, args)
+        path = build_contour(kind, 0.8 - 0.3j, z0)
         assert isinstance(path, ContourPath)
         legs = path.segments
         assert path_is_connected(legs)
@@ -183,7 +185,7 @@ def test_path_invariants_all_kinds(z0):
             # lifted to the side of the cut this contour starts on
             assert _lift_gap(inner.theta, up if kind is ContourKind.R_MINUS else low) <= 1e-12
             mod = inner.theta % (2.0 * PI)
-            lo = (2.0 * a_eff) % (2.0 * PI)
+            lo = (2.0 * cmath.phase(z0)) % (2.0 * PI)
             assert (mod - lo) % (2.0 * PI) < PI  # inside internal valley
             tail = VALLEY_SECTORS[0] if kind is ContourKind.R_MINUS else VALLEY_SECTORS[2]
             assert _in_valley(legs[-1].theta, tail)
@@ -196,7 +198,7 @@ def test_path_invariants_all_kinds(z0):
             _assert_origin_end(last, 1.0, legs[1], z0)
             assert _lift_gap(first.theta, up) <= 1e-12 and _lift_gap(last.theta, low) <= 1e-12
             for th in (first.theta, last.theta):
-                frac = (th - 2.0 * a_eff) % (2.0 * PI)
+                frac = (th - 2.0 * cmath.phase(z0)) % (2.0 * PI)
                 assert 0.0 < frac < PI or frac == pytest.approx(PI / 2)
 
 
@@ -206,34 +208,32 @@ def test_valley_rays_reach_the_tail_cut(z_radius, z0_radius):
     # tail rule cuts the integrand, wherever the wide domain puts it
     excess = [e for z, z0 in zip(*shifted_grid(300, 5, z_radius=z_radius, z0_radius=z0_radius))
               for kind in ContourKind
-              for e in _tail_excess(build_contour(kind, ShiftedArgs.make(z, z0)), z0)]
+              for e in _tail_excess(build_contour(kind, z, z0), z0)]
     assert len(excess) == 1800 and max(excess) <= 1e-13
 
 
 def test_lift_offsets_between_r_contours():
-    args = ShiftedArgs.make(1.0, 0.5 + 0.2j)
-    up = build_contour(ContourKind.R_MINUS, args).segments[0].theta
-    low = build_contour(ContourKind.R_PLUS, args).segments[0].theta
+    up = build_contour(ContourKind.R_MINUS, 1.0, 0.5 + 0.2j).segments[0].theta
+    low = build_contour(ContourKind.R_PLUS, 1.0, 0.5 + 0.2j).segments[0].theta
     assert up - low == pytest.approx(2.0 * PI)
 
 
 def test_invalid_kind_rejected():
-    args = ShiftedArgs.make(1.0, 1.0)
     with pytest.raises(ValueError, match="unknown contour kind"):
-        build_contour("loop", args)
+        build_contour("loop", 1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [("up", "up"), ("V1", "V4"), ("V1",), ["up", "V1"], "O"])
 def test_invalid_end_pair_rejected(bad):
     with pytest.raises(ValueError, match="unknown contour kind"):
-        build_contour(bad, ShiftedArgs.make(1.0, 1.0))
+        build_contour(bad, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("z0", [0.9, -1.1 + 0.4j, 1.3j, 0.0])
 def test_kind_and_its_end_pair_build_one_path(z0):
-    args = ShiftedArgs.make(0.8 - 0.3j, z0)
     for kind, ends in _ENDS.items():
-        assert build_contour(kind, args).segments == build_contour(ends, args).segments
+        assert (build_contour(kind, 0.8 - 0.3j, z0).segments
+                == build_contour(ends, 0.8 - 0.3j, z0).segments)
 
 
 @pytest.mark.parametrize("z,z0", [(0.6, 1.1), (1.2 - 0.8j, -0.9), (0.4 + 0.2j, 1.7j),
@@ -258,9 +258,8 @@ def test_chained_paths_equal_signed_sums(z, z0):
 
 
 def test_degenerate_geometry_ceiling():
-    args = ShiftedArgs.make(300.0, 0.0)
     with pytest.raises(DegenerateGeometry):
-        build_contour(ContourKind.L_PLUS, args)
+        build_contour(ContourKind.L_PLUS, 300.0, 0.0)
 
 
 @pytest.mark.parametrize("z0", [0.0, 100j, -100.0])
@@ -268,14 +267,14 @@ def test_geometry_domain_edge(z0):
     # the truncation radius of the edge-most tail angle, d = sin(pi/7),
     # reaches the ceiling 80 at |z + z0/2| = 231.03
     for beta, builds in ((231.0, True), (231.1, False)):
-        args = ShiftedArgs.make(beta - 0.5 * z0, z0)
-        assert abs(args.z + 0.5 * args.z0) == pytest.approx(beta, abs=1e-12)
+        z = beta - 0.5 * z0
+        assert abs(z + 0.5 * z0) == pytest.approx(beta, abs=1e-12)
         for kind in ContourKind:
             if builds:
-                build_contour(kind, args)
+                build_contour(kind, z, z0)
             else:
                 with pytest.raises(DegenerateGeometry):
-                    build_contour(kind, args)
+                    build_contour(kind, z, z0)
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +324,7 @@ def test_zero_shift_suite_at_tightest_tol():
             assert resid <= bound, (seed, label)
 
 
-def _perturbed(path, args, factor, shift):
+def _perturbed(path, z, z0, factor, shift):
     """``path`` with its turn radius scaled by ``factor`` and, when its last
     leg is a ray, that ray turned by ``shift`` radians and cut at its own
     truncation radius."""
@@ -340,7 +339,7 @@ def _perturbed(path, args, factor, shift):
         last = replace(last, r_outer=r)
     else:
         theta = last.theta + shift
-        r_end = tail_radius(math.sin(3.0 * theta), 0.0, -12.0 * abs(args.z + 0.5 * args.z0),
+        r_end = tail_radius(math.sin(3.0 * theta), 0.0, -12.0 * abs(z + 0.5 * z0),
                             12.0 * TAIL_LAMBDA, 80.0)
         last = replace(last, theta=theta, r_start=r, r_end=r_end)
     return replace(path, segments=(first, arc, last))
@@ -355,12 +354,11 @@ def test_path_independence_under_perturbation():
         ContourKind.O: [(1.1, 0.0), (0.9, 0.0)],
     }
     for z, z0 in [(0.9, 0.8 + 0.4j), (1.2 - 0.8j, -0.9), (-2 + 1j, 0.5j)]:  # inner, outer, boundary
-        args = ShiftedArgs.make(z, z0)
         for kind, cases in perturbations.items():
-            path = build_contour(kind, args)
+            path = build_contour(kind, z, z0)
             base = laplace_integral(path, tol).value
             for factor, shift in cases:
-                pert = _perturbed(path, args, factor, shift)
+                pert = _perturbed(path, z, z0, factor, shift)
                 assert path_is_connected(pert.segments)
                 value = laplace_integral(pert, tol).value
                 assert abs(value - base) <= 10.0 * tol * max(1.0, abs(base))
@@ -382,8 +380,7 @@ def test_tolerance_not_met_carries_result():
     # an unreachable target must flag, not loop: at 1e-14 the error
     # estimate of this oscillatory integral (index 92 of
     # shifted_grid(100, 4242, 12, 6)) stops falling near 1e-11
-    args = ShiftedArgs.make(3.454227064669872 + 6.2517801904203925j, 0.0)
-    path = build_contour(ContourKind.L_PLUS, args)
+    path = build_contour(ContourKind.L_PLUS, 3.454227064669872 + 6.2517801904203925j, 0.0)
     with pytest.raises(ToleranceNotMet) as exc:
         laplace_integral(path, 1e-14)
     assert exc.value.result is not None
@@ -397,7 +394,7 @@ def test_contour_integrals_share_the_node_ceiling():
     # orders above its value, ~1e157, until the node ceiling of 400 000,
     # the time integral's too, stops it; the last round gives each panel
     # up to 8 children and may pass the ceiling
-    path = build_contour(ContourKind.L_MINUS, ShiftedArgs.make(-230, 5))
+    path = build_contour(ContourKind.L_MINUS, -230, 5)
     with pytest.raises(ToleranceNotMet) as exc:
         laplace_integral(path, 1e-8)
     assert exc.value.result.stop == "node_ceiling"
@@ -406,9 +403,9 @@ def test_contour_integrals_share_the_node_ceiling():
 
 def test_endpoint_singularity_detected():
     # hand-built path whose inner ray points into the growth region of
-    # the essential factor (anti-steepest direction)
-    args = ShiftedArgs.make(0.5, 2.0)
-    bad_theta = 2.0 * _effective_shift_angle(args) - PI / 2.0
+    # the essential factor (anti-steepest direction): at z0 = 2 the
+    # internal valley is (0, pi), its steepest ray pi/2
+    bad_theta = -PI / 2.0
 
     def bad(s_max):
         return ContourPath(
@@ -431,10 +428,9 @@ def test_endpoint_singularity_detected():
 def test_path_carries_its_exponent():
     # a path integrates the exponent it was built for, so no caller can
     # pair it with another (z, z0)
-    args = ShiftedArgs.make(1 + 0.5j, 0.3 - 0.2j)
+    z, z0 = 1 + 0.5j, 0.3 - 0.2j
     for kind in ContourKind:
-        coeffs = build_contour(kind, args).coeffs
-        assert coeffs == (args.z + 0.5 * args.z0, -args.z0 * args.z0 / 4.0, 1.0)
+        assert build_contour(kind, z, z0).coeffs == (z + 0.5 * z0, -z0 * z0 / 4.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +449,7 @@ def _exponent_slope(k, z, z0):
     (0.5 - 2.5j, -1.1 + 0.4j),
 ], ids=["zero", "inner", "boundary", "outer"])
 def test_saddles_are_stationary_points(z, z0):
-    ks = saddles(ShiftedArgs.make(z, z0))
+    ks = saddles(z, z0)
     assert len(ks) == 4
     beta = z + 0.5 * z0
     scale = abs(z) + abs(z0) + 1.0
@@ -466,7 +462,7 @@ def test_saddles_are_stationary_points(z, z0):
 
 
 def test_saddles_large_argument_zero_shift():
-    ks = saddles(ShiftedArgs.make(100.0, 0.0))
+    ks = saddles(100.0, 0.0)
     nonzero = sorted((k for k in ks if k != 0.0), key=lambda k: k.imag)
     assert nonzero == [-20j, 20j]
 
@@ -491,9 +487,8 @@ def test_wide_domain_contours_converge_and_match_oracle():
     z, z0 = shifted_grid(200, 12, z_radius=12.0, z0_radius=6.0)
     zs, z0s = z.tolist(), z0.tolist()
     for zz, zz0 in zip(zs, z0s):
-        args = ShiftedArgs.make(zz, zz0)
         for kind in ContourKind:
-            laplace_integral(build_contour(kind, args), 1e-8)
+            laplace_integral(build_contour(kind, zz, zz0), 1e-8)
 
     ai_z = {s: airy_batch(cmath.exp(s * 2j * PI / 3) * z)[0] for s in (+1, -1)}
     ai_shift = airy_batch(z + z0)[0]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airyprod import ContourKind, ShiftedArgs, contours, greens, products
+from airyprod import ContourKind, contours, greens, products
 from airyprod.errors import ToleranceNotMet
 from airyprod.greens import GreensParams
 from airyprod.products import Route
@@ -57,8 +57,7 @@ def test_raised_miss_is_traced(monkeypatch):
     # the exception's result
     tracing = _tracing(monkeypatch)
     tracer = tracing.Tracer()
-    path = contours.build_contour(ContourKind.L_PLUS,
-                                  ShiftedArgs.make(3.454227064669872 + 6.2517801904203925j, 0))
+    path = contours.build_contour(ContourKind.L_PLUS, 3.454227064669872 + 6.2517801904203925j, 0)
     with tracing.rebound(tracer), pytest.raises(ToleranceNotMet) as info:
         contours.laplace_integral(path, 1e-14)
     assert tracing.all_restored()

@@ -212,8 +212,7 @@ def test_u_and_w_are_product_rows():
 def test_public_surface():
     assert airyprod.__all__ == [
         "AiryValue", "airy", "airy_batch",
-        "Sector", "ContourKind", "ShiftedArgs", "ContourPath",
-        "classify_sector", "build_contour", "laplace_integral", "saddles",
+        "ContourKind", "ContourPath", "build_contour", "laplace_integral", "saddles",
         "QuadResult",
         "Route", "Rotation", "ProductValue",
         "u_pm", "w_pm", "product", "difference_identity",

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import airyprod
-from airyprod import (ContourKind, Sector, ShiftedArgs, aiai_real, build_contour,
-                      difference_identity, greens, greens_time_integral, laplace_integral,
-                      product, quadrature, u_pm, w_pm, w_pm_real)
+from airyprod import (ContourKind, aiai_real, build_contour, difference_identity, greens,
+                      greens_time_integral, laplace_integral, product, quadrature, u_pm, w_pm,
+                      w_pm_real)
 from airyprod.errors import AiryprodError, DegenerateGeometry, ToleranceNotMet
 from airyprod.greens import GreensParams
 from airyprod.grids import greens_samples, shifted_grid
@@ -316,9 +316,8 @@ def test_zero_shift_end_legs_finish_in_the_first_round(monkeypatch, tol):
     z = [*shifted_grid(100, 901)[0], *shifted_grid(100, 902, z_radius=12.0, z0_radius=6.0)[0]]
     ends = 0
     for zz in z:
-        args = ShiftedArgs.make(zz, 0.0)
         for kind in ContourKind:
-            path = build_contour(kind, args)
+            path = build_contour(kind, zz, 0.0)
             ends += sum(isinstance(leg, OriginLeg) for leg in path.segments)
             try:
                 laplace_integral(path, tol)
@@ -333,8 +332,8 @@ def test_zero_shift_end_legs_finish_in_the_first_round(monkeypatch, tol):
 # paths of 1 to 4 legs that mix all five leg types, as (legs, coeffs, power),
 # and three built ones: a contour at z0 != 0 and at z0 = 0, and the time
 # integral's chord family
-_R_PLUS = build_contour(ContourKind.R_PLUS, ShiftedArgs.make(1 + 0.5j, 0.3 - 0.2j))
-_O_ZERO = build_contour(ContourKind.O, ShiftedArgs.make(1 + 0.5j, 0.0))
+_R_PLUS = build_contour(ContourKind.R_PLUS, 1 + 0.5j, 0.3 - 0.2j)
+_O_ZERO = build_contour(ContourKind.O, 1 + 0.5j, 0.0)
 _FIRST_ROUND_PATHS = {
     "segment": ([SegmentLeg(0.2 + 0.1j, 1.5 - 0.3j)], (1.3 + 0.2j, 0.0, 0.7), 0.5),
     "decay-ray": ([DecayLeg(0.3, 1.2, 12.0), RayLeg(0.3, 1.2, 3.0)], (1.3 + 0.2j, 0.0, 0.7), 0.5),
@@ -454,8 +453,7 @@ def _time_integral(config):
 
 
 def _kind_nodes(z, z0):
-    args = ShiftedArgs.make(z, z0)
-    return [laplace_integral(build_contour(kind, args), 1e-8).nodes for kind in ContourKind]
+    return [laplace_integral(build_contour(kind, z, z0), 1e-8).nodes for kind in ContourKind]
 
 
 def panel_schedule():
@@ -481,12 +479,10 @@ def integral_rows():
     """The pin rows of the five kinds at the inner- and the outer-sector
     point of _SECTOR_POINTS, then of the _GREENS_CONFIGS time integrals."""
     rows = {}
-    for (z, z0), sector in zip(_SECTOR_POINTS, (Sector.INNER, Sector.OUTER)):
-        args = ShiftedArgs.make(z, z0)
-        assert args.z0_sector is sector
+    for z, z0 in _SECTOR_POINTS:
         for kind in ContourKind:
             rows[f"{kind.name} at {z}, {z0}"] = integral_row(
-                laplace_integral, build_contour(kind, args), 1e-8)
+                laplace_integral, build_contour(kind, z, z0), 1e-8)
     for config in _GREENS_CONFIGS:
         rows[f"time integral at {config}"] = integral_row(_time_integral(config))
     return rows
@@ -543,9 +539,8 @@ def contour_paths():
                              zip(*shifted_grid(200, 42, z_radius=12.0, z0_radius=6.0)),
                              _SECTOR_POINTS)
     for z, z0 in points:
-        args = ShiftedArgs.make(z, z0)
         for kind in ContourKind:
-            path = build_contour(kind, args)
+            path = build_contour(kind, z, z0)
             digest.update(repr((path.segments, path.coeffs)).encode())
     return digest.hexdigest()
 
